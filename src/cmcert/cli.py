@@ -24,10 +24,8 @@ EX_CONFIG = 65
 @dataclass
 class RunConfig:
     precision: int = 60
-    term_cap: int = specfun.TERM_CAP
     grid: str = "geometric:0.01,1000,25"
     fmt: str = "text"
-    parallelism: int = 1
 
 
 def _parse_config_file(path: str) -> dict:
@@ -55,14 +53,10 @@ def _build_config(config_path, precision, fmt, grid) -> RunConfig:
         try:
             if "precision" in raw:
                 cfg.precision = int(raw["precision"])
-            if "term-cap" in raw:
-                cfg.term_cap = int(raw["term-cap"])
             if "grid" in raw:
                 cfg.grid = raw["grid"]
             if "format" in raw:
                 cfg.fmt = raw["format"]
-            if "parallelism" in raw:
-                cfg.parallelism = int(raw["parallelism"])
         except ValueError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EX_CONFIG)

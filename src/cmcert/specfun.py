@@ -1,9 +1,10 @@
 """Rigorous enclosures for the special functions used by the certificates.
 
 Everything returns an Enclosure whose endpoints are exact rationals; the
-`digits` parameter asks for width <= 10**-digits.  Operations iterate with
-escalating term counts until the width target or the term cap is reached,
-in which case the achieved (wider) enclosure is returned.
+`digits` parameter asks for width <= 10**-digits.  `exp_enclosure` always
+meets that width.  The other series add terms until their tail bound meets
+the target; `hyp1f2` raises at TERM_CAP terms, while `bessel_ratio` and
+`vn_remainder` stop there and return what they reached.
 """
 
 from __future__ import annotations
@@ -38,30 +39,66 @@ def bernoulli(n: int) -> Fraction:
     return _bernoulli_cache[n]
 
 
+def _exp_mantissas(num: int, den: int, k: int, p: int) -> tuple[int, int]:
+    """Integers lo, hi with lo * 2**-p <= e**(num/den) <= hi * 2**-p.
+
+    Requires num/den > 0 and y = num/(den 2**k) <= 1/2.  The Taylor series
+    of e**y is summed twice on mantissas M standing for M * 2**-p: a lower
+    sum from floor(y 2**p) with floor division and an upper sum from
+    ceil(y 2**p) with ceil division.  From n >= 1 on every term ratio
+    y/(n+1) is <= 1/4, so once the upper term is <= 1 ulp the rest of the
+    series is at most that term, which the upper sum adds once more.  The
+    k squarings round down for lo and up for hi.
+    """
+    lo_y = (num << (p - k)) // den
+    hi_y = -(-(num << (p - k)) // den)
+    lo = lo_term = hi = hi_term = 1 << p
+    n = 0
+    while hi_term > 1:
+        n += 1
+        lo_term = lo_term * lo_y // (n << p)
+        hi_term = -(-hi_term * hi_y // (n << p))
+        lo += lo_term
+        hi += hi_term
+    hi += hi_term
+    for _ in range(k):
+        lo = lo * lo >> p
+        hi = -(-hi * hi >> p)
+    return lo, hi
+
+
 def exp_enclosure(x, digits: int) -> Enclosure:
-    """Enclosure of e**x for rational x, Taylor series with ratio tail bound."""
+    """Enclosure of e**x for rational x, of width <= 10**-digits.
+
+    Argument reduction on fixed-point integers (Brent & Zimmermann, Modern
+    Computer Arithmetic, 4.3-4.4): e**x = (e**(x/2**k))**(2**k) with the
+    smallest k that brings x/2**k to <= 1/2; see `_exp_mantissas`.  The
+    working precision p is estimated in integer arithmetic from digits, x
+    and k.  A result wider than 10**-(digits+2) is recomputed with twice
+    the guard bits, so neither soundness nor the width rests on the
+    estimate.
+    """
     x = to_fraction(x)
     if x == 0:
         return Enclosure.point(1)
     if x < 0:
         return exp_enclosure(-x, digits + 2).inverse().round_out(digits + 1)
-    tol = Fraction(1, 10 ** (digits + 1))
-    term = Fraction(1)
-    total = Fraction(1)
-    n = 0
+    num, den = x.numerator, x.denominator
+    k = 0
+    while 2 * num > den << k:
+        k += 1
+    # bits for 10**-(digits+2), for the size of e**x (log2 e < 3/2) and for
+    # the 2**k growth of the relative error over k squarings
+    base = (digits + 2) * 10 // 3 + 3 * num // (2 * den) + k + 2
+    guard = base.bit_length() + 4
+    scale = 10 ** (digits + 2)
     while True:
-        n += 1
-        term *= Fraction(x, n)
-        total += term
-        ratio = Fraction(x, n + 1)
-        if ratio < Fraction(1, 2):
-            tail = term * ratio / (1 - ratio)
-            if tail < tol:
-                break
-        if n > TERM_CAP:
-            tail = term  # unreachable for sane x; defensive
-            break
-    return Enclosure(total, total + tail).round_out(digits + 1)
+        p = base + guard
+        lo, hi = _exp_mantissas(num, den, k, p)
+        if (hi - lo) * scale <= 1 << p:
+            return Enclosure(Fraction(lo, 1 << p),
+                             Fraction(hi, 1 << p)).round_out(digits + 1)
+        guard *= 2
 
 
 def bessel_ratio(k: int, u, digits: int) -> Enclosure:
@@ -110,18 +147,20 @@ def hyp1f2(b1, b2, x, digits: int) -> Enclosure:
         term *= x / ((b1 + n) * (b2 + n))
         n += 1
         total += term
-        nxt = abs(x / ((b1 + n) * (b2 + n)))
-        if nxt < Fraction(1, 2):
-            tail = abs(term) * nxt / (1 - nxt)
-            if tail < tol:
-                break
+        # Once b1+n and b2+n are positive, every later term ratio
+        # x/((b1+m)(b2+m)) is positive and decreasing: the tail has the sign
+        # of the current term and is bounded by a geometric series.
+        if b1 + n > 0 and b2 + n > 0:
+            ratio = x / ((b1 + n) * (b2 + n))
+            if ratio < Fraction(1, 2):
+                tail = abs(term) * ratio / (1 - ratio)
+                if tail < tol:
+                    break
         if n > TERM_CAP:
-            tail = abs(term)
-            break
-    positive_tail = b1 + n > 0 and b2 + n > 0 and x > 0
-    if positive_tail:
+            raise RuntimeError("1F2 series did not converge within TERM_CAP terms")
+    if term > 0:
         return Enclosure(total, total + tail).round_out(digits + 1)
-    return Enclosure(total - tail, total + tail).round_out(digits + 1)
+    return Enclosure(total - tail, total).round_out(digits + 1)
 
 
 def _polygamma_asymptotic(n: int, z: Fraction, tol: Fraction) -> Optional[Enclosure]:

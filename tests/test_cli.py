@@ -82,6 +82,19 @@ def test_config_file_applies_and_flag_overrides(runner, tmp_path):
         json.loads(result.output)
 
 
+def test_retired_config_keys_change_nothing(runner, tmp_path):
+    base = "precision = 20\nformat = json\n"
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(base)
+    retired = tmp_path / "retired.cfg"
+    retired.write_text(base + "term-cap = 1\nparallelism = 4\n")
+    args = ["bessel", "--k", "3", "--u", "7/2"]
+    expected = invoke(runner, "--config", str(plain), *args)
+    result = invoke(runner, "--config", str(retired), *args)
+    assert expected.exit_code == result.exit_code == 0
+    assert result.output == expected.output
+
+
 def test_certify_poly_pass_and_fail(runner, tmp_path):
     good = write_poly(tmp_path, "good.poly",
                       ["101  # constant", "-20", "1"])

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmcert import specfun
 from cmcert.enclosure import Enclosure
+from cmcert.seriesratio import geometric_grid
 
 # frozen 30-digit oracle values (mpmath, independent implementation)
 E_ORACLE = Fraction("2.71828182845904523536028747135")
@@ -52,6 +53,71 @@ def test_exp_enclosure_multiplicative(x, y):
     assert prod.hi >= specfun.exp_enclosure(x + y, 20).lo
 
 
+def _mpf(q: Fraction):
+    import mpmath
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _assert_exp_matches_mpmath(x: Fraction, digits: int):
+    mpmath = pytest.importorskip("mpmath")
+    e = specfun.exp_enclosure(x, digits)
+    assert e.width <= Fraction(1, 10 ** digits)
+    # |x|/2 > |x|/ln 10 digits cover the size of e**x, so the oracle
+    # resolves 10**-(digits+30) in absolute terms
+    with mpmath.workdps(digits + 40 + int(abs(x)) // 2):
+        assert _mpf(e.lo) <= mpmath.exp(_mpf(x)) <= _mpf(e.hi), (x, digits, e)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.one_of(
+           st.fractions(min_value=-1000, max_value=1000,
+                        max_denominator=10 ** 6),
+           st.sampled_from(geometric_grid(Fraction(1, 100), 1000, 25))),
+       st.integers(min_value=10, max_value=60))
+def test_exp_enclosure_differential_against_mpmath(x, digits):
+    _assert_exp_matches_mpmath(x, digits)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1000,
+                    max_denominator=10 ** 6),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=2, max_value=200))
+def test_exp_mantissas_bracket_at_their_own_resolution(x, extra_k, bits):
+    # small p makes every floor/ceil step visible; any k with x/2**k <= 1/2
+    # must give a sound bracket, not only the smallest one
+    mpmath = pytest.importorskip("mpmath")
+    k = (-(-2 * x.numerator // x.denominator) - 1).bit_length() + extra_k
+    p = k + bits
+    lo, hi = specfun._exp_mantissas(x.numerator, x.denominator, k, p)
+    with mpmath.workprec(p + 2 * int(x) + 64):
+        scaled = mpmath.exp(_mpf(x)) * 2 ** p
+        assert lo <= scaled <= hi, (x, k, p, lo, hi)
+
+
+def test_exp_enclosure_retries_a_too_wide_bracket(monkeypatch):
+    calls = []
+    kernel = specfun._exp_mantissas
+
+    def first_call_too_wide(num, den, k, p):
+        calls.append(p)
+        lo, hi = kernel(num, den, k, p)
+        return (lo // 2, hi) if len(calls) == 1 else (lo, hi)
+
+    monkeypatch.setattr(specfun, "_exp_mantissas", first_call_too_wide)
+    e = specfun.exp_enclosure(Fraction(7, 3), 30)
+    assert len(calls) == 2 and calls[1] > calls[0]
+    assert e.width <= Fraction(1, 10 ** 30)
+    assert close(e, Fraction("10.3122585013257650270155721085"))  # e**(7/3)
+
+
+@pytest.mark.parametrize("digits", [10, 52, 60])
+def test_exp_enclosure_on_the_default_grid(digits):
+    for u in geometric_grid(Fraction(1, 100), 1000, 25):
+        _assert_exp_matches_mpmath(u, digits)
+        _assert_exp_matches_mpmath(-u, digits)
+
+
 def test_bessel_ratio_oracle_and_edges():
     assert close(specfun.bessel_ratio(1, 1, 28), I1_RATIO_AT_1)
     assert specfun.bessel_ratio(3, 0, 10).lo == Fraction(1, 6)
@@ -70,6 +136,18 @@ def test_hyp1f2_matches_bessel_form():
         import math
         assert (lhs / math.factorial(k)).lo <= rhs.hi
         assert (lhs / math.factorial(k)).hi >= rhs.lo
+
+
+def test_hyp1f2_negative_lower_parameter_contains_mpmath_value():
+    # b1 + n changes sign between n = 2 and 3: the terms change sign, and
+    # their ratios grow before they shrink
+    mpmath = pytest.importorskip("mpmath")
+    b1, b2, x = Fraction(-41, 14), Fraction(3), Fraction(42, 5)
+    e = specfun.hyp1f2(b1, b2, x, 15)
+    assert e.width <= Fraction(1, 10 ** 15)
+    with mpmath.workdps(120):
+        value = mpmath.hyp1f2(1, _mpf(b1), _mpf(b2), _mpf(x))
+        assert _mpf(e.lo) <= value <= _mpf(e.hi)
 
 
 def test_hyp1f2_rejects_nonpositive_integer_parameters():
