@@ -99,14 +99,34 @@ class CMExpression:
         return CMExpression.of(out)
 
     def evaluate(self, t, digits: int) -> Enclosure:
+        """Enclosure of the expression at t > 0, rounded out at digits + 1.
+
+        t^p and the atoms are enclosed at digits + 8.  Each term c t^p A is
+        rounded outward once to integers at scale 10**-(digits+12) and the
+        lower and upper sums are two ints.  t^p >= 0, so each endpoint of
+        t^p A is an endpoint of A times the endpoint of t^p that its sign
+        selects, and c < 0 swaps the two.  The scale is decimal because the
+        atoms sit on a 10**-(digits+9) grid: exact products stay exact.
+        """
         t = to_fraction(t)
         if t <= 0:
             raise ValueError("expressions are evaluated on t > 0 only")
-        total = Enclosure.point(0)
+        scale = 10 ** (digits + 12)
+        lo = hi = 0
         for c, p, atom in self.terms:
             tp = rational_power_enclosure(t, p, digits + 8)
-            total = total + tp * _eval_atom(atom, t, digits + 8) * c
-        return total.round_out(digits + 1)
+            a = _eval_atom(atom, t, digits + 8)
+            lo_a, lo_t = a.lo, (tp.lo if a.lo >= 0 else tp.hi)
+            hi_a, hi_t = a.hi, (tp.hi if a.hi >= 0 else tp.lo)
+            if c < 0:
+                lo_a, lo_t, hi_a, hi_t = hi_a, hi_t, lo_a, lo_t
+            num = c.numerator * scale
+            lo += (num * lo_t.numerator * lo_a.numerator
+                   // (c.denominator * lo_t.denominator * lo_a.denominator))
+            hi -= (-num * hi_t.numerator * hi_a.numerator
+                   // (c.denominator * hi_t.denominator * hi_a.denominator))
+        return Enclosure(Fraction(lo, scale),
+                         Fraction(hi, scale)).round_out(digits + 1)
 
     def pretty(self) -> str:
         def atom_str(atom):
@@ -247,20 +267,29 @@ def p_value(t, digits: int = 15) -> Enclosure:
     """Enclosure of (t^2 psi''(t) + e^(1/t)) / (t [e^(1/t) - psi'(t) - 1]).
 
     Numerator and denominator both collapse to O(t^-3) at large t, so the
-    working precision scales with log t automatically.
+    numerator's relative error is about t^5 10^-d: the working precision d
+    starts at 5 digits per decade of t, found with integers, and doubles
+    until the result is at most 10^-digits wide.
     """
     t = to_fraction(t)
     if t <= 0:
         raise ValueError("t must be > 0")
-    d = digits + 10 + 4 * max(0, math.ceil(math.log10(float(t))))
+    decades = 0  # smallest e >= 0 with 10^e >= t
+    while 10 ** decades < t:
+        decades += 1
+    d = digits + 10 + 5 * decades
+    tol = Fraction(1, 10 ** digits)
     while True:
         e = specfun.exp_enclosure(Fraction(1, 1) / t, d)
         num = t * t * specfun.polygamma(2, t, d) + e
         den = t * (e - specfun.polygamma(1, t, d) - 1)
         if not (den.lo <= 0 <= den.hi):
-            return (num / den).round_out(digits + 1)
+            p = (num / den).round_out(digits + 1)
+            if p.width <= tol:
+                return p
         if d >= DIGIT_CAP + digits:
-            raise ArithmeticError(f"denominator enclosure straddles 0 at t={t}")
+            raise ArithmeticError(f"p({t}) not enclosed to width 10^-{digits}"
+                                  f" at {d} digits")
         d *= 2
 
 
@@ -434,10 +463,10 @@ def h_kernel_check(grid, digits: int = 12) -> dict:
             - specfun.polygamma(1, t, 14) - 1
         series = _laplace_tail_sum(t, 14) \
             - specfun.polygamma_series(1, t, 4000)
-        gap = abs(float(direct.mid - series.mid))
+        gap = abs(direct.mid - series.mid)
         overlap = not (direct.hi < series.lo or series.hi < direct.lo)
         two_path[t] = {"direct": direct, "series": series,
-                       "agree": overlap and gap < 1e-6}
+                       "agree": overlap and gap < Fraction(1, 10 ** 6)}
 
     h100 = specfun.exp_enclosure(Fraction(1, 100), digits + 6) \
         - specfun.polygamma(1, 100, digits + 6) - 1
@@ -586,8 +615,8 @@ def remark_vn_degree_check(digits: int = 20) -> dict:
         - specfun.polygamma(1, x, 14)
     series = Enclosure.point(1 / x + 1 / (2 * x * x) + 1 / (6 * x ** 3)) \
         - specfun.polygamma_series(1, x, 4000)
-    transform_gap = abs(float(direct.mid - series.mid))
-    transform_ok = transform_gap < 1e-6 and \
+    transform_gap = abs(direct.mid - series.mid)
+    transform_ok = transform_gap < Fraction(1, 10 ** 6) and \
         not (direct.hi < series.lo or series.hi < direct.lo)
 
     passed = parts["bookkeeping_ok"] and rep2.summary == "pass" \

@@ -3,8 +3,9 @@
 Everything returns an Enclosure whose endpoints are exact rationals; the
 `digits` parameter asks for width <= 10**-digits.  `exp_enclosure` always
 meets that width.  The other series add terms until their tail bound meets
-the target; `hyp1f2` raises at TERM_CAP terms, while `bessel_ratio` and
-`vn_remainder` stop there and return what they reached.
+the target; `hyp1f2` and `bessel_ratio` raise at TERM_CAP terms, while
+`vn_remainder` stops there and returns what it reached.  `polygamma` sums
+its terms on integer mantissas, so its lower and upper sums are two ints.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
             if tail < tol:
                 break
         if n > TERM_CAP:
-            tail = term
-            break
+            raise RuntimeError(
+                "Bessel series did not converge within TERM_CAP terms")
     return Enclosure(total, total + tail).round_out(digits + 1)
 
 
@@ -163,59 +164,91 @@ def hyp1f2(b1, b2, x, digits: int) -> Enclosure:
     return Enclosure(total - tail, total).round_out(digits + 1)
 
 
-def _polygamma_asymptotic(n: int, z: Fraction, tol: Fraction) -> Optional[Enclosure]:
-    """Divergent large-z expansion with first-omitted-term error bound.
+def _polygamma_mantissas(n: int, a: int, b: int, m: int, tol_den: int,
+                         p: int) -> Optional[tuple[int, int]]:
+    """Mantissas lo, hi (scale 2**-p) bracketing |psi^(n)(a/b)|, or None.
 
-    Returns None when the enveloping terms stop decreasing before reaching
-    the tolerance (z too small for this accuracy).
+    With z = x + m:  |psi^(n)(x)| = A_n(z) + n! sum_{j<m} 1/(x+j)**(n+1),
+    where A_n(z) = (n-1)!/z**n + n!/(2 z**(n+1))
+                   + sum_{k>=1} B_2k (2k+n-1)!/((2k)! z**(2k+n))
+    is the enveloping expansion of (-1)**(n+1) psi^(n)(z).  It is cut at the
+    first term of size <= 1/tol_den, and that term's size bounds the error.
+    None means the terms stopped decreasing before reaching the tolerance
+    (z too small for this accuracy).  Each exact term num/den, a shift term
+    being n! b**(n+1) / (a+jb)**(n+1), enters the lower sum as its floor and
+    the upper sum as its ceiling at scale 2**-p; the stop tests compare the
+    exact terms by cross-multiplication.
     """
-    total = Fraction(math.factorial(n - 1)) / z ** n \
-        + Fraction(math.factorial(n)) / (2 * z ** (n + 1))
-    prev = None
+    c = a + m * b
+    bn, cn = b ** n, c ** n
+    num0 = math.factorial(n - 1) * bn << p
+    num1 = math.factorial(n) * bn * b << p
+    den1 = 2 * cn * c
+    lo = num0 // cn + num1 // den1
+    hi = -(-num0 // cn) - (-num1 // den1)
+    b2, c2 = b * b, c * c
+    prev_num, prev_den = 0, 0
     k = 0
     while True:
         k += 1
-        t = bernoulli(2 * k) * Fraction(math.factorial(2 * k + n - 1),
-                                        math.factorial(2 * k)) / z ** (2 * k + n)
-        if abs(t) <= tol:
-            body = Enclosure(total - abs(t), total + abs(t))
+        bn *= b2
+        cn *= c2
+        bern = bernoulli(2 * k)
+        num = abs(bern.numerator) * math.perm(2 * k + n - 1, n - 1) * bn
+        den = bern.denominator * cn
+        if num * tol_den <= den:
+            err = -((-num << p) // den)
+            lo -= err
+            hi += err
             break
-        if prev is not None and abs(t) >= prev:
+        if k > 1 and num * prev_den >= prev_num * den:
             return None
-        total += t
-        prev = abs(t)
-    if n % 2 == 1:
-        return body
-    return -body
+        if bern > 0:
+            lo += (num << p) // den
+            hi -= (-num << p) // den
+        else:
+            lo += (-num << p) // den
+            hi -= (num << p) // den
+        prev_num, prev_den = num, den
+    num = math.factorial(n) * b ** (n + 1) << p
+    for j in range(m):
+        den = (a + j * b) ** (n + 1)
+        lo += num // den
+        hi -= -num // den
+    return lo, hi
 
 
 def polygamma(n: int, x, digits: int) -> Enclosure:
     """Enclosure of psi^(n)(x) for n >= 1, x > 0.
 
-    Lifts the argument by the exact recurrence until the alternating
-    asymptotic expansion converges below tolerance, then shifts back.
+    Lifts the argument by the exact recurrence until the asymptotic
+    expansion converges below tolerance, then shifts back (see
+    `_polygamma_mantissas`).  All terms are summed on integer mantissas at
+    one fixed scale 2**-p, flooring into the lower sum and ceiling into the
+    upper sum, so each term widens the enclosure by at most one ulp.  p
+    resolves 10**-(digits+1) times z**-n, a lower bound on the size of the
+    result, with 64 bits to spare.
     """
     if n < 1:
         raise ValueError("derivative order must be >= 1")
     x = to_fraction(x)
     if x <= 0:
         raise ValueError("argument must be > 0")
-    tol = Fraction(1, 10 ** (digits + 1))
+    a, b = x.numerator, x.denominator
+    tol_den = 10 ** (digits + 1)
     target = max(20, digits)
     while True:
         m = max(0, math.ceil(target - x))
-        z = x + m
-        body = _polygamma_asymptotic(n, z, tol)
+        p = tol_den.bit_length() + n * (m + a // b).bit_length() + 64
+        body = _polygamma_mantissas(n, a, b, m, tol_den, p)
         if body is not None:
             break
         target *= 2
         if target > 64 * (digits + 20):
             raise RuntimeError("asymptotic expansion failed to converge")
-    correction = Fraction(0)
-    for j in range(m):
-        correction += 1 / (x + j) ** (n + 1)
-    shift = Enclosure.point((-1) ** n * math.factorial(n) * correction)
-    return (body - shift).round_out(digits + 1)
+    lo, hi = body if n % 2 == 1 else (-body[1], -body[0])
+    return Enclosure(Fraction(lo, 1 << p),
+                     Fraction(hi, 1 << p)).round_out(digits + 1)
 
 
 def polygamma_series(n: int, x, terms: int) -> Enclosure:

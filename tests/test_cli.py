@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -164,6 +165,16 @@ def test_verify_identity_and_p_limit(runner):
     assert result.exit_code == 0
     result = invoke(runner, "p-limit", "--t", "1,10,1000")
     assert result.exit_code == 0
+
+
+def test_p_limit_beyond_float_range(runner):
+    # 10^310 overflows a float; the working precision is set with integers
+    result = invoke(runner, "--format", "json", "p-limit", "--t",
+                    str(10 ** 310))
+    assert result.exit_code == 0, result.output
+    (row,) = json.loads(result.output)
+    lo, hi = Fraction(row["lo"]), Fraction(row["hi"])
+    assert lo <= 4 <= hi and hi - lo <= Fraction(1, 10 ** 30)
 
 
 def test_bad_grid_spec_is_usage_error(runner):

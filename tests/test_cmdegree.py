@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cmcert import cmdegree, seriesratio
+from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
+from cmcert.enclosure import Enclosure, rational_power_enclosure
 
 
 def _float_at(expr: CMExpression, t: Fraction) -> float:
@@ -31,6 +32,31 @@ def test_expression_algebra():
     shifted = a.mul_power(Fraction(2)).evaluate(3, 10)
     assert shifted.contains(Fraction(9))
     assert CMExpression.zero().derivative().is_zero()
+
+
+def _fraction_evaluate(expr: CMExpression, t: Fraction, digits: int):
+    """Reference: the exact Enclosure sum that evaluate's integer sums
+    replaced, with the same atoms and t^p enclosures."""
+    total = Enclosure.point(0)
+    for c, p, atom in expr.terms:
+        tp = rational_power_enclosure(t, p, digits + 8)
+        total = total + tp * cmdegree._eval_atom(atom, t, digits + 8) * c
+    return total.round_out(digits + 1)
+
+
+# (alpha, beta, r) of the benchmark's cm-check runs: the three theorem
+# pairs at their degrees and the violation at (1, 1), r = 9/2
+@pytest.mark.parametrize("alpha,beta,r", [
+    (1, 1, 4), (Fraction(1, 2), 2, 2), (2, 1, 1), (1, 1, Fraction(9, 2))])
+def test_evaluate_matches_fraction_summation(alpha, beta, r):
+    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    expr = cmdegree.h_expression(alpha, beta).mul_power(r)
+    for n in range(17):
+        if n:
+            expr = expr.derivative()
+        for t in grid:
+            assert expr.evaluate(t, 40) == _fraction_evaluate(expr, t, 40), \
+                (n, t)
 
 
 def test_cm_check_zero_expression_trivially_passes():
@@ -92,6 +118,14 @@ def test_p_value_limit():
     assert len(scan) == 3
 
 
+def test_p_value_meets_its_width_at_large_t():
+    # the numerator cancels to O(t^-3): 4 digits per decade of t left a
+    # width of 4.8e10 here
+    p = cmdegree.p_value(10 ** 50, 30)
+    assert p.width <= Fraction(1, 10 ** 30)
+    assert abs(p.mid - 4) < Fraction(1, 10 ** 29)
+
+
 def test_kernel_margin_and_certificates():
     # margin must be positive across orders on interior points
     for k in (1, 3, 5):
@@ -121,6 +155,40 @@ def test_verify_identity_small_orders():
 
 def test_h_kernel_two_path_agreement():
     rep = cmdegree.h_kernel_check([1, 2], digits=12)
+    assert rep["passed"]
+
+
+# 10^-6 - 10^-30 is below the 10^-6 agreement bound, but as a float it
+# rounds to 1e-6 and is not
+NEAR_GAP = Fraction(1, 10 ** 6) - Fraction(1, 10 ** 30)
+WIDE = Fraction(1, 10 ** 3)
+
+
+def test_h_kernel_two_path_agreement_is_decided_exactly(monkeypatch):
+    def series_route(n, x, terms):
+        # a wide enclosure that puts the series route NEAR_GAP above the
+        # direct one
+        direct = specfun.exp_enclosure(1 / x, 14) \
+            - specfun.polygamma(1, x, 14) - 1
+        mid = cmdegree._laplace_tail_sum(x, 14).mid - direct.mid - NEAR_GAP
+        return Enclosure(mid - WIDE, mid + WIDE)
+
+    monkeypatch.setattr(specfun, "polygamma_series", series_route)
+    rep = cmdegree.h_kernel_check([1, 2], digits=12)
+    for v in rep["two_path"].values():
+        assert v["series"].mid - v["direct"].mid == NEAR_GAP
+        assert v["agree"]
+    assert rep["passed"]
+
+
+def test_remark_transform_agreement_is_decided_exactly(monkeypatch):
+    def series_route(n, x, terms):
+        mid = specfun.polygamma(1, x, 14).mid - NEAR_GAP
+        return Enclosure(mid - WIDE, mid + WIDE)
+
+    monkeypatch.setattr(specfun, "polygamma_series", series_route)
+    rep = cmdegree.remark_vn_degree_check(digits=15)
+    assert rep["transform_ok"]
     assert rep["passed"]
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -127,13 +128,20 @@ def test_bessel_ratio_oracle_and_edges():
         specfun.bessel_ratio(1, -1, 10)
 
 
+def test_bessel_ratio_raises_at_term_cap(monkeypatch):
+    # the series of I_2(2 sqrt(1000))/1000 needs about 45 terms before its
+    # ratios drop below 1/2; stopping at 10 has no proven tail bound
+    monkeypatch.setattr(specfun, "TERM_CAP", 10)
+    with pytest.raises(RuntimeError):
+        specfun.bessel_ratio(2, 1000, 10)
+
+
 def test_hyp1f2_matches_bessel_form():
     # 1F2(1; 1, k+1; u) / k! equals the order-k ratio series
     for k in (0, 1, 4):
         u = Fraction(3, 2)
         lhs = specfun.hyp1f2(1, k + 1, u, 25)
         rhs = specfun.bessel_ratio(k, u, 25)
-        import math
         assert (lhs / math.factorial(k)).lo <= rhs.hi
         assert (lhs / math.factorial(k)).hi >= rhs.lo
 
@@ -161,6 +169,48 @@ def test_polygamma_matches_oracles():
     assert close(specfun.polygamma(1, 1, 28), PSI1_AT_1)
     assert close(specfun.polygamma(1, 3, 28), PSI1_AT_3)
     assert close(specfun.polygamma(2, 2, 28), PSI2_AT_2)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=20),
+       st.one_of(
+           st.fractions(min_value=Fraction(1, 100), max_value=1000,
+                        max_denominator=10 ** 6),
+           st.sampled_from(geometric_grid(Fraction(1, 100), 1000, 25))),
+       st.integers(min_value=5, max_value=60))
+def test_polygamma_differential_against_mpmath(n, x, digits):
+    mpmath = pytest.importorskip("mpmath")
+    e = specfun.polygamma(n, x, digits)
+    assert e.width <= Fraction(1, 10 ** digits)
+    # |psi^(n)(x)| <= 2 n! / x**(n+1) < 10**(2n+21) for x >= 1/100, so the
+    # oracle resolves 10**-(digits+39) in absolute terms
+    with mpmath.workdps(digits + 60 + 2 * n):
+        value = mpmath.psi(n, _mpf(x))
+        assert _mpf(e.lo) <= value <= _mpf(e.hi), (n, x, digits, e)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=20),
+       st.fractions(min_value=Fraction(1, 100), max_value=1000,
+                    max_denominator=1000),
+       st.integers(min_value=5, max_value=40),
+       st.integers(min_value=0, max_value=3),
+       st.integers(min_value=2, max_value=100))
+def test_polygamma_mantissas_bracket_at_their_own_resolution(n, x, digits,
+                                                             extra_m, p):
+    # a coarse scale 2**-p makes the floor/ceil steps visible, and x up to
+    # 1000 gives lifts m = 0 where no shift terms add slack; any lift at or
+    # above the one polygamma starts from must give a sound bracket
+    mpmath = pytest.importorskip("mpmath")
+    m = max(0, math.ceil(max(20, digits) - x)) + extra_m
+    body = specfun._polygamma_mantissas(n, x.numerator, x.denominator, m,
+                                        10 ** (digits + 1), p)
+    assert body is not None
+    lo, hi = body
+    # |psi^(n)(x)| < 2**210 for x >= 1/100 and n <= 20
+    with mpmath.workprec(p + 300):
+        scaled = abs(mpmath.psi(n, _mpf(x))) * 2 ** p
+        assert lo <= scaled <= hi, (n, x, digits, m, p, lo, hi)
 
 
 def test_polygamma_recurrence():
