@@ -2,7 +2,7 @@
 
 Every certification and scan is a subcommand; reports are deterministic and
 stream as text, JSON or CSV.  Exit codes: 0 certified/pass, 1 falsified,
-2 inconclusive, 64 usage error, 65 config error.
+2 inconclusive, 64 usage error or out-of-range argument, 65 config error.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _rat(value: str) -> Fraction:
 
 
 class _Group(click.Group):
-    """Group whose usage failures exit with code 64."""
+    """Group whose usage failures and out-of-range arguments exit with 64."""
 
     def main(self, *args, **kwargs):
         kwargs.setdefault("standalone_mode", False)
@@ -128,6 +128,9 @@ class _Group(click.Group):
             exc.show()
             sys.exit(EX_USAGE)
         except click.exceptions.Abort:
+            sys.exit(EX_USAGE)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
             sys.exit(EX_USAGE)
 
 

@@ -302,9 +302,11 @@ def certify_positive_on_interval(p: Polynomial, lo, hi, step,
             return "inconclusive"
         m = (a + b) / 2
         left = handle(a, m, depth + 1)
-        if left != "certified":
+        if left == "falsified":
             return left
-        return handle(m, b, depth + 1)
+        # the right half may hold a witness even when the left is inconclusive
+        right = handle(m, b, depth + 1)
+        return right if left == "certified" or right == "falsified" else left
 
     a = lo
     status = "certified"

@@ -27,13 +27,25 @@ def p_coeff(k: int) -> Fraction:
 
 
 def q_coeff(k: int, beta) -> Fraction:
-    """Numerator-series coefficient of the first ratio, exact in beta."""
+    """Numerator-series coefficient of the first ratio, exact in beta.
+
+    q_k = sum_{l<=k} C(k+2,l) (2^(k-l+2) - 2) beta^l / ((l+2)! (k+2)!).  With
+    beta = p/q and the integers T_l = C(k+2,l) (k+2)!/(l+2)! (T_0 = (k+2)!/2,
+    T_(l+1) = T_l (k+2-l)/((l+1)(l+3)) exactly for l < k), the sum is one
+    integer sum_l T_l (2^(k-l+2) - 2) p^l q^(k-l) over (k+2)!^2 q^k,
+    normalized once.
+    """
     beta = to_fraction(beta)
-    acc = Fraction(0)
+    p, q = beta.numerator, beta.denominator
+    t = math.factorial(k + 2) // 2
+    acc = 0
+    p_l = 1
     for l in range(k + 1):
-        acc += math.comb(k + 2, l) * Fraction(2 ** (k - l + 2) - 2,
-                                              math.factorial(l + 2)) * beta ** l
-    return acc / math.factorial(k + 2)
+        if l:
+            t = t * (k + 3 - l) // (l * (l + 2))
+            p_l *= p
+        acc = acc * q + ((t << (k - l + 2)) - 2 * t) * p_l
+    return Fraction(acc, math.factorial(k + 2) ** 2 * q ** k)
 
 
 def c_coeff(k: int, beta) -> Fraction:
@@ -46,15 +58,33 @@ def lambda_coeff(k: int) -> Fraction:
 
 
 def xi_coeff(k: int, beta) -> Fraction:
-    """Numerator-series coefficient of the derivative ratio, exact in beta."""
+    """Numerator-series coefficient of the derivative ratio, exact in beta.
+
+    xi_k = sum_{l<=k} C(k+4,l) beta^l [a_d beta - (l+3) b_d] / ((l+3)! (k+4)!)
+    with d = k-l, a_d = 3^(d+4) - (d+10) 2^(d+3) + 2d + 11 and
+    b_d = d 2^(d+3) + 4.  With beta = p/q and the integers
+    T_l = C(k+4,l) (k+3)!/(l+3)! (T_0 = (k+3)!/6,
+    T_(l+1) = T_l (k+4-l)/((l+1)(l+4)) exactly for l < k), the sum is one
+    integer sum_l T_l [a_d p - (l+3) b_d q] p^l q^d over
+    (k+3)! (k+4)! q^(k+1), normalized once.
+    """
     beta = to_fraction(beta)
-    acc = Fraction(0)
+    p, q = beta.numerator, beta.denominator
+    t = math.factorial(k + 3) // 6
+    pow3 = 3 ** (k + 4)
+    acc = 0
+    p_l = 1
     for l in range(k + 1):
         d = k - l
-        inner = (3 ** (d + 4) - (d + 10) * 2 ** (d + 3) + 2 * d + 11) * beta \
-            - (l + 3) * (d * 2 ** (d + 3) + 4)
-        acc += math.comb(k + 4, l) * beta ** l / math.factorial(l + 3) * inner
-    return acc / math.factorial(k + 4)
+        if l:
+            t = t * (k + 5 - l) // (l * (l + 3))
+            p_l *= p
+            pow3 //= 3
+        a = pow3 - ((d + 10) << (d + 3)) + 2 * d + 11
+        b = (d << (d + 3)) + 4
+        acc = acc * q + t * (a * p - (l + 3) * b * q) * p_l
+    return Fraction(acc, math.factorial(k + 3) * math.factorial(k + 4)
+                    * q ** (k + 1))
 
 
 def C_coeff(k: int, beta) -> Fraction:
@@ -80,18 +110,32 @@ def W_value(k: int, m: int) -> int:
             - 2 * m * m + (2 * k - 17) * m + 13 * k - 20)
 
 
+def _theta_row(k: int, U: int) -> list[Fraction]:
+    """theta_{k,0}, ..., theta_{k,k+1}, given U = U_k.
+
+    For 1 <= l <= k, theta_{k,l} = (k+4)! V_k(l) / (l! (l+2)! (k-l+5)! U_k)
+    = C(k+5,l) V_k(l) / ((k+5) (l+2)! U_k); the binomials and factorials are
+    carried along the row, so each entry is one Fraction of moderate size.
+    """
+    row = [Fraction(-2 * (2 ** (k + 1) * k + 1), U)]
+    binom, fact = 1, 2            # C(k+5, l) and (l+2)! at l = 0
+    for l in range(1, k + 1):
+        binom = binom * (k + 6 - l) // l
+        fact *= l + 2
+        row.append(Fraction(binom * V_value(k, l), (k + 5) * fact * U))
+    # fact is now (k+2)!
+    row.append(Fraction((k + 4) * (k + 1) * (k + 2), 2 * fact * U))
+    return row
+
+
 def theta_value(k: int, l: int) -> Fraction:
-    """Coefficient of beta^l in the closed form of the derivative ratio."""
+    """Coefficient of beta^l in the closed form of the derivative ratio.
+
+    Builds the whole row, as `ladder_check` does, and picks entry l.
+    """
     if not 0 <= l <= k + 1:
         raise ValueError("need 0 <= l <= k+1")
-    U = U_value(k)
-    if l == 0:
-        return Fraction(-2 * (2 ** (k + 1) * k + 1), U)
-    if l == k + 1:
-        return Fraction(k + 4, 2 * math.factorial(k) * U)
-    return Fraction(math.factorial(k + 4) * V_value(k, l),
-                    math.factorial(l) * math.factorial(l + 2)
-                    * math.factorial(k - l + 5) * U)
+    return _theta_row(k, U_value(k))[l]
 
 
 def script_A(m: int) -> int:
@@ -122,10 +166,6 @@ def script_C(m: int) -> int:
             + m * (m + 1) * 9 ** (m + 6)
             - 2 * (4 * m ** 4 + 52 * m ** 3 + 207 * m ** 2 + 327 * m + 288)
             * 3 ** (m + 5))
-
-
-def M_value(m: int, k: int) -> int:
-    return script_A(m) * k * k + script_B(m) * k + script_C(m)
 
 
 # -- sequence reports -------------------------------------------------------
@@ -176,31 +216,41 @@ def ladder_check(k_max: int) -> dict:
       U_{k+1}/U_k <= V_{k+1}(1)/V_k(1);
       the three quadratic seeds positive for k >= 4;
       A(m) > 0, B(m) < 0, C(m) > 0 for 0 <= m <= k_max.
+
+    U_k up to k_max+1 and the triples (A, B, C)(m) up to k_max are
+    tabulated once, so M_m(k) is a quadratic in k from the table, and each
+    row theta_{k,.} is built once and compared with the next one.  Every
+    comparison is exact.
     """
     if k_max < 6:
         raise ValueError("need k_max >= 6")
+    U = [U_value(k) for k in range(k_max + 2)]
+    abc = [(script_A(m), script_B(m), script_C(m)) for m in range(k_max + 1)]
+
     failures = []
+    row = _theta_row(4, U[4])
     for k in range(4, k_max + 1):
+        nxt = _theta_row(k + 1, U[k + 1])
         for l in range(0, k + 1):
-            if theta_value(k + 1, l) < theta_value(k, l):
+            if nxt[l] < row[l]:
                 failures.append(("theta", k, l))
+        row = nxt
+        # M_m(k) = A(m) k^2 + B(m) k + C(m)
+        M = [(a * k + b) * k + c for a, b, c in abc[:k - 1]]
         for m in range(0, k - 1):
-            if M_value(m, k) < 0:
+            if M[m] < 0:
                 failures.append(("M", m, k))
-        if Fraction(U_value(k + 1), U_value(k)) > \
+        if Fraction(U[k + 1], U[k]) > \
                 Fraction(V_value(k + 1, 1), V_value(k, 1)):
             failures.append(("UV", k, None))
         for m, seed in ((0, 3360 * (54 - 137 * k + 74 * k * k)),
                         (1, 1568 * (6480 - 7306 * k + 1909 * k * k)),
                         (2, 336 * (750942 - 549881 * k + 95837 * k * k))):
-            if M_value(m, k) != seed:
+            if M[m] != seed:
                 failures.append(("seed-mismatch", m, k))
             if seed <= 0:
                 failures.append(("seed-sign", m, k))
-    sign_table = {}
-    for m in range(0, k_max + 1):
-        a, b, c = script_A(m), script_B(m), script_C(m)
-        sign_table[m] = (a, b, c)
+    for m, (a, b, c) in enumerate(abc):
         if a <= 0:
             failures.append(("A", m, None))
         if b >= 0:
@@ -211,8 +261,8 @@ def ladder_check(k_max: int) -> dict:
         "k_max": k_max,
         "passed": not failures,
         "failures": failures,
-        "C_values": {m: script_C(m) for m in range(6)},
-        "U4": U_value(4),
+        "C_values": {m: abc[m][2] for m in range(6)},
+        "U4": U[4],
     }
 
 

@@ -228,3 +228,25 @@ def test_installed_entry_point_matches_module_run():
     assert script.returncode == module.returncode == 0, \
         stderr_report(script, module)
     assert script.stdout == module.stdout, stderr_report(script, module)
+
+
+@pytest.mark.parametrize("args", [
+    ["ratio-mono", "--which", "c", "--beta", "1", "--count", "1"],
+    ["ratio-mono", "--which", "C", "--beta", "1", "--count", "3"],
+    ["ladder", "--k-max", "5"],
+    ["verify-identity", "--k", "-1"],
+    ["certify-poly", "--file", "{poly}", "--interval", "3,1"],
+    ["cm-check", "--alpha", "1", "--beta", "1", "--r", "4", "--orders", "-1"],
+    ["kernel-ineq", "--k", "0"],
+    ["unimodal-max", "--function", "F", "--beta", "1", "--tol", "0"],
+    ["bessel", "--k", "1", "--u", "-1"],
+    ["p-limit", "--t", "0"],
+])
+def test_out_of_range_argument_is_usage_error(tmp_path, args):
+    poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
+    args = [a.replace("{poly}", poly_file) for a in args]
+    run = run_child(MODULE_CMD + args, "1")
+    stderr = run.stderr.decode(errors="replace")
+    assert run.returncode == 64, stderr
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: ")

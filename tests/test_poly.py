@@ -94,6 +94,19 @@ def test_certificate_json_roundtrip():
     assert len(data["pieces"]) == 6
 
 
+def test_witness_in_right_half_after_inconclusive_left_half():
+    # the double root at sqrt(2) keeps the left half inconclusive; the
+    # negative dip around 301/100 lies in the right half of [0, 4]
+    c = Fraction(301, 100)
+    p = (Polynomial.of([-2, 0, 1]) * Polynomial.of([-2, 0, 1])
+         * Polynomial.of([c * c - Fraction(1, 10 ** 6), -2 * c, 1]))
+    cert = poly.certify_positive_on_interval(p, 0, 4, 4)
+    assert cert.verdict == "falsified"
+    assert 2 < cert.witness < 4
+    assert poly.poly_eval(p, cert.witness) <= 0
+    assert cert.witness_value == poly.poly_eval(p, cert.witness)
+
+
 def test_isolate_root_brackets_sqrt2():
     p = Polynomial.of([-2, 0, 1])
     lo, hi = poly.isolate_root(p, 1, 2, Fraction(1, 1024))

@@ -10,6 +10,83 @@ from cmcert.poly import Polynomial
 
 betas = st.fractions(min_value=Fraction(1, 10), max_value=10,
                      max_denominator=50)
+# zero, negative values and large denominators, for the exact sums
+any_betas = st.one_of(st.just(Fraction(0)),
+                      st.integers(min_value=-5, max_value=5).map(Fraction),
+                      st.fractions(min_value=-50, max_value=50,
+                                   max_denominator=10 ** 6))
+
+
+# -- the Fraction loops that q_coeff, xi_coeff and ladder_check replaced,
+#    kept as references --------------------------------------------------
+
+
+def q_coeff_reference(k, beta):
+    acc = Fraction(0)
+    for l in range(k + 1):
+        acc += math.comb(k + 2, l) * Fraction(2 ** (k - l + 2) - 2,
+                                              math.factorial(l + 2)) * beta ** l
+    return acc / math.factorial(k + 2)
+
+
+def xi_coeff_reference(k, beta):
+    acc = Fraction(0)
+    for l in range(k + 1):
+        d = k - l
+        inner = (3 ** (d + 4) - (d + 10) * 2 ** (d + 3) + 2 * d + 11) * beta \
+            - (l + 3) * (d * 2 ** (d + 3) + 4)
+        acc += math.comb(k + 4, l) * beta ** l / math.factorial(l + 3) * inner
+    return acc / math.factorial(k + 4)
+
+
+def theta_reference(k, l):
+    U = sr.U_value(k)
+    if l == 0:
+        return Fraction(-2 * (2 ** (k + 1) * k + 1), U)
+    if l == k + 1:
+        return Fraction(k + 4, 2 * math.factorial(k) * U)
+    return Fraction(math.factorial(k + 4) * sr.V_value(k, l),
+                    math.factorial(l) * math.factorial(l + 2)
+                    * math.factorial(k - l + 5) * U)
+
+
+def M_reference(m, k):
+    return sr.script_A(m) * k * k + sr.script_B(m) * k + sr.script_C(m)
+
+
+def ladder_check_reference(k_max):
+    failures = []
+    for k in range(4, k_max + 1):
+        for l in range(0, k + 1):
+            if theta_reference(k + 1, l) < theta_reference(k, l):
+                failures.append(("theta", k, l))
+        for m in range(0, k - 1):
+            if M_reference(m, k) < 0:
+                failures.append(("M", m, k))
+        if Fraction(sr.U_value(k + 1), sr.U_value(k)) > \
+                Fraction(sr.V_value(k + 1, 1), sr.V_value(k, 1)):
+            failures.append(("UV", k, None))
+        for m, seed in ((0, 3360 * (54 - 137 * k + 74 * k * k)),
+                        (1, 1568 * (6480 - 7306 * k + 1909 * k * k)),
+                        (2, 336 * (750942 - 549881 * k + 95837 * k * k))):
+            if M_reference(m, k) != seed:
+                failures.append(("seed-mismatch", m, k))
+            if seed <= 0:
+                failures.append(("seed-sign", m, k))
+    for m in range(0, k_max + 1):
+        if sr.script_A(m) <= 0:
+            failures.append(("A", m, None))
+        if sr.script_B(m) >= 0:
+            failures.append(("B", m, None))
+        if sr.script_C(m) <= 0:
+            failures.append(("C", m, None))
+    return {
+        "k_max": k_max,
+        "passed": not failures,
+        "failures": failures,
+        "C_values": {m: sr.script_C(m) for m in range(6)},
+        "U4": sr.U_value(4),
+    }
 
 
 def test_first_ratio_closed_forms():
@@ -53,6 +130,28 @@ def test_xi_matches_independent_convolution(beta, k):
     assert sr.xi_coeff(k, beta) == conv
 
 
+@given(any_betas, st.integers(min_value=0, max_value=80))
+@settings(deadline=None, derandomize=True, max_examples=200)
+def test_coefficients_equal_the_fraction_loops(beta, k):
+    assert sr.q_coeff(k, beta) == q_coeff_reference(k, beta)
+    assert sr.xi_coeff(k, beta) == xi_coeff_reference(k, beta)
+
+
+@given(any_betas, st.integers(min_value=0, max_value=40))
+@settings(deadline=None, derandomize=True)
+def test_q_matches_independent_convolution(beta, k):
+    # q_k is the u^(k+2) Taylor coefficient of
+    #   (e^u - 1)^2 * sum_l beta^l u^l / (l! (l+2)!)
+    E = ExpPoly.of({1: Polynomial.constant(1)})
+    one = ExpPoly.of({0: Polynomial.constant(1)})
+    A = (E - one) * (E - one)
+    n = k + 2
+    conv = sum(A.taylor_coefficient(n - l)
+               * beta ** l / (math.factorial(l) * math.factorial(l + 2))
+               for l in range(n + 1))
+    assert sr.q_coeff(k, beta) == conv
+
+
 @given(betas, st.integers(min_value=4, max_value=11))
 @settings(deadline=None)
 def test_theta_expansion_reproduces_derivative_ratio(beta, k):
@@ -81,6 +180,30 @@ def test_ladder_check_passes_and_reports():
     assert report["C_values"][0] == 181440
     with pytest.raises(ValueError):
         sr.ladder_check(3)
+
+
+@pytest.mark.parametrize("k_max", [6, 7, 50, 120])
+def test_ladder_check_equals_the_reference(k_max):
+    assert sr.ladder_check(k_max) == ladder_check_reference(k_max)
+
+
+@pytest.mark.parametrize("name, at, planted, expected", [
+    # B(7) made positive
+    ("script_B", 7, lambda v: -v, [("B", 7, None)]),
+    # U_8 doubled: theta rows 7 and 8 and the U ratio at k = 7 break
+    ("U_value", 8, lambda v: 2 * v,
+     [("theta", 7, 1), ("UV", 7, None), ("theta", 8, 0)]),
+])
+def test_ladder_check_reports_a_planted_failure(monkeypatch, name, at,
+                                                planted, expected):
+    # the tables must come from the ladder functions themselves
+    original = getattr(sr, name)
+    monkeypatch.setattr(sr, name, lambda n: planted(original(n))
+                        if n == at else original(n))
+    report = sr.ladder_check(20)
+    assert not report["passed"]
+    assert all(f in report["failures"] for f in expected)
+    assert report == ladder_check_reference(20)
 
 
 def test_ratio_sequences_monotone():
