@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import click
 
-from .enclosure import Enclosure, format_rational, to_fraction
+from .enclosure import Enclosure, format_rational
 from . import cmdegree, expring, poly, seriesratio, specfun
 
 EX_USAGE = 64
@@ -112,6 +112,15 @@ def _rat(value: str) -> Fraction:
         raise click.UsageError(f"bad rational {value!r}")
 
 
+def _pair(value: str, name: str) -> tuple[Fraction, Fraction]:
+    """The rationals of a "lo,hi" option value."""
+    try:
+        lo_s, hi_s = value.split(",")
+    except ValueError:
+        raise click.UsageError(f"{name} must be lo,hi")
+    return _rat(lo_s), _rat(hi_s)
+
+
 class _Group(click.Group):
     """Group whose usage failures and out-of-range arguments exit with 64."""
 
@@ -149,17 +158,33 @@ def main(ctx, config_path, precision, fmt, grid):
     ctx.obj = _build_config(config_path, precision, fmt, grid)
 
 
-def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
-    if cfg.fmt == "json":
-        click.echo(json.dumps({"label": label,
-                               "lo": format_rational(enc.lo),
-                               "hi": format_rational(enc.hi)}))
-    elif cfg.fmt == "csv":
-        click.echo("label,lo,hi")
-        click.echo(f"{label},{format_rational(enc.lo)},"
-                   f"{format_rational(enc.hi)}")
+def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
+    """Print one report in the configured format, then exit with code.
+
+    doc is the report's JSON text and rows its CSV records, header first.  A
+    command with no JSON or CSV form passes None, and its text lines print
+    under that format too.
+    """
+    if cfg.fmt == "json" and doc is not None:
+        lines = [doc]
+    elif cfg.fmt == "csv" and rows is not None:
+        lines = [",".join(row) for row in rows]
     else:
-        click.echo(f"{label} = {enc.decimal_str(min(cfg.precision, 40))}")
+        lines = text
+    for line in lines:
+        click.echo(line)
+    sys.exit(code)
+
+
+def _ends(enc: Enclosure) -> list:
+    return [format_rational(enc.lo), format_rational(enc.hi)]
+
+
+def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
+    lo, hi = _ends(enc)
+    _emit(cfg, json.dumps({"label": label, "lo": lo, "hi": hi}),
+          [f"{label} = {enc.decimal_str(min(cfg.precision, 40))}"],
+          [("label", "lo", "hi"), (label, lo, hi)])
 
 
 @main.command("certify-poly")
@@ -170,25 +195,17 @@ def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
 def certify_poly(cfg, path, interval, step):
     """Certify strict positivity of a polynomial on an open interval."""
     p = _read_poly_file(path)
-    try:
-        lo_s, hi_s = interval.split(",")
-    except ValueError:
-        raise click.UsageError("interval must be lo,hi")
-    cert = poly.certify_positive_on_interval(p, _rat(lo_s), _rat(hi_s),
-                                             _rat(step))
-    if cfg.fmt == "json":
-        click.echo(cert.to_json())
-    else:
-        click.echo(f"verdict: {cert.verdict}")
-        for piece in cert.pieces:
-            click.echo(f"  shift {format_rational(piece.shift)}: "
-                       f"min_bk {format_rational(piece.min_bk)} "
-                       f"(argmin {piece.argmin}), "
-                       f"max_bk {format_rational(piece.max_bk)}")
-        if cert.witness is not None:
-            click.echo(f"  witness: {format_rational(cert.witness)} -> "
-                       f"{format_rational(cert.witness_value)}")
-    sys.exit({"certified": 0, "falsified": 1}.get(cert.verdict, 2))
+    lo, hi = _pair(interval, "interval")
+    cert = poly.certify_positive_on_interval(p, lo, hi, _rat(step))
+    text = [f"verdict: {cert.verdict}"] + [
+        f"  shift {format_rational(piece.shift)}: "
+        f"min_bk {format_rational(piece.min_bk)} (argmin {piece.argmin}), "
+        f"max_bk {format_rational(piece.max_bk)}" for piece in cert.pieces]
+    if cert.witness is not None:
+        text.append(f"  witness: {format_rational(cert.witness)} -> "
+                    f"{format_rational(cert.witness_value)}")
+    _emit(cfg, cert.to_json(), text,
+          code={"certified": 0, "falsified": 1}.get(cert.verdict, 2))
 
 
 @main.command("shift-chain")
@@ -198,19 +215,13 @@ def certify_poly(cfg, path, interval, step):
 def shift_chain(cfg, path, shifts):
     """Print the polynomial after successive unit Taylor shifts."""
     p = _read_poly_file(path)
-    rows = [("0", p)]
-    for i in range(1, shifts + 1):
+    chain = [[format_rational(c) for c in p.coeffs]]
+    for _ in range(shifts):
         p = poly.taylor_shift(p, 1)
-        rows.append((str(i), p))
-    if cfg.fmt == "json":
-        click.echo(json.dumps([
-            {"shift": s, "coeffs": [format_rational(c) for c in q.coeffs]}
-            for s, q in rows]))
-    else:
-        for s, q in rows:
-            coeffs = " ".join(format_rational(c) for c in q.coeffs)
-            click.echo(f"shift {s}: {coeffs}")
-    sys.exit(0)
+        chain.append([format_rational(c) for c in p.coeffs])
+    _emit(cfg, json.dumps([{"shift": str(i), "coeffs": coeffs}
+                           for i, coeffs in enumerate(chain)]),
+          [f"shift {i}: {' '.join(coeffs)}" for i, coeffs in enumerate(chain)])
 
 
 @main.command("lemma1-bounds")
@@ -228,12 +239,8 @@ def lemma1_bounds(cfg, m, n):
         "valid_on": f"(0, {format_rational(1 / limit)}]"
         if limit else "(0, inf)",
     }
-    if cfg.fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for key, val in payload.items():
-            click.echo(f"{key}: {val}")
-    sys.exit(0)
+    _emit(cfg, json.dumps(payload, indent=2),
+          [f"{key}: {val}" for key, val in payload.items()])
 
 
 @main.command("bessel")
@@ -244,7 +251,6 @@ def bessel(cfg, k, u):
     """Enclosure of the normalized Bessel series at order k."""
     _emit_enclosure(cfg, f"i_{k}({u})",
                     specfun.bessel_ratio(k, _rat(u), cfg.precision))
-    sys.exit(0)
 
 
 @main.command("polygamma")
@@ -255,7 +261,6 @@ def polygamma_cmd(cfg, n, x):
     """Enclosure of the n-th polygamma derivative at x."""
     _emit_enclosure(cfg, f"psi^({n})({x})",
                     specfun.polygamma(n, _rat(x), cfg.precision))
-    sys.exit(0)
 
 
 @main.command("ktail")
@@ -266,15 +271,6 @@ def ktail(cfg, ell, a):
     """Enclosure of the exponential tail sum K_ell(a)."""
     _emit_enclosure(cfg, f"K_{ell}({a})",
                     specfun.k_tail(ell, _rat(a), cfg.precision))
-    sys.exit(0)
-
-
-def _scan_exit(verdicts) -> int:
-    if any(v == "fail" for v in verdicts):
-        return 1
-    if any(v == "indeterminate" for v in verdicts):
-        return 2
-    return 0
 
 
 @main.command("kernel-ineq")
@@ -284,41 +280,28 @@ def kernel_ineq(cfg, k):
     """Grid certificate of the order-k Bessel/kernel inequality."""
     grid = _parse_grid(cfg.grid)
     rep = cmdegree.kernel_certificate(k, grid, digits=min(cfg.precision, 40))
-    verdicts = [c["verdict"] for c in rep["cells"]]
-    if cfg.fmt == "csv":
-        click.echo("u,lo,hi,verdict")
-        for c in rep["cells"]:
-            m = c["margin"]
-            click.echo(f"{format_rational(c['u'])},{format_rational(m.lo)},"
-                       f"{format_rational(m.hi)},{c['verdict']}")
-    elif cfg.fmt == "json":
-        click.echo(json.dumps({
-            "k": k,
-            "passed": rep["passed"],
-            "cells": [{"u": format_rational(c["u"]),
-                       "lo": format_rational(c["margin"].lo),
-                       "hi": format_rational(c["margin"].hi),
-                       "verdict": c["verdict"]} for c in rep["cells"]],
-            "ray": None if "ray" not in rep else {
-                "from": format_rational(rep["ray"]["from"]),
-                "K4_at_7": [format_rational(rep["ray"]["K4_at_7"].lo),
-                            format_rational(rep["ray"]["K4_at_7"].hi)],
-                "threshold": format_rational(rep["ray"]["threshold"]),
-                "certified": rep["ray"]["certified"],
-            }}, indent=2))
-    else:
-        for c in rep["cells"]:
-            click.echo(f"u={format_rational(c['u'])}: "
-                       f"margin {c['margin'].decimal_str(12)} {c['verdict']}")
-        if "ray" in rep:
-            ray = rep["ray"]
-            click.echo(f"ray [{format_rational(ray['from'])}, inf): "
-                       f"K_4(7) = {ray['K4_at_7'].decimal_str(12)} "
-                       f"< 1/720: {ray['certified']}")
-    code = _scan_exit(verdicts)
-    if "ray" in rep and not rep["ray"]["certified"]:
-        code = max(code, 2)
-    sys.exit(code)
+    header = ("u", "lo", "hi", "verdict")
+    rows = [(format_rational(c["u"]), *_ends(c["margin"]), c["verdict"])
+            for c in rep["cells"]]
+    doc = {"k": k, "passed": rep["passed"],
+           "cells": [dict(zip(header, row)) for row in rows], "ray": None}
+    text = [f"u={format_rational(c['u'])}: "
+            f"margin {c['margin'].decimal_str(12)} {c['verdict']}"
+            for c in rep["cells"]]
+    verdicts = {c["verdict"] for c in rep["cells"]}
+    code = 1 if "fail" in verdicts else 2 if "indeterminate" in verdicts else 0
+    if "ray" in rep:
+        ray = rep["ray"]
+        doc["ray"] = {"from": format_rational(ray["from"]),
+                      "K4_at_7": _ends(ray["K4_at_7"]),
+                      "threshold": format_rational(ray["threshold"]),
+                      "certified": ray["certified"]}
+        text.append(f"ray [{format_rational(ray['from'])}, inf): "
+                    f"K_4(7) = {ray['K4_at_7'].decimal_str(12)} "
+                    f"< 1/720: {ray['certified']}")
+        if not ray["certified"]:
+            code = max(code, 2)
+    _emit(cfg, json.dumps(doc, indent=2), text, [header] + rows, code)
 
 
 @main.command("ratio-mono")
@@ -332,22 +315,16 @@ def ratio_mono(cfg, which, beta, K):
     fn = seriesratio.c_ratio_sequence if which == "c" \
         else seriesratio.C_ratio_sequence
     rep = fn(beta_f, K)
-    if cfg.fmt == "csv":
-        click.echo("k,value")
-        for k, v in enumerate(rep.values):
-            click.echo(f"{k},{format_rational(v)}")
-    elif cfg.fmt == "json":
-        click.echo(json.dumps({
-            "sequence": which, "beta": beta,
-            "values": [format_rational(v) for v in rep.values],
-            "strictly_increasing": rep.strictly_increasing,
-            "first_violation": rep.first_violation}, indent=2))
-    else:
-        click.echo(f"{which}_k({beta}), k = 0..{K}")
-        for k, v in enumerate(rep.values):
-            click.echo(f"  {k}: {format_rational(v)}")
-        click.echo(f"strictly increasing: {rep.strictly_increasing}")
-    sys.exit(0 if rep.strictly_increasing else 1)
+    values = [format_rational(v) for v in rep.values]
+    _emit(cfg, json.dumps({
+        "sequence": which, "beta": beta, "values": values,
+        "strictly_increasing": rep.strictly_increasing,
+        "first_violation": rep.first_violation}, indent=2),
+        [f"{which}_k({beta}), k = 0..{K}"]
+        + [f"  {k}: {v}" for k, v in enumerate(values)]
+        + [f"strictly increasing: {rep.strictly_increasing}"],
+        [("k", "value")] + [(str(k), v) for k, v in enumerate(values)],
+        0 if rep.strictly_increasing else 1)
 
 
 @main.command("ladder")
@@ -356,20 +333,16 @@ def ratio_mono(cfg, which, beta, K):
 def ladder(cfg, k_max):
     """Exact verification of the coefficient-ladder inequalities."""
     rep = seriesratio.ladder_check(k_max)
-    if cfg.fmt == "json":
-        click.echo(json.dumps({
-            "k_max": rep["k_max"], "passed": rep["passed"],
-            "failures": rep["failures"],
-            "C_values": {str(m): v for m, v in rep["C_values"].items()}},
-            indent=2))
-    else:
-        click.echo(f"k_max {rep['k_max']}: "
-                   f"{'all inequalities hold' if rep['passed'] else 'FAILED'}")
-        for m, v in rep["C_values"].items():
-            click.echo(f"  C({m}) = {v}")
-        for f in rep["failures"]:
-            click.echo(f"  failure: {f}")
-    sys.exit(0 if rep["passed"] else 1)
+    _emit(cfg, json.dumps({
+        "k_max": rep["k_max"], "passed": rep["passed"],
+        "failures": rep["failures"],
+        "C_values": {str(m): v for m, v in rep["C_values"].items()}},
+        indent=2),
+        [f"k_max {rep['k_max']}: "
+         f"{'all inequalities hold' if rep['passed'] else 'FAILED'}"]
+        + [f"  C({m}) = {v}" for m, v in rep["C_values"].items()]
+        + [f"  failure: {f}" for f in rep["failures"]],
+        code=0 if rep["passed"] else 1)
 
 
 @main.command("unimodal-max")
@@ -382,28 +355,18 @@ def ladder(cfg, k_max):
 def unimodal_max_cmd(cfg, which, beta, bracket, tol):
     """Enclose the maximizer of a unimodal ratio function."""
     beta_f = _rat(beta)
-    try:
-        lo_s, hi_s = bracket.split(",")
-    except ValueError:
-        raise click.UsageError("bracket must be lo,hi")
+    lo, hi = _pair(bracket, "bracket")
     base = seriesratio.f_beta if which == "F" else seriesratio.g_beta
     res = seriesratio.unimodal_max(
-        lambda u, d: base(u, beta_f, d),
-        (_rat(lo_s), _rat(hi_s)), _rat(tol),
+        lambda u, d: base(u, beta_f, d), (lo, hi), _rat(tol),
         digits=min(cfg.precision, 40))
-    if cfg.fmt == "json":
-        click.echo(json.dumps({
-            "function": which, "beta": beta,
-            "argmax": [format_rational(res.argmax.lo),
-                       format_rational(res.argmax.hi)],
-            "max": [format_rational(res.value.lo),
-                    format_rational(res.value.hi)],
-            "resolved": res.resolved}, indent=2))
-    else:
-        click.echo(f"argmax in {res.argmax.decimal_str(8)}")
-        click.echo(f"max in {res.value.decimal_str(8)}")
-        click.echo(f"resolved: {res.resolved}")
-    sys.exit(0 if res.resolved else 2)
+    _emit(cfg, json.dumps({
+        "function": which, "beta": beta, "argmax": _ends(res.argmax),
+        "max": _ends(res.value), "resolved": res.resolved}, indent=2),
+        [f"argmax in {res.argmax.decimal_str(8)}",
+         f"max in {res.value.decimal_str(8)}",
+         f"resolved: {res.resolved}"],
+        code=0 if res.resolved else 2)
 
 
 @main.command("cm-check")
@@ -419,16 +382,13 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
         cmdegree.h_expression(_rat(alpha), _rat(beta)), _rat(r), orders,
         grid, digits=min(cfg.precision, 40),
         name=f"gap(alpha={alpha},beta={beta})")
-    if cfg.fmt == "json":
-        click.echo(rep.to_json())
-    else:
-        click.echo(f"{rep.function} at degree {format_rational(rep.r)}, "
-                   f"orders 0..{rep.N}: {rep.summary}")
-        for c in rep.cells:
-            if c.verdict != "pass":
-                click.echo(f"  n={c.n} t={format_rational(c.t)}: {c.verdict} "
-                           f"{c.value.decimal_str(10)}")
-    sys.exit(rep.exit_code())
+    _emit(cfg, rep.to_json(),
+          [f"{rep.function} at degree {format_rational(rep.r)}, "
+           f"orders 0..{rep.N}: {rep.summary}"]
+          + [f"  n={c.n} t={format_rational(c.t)}: {c.verdict} "
+             f"{c.value.decimal_str(10)}"
+             for c in rep.cells if c.verdict != "pass"],
+          code=rep.exit_code())
 
 
 @main.command("p-limit")
@@ -438,20 +398,12 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
 def p_limit(cfg, t_values):
     """Enclosures of the first-derivative degree bound p(t)."""
     pts = [_rat(s) for s in t_values.split(",")]
-    encs = cmdegree.p_limit_scan(pts, digits=min(cfg.precision, 30))
-    if cfg.fmt == "csv":
-        click.echo("t,lo,hi")
-        for t, e in zip(pts, encs):
-            click.echo(f"{format_rational(t)},{format_rational(e.lo)},"
-                       f"{format_rational(e.hi)}")
-    elif cfg.fmt == "json":
-        click.echo(json.dumps([
-            {"t": format_rational(t), "lo": format_rational(e.lo),
-             "hi": format_rational(e.hi)} for t, e in zip(pts, encs)]))
-    else:
-        for t, e in zip(pts, encs):
-            click.echo(f"p({format_rational(t)}) = {e.decimal_str(12)}")
-    sys.exit(0)
+    encs = [cmdegree.p_value(t, min(cfg.precision, 30)) for t in pts]
+    header = ("t", "lo", "hi")
+    rows = [(format_rational(t), *_ends(e)) for t, e in zip(pts, encs)]
+    _emit(cfg, json.dumps([dict(zip(header, row)) for row in rows]),
+          [f"p({row[0]}) = {e.decimal_str(12)}" for row, e in zip(rows, encs)],
+          [header] + rows)
 
 
 @main.command("verify-identity")
@@ -461,16 +413,14 @@ def p_limit(cfg, t_values):
 def verify_identity_cmd(cfg, k, N):
     """Exact termwise check of the truncated-exponential transforms."""
     rep = cmdegree.verify_identity(k, N)
-    if cfg.fmt == "json":
-        click.echo(json.dumps({
-            "k": k, "N": N, "passed": rep["passed"],
-            "constant": format_rational(rep["constant"]),
-            "mismatches": rep["mismatches"]}))
-    else:
-        click.echo(f"k={k}, N={N}: "
-                   f"{'all coefficients match' if rep['passed'] else 'MISMATCH'}"
-                   f" (constant {format_rational(rep['constant'])})")
-    sys.exit(0 if rep["passed"] else 1)
+    constant = format_rational(rep["constant"])
+    _emit(cfg, json.dumps({
+        "k": k, "N": N, "passed": rep["passed"], "constant": constant,
+        "mismatches": rep["mismatches"]}),
+        [f"k={k}, N={N}: "
+         f"{'all coefficients match' if rep['passed'] else 'MISMATCH'}"
+         f" (constant {constant})"],
+        code=0 if rep["passed"] else 1)
 
 
 @main.command("conjecture-scan")
@@ -485,23 +435,17 @@ def conjecture_scan_cmd(cfg, k):
         "grid": [format_rational(u) for u in grid],
         "precision": min(cfg.precision, 40),
     }
-    if rep["counterexample"] is not None:
-        ce = rep["counterexample"]
-        payload["counterexample"] = {
-            "u": format_rational(ce["u"]),
-            "margin": [format_rational(ce["margin"].lo),
-                       format_rational(ce["margin"].hi)]}
-    if cfg.fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+    ce = rep["counterexample"]
+    if ce is None:
+        text = [f"no counterexample found on grid at precision "
+                f"{payload['precision']}"]
     else:
-        if "counterexample" in payload:
-            ce = payload["counterexample"]
-            click.echo(f"counterexample at u = {ce['u']}: "
-                       f"margin [{ce['margin'][0]}, {ce['margin'][1]}]")
-        else:
-            click.echo(f"no counterexample found on grid at precision "
-                       f"{payload['precision']}")
-    sys.exit(1 if "counterexample" in payload else 0)
+        payload["counterexample"] = {"u": format_rational(ce["u"]),
+                                     "margin": _ends(ce["margin"])}
+        text = [f"counterexample at u = {format_rational(ce['u'])}: "
+                f"margin [{', '.join(_ends(ce['margin']))}]"]
+    _emit(cfg, json.dumps(payload, indent=2), text,
+          code=0 if ce is None else 1)
 
 
 @main.command("reproduce-paper")
@@ -555,10 +499,12 @@ def reproduce_paper(cfg):
         - specfun.polygamma(1, 100, 16) - 1
     p5 = cmdegree.p_value(10 ** 5, 10)
     record("limit battery",
-           abs(fsmall.mid - 1) < Fraction(1, 10 ** 4)
+           1 - Fraction(1, 10 ** 4) < fsmall.lo
+           and fsmall.hi < 1 + Fraction(1, 10 ** 4)
            and flarge.hi < Fraction(1, 10 ** 3)
            and 0 < h100.lo and h100.hi < Fraction(1, 100)
-           and abs(p5.mid - 4) < Fraction(1, 10 ** 3))
+           and 4 - Fraction(1, 10 ** 3) < p5.lo
+           and p5.hi < 4 + Fraction(1, 10 ** 3))
 
     grid25 = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
     deg = cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, 8, grid25,
@@ -578,11 +524,9 @@ def reproduce_paper(cfg):
     record("unimodal maximum exceeds 1", mf.value.lo > 1,
            f"max in {mf.value.decimal_str(6)}")
 
-    for line in lines:
-        click.echo(line)
-    click.echo("summary: " + ("all checks passed" if ok
-                              else "some checks FAILED"))
-    sys.exit(0 if ok else 1)
+    _emit(cfg, None, lines + ["summary: " + ("all checks passed" if ok
+                                             else "some checks FAILED")],
+          code=0 if ok else 1)
 
 
 if __name__ == "__main__":

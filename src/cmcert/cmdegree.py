@@ -1,9 +1,10 @@
 """Completely-monotonic-degree analysis of the exponential/trigamma gap.
 
 Symbolic derivative tower for expressions built from t^a, e^(beta/t) and
-polygamma atoms; sign-enclosure degree checks on grids; the p(t) -> 4
-asymptotic scan; Laplace-kernel certificates; exact termwise transform
-identities; and degree-condition classification.
+polygamma atoms; sign-enclosure degree checks on grids and the violation
+search above the degree; the p(t) -> 4 asymptotic; Laplace-kernel
+certificates and the counterexample scan; and exact termwise transform
+identities.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .enclosure import (Enclosure, format_rational, rational_power_enclosure,
                         to_fraction)
 from . import specfun
-from . import seriesratio
 from .expring import eval_enclosure, kernel_derivative
 
 DIGIT_CAP = 150
@@ -128,20 +127,6 @@ class CMExpression:
         return Enclosure(Fraction(lo, scale),
                          Fraction(hi, scale)).round_out(digits + 1)
 
-    def pretty(self) -> str:
-        def atom_str(atom):
-            if atom[0] == "const":
-                return ""
-            if atom[0] == "exp":
-                return f"*exp({format_rational(atom[1])}/t)"
-            return f"*psi^({atom[1]})(t)"
-
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{format_rational(c)}*t^{format_rational(p)}{atom_str(a)}"
-            for c, p, a in self.terms)
-
 
 def h_expression(alpha=1, beta=1) -> CMExpression:
     """alpha e^(beta/t) - psi'(t) - alpha."""
@@ -195,18 +180,29 @@ class DegreeReport:
         }, indent=2)
 
 
-def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
-                 digit_cap: int) -> DegreeCell:
+def _sign_definite(evaluate, digits: int, digit_cap: int):
+    """(value, verdict) of evaluate(d), doubling d until sign-definite.
+
+    The verdict is pass for a value >= 0, fail for a value < 0, and
+    indeterminate when the value still meets 0 at digit_cap digits.
+    """
     d = digits
     while True:
-        val = expr.evaluate(t, d) * ((-1) ** n)
+        val = evaluate(d)
         if val.lo >= 0:
-            return DegreeCell(n, t, val, "pass")
+            return val, "pass"
         if val.hi < 0:
-            return DegreeCell(n, t, val, "fail")
+            return val, "fail"
         if d >= digit_cap:
-            return DegreeCell(n, t, val, "indeterminate")
+            return val, "indeterminate"
         d = min(2 * d, digit_cap)
+
+
+def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
+                 digit_cap: int) -> DegreeCell:
+    sign = (-1) ** n
+    return DegreeCell(n, t, *_sign_definite(
+        lambda d: expr.evaluate(t, d) * sign, digits, digit_cap))
 
 
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
@@ -293,10 +289,6 @@ def p_value(t, digits: int = 15) -> Enclosure:
         d *= 2
 
 
-def p_limit_scan(t_values, digits: int = 15) -> list:
-    return [p_value(t, digits) for t in t_values]
-
-
 # -- Laplace-kernel certificates -------------------------------------------
 
 
@@ -325,20 +317,9 @@ def kernel_certificate(k: int, grid, digits: int = 20,
         raise ValueError("grid points must be positive")
     cells = []
     for u in pts:
-        d = digits
-        while True:
-            margin = kernel_margin(k, u, d)
-            if margin.lo >= 0:
-                cells.append({"u": u, "margin": margin, "verdict": "pass"})
-                break
-            if margin.hi < 0:
-                cells.append({"u": u, "margin": margin, "verdict": "fail"})
-                break
-            if d >= digit_cap:
-                cells.append({"u": u, "margin": margin,
-                              "verdict": "indeterminate"})
-                break
-            d = min(2 * d, digit_cap)
+        margin, verdict = _sign_definite(lambda d: kernel_margin(k, u, d),
+                                         digits, digit_cap)
+        cells.append({"u": u, "margin": margin, "verdict": verdict})
     report = {
         "k": k,
         "cells": cells,
@@ -416,213 +397,3 @@ def verify_identity(k: int, N: int) -> dict:
             mismatches.append(("hyp", n))
     return {"k": k, "N": N, "constant": constant,
             "passed": not mismatches, "mismatches": mismatches}
-
-
-# -- two-path consistency checks -------------------------------------------
-
-
-def _laplace_tail_sum(t: Fraction, digits: int) -> Enclosure:
-    """Enclosure of sum_{n>=1} 1/(n! t^n) = e^(1/t) - 1 by direct summation."""
-    tol = Fraction(1, 10 ** (digits + 1))
-    term = Fraction(1)
-    total = Fraction(0)
-    n = 0
-    while True:
-        n += 1
-        term /= n * t
-        total += term
-        ratio = Fraction(1, (n + 1) * t)
-        if ratio < Fraction(1, 2) and term * ratio / (1 - ratio) < tol:
-            tail = term * ratio / (1 - ratio)
-            break
-    return Enclosure(total, total + tail)
-
-
-def h_kernel_check(grid, digits: int = 12) -> dict:
-    """Consistency battery for the transform representation of the gap h.
-
-    (i) margin i_1(u) - kernel(u) >= 0 on the grid; (ii) h(t) > 1 at small t;
-    (iii) h(t) - 1 computed two independent ways at t in {1, 2}: directly
-    via the asymptotic polygamma route, and through the termwise transform
-    route sum 1/(n! t^n) - [Hurwitz series for psi'(t)], agreeing within
-    10^-6; (iv) h(100) - 1 in (0, 10^-2).
-    """
-    pts = [to_fraction(u) for u in grid]
-    margins = [(u, kernel_margin(1, u, digits)) for u in pts]
-    margin_ok = all(m.lo >= 0 for _, m in margins)
-
-    above_one = {}
-    for t in (Fraction(1, 2), Fraction(1), Fraction(5)):
-        h = specfun.exp_enclosure(1 / t, digits + 6) \
-            - specfun.polygamma(1, t, digits + 6)
-        above_one[t] = h.lo > 1
-
-    two_path = {}
-    for t in (Fraction(1), Fraction(2)):
-        direct = specfun.exp_enclosure(1 / t, 14) \
-            - specfun.polygamma(1, t, 14) - 1
-        series = _laplace_tail_sum(t, 14) \
-            - specfun.polygamma_series(1, t, 4000)
-        gap = abs(direct.mid - series.mid)
-        overlap = not (direct.hi < series.lo or series.hi < direct.lo)
-        two_path[t] = {"direct": direct, "series": series,
-                       "agree": overlap and gap < Fraction(1, 10 ** 6)}
-
-    h100 = specfun.exp_enclosure(Fraction(1, 100), digits + 6) \
-        - specfun.polygamma(1, 100, digits + 6) - 1
-    limit_ok = h100.lo > 0 and h100.hi < Fraction(1, 100)
-
-    passed = margin_ok and all(above_one.values()) and limit_ok \
-        and all(v["agree"] for v in two_path.values())
-    return {"margins": margins, "margin_ok": margin_ok,
-            "h_above_one": above_one, "two_path": two_path,
-            "h100_minus_1": h100, "limit_ok": limit_ok, "passed": passed}
-
-
-# -- degree-condition classification ---------------------------------------
-
-
-def degree_conditions_check(alpha, beta, digits: int = 20,
-                            run_checks: bool = True) -> dict:
-    """Classify (alpha, beta) per the degree theorems and test the verdict.
-
-    Predicted degrees: 4 at (1,1); 2 at alpha*beta = 1 with beta > 1; 1 when
-    alpha*beta > 1; "not CM" when alpha*beta < 1 or (alpha*beta = 1 with
-    beta < 1).  When 0 < beta < 1 the unimodal maxima of both ratio
-    functions are reported (the necessary conditions alpha*beta >= max F and
-    alpha*beta^2 >= max G).  With run_checks, cm_check runs at the predicted
-    degree (expect pass) and a violation search runs at degree + 1/2.
-    """
-    alpha, beta = to_fraction(alpha), to_fraction(beta)
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("need alpha > 0 and beta > 0")
-    ab = alpha * beta
-    report: dict = {"alpha": alpha, "beta": beta, "alpha_beta": ab}
-
-    if beta < 1:
-        mf = seriesratio.unimodal_max(
-            lambda u, d: seriesratio.f_beta(u, beta, d),
-            (Fraction(1, 10), 60), Fraction(1, 20), digits=digits)
-        mg = seriesratio.unimodal_max(
-            lambda u, d: seriesratio.g_beta(u, beta, d),
-            (Fraction(1, 10), 60), Fraction(1, 20), digits=digits)
-        report["max_F"] = mf.value
-        report["max_G"] = mg.value
-
-    if ab < 1:
-        predicted: Optional[Fraction] = None
-        report["predicted"] = "not CM"
-    elif alpha == 1 and beta == 1:
-        predicted = Fraction(4)
-        report["predicted"] = predicted
-        report["transform_constant"] = Fraction(1, 24)
-    elif ab == 1 and beta > 1:
-        predicted = Fraction(2)
-        report["predicted"] = predicted
-        report["transform_constant"] = (beta - 1) / 2
-    elif ab > 1:
-        predicted = Fraction(1)
-        report["predicted"] = predicted
-        report["transform_constant"] = ab - 1
-    else:  # ab == 1, beta < 1
-        predicted = None
-        report["predicted"] = "not CM"
-
-    if run_checks and predicted is not None:
-        grid = seriesratio.geometric_grid(Fraction(1, 2), 50, 8)
-        report["check_at_predicted"] = cm_check(
-            h_expression(alpha, beta), predicted, 4, grid, digits=digits,
-            name=f"gap(alpha={alpha},beta={beta})")
-        report["violation_above"] = find_degree_violation(
-            h_expression(alpha, beta), predicted + Fraction(1, 2),
-            Fraction(1), 10 ** 7, digits=digits)
-    return report
-
-
-# -- remark functions -------------------------------------------------------
-
-
-def remark_functions() -> dict:
-    """Exact assembly of the two remark expressions and their bookkeeping.
-
-    Builds x^4[e^(1/x) - 1 - psi'(x)] minus the eight-term truncated
-    exponential and checks that the residual constants come out exactly as
-    -1/24 - 1/(24x) - 1/720x^2 + 17/(720x^3); returns both remark
-    expressions ready for cm_check.
-    """
-    one = CMExpression.of([(1, 0, ("const",))])
-    exp_part = CMExpression.of([(1, 0, ("exp", Fraction(1)))])
-    psi1 = CMExpression.of([(1, 0, ("psi", 1))])
-    core = exp_part - one - psi1  # e^(1/x) - 1 - psi'(x)
-
-    g2 = core.mul_power(2)
-    g4_raw = core.mul_power(4)
-
-    # transform image of the order-3 remainder kernel
-    series_part = CMExpression.of(
-        [(1, -1, ("const",)), (Fraction(1, 2), -2, ("const",)),
-         (Fraction(1, 6), -3, ("const",)), (Fraction(-1, 30), -5, ("const",)),
-         (Fraction(1, 42), -7, ("const",))]) - psi1
-    trunc = CMExpression.of(
-        [(Fraction(-1, math.factorial(m)), -m, ("const",))
-         for m in range(1, 8)])
-    exp_tail = exp_part - one + trunc  # e^(1/x) - sum_{m<=7} x^-m/m!
-    assembled = (series_part + exp_tail).mul_power(4)
-
-    residue = assembled - g4_raw
-    expected = CMExpression.of([
-        (Fraction(-1, 24), 0, ("const",)),
-        (Fraction(-1, 24), -1, ("const",)),
-        (Fraction(-1, 720), -2, ("const",)),
-        (Fraction(17, 720), -3, ("const",)),
-    ])
-    bookkeeping_ok = (residue - expected).is_zero()
-
-    g4 = g4_raw + CMExpression.of([
-        (Fraction(-1, 24), 0, ("const",)),
-        (Fraction(17, 720), -3, ("const",)),
-    ])
-    return {"g2": g2, "g4": g4, "bookkeeping_ok": bookkeeping_ok,
-            "residue": residue}
-
-
-def remark_vn_degree_check(digits: int = 20) -> dict:
-    """Degree evidence for the remark functions plus remainder cross-checks.
-
-    Runs cm_check (N = 6) on x^2[e^(1/x) - 1 - psi'(x)] and on the shifted
-    x^4 variant; verifies pointwise that u^4 V_1(u) = 1 + u/2 + u^2/12
-    - kernel(u) through the independent remainder-series evaluator; and
-    compares the transform value 1/x + 1/(2x^2) + 1/(6x^3) - psi'(x) at
-    x = 2 along two evaluation routes to within 10^-6.
-    """
-    parts = remark_functions()
-    grid = seriesratio.geometric_grid(Fraction(1, 2), 20, 7)
-    rep2 = cm_check(parts["g2"], 0, 6, grid, digits=digits, name="remark-x2")
-    rep4 = cm_check(parts["g4"], 0, 6, grid, digits=digits, name="remark-x4")
-
-    # 8 digits keeps the remainder-series term count in the hundreds and is
-    # far below the 10^-6 agreement target
-    pointwise = []
-    for u in (Fraction(1, 2), Fraction(1), Fraction(3)):
-        lhs = u ** 4 * specfun.vn_remainder(1, u, 8)
-        rhs = 1 + u / 2 + u * u / 12 \
-            - eval_enclosure(kernel_derivative(0), u, 8)
-        pointwise.append((u, lhs, rhs,
-                          not (lhs.hi < rhs.lo or rhs.hi < lhs.lo)))
-
-    x = Fraction(2)
-    direct = Enclosure.point(1 / x + 1 / (2 * x * x) + 1 / (6 * x ** 3)) \
-        - specfun.polygamma(1, x, 14)
-    series = Enclosure.point(1 / x + 1 / (2 * x * x) + 1 / (6 * x ** 3)) \
-        - specfun.polygamma_series(1, x, 4000)
-    transform_gap = abs(direct.mid - series.mid)
-    transform_ok = transform_gap < Fraction(1, 10 ** 6) and \
-        not (direct.hi < series.lo or series.hi < direct.lo)
-
-    passed = parts["bookkeeping_ok"] and rep2.summary == "pass" \
-        and rep4.summary == "pass" and all(p[3] for p in pointwise) \
-        and transform_ok
-    return {"bookkeeping_ok": parts["bookkeeping_ok"], "x2_report": rep2,
-            "x4_report": rep4, "pointwise_remainder": pointwise,
-            "transform_value": direct, "transform_ok": transform_ok,
-            "passed": passed}

@@ -8,6 +8,7 @@ operations do not accumulate unbounded rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -91,9 +92,6 @@ class Enclosure:
         x = Fraction(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
 
@@ -105,17 +103,8 @@ class Enclosure:
             return -1
         return 0
 
-    def definitely_positive(self) -> bool:
-        return self.lo > 0
-
-    def definitely_negative(self) -> bool:
-        return self.hi < 0
-
     def definitely_less(self, other: "Enclosure") -> bool:
         return self.hi < other.lo
-
-    def definitely_greater(self, other: "Enclosure") -> bool:
-        return self.lo > other.hi
 
     # -- arithmetic --------------------------------------------------------
 
@@ -169,7 +158,6 @@ class Enclosure:
     def round_out(self, digits: int) -> "Enclosure":
         """Widen outward so endpoint denominators divide 10**digits."""
         scale = 10 ** digits
-        import math
         lo = Fraction(math.floor(self.lo * scale), scale)
         hi = Fraction(math.ceil(self.hi * scale), scale)
         return Enclosure(lo, hi)
@@ -189,18 +177,6 @@ class Enclosure:
             return f"{sign}{s[:-places]}.{s[-places:]}"
 
         return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
-
-
-# 100 certified decimal digits of pi, widened outward by one last-place unit.
-_PI_DIGITS = (
-    "31415926535897932384626433832795028841971693993751"
-    "05820974944592307816406286208998628034825342117067"
-)
-
-
-def pi_enclosure() -> Enclosure:
-    lo = Fraction(int(_PI_DIGITS), 10 ** 99)
-    return Enclosure(lo, lo + Fraction(1, 10 ** 99))
 
 
 def nth_root_enclosure(x: Rat, n: int, digits: int) -> Enclosure:

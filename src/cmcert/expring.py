@@ -102,19 +102,9 @@ class ExpPoly:
                     acc += c * Fraction(f ** (j - d), math.factorial(j - d))
         return acc
 
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for f, p in reversed(self.terms):
-            body = repr(p)[len("Polynomial("):-1]
-            if f == 0:
-                parts.append(f"({body})")
-            elif f == 1:
-                parts.append(f"({body})*e^u")
-            else:
-                parts.append(f"({body})*e^({f}u)")
-        return " + ".join(parts)
+
+EXP_U = ExpPoly.of({1: Polynomial.constant(1)})
+EXP_U_MINUS_ONE = EXP_U - ExpPoly.of({0: Polynomial.constant(1)})
 
 
 def _divide_by_exp_minus_one(num: ExpPoly) -> Optional[ExpPoly]:
@@ -159,31 +149,24 @@ class ExpPolyQuotient:
 
     def __add__(self, other: "ExpPolyQuotient") -> "ExpPolyQuotient":
         m = max(self.pole, other.pole)
-        emo = ExpPoly.of({1: Polynomial.constant(1), 0: Polynomial.constant(-1)})
         a = self.numerator
         for _ in range(m - self.pole):
-            a = a * emo
+            a = a * EXP_U_MINUS_ONE
         b = other.numerator
         for _ in range(m - other.pole):
-            b = b * emo
+            b = b * EXP_U_MINUS_ONE
         return ExpPolyQuotient.make(a + b, m)
 
     def __sub__(self, other: "ExpPolyQuotient") -> "ExpPolyQuotient":
         return self + ExpPolyQuotient(other.numerator.scale(-1), other.pole)
-
-    def pretty(self) -> str:
-        if self.pole == 0:
-            return self.numerator.pretty()
-        return f"[{self.numerator.pretty()}] / (e^u - 1)^{self.pole}"
 
 
 def differentiate(f: ExpPolyQuotient) -> ExpPolyQuotient:
     """Exact derivative; d/du (e^u-1)^-m = -m e^u (e^u-1)^-(m+1)."""
     if f.pole == 0:
         return ExpPolyQuotient.make(f.numerator.derivative(), 0)
-    emo = ExpPoly.of({1: Polynomial.constant(1), 0: Polynomial.constant(-1)})
-    e1 = ExpPoly.of({1: Polynomial.constant(1)})
-    num = f.numerator.derivative() * emo - (e1 * f.numerator).scale(f.pole)
+    num = (f.numerator.derivative() * EXP_U_MINUS_ONE
+           - (EXP_U * f.numerator).scale(f.pole))
     return ExpPolyQuotient.make(num, f.pole + 1)
 
 
@@ -308,7 +291,7 @@ def _poly(c0=0, c1=0) -> Polynomial:
 
 def build_f1() -> ExpPoly:
     """(u+6)(e^u-1)^5 - 720 e^u [(u-4)e^{3u} + (11u-12)e^{2u} + (11u+12)e^u + u+4]."""
-    emo = ExpPoly.of({1: Polynomial.constant(1), 0: Polynomial.constant(-1)})
+    emo = EXP_U_MINUS_ONE
     first = (emo * emo * emo * emo * emo).mul_poly(_poly(6, 1))
     bracket = ExpPoly.of({
         3: _poly(-4, 1),
@@ -316,7 +299,7 @@ def build_f1() -> ExpPoly:
         1: _poly(12, 11),
         0: _poly(4, 1),
     })
-    second = (ExpPoly.of({1: Polynomial.constant(1)}) * bracket).scale(720)
+    second = (EXP_U * bracket).scale(720)
     return first - second
 
 
@@ -438,38 +421,3 @@ def build_f4_via_pade():
         "negated_quintic_positive_on_0_6": negquintic_cert.verdict,
     }
     return f4, denom, report
-
-
-def remark_decomposition_check(u_grid, digits: int = 30) -> dict:
-    """Exact three-way split of the stage-three function and slope signs.
-
-    f1 = [10u(e^u - 261) + 3966] e^{2u}   (increasing on [5, inf))
-    f2 = (69 e^{2u} - 7119u - 4035) e^u   (increasing on [3, inf))
-    f3 = 3249 e^{2u} - 793u - 3249        (increasing on [0, inf))
-    """
-    _, _, f3_chain, _ = build_F_chain()
-    part1 = ExpPoly.of({3: _poly(0, 10), 2: _poly(3966, -2610)})
-    part2 = ExpPoly.of({3: Polynomial.constant(69), 1: _poly(-4035, -7119)})
-    part3 = ExpPoly.of({2: Polynomial.constant(3249), 0: _poly(-3249, -793)})
-    residual = (part1 + part2 + part3) - f3_chain
-    identity_exact = residual.is_zero()
-
-    ranges = {"f1": (part1, Fraction(5)), "f2": (part2, Fraction(3)),
-              "f3": (part3, Fraction(0))}
-    slopes = {}
-    for name, (piece, start) in ranges.items():
-        deriv = ExpPolyQuotient.make(piece.derivative(), 0)
-        checks = []
-        for u in u_grid:
-            u = to_fraction(u)
-            if u < start:
-                continue
-            if u <= 0:
-                continue
-            enc = eval_enclosure(deriv, u, digits)
-            checks.append({"u": str(u), "nonnegative": enc.lo >= 0})
-        slopes[name] = checks
-    ok = identity_exact and all(c["nonnegative"]
-                                for cs in slopes.values() for c in cs)
-    return {"identity_exact": identity_exact, "slopes": slopes, "verified": ok,
-            "f3_at_zero": str(part3.value_at_origin())}

@@ -1,18 +1,19 @@
 """Exact rational polynomial algebra and positivity certification.
 
-Dense univariate polynomials over Fraction, plus the certification toolbox:
-Taylor shifts, Descartes' sign rule, unit-interval coefficient bounds
-(Cargo-Shisha), shift-and-bound positivity certificates, sign-change root
-isolation, and the classical rational sandwich bounds for exp.
+Dense univariate polynomials over Fraction.  The degree-28 positivity
+certificate is built from Taylor shifts and unit-interval coefficient bounds
+(Cargo-Shisha), with a dyadic witness search when a piece fails; the
+classical rational sandwich bounds for exp feed its derivation.  Descartes'
+sign rule and sign-change root isolation decide the paper's root remarks.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .enclosure import Enclosure, format_rational, to_fraction
 
@@ -41,10 +42,6 @@ class Polynomial:
     @staticmethod
     def constant(c) -> "Polynomial":
         return Polynomial.of([c])
-
-    @staticmethod
-    def monomial(power: int, c=1) -> "Polynomial":
-        return Polynomial.of([0] * power + [c])
 
     @staticmethod
     def x() -> "Polynomial":

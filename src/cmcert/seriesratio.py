@@ -2,8 +2,8 @@
 
 Exact coefficient sequences for the two power-series quotients whose
 monotonicity drives the main theorems, the integer ladder inequalities that
-prove those monotonicities, unimodal maximization by enclosure comparison,
-and the conjecture scans for the higher-order ratio functions.
+prove those monotonicities, the two ratio functions as enclosures, and
+unimodal maximization and slope signs by enclosure comparison.
 """
 
 from __future__ import annotations
@@ -104,12 +104,6 @@ def V_value(k: int, l: int) -> int:
             - 2 * l * l + 2 * k * l + 17 * l - 4 * k - 20)
 
 
-def W_value(k: int, m: int) -> int:
-    return ((k - m) * 3 ** (m + 5)
-            + (m * m + (17 - 2 * k) * m - 22 * k) * 2 ** (m + 3)
-            - 2 * m * m + (2 * k - 17) * m + 13 * k - 20)
-
-
 def _theta_row(k: int, U: int) -> list[Fraction]:
     """theta_{k,0}, ..., theta_{k,k+1}, given U = U_k.
 
@@ -126,16 +120,6 @@ def _theta_row(k: int, U: int) -> list[Fraction]:
     # fact is now (k+2)!
     row.append(Fraction((k + 4) * (k + 1) * (k + 2), 2 * fact * U))
     return row
-
-
-def theta_value(k: int, l: int) -> Fraction:
-    """Coefficient of beta^l in the closed form of the derivative ratio.
-
-    Builds the whole row, as `ladder_check` does, and picks entry l.
-    """
-    if not 0 <= l <= k + 1:
-        raise ValueError("need 0 <= l <= k+1")
-    return _theta_row(k, U_value(k))[l]
 
 
 def script_A(m: int) -> int:
@@ -269,36 +253,24 @@ def ladder_check(k_max: int) -> dict:
 # -- enclosure-valued ratio functions --------------------------------------
 
 
-def f_beta(u, beta, digits: int) -> Enclosure:
-    """kernel(u) / i_1(beta u): the first Bessel-kernel ratio."""
-    u, beta = to_fraction(u), to_fraction(beta)
-    if u <= 0 or beta <= 0:
-        raise ValueError("need u > 0 and beta > 0")
-    kern = eval_enclosure(kernel_derivative(0), u, digits + 4)
-    i1 = specfun.bessel_ratio(1, beta * u, digits + 4)
-    return (kern / i1).round_out(digits + 1)
-
-
-def g_beta(u, beta, digits: int) -> Enclosure:
-    """kernel'(u) / i_2(beta u): the derivative Bessel-kernel ratio."""
-    u, beta = to_fraction(u), to_fraction(beta)
-    if u <= 0 or beta <= 0:
-        raise ValueError("need u > 0 and beta > 0")
-    kern1 = eval_enclosure(kernel_derivative(1), u, digits + 4)
-    i2 = specfun.bessel_ratio(2, beta * u, digits + 4)
-    return (kern1 / i2).round_out(digits + 1)
-
-
-def h_k_beta(k: int, u, beta, digits: int) -> Enclosure:
-    """kernel^(k-1)(u) / i_k(beta u): the conjectured higher-order ratios."""
-    if not 1 <= k <= 6:
-        raise ValueError("supported orders are 1..6")
+def _kernel_ratio(k: int, u, beta, digits: int) -> Enclosure:
+    """kernel^(k-1)(u) / i_k(beta u), the order-k Bessel-kernel ratio."""
     u, beta = to_fraction(u), to_fraction(beta)
     if u <= 0 or beta <= 0:
         raise ValueError("need u > 0 and beta > 0")
     kern = eval_enclosure(kernel_derivative(k - 1), u, digits + 4)
     ik = specfun.bessel_ratio(k, beta * u, digits + 4)
     return (kern / ik).round_out(digits + 1)
+
+
+def f_beta(u, beta, digits: int) -> Enclosure:
+    """kernel(u) / i_1(beta u): the first Bessel-kernel ratio."""
+    return _kernel_ratio(1, u, beta, digits)
+
+
+def g_beta(u, beta, digits: int) -> Enclosure:
+    """kernel'(u) / i_2(beta u): the derivative Bessel-kernel ratio."""
+    return _kernel_ratio(2, u, beta, digits)
 
 
 # -- unimodal maximization --------------------------------------------------

@@ -2,10 +2,10 @@
 
 Everything returns an Enclosure whose endpoints are exact rationals; the
 `digits` parameter asks for width <= 10**-digits.  `exp_enclosure` always
-meets that width.  The other series add terms until their tail bound meets
-the target; `hyp1f2` and `bessel_ratio` raise at TERM_CAP terms, while
-`vn_remainder` stops there and returns what it reached.  `polygamma` sums
-its terms on integer mantissas, so its lower and upper sums are two ints.
+meets that width.  `bessel_ratio` adds terms until its tail bound meets the
+target and raises at TERM_CAP terms.  `polygamma` sums its terms on integer
+mantissas, so its lower and upper sums are two ints.  `k_tail` is a closed
+form evaluated at an exp enclosure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .enclosure import Enclosure, pi_enclosure, to_fraction
+from .enclosure import Enclosure, to_fraction
 from .poly import Polynomial
 
 TERM_CAP = 10 ** 6
@@ -130,40 +130,6 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
     return Enclosure(total, total + tail).round_out(digits + 1)
 
 
-def hyp1f2(b1, b2, x, digits: int) -> Enclosure:
-    """Enclosure of 1F2(1; b1, b2; x) for x >= 0."""
-    b1, b2, x = to_fraction(b1), to_fraction(b2), to_fraction(x)
-    for b in (b1, b2):
-        if b.denominator == 1 and b <= 0:
-            raise ValueError(f"forbidden lower parameter {b}")
-    if x < 0:
-        raise ValueError("argument must be >= 0")
-    if x == 0:
-        return Enclosure.point(1)
-    tol = Fraction(1, 10 ** (digits + 1))
-    term = Fraction(1)
-    total = Fraction(1)
-    n = 0
-    while True:
-        term *= x / ((b1 + n) * (b2 + n))
-        n += 1
-        total += term
-        # Once b1+n and b2+n are positive, every later term ratio
-        # x/((b1+m)(b2+m)) is positive and decreasing: the tail has the sign
-        # of the current term and is bounded by a geometric series.
-        if b1 + n > 0 and b2 + n > 0:
-            ratio = x / ((b1 + n) * (b2 + n))
-            if ratio < Fraction(1, 2):
-                tail = abs(term) * ratio / (1 - ratio)
-                if tail < tol:
-                    break
-        if n > TERM_CAP:
-            raise RuntimeError("1F2 series did not converge within TERM_CAP terms")
-    if term > 0:
-        return Enclosure(total, total + tail).round_out(digits + 1)
-    return Enclosure(total - tail, total).round_out(digits + 1)
-
-
 def _polygamma_mantissas(n: int, a: int, b: int, m: int, tol_den: int,
                          p: int) -> Optional[tuple[int, int]]:
     """Mantissas lo, hi (scale 2**-p) bracketing |psi^(n)(a/b)|, or None.
@@ -251,22 +217,6 @@ def polygamma(n: int, x, digits: int) -> Enclosure:
                      Fraction(hi, 1 << p)).round_out(digits + 1)
 
 
-def polygamma_series(n: int, x, terms: int) -> Enclosure:
-    """Independent low-precision route: Hurwitz partial sum + integral tail."""
-    if n < 1:
-        raise ValueError("derivative order must be >= 1")
-    x = to_fraction(x)
-    if x <= 0:
-        raise ValueError("argument must be > 0")
-    s = Fraction(0)
-    for j in range(terms):
-        s += 1 / (x + j) ** (n + 1)
-    tail_lo = 1 / (n * (x + terms) ** n)
-    tail_hi = tail_lo + 1 / (x + terms) ** (n + 1)
-    mag = Enclosure(s + tail_lo, s + tail_hi) * math.factorial(n)
-    return mag if n % 2 == 1 else -mag
-
-
 def k_tail(ell: int, a, digits: int) -> Enclosure:
     """Enclosure of sum_{k>=1} k**ell * e**(-k a) for a > 0.
 
@@ -289,72 +239,3 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     omq = 1 - q
     val = num.eval_interval(q) / omq ** pole
     return val.round_out(digits + 1)
-
-
-def vn_remainder(n: int, u, digits: int) -> Enclosure:
-    """Enclosure of sum_{k>=1} 2 / ((u^2 + 4 pi^2 k^2) (2 pi k)^(2n)).
-
-    Positive-term series; the tail is bounded through the integral comparison
-    with a certified lower bound of pi.  Term count is capped, so very high
-    precision requests may return a wider-than-requested enclosure.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u = to_fraction(u)
-    if u <= 0:
-        raise ValueError("u must be > 0")
-    tol = Fraction(1, 10 ** (digits + 1))
-    pi = pi_enclosure()
-    two_pi_lo = 2 * pi.lo
-    p = 2 * n + 2
-
-    def tail_bound(N: int) -> Fraction:
-        # sum_{k>N} k^-p <= integral comparison
-        return 2 / (two_pi_lo ** p) * Fraction(1, (p - 1) * N ** (p - 1))
-
-    N = 8
-    while tail_bound(N) >= tol and N < TERM_CAP:
-        N *= 4
-    N = min(N, TERM_CAP)
-    pi2 = (pi * pi).round_out(digits + 8)
-    total = Enclosure.point(0)
-    for k in range(1, N + 1):
-        den = (Enclosure.point(u * u) + 4 * k * k * pi2) * \
-            ((4 * k * k) * pi2) ** n
-        total = (total + 2 / den).round_out(digits + 8)
-    return Enclosure(total.lo, total.hi + tail_bound(N)).round_out(digits + 1)
-
-
-def exp_taylor_partial(n: int, x) -> Fraction:
-    """Exact truncated exponential sum_{k<=n} x^k / k!."""
-    x = to_fraction(x)
-    return sum(x ** k / Fraction(math.factorial(k)) for k in range(n + 1))
-
-
-def exp_taylor_bound(n: int, b, x, digits: int = 30) -> tuple[Enclosure, Enclosure]:
-    """Gap enclosures for the two-sided truncated-exponential sandwich.
-
-    With S_n the Taylor partial sum and alpha = (e^b - S_n(b))/b^(n+1):
-    returns (upper_gap, lower_gap) where
-      upper_gap = S_n(x) + alpha x^(n+1) - e^x            (>= 0 on [0, b])
-      lower_gap = e^x - S_n(x) - alpha x^(n+1)
-                  - ((n+1)! alpha - e^b)/((n+1)!(n+1)b) (b-x) x^(n+1)  (>= 0)
-    Both vanish exactly at x = 0 and x = b (returned as point zeros there).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    b, x = to_fraction(b), to_fraction(x)
-    if b <= 0 or not (0 <= x <= b):
-        raise ValueError("need 0 <= x <= b, b > 0")
-    if x == 0 or x == b:
-        return Enclosure.point(0), Enclosure.point(0)
-    eb = exp_enclosure(b, digits + 8)
-    ex = exp_enclosure(x, digits + 8)
-    sb = exp_taylor_partial(n, b)
-    sx = exp_taylor_partial(n, x)
-    alpha = (eb - sb) / b ** (n + 1)
-    upper_gap = sx + alpha * x ** (n + 1) - ex
-    fac = Fraction(math.factorial(n + 1))
-    slope = (fac * alpha - eb) / (fac * (n + 1) * b)
-    lower_gap = ex - sx - alpha * x ** (n + 1) - slope * ((b - x) * x ** (n + 1))
-    return upper_gap.round_out(digits + 1), lower_gap.round_out(digits + 1)

@@ -1,10 +1,14 @@
 """Frozen reference values used by the test suite.
 
 Exact rationals transcribed from the published tables, plus derived oracle
-values frozen after independent computation.
+values frozen after independent computation, and one independent
+low-precision route to polygamma.
 """
 
+import math
 from fractions import Fraction
+
+from cmcert.enclosure import Enclosure
 
 # min/max sandwich coefficients of the degree-28 certificate polynomial on
 # [0, 1], transcribed from the published table
@@ -48,3 +52,16 @@ ROOT_QUINTIC = [-30240, 15120, -3360, 420, -30, 1]
 LADDER_QUARTIC_1 = [-756, 12, 323, 36, 1]
 LADDER_QUARTIC_2 = [252, 24, -99, 10, 1]
 LADDER_QUINTIC_3 = [-1728, -825, 407, 278, 58, 4]
+
+
+def polygamma_hurwitz(n: int, x: Fraction, terms: int) -> Enclosure:
+    """psi^(n)(x) from the Hurwitz partial sum plus an integral tail.
+
+    |psi^(n)(x)| = n! sum_{j>=0} 1/(x+j)^(n+1); the tail past `terms` lies
+    between the integral from x+terms and that integral plus its first term.
+    """
+    s = sum(Fraction(1) / (x + j) ** (n + 1) for j in range(terms))
+    tail_lo = 1 / (n * (x + terms) ** n)
+    tail_hi = tail_lo + 1 / (x + terms) ** (n + 1)
+    mag = Enclosure(s + tail_lo, s + tail_hi) * math.factorial(n)
+    return mag if n % 2 == 1 else -mag

@@ -4,12 +4,15 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import cmcert
+from cmcert import seriesratio
 from cmcert.cli import main
+from cmcert.enclosure import Enclosure
 
 
 @pytest.fixture()
@@ -177,6 +180,32 @@ def test_p_limit_beyond_float_range(runner):
     assert lo <= 4 <= hi and hi - lo <= Fraction(1, 10 ** 30)
 
 
+def test_reproduce_paper_passes_every_check(runner):
+    result = invoke(runner, "reproduce-paper")
+    assert result.exit_code == 0, result.output
+    lines = result.stdout.splitlines()
+    assert sum(line.startswith("[pass] ") for line in lines) == 11
+    assert lines[-1] == "summary: all checks passed"
+
+
+def test_limit_battery_reads_endpoints_not_midpoints(runner, monkeypatch):
+    # an enclosure of f_1 at u = 10^-6 centred on 1 but 1/50 wide certifies
+    # nothing about the limit 1 to within 10^-4
+    f_beta = seriesratio.f_beta
+    near_zero = Fraction(1, 10 ** 6)
+
+    def planted(u, beta, digits):
+        if u == near_zero:
+            return Enclosure(Fraction(99, 100), Fraction(101, 100))
+        return f_beta(u, beta, digits)
+
+    monkeypatch.setattr(seriesratio, "f_beta", planted)
+    result = invoke(runner, "reproduce-paper")
+    assert result.exit_code == 1
+    assert "[FAIL] limit battery" in result.stdout.splitlines()
+    assert result.stdout.splitlines()[-1] == "summary: some checks FAILED"
+
+
 def test_bad_grid_spec_is_usage_error(runner):
     result = invoke(runner, "--grid", "fancy:1,2,3", "kernel-ineq",
                     "--k", "1")
@@ -250,3 +279,85 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
     assert run.returncode == 64, stderr
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ")
+
+
+# -- golden bytes ------------------------------------------------------------
+# Every command in text, JSON and CSV, the formats a command has no form for
+# (it prints text), and the exit-64 paths of --interval and --bracket.  Grids
+# are linear: geometric grid points are built with float powers, and golden
+# bytes must not depend on libm.  tests/golden_cli.json holds the stdout,
+# stderr and exit code of each case.
+
+GOLDEN_FILE = Path(__file__).with_name("golden_cli.json")
+GOLDEN_POLYS = {"good": ["101", "-20", "1"],   # (x - 10)^2 + 1 > 0
+                "bad": ["-2", "0", "1"]}       # x^2 - 2 dips below 0
+GOLDEN_FORMATS = {"text": [], "json": ["--format", "json"],
+                  "csv": ["--format", "csv"]}
+GOLDEN_COMMANDS = {
+    "certify-poly": ["certify-poly", "--file", "{good}", "--interval", "0,6"],
+    "certify-poly-falsified": ["certify-poly", "--file", "{bad}",
+                               "--interval", "0,6", "--step", "1/2"],
+    "shift-chain": ["shift-chain", "--file", "{good}", "--shifts", "2"],
+    "lemma1-bounds": ["lemma1-bounds", "--m", "1", "--n", "2"],
+    "bessel": ["--precision", "20", "bessel", "--k", "3", "--u", "7/2"],
+    "polygamma": ["--precision", "20", "polygamma", "--n", "2", "--x", "3"],
+    "ktail": ["--precision", "20", "ktail", "--ell", "3", "--a", "1"],
+    "kernel-ineq": ["--precision", "15", "--grid", "linear:1/2,5,4",
+                    "kernel-ineq", "--k", "2"],
+    "kernel-ineq-ray": ["--precision", "15", "--grid", "linear:1,6,3",
+                        "kernel-ineq", "--k", "5"],
+    "ratio-mono-c": ["ratio-mono", "--which", "c", "--beta", "1",
+                     "--count", "5"],
+    "ratio-mono-C": ["ratio-mono", "--which", "C", "--beta", "1/2",
+                     "--count", "6"],
+    "ladder": ["ladder", "--k-max", "6"],
+    "unimodal-max": ["--precision", "12", "unimodal-max", "--function", "F",
+                     "--beta", "1/2", "--tol", "1"],
+    "unimodal-max-G": ["--precision", "12", "unimodal-max", "--function", "G",
+                       "--beta", "1/2", "--bracket", "1/2,30", "--tol", "2"],
+    "cm-check": ["--precision", "15", "--grid", "linear:1/2,4,3", "cm-check",
+                 "--alpha", "1", "--beta", "1", "--r", "4", "--orders", "2"],
+    "cm-check-fail": ["--precision", "15", "--grid", "linear:1/2,10,4",
+                      "cm-check", "--alpha", "1/4", "--beta", "1", "--r", "0",
+                      "--orders", "2"],
+    "p-limit": ["--precision", "12", "p-limit", "--t", "1,10,1000"],
+    "verify-identity": ["verify-identity", "--k", "2", "--terms", "10"],
+    "conjecture-scan": ["--precision", "15", "--grid", "linear:1,11/5,13",
+                        "conjecture-scan", "--k", "6"],
+    "conjecture-scan-none": ["--precision", "15", "--grid", "linear:1/2,4,3",
+                             "conjecture-scan", "--k", "2"],
+    "reproduce-paper": ["reproduce-paper"],
+}
+GOLDEN_USAGE_ERRORS = {
+    "certify-poly-interval-03": ["certify-poly", "--file", "{good}",
+                                 "--interval", "03"],
+    "unimodal-max-bracket-1": ["unimodal-max", "--function", "F",
+                               "--beta", "1", "--bracket", "1"],
+}
+
+
+def golden_cases() -> dict:
+    cases = {}
+    for name, args in GOLDEN_COMMANDS.items():
+        for fmt, flags in GOLDEN_FORMATS.items():
+            cases[f"{name}/{fmt}"] = flags + args
+    for name, args in GOLDEN_USAGE_ERRORS.items():
+        cases[name] = args
+    return cases
+
+
+def run_golden_case(args, tmp_dir) -> dict:
+    paths = {}
+    for name, lines in GOLDEN_POLYS.items():
+        paths[name] = str(Path(tmp_dir) / f"{name}.poly")
+        Path(paths[name]).write_text("\n".join(lines) + "\n")
+    args = [a.format(**paths) for a in args]
+    result = CliRunner().invoke(main, args)
+    return {"stdout": result.stdout, "stderr": result.stderr,
+            "exit": result.exit_code}
+
+
+@pytest.mark.parametrize("case", sorted(golden_cases()))
+def test_golden_bytes(case, tmp_path):
+    expected = json.loads(GOLDEN_FILE.read_text())[case]
+    assert run_golden_case(golden_cases()[case], tmp_path) == expected

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
 from cmcert.enclosure import Enclosure, rational_power_enclosure
+
+from reference_values import polygamma_hurwitz
 
 
 def _float_at(expr: CMExpression, t: Fraction) -> float:
@@ -114,8 +117,8 @@ def test_p_value_limit():
     assert cmdegree.p_value(1, 12).lo > 0
     far = cmdegree.p_value(10 ** 4, 10)
     assert abs(far.mid - 4) < Fraction(1, 100)
-    scan = cmdegree.p_limit_scan([1, 10, 100], digits=10)
-    assert len(scan) == 3
+    for t in (1, 10, 100):
+        assert cmdegree.p_value(t, 10).width <= Fraction(1, 10 ** 10)
 
 
 def test_p_value_meets_its_width_at_large_t():
@@ -153,78 +156,77 @@ def test_verify_identity_small_orders():
         assert rep["mismatches"] == []
 
 
+def _laplace_tail_sum(t: Fraction, digits: int) -> Enclosure:
+    """sum_{n>=1} 1/(n! t^n) = e^(1/t) - 1 by direct summation."""
+    tol = Fraction(1, 10 ** (digits + 1))
+    term = Fraction(1)
+    total = Fraction(0)
+    n = 0
+    while True:
+        n += 1
+        term /= n * t
+        total += term
+        ratio = Fraction(1, (n + 1) * t)
+        if ratio < Fraction(1, 2) and term * ratio / (1 - ratio) < tol:
+            return Enclosure(total, total + term * ratio / (1 - ratio))
+
+
 def test_h_kernel_two_path_agreement():
-    rep = cmdegree.h_kernel_check([1, 2], digits=12)
-    assert rep["passed"]
+    # h(t) = e^(1/t) - psi'(t) exceeds 1 at small t, and h(t) - 1 from
+    # exp_enclosure and polygamma meets the termwise transform route
+    # sum 1/(n! t^n) - [Hurwitz series for psi'(t)] within 10^-6
+    for t in (Fraction(1, 2), Fraction(1), Fraction(5)):
+        h = specfun.exp_enclosure(1 / t, 18) - specfun.polygamma(1, t, 18)
+        assert h.lo > 1, t
+    for t in (Fraction(1), Fraction(2)):
+        direct = specfun.exp_enclosure(1 / t, 14) \
+            - specfun.polygamma(1, t, 14) - 1
+        series = _laplace_tail_sum(t, 14) - polygamma_hurwitz(1, t, 4000)
+        assert series.lo <= direct.hi and direct.lo <= series.hi, t
+        assert series.width < Fraction(1, 10 ** 6), t
 
 
-# 10^-6 - 10^-30 is below the 10^-6 agreement bound, but as a float it
-# rounds to 1e-6 and is not
-NEAR_GAP = Fraction(1, 10 ** 6) - Fraction(1, 10 ** 30)
-WIDE = Fraction(1, 10 ** 3)
+def _remark_functions():
+    """The two remark expressions and the residue of their bookkeeping.
 
-
-def test_h_kernel_two_path_agreement_is_decided_exactly(monkeypatch):
-    def series_route(n, x, terms):
-        # a wide enclosure that puts the series route NEAR_GAP above the
-        # direct one
-        direct = specfun.exp_enclosure(1 / x, 14) \
-            - specfun.polygamma(1, x, 14) - 1
-        mid = cmdegree._laplace_tail_sum(x, 14).mid - direct.mid - NEAR_GAP
-        return Enclosure(mid - WIDE, mid + WIDE)
-
-    monkeypatch.setattr(specfun, "polygamma_series", series_route)
-    rep = cmdegree.h_kernel_check([1, 2], digits=12)
-    for v in rep["two_path"].values():
-        assert v["series"].mid - v["direct"].mid == NEAR_GAP
-        assert v["agree"]
-    assert rep["passed"]
-
-
-def test_remark_transform_agreement_is_decided_exactly(monkeypatch):
-    def series_route(n, x, terms):
-        mid = specfun.polygamma(1, x, 14).mid - NEAR_GAP
-        return Enclosure(mid - WIDE, mid + WIDE)
-
-    monkeypatch.setattr(specfun, "polygamma_series", series_route)
-    rep = cmdegree.remark_vn_degree_check(digits=15)
-    assert rep["transform_ok"]
-    assert rep["passed"]
-
-
-def test_degree_conditions_classification():
-    r = cmdegree.degree_conditions_check(1, 1, run_checks=False)
-    assert r["predicted"] == 4
-    assert r["transform_constant"] == Fraction(1, 24)
-
-    r = cmdegree.degree_conditions_check(Fraction(1, 2), 2, run_checks=False)
-    assert r["predicted"] == 2
-    assert r["transform_constant"] == Fraction(1, 2)
-
-    r = cmdegree.degree_conditions_check(3, 1, run_checks=False)
-    assert r["predicted"] == 1
-    assert r["transform_constant"] == 2
-
-    r = cmdegree.degree_conditions_check(1, Fraction(1, 2), run_checks=False)
-    assert r["predicted"] == "not CM"
-    assert r["max_F"].lo > 1
-
-    r = cmdegree.degree_conditions_check(2, Fraction(1, 2), run_checks=False)
-    assert r["predicted"] == "not CM"
-
-    with pytest.raises(ValueError):
-        cmdegree.degree_conditions_check(0, 1)
+    x^4[e^(1/x) - 1 - psi'(x)] minus the transform image of the order-3
+    remainder kernel plus the eight-term truncated exponential must leave
+    -1/24 - 1/(24x) - 1/(720x^2) + 17/(720x^3) exactly.
+    """
+    one = CMExpression.of([(1, 0, ("const",))])
+    exp_part = CMExpression.of([(1, 0, ("exp", Fraction(1)))])
+    psi1 = CMExpression.of([(1, 0, ("psi", 1))])
+    core = exp_part - one - psi1  # e^(1/x) - 1 - psi'(x)
+    g4_raw = core.mul_power(4)
+    series_part = CMExpression.of(
+        [(1, -1, ("const",)), (Fraction(1, 2), -2, ("const",)),
+         (Fraction(1, 6), -3, ("const",)), (Fraction(-1, 30), -5, ("const",)),
+         (Fraction(1, 42), -7, ("const",))]) - psi1
+    trunc = CMExpression.of(
+        [(Fraction(-1, math.factorial(m)), -m, ("const",))
+         for m in range(1, 8)])
+    exp_tail = exp_part - one + trunc  # e^(1/x) - sum_{m<=7} x^-m/m!
+    residue = (series_part + exp_tail).mul_power(4) - g4_raw
+    g4 = g4_raw + CMExpression.of([(Fraction(-1, 24), 0, ("const",)),
+                                   (Fraction(17, 720), -3, ("const",))])
+    return core.mul_power(2), g4, residue
 
 
 def test_remark_functions_bookkeeping():
-    parts = cmdegree.remark_functions()
-    assert parts["bookkeeping_ok"]
-    assert (parts["residue"] - parts["residue"]).is_zero()
+    _, _, residue = _remark_functions()
+    expected = CMExpression.of([
+        (Fraction(-1, 24), 0, ("const",)),
+        (Fraction(-1, 24), -1, ("const",)),
+        (Fraction(-1, 720), -2, ("const",)),
+        (Fraction(17, 720), -3, ("const",)),
+    ])
+    assert (residue - expected).is_zero()
 
 
 def test_remark_vn_degree_check():
-    rep = cmdegree.remark_vn_degree_check(digits=15)
-    assert rep["passed"]
-    assert rep["x2_report"].summary == "pass"
-    assert rep["x4_report"].summary == "pass"
-    assert rep["transform_ok"]
+    # degree-0 evidence, orders 0..6, for x^2[e^(1/x) - 1 - psi'(x)] and the
+    # shifted x^4 variant
+    g2, g4, _ = _remark_functions()
+    grid = seriesratio.geometric_grid(Fraction(1, 2), 20, 7)
+    assert cmdegree.cm_check(g2, 0, 6, grid, digits=15).summary == "pass"
+    assert cmdegree.cm_check(g4, 0, 6, grid, digits=15).summary == "pass"

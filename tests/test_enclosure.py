@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmcert.enclosure import (Enclosure, integer_nth_root, nth_root_enclosure,
-                              pi_enclosure, rational_power_enclosure,
-                              to_fraction)
+                              rational_power_enclosure, to_fraction)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -94,12 +93,6 @@ def test_rational_power_integer_exponent_exact():
 def test_rational_power_half():
     e = rational_power_enclosure(2, Fraction(1, 2), 20)
     assert e.lo ** 2 <= 2 <= e.hi ** 2
-
-
-def test_pi_enclosure_digits():
-    pi = pi_enclosure()
-    assert Fraction(314159, 100000) < pi.lo < pi.hi < Fraction(314160, 100000)
-    assert pi.width < Fraction(1, 10 ** 98)
 
 
 def test_to_fraction_parses_strings():

@@ -109,8 +109,21 @@ def test_pade_reconstruction_matches_reference():
 
 
 def test_remark_decomposition():
-    report = expring.remark_decomposition_check(
-        [Fraction(1, 2), 1, 3, 5, 10], digits=20)
-    assert report["identity_exact"]
-    assert report["verified"]
-    assert report["f3_at_zero"] == "0"
+    # F3 = f1 + f2 + f3 exactly, with
+    #   f1 = [10u(e^u - 261) + 3966] e^{2u}  (increasing on [5, inf))
+    #   f2 = (69 e^{2u} - 7119u - 4035) e^u  (increasing on [3, inf))
+    #   f3 = 3249 e^{2u} - 793u - 3249       (increasing on [0, inf))
+    _, _, f3_chain, _ = expring.build_F_chain()
+    part1 = ExpPoly.of({3: Polynomial.of([0, 10]),
+                        2: Polynomial.of([3966, -2610])})
+    part2 = ExpPoly.of({3: Polynomial.constant(69),
+                        1: Polynomial.of([-4035, -7119])})
+    part3 = ExpPoly.of({2: Polynomial.constant(3249),
+                        0: Polynomial.of([-3249, -793])})
+    assert ((part1 + part2 + part3) - f3_chain).is_zero()
+    assert part3.value_at_origin() == 0
+    for piece, start in ((part1, 5), (part2, 3), (part3, 0)):
+        slope = ExpPolyQuotient.make(piece.derivative(), 0)
+        for u in (Fraction(1, 2), 1, 3, 5, 10):
+            if u >= start:
+                assert expring.eval_enclosure(slope, u, 20).lo >= 0, (start, u)

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,32 @@ def test_version_has_one_source():
     attr = meta["tool"]["setuptools"]["dynamic"]["version"]["attr"]
     built = expand.read_attr(attr, package_dir={"": "src"}, root_dir=ROOT)
     assert built == cmcert.__version__
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module imports at top level and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_top_level_imports():
+    modules = sorted((ROOT / "src" / "cmcert").glob("*.py"))
+    assert len(modules) > 1
+    unused = [u for path in modules if path.name != "__init__.py"
+              for u in _unused_imports(path)]
+    assert unused == []
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cmcert.__all__ if not hasattr(cmcert, name)]
+    assert missing == []

@@ -8,6 +8,8 @@ from cmcert import specfun
 from cmcert.enclosure import Enclosure
 from cmcert.seriesratio import geometric_grid
 
+from reference_values import polygamma_hurwitz
+
 # frozen 30-digit oracle values (mpmath, independent implementation)
 E_ORACLE = Fraction("2.71828182845904523536028747135")
 EXP_HALF_ORACLE = Fraction("1.64872127070012814684865078781")
@@ -128,41 +130,32 @@ def test_bessel_ratio_oracle_and_edges():
         specfun.bessel_ratio(1, -1, 10)
 
 
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=8),
+       st.one_of(
+           st.just(Fraction(0)),
+           st.fractions(min_value=0, max_value=200, max_denominator=10 ** 6),
+           st.sampled_from([u for u in geometric_grid(Fraction(1, 100), 1000,
+                                                      25) if u <= 200])),
+       st.integers(min_value=5, max_value=50))
+def test_bessel_ratio_differential_against_mpmath(k, u, digits):
+    # sum_n u^n/(n! (n+k)!) = 0F1(; k+1; u)/k!, which mpmath sums on its own
+    mpmath = pytest.importorskip("mpmath")
+    e = specfun.bessel_ratio(k, u, digits)
+    assert e.width <= Fraction(1, 10 ** digits)
+    # the value is below e^(2 sqrt(200)) < 10^13, so the oracle resolves
+    # 10**-(digits+37) in absolute terms
+    with mpmath.workdps(digits + 50):
+        value = mpmath.hyp0f1(k + 1, _mpf(u)) / mpmath.factorial(k)
+        assert _mpf(e.lo) <= value <= _mpf(e.hi), (k, u, digits, e)
+
+
 def test_bessel_ratio_raises_at_term_cap(monkeypatch):
     # the series of I_2(2 sqrt(1000))/1000 needs about 45 terms before its
     # ratios drop below 1/2; stopping at 10 has no proven tail bound
     monkeypatch.setattr(specfun, "TERM_CAP", 10)
     with pytest.raises(RuntimeError):
         specfun.bessel_ratio(2, 1000, 10)
-
-
-def test_hyp1f2_matches_bessel_form():
-    # 1F2(1; 1, k+1; u) / k! equals the order-k ratio series
-    for k in (0, 1, 4):
-        u = Fraction(3, 2)
-        lhs = specfun.hyp1f2(1, k + 1, u, 25)
-        rhs = specfun.bessel_ratio(k, u, 25)
-        assert (lhs / math.factorial(k)).lo <= rhs.hi
-        assert (lhs / math.factorial(k)).hi >= rhs.lo
-
-
-def test_hyp1f2_negative_lower_parameter_contains_mpmath_value():
-    # b1 + n changes sign between n = 2 and 3: the terms change sign, and
-    # their ratios grow before they shrink
-    mpmath = pytest.importorskip("mpmath")
-    b1, b2, x = Fraction(-41, 14), Fraction(3), Fraction(42, 5)
-    e = specfun.hyp1f2(b1, b2, x, 15)
-    assert e.width <= Fraction(1, 10 ** 15)
-    with mpmath.workdps(120):
-        value = mpmath.hyp1f2(1, _mpf(b1), _mpf(b2), _mpf(x))
-        assert _mpf(e.lo) <= value <= _mpf(e.hi)
-
-
-def test_hyp1f2_rejects_nonpositive_integer_parameters():
-    with pytest.raises(ValueError):
-        specfun.hyp1f2(0, 2, 1, 10)
-    with pytest.raises(ValueError):
-        specfun.hyp1f2(2, -3, 1, 10)
 
 
 def test_polygamma_matches_oracles():
@@ -224,7 +217,7 @@ def test_polygamma_recurrence():
 def test_polygamma_series_consistent_with_recurrence_path():
     # direct Hurwitz-sum truncation brackets the same value
     val = specfun.polygamma(1, 5, 18)
-    series = specfun.polygamma_series(1, 5, 4000)
+    series = polygamma_hurwitz(1, Fraction(5), 4000)
     assert series.lo <= val.hi and series.hi >= val.lo
 
 
@@ -248,29 +241,3 @@ def test_k_tail_partial_sums_converge_from_below():
     total = specfun.k_tail(2, Fraction(3, 2), 20)
     assert partial.lo < total.hi
     assert total.lo <= partial.hi + Fraction(1, 10 ** 10)
-
-
-def test_vn_remainder_identity():
-    # sum 2/((u^2+4pi^2k^2)(2pi k)^2) = (coth(u/2)/u - 2/u^2 - 1/6)/2 ...
-    # cheaper check: n = 1 remainder at u = 1 against a frozen oracle
-    oracle = Fraction("0.00135662646400690894833132822432")
-    r = specfun.vn_remainder(1, 1, 12)
-    assert abs(r.mid - oracle) < Fraction(1, 10 ** 10)
-    assert r.lo < oracle < r.hi
-
-
-def test_vn_remainder_monotone_in_n_and_u():
-    a = specfun.vn_remainder(1, 1, 10)
-    b = specfun.vn_remainder(2, 1, 10)
-    assert b.hi < a.lo
-    c = specfun.vn_remainder(1, 5, 10)
-    assert c.hi < a.lo
-
-
-def test_exp_taylor_bound_gaps_nonnegative():
-    for x in (Fraction(1, 4), 1, Fraction(7, 4)):
-        upper_gap, lower_gap = specfun.exp_taylor_bound(3, 2, x, 25)
-        assert upper_gap.hi > 0 and upper_gap.lo > -Fraction(1, 10 ** 20)
-        assert lower_gap.hi > 0 and lower_gap.lo > -Fraction(1, 10 ** 20)
-    ug, lg = specfun.exp_taylor_bound(3, 2, 2, 25)
-    assert ug.lo == ug.hi == 0 and lg.lo == lg.hi == 0
