@@ -198,6 +198,16 @@ def _sign_definite(evaluate, digits: int, digit_cap: int):
         d = min(2 * d, digit_cap)
 
 
+def _grid_points(grid) -> list[Fraction]:
+    """The grid as Fractions; an empty grid would pass vacuously."""
+    pts = [to_fraction(t) for t in grid]
+    if not pts:
+        raise ValueError("the grid has no points")
+    if any(t <= 0 for t in pts):
+        raise ValueError("grid points must be positive")
+    return pts
+
+
 def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
                  digit_cap: int) -> DegreeCell:
     sign = (-1) ** n
@@ -215,9 +225,7 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     if N < 1:
         raise ValueError("need N >= 1")
     r = to_fraction(r)
-    pts = [to_fraction(t) for t in grid]
-    if any(t <= 0 for t in pts):
-        raise ValueError("grid points must be positive")
+    pts = _grid_points(grid)
     expr = f.mul_power(r)
     cells = []
     for n in range(N + 1):
@@ -312,9 +320,7 @@ def kernel_certificate(k: int, grid, digits: int = 20,
     """
     if not 1 <= k <= 6:
         raise ValueError("supported orders are 1..6")
-    pts = [to_fraction(u) for u in grid]
-    if any(u <= 0 for u in pts):
-        raise ValueError("grid points must be positive")
+    pts = _grid_points(grid)
     cells = []
     for u in pts:
         margin, verdict = _sign_definite(lambda d: kernel_margin(k, u, d),
@@ -342,7 +348,7 @@ def kernel_certificate(k: int, grid, digits: int = 20,
 
 def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
     """Search a grid for a sign-definite violation of the order-k inequality."""
-    pts = [to_fraction(u) for u in grid]
+    pts = _grid_points(grid)
     counterexample = None
     margins = []
     for u in pts:

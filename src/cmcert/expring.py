@@ -4,6 +4,11 @@ The smallest differentiation-closed ring containing u/(1 - e^-u): elements
 are finite maps frequency -> polynomial numerator over a pole power of
 (e^u - 1).  Supplies the derivative tower of the Laplace kernel and the
 exact algebra behind the degree-28 positivity reduction.
+
+Below SERIES_SWITCH `eval_enclosure` sums Taylor series whose coefficients
+come from one cached integer table per (numerator, order); each sum is one
+integer Horner pass that becomes a Fraction only at the end (Brent and
+Zimmermann, Modern Computer Arithmetic, section 4.4).
 """
 
 from __future__ import annotations
@@ -94,13 +99,26 @@ class ExpPoly:
 
     def taylor_coefficient(self, j: int) -> Fraction:
         """Exact j-th Taylor coefficient at u = 0."""
-        acc = Fraction(0)
-        for f, p in self.terms:
-            for d in range(min(j, p.degree) + 1):
-                c = p[d]
-                if c:
-                    acc += c * Fraction(f ** (j - d), math.factorial(j - d))
-        return acc
+        den, table = _taylor_table(self, j)
+        return Fraction(table[j], den * math.factorial(j))
+
+
+@lru_cache(maxsize=128)
+def _taylor_table(num: ExpPoly, order: int) -> tuple[int, tuple[int, ...]]:
+    """(D, K) with K[j] / (D j!) the j-th Taylor coefficient of num at 0.
+
+    p(u) e^(fu) contributes sum_d p[d] f^(j-d)/(j-d)! to the j-th coefficient;
+    with D the common denominator of all p[d], each contribution is the
+    integer (D p[d]) f^(j-d) j!/(j-d)! over D j!.  The table does not
+    depend on u, so every evaluation point shares it.
+    """
+    den = math.lcm(*(c.denominator for _, p in num.terms for c in p.coeffs))
+    parts = [(f, d, c.numerator * (den // c.denominator))
+             for f, p in num.terms for d, c in enumerate(p.coeffs) if c]
+    table = tuple(sum(k * f ** (j - d) * math.perm(j, d)
+                      for f, d, k in parts if d <= j)
+                  for j in range(order + 1))
+    return den, table
 
 
 EXP_U = ExpPoly.of({1: Polynomial.constant(1)})
@@ -186,32 +204,46 @@ def kernel_derivative(k: int) -> ExpPolyQuotient:
 SERIES_SWITCH = Fraction(1, 4)
 
 
-def _exp_series_tail(y: Fraction, order: int) -> Fraction:
-    """Upper bound for the Taylor tail of e^y past `order`, y >= 0 small-ish."""
-    t = y ** (order + 1) / Fraction(math.factorial(order + 1))
-    ratio = y / (order + 2)
-    if ratio >= Fraction(1, 2):
-        raise ValueError("series order too small for this argument")
-    return t / (1 - ratio)
+def _series_parts(num: ExpPoly, u: Fraction, order: int) -> tuple[Fraction,
+                                                                   Fraction]:
+    """Taylor partial sum of num at u through u^order, and a tail bound.
+
+    With u = a/b and c_j = K_j/(D j!) from `_taylor_table`, the partial sum
+    is sum_j K_j (order!/j!) a^j b^(order-j) / (D order! b^order); its
+    numerator is summed in one integer Horner pass, R <- R b j + K_j a^j.
+    The tail of p[d] u^d e^(fu) past u^order is at most |p[d]| u^d times
+    the Taylor tail of e^y past y^n, y = fu and n = order - d, which is at
+    most y^(n+1)/(n+1)! / (1 - y/(n+2)) while y/(n+2) < 1/2.  Over a/b
+    these terms share the factor a^(order+1)/b^order.
+    """
+    den, table = _taylor_table(num, order)
+    a, b = u.numerator, u.denominator
+    acc, apow = 0, 1
+    for j, k in enumerate(table):
+        acc = acc * b * j + k * apow
+        apow *= a
+    partial = Fraction(acc, den * math.factorial(order) * b ** order)
+    tail = Fraction(0)
+    for f, p in num.terms:
+        for d, c in enumerate(p.coeffs):
+            if c and f:
+                n = order - d
+                if 2 * f * a >= b * (n + 2):
+                    raise ValueError("series order too small for this argument")
+                tail += abs(c) * Fraction(f ** (n + 1) * (n + 2),
+                                          math.factorial(n + 1)
+                                          * (b * (n + 2) - f * a))
+    return partial, tail * Fraction(apow, b ** order)
 
 
 def _numerator_series_enclosure(num: ExpPoly, u: Fraction, order: int) -> Enclosure:
-    partial = Fraction(0)
-    upow = [u ** j for j in range(order + 1)]
-    for j in range(order + 1):
-        partial += num.taylor_coefficient(j) * upow[j]
-    bound = Fraction(0)
-    for f, p in num.terms:
-        for d in range(p.degree + 1):
-            c = p[d]
-            if c:
-                bound += abs(c) * u ** d * _exp_series_tail(f * u, order - d)
+    partial, bound = _series_parts(num, u, order)
     return Enclosure(partial - bound, partial + bound)
 
 
 def _expm1_series_enclosure(u: Fraction, order: int) -> Enclosure:
-    partial = sum(u ** k / Fraction(math.factorial(k)) for k in range(1, order + 1))
-    bound = _exp_series_tail(u, order)
+    # every Taylor coefficient of e^u - 1 is positive: the sum is a lower bound
+    partial, bound = _series_parts(EXP_U_MINUS_ONE, u, order)
     return Enclosure(partial, partial + bound)
 
 
@@ -221,6 +253,8 @@ def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
     Direct exp-enclosure composition away from the origin; near u = 0 a
     single Taylor expansion of the whole numerator captures its cancellation
     (in canonical form the numerator vanishes to the pole order there).
+    The guard digits grow over six rounds; if the enclosure is still wider
+    than 10**-digits, ArithmeticError names the width.
     """
     u = to_fraction(u)
     if u <= 0:
@@ -246,7 +280,8 @@ def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
         if val.width <= Fraction(1, 10 ** digits):
             return val
         guard = guard * 2 + digits
-    return val
+    raise ArithmeticError(f"f({u}) not enclosed to width 10^-{digits}: width "
+                          f"{val.width} after {cap} rounds")
 
 
 def series_at_zero(f: ExpPolyQuotient, n_terms: int) -> list[Fraction]:
@@ -257,7 +292,8 @@ def series_at_zero(f: ExpPolyQuotient, n_terms: int) -> list[Fraction]:
     """
     m = f.pole
     order = n_terms + m + 1
-    a = [f.numerator.taylor_coefficient(j) for j in range(order + 1)]
+    den, table = _taylor_table(f.numerator, order)
+    a = [Fraction(k, den * math.factorial(j)) for j, k in enumerate(table)]
     if m == 0:
         return a[:n_terms]
     # denominator (e^u - 1)^m = u^m * D(u), D(0) = 1

@@ -369,6 +369,8 @@ def geometric_grid(lo, hi, count: int) -> list[Fraction]:
 
 def linear_grid(lo, hi, count: int) -> list[Fraction]:
     lo, hi = to_fraction(lo), to_fraction(hi)
+    if count < 1:
+        raise ValueError("need count >= 1")
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)

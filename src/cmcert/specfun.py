@@ -2,10 +2,10 @@
 
 Everything returns an Enclosure whose endpoints are exact rationals; the
 `digits` parameter asks for width <= 10**-digits.  `exp_enclosure` always
-meets that width.  `bessel_ratio` adds terms until its tail bound meets the
-target and raises at TERM_CAP terms.  `polygamma` sums its terms on integer
-mantissas, so its lower and upper sums are two ints.  `k_tail` is a closed
-form evaluated at an exp enclosure.
+meets that width.  `bessel_ratio` adds terms to an unnormalised integer sum
+until its tail bound meets the target and raises at TERM_CAP terms.
+`polygamma` sums its terms on integer mantissas, so its lower and upper sums
+are two ints.  `k_tail` is a closed form evaluated at an exp enclosure.
 """
 
 from __future__ import annotations
@@ -103,7 +103,15 @@ def exp_enclosure(x, digits: int) -> Enclosure:
 
 
 def bessel_ratio(k: int, u, digits: int) -> Enclosure:
-    """Enclosure of sum_n u**n / (n! (n+k)!), i.e. I_k(2 sqrt u)/u**(k/2)."""
+    """Enclosure of sum_n u**n / (n! (n+k)!), i.e. I_k(2 sqrt u)/u**(k/2).
+
+    For u = a/b the partial sum through n is S/Q with Q = b**n n! (n+k)!, so
+    it runs on unnormalised integers: S <- S b n(n+k) + a**n and
+    Q <- Q b n(n+k).  Once the term ratio r = u/((n+1)(n+k+1)) is below 1/2,
+    the tail is at most term * r/(1 - r) = a**(n+1) / (Q (b(n+1)(n+k+1) - a));
+    the sum stops when that is below 10**-(digits+1), decided by
+    cross-multiplication, and only the rounded endpoints become Fractions.
+    """
     if k < 0:
         raise ValueError("order must be >= 0")
     u = to_fraction(u)
@@ -111,23 +119,28 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
         raise ValueError("argument must be >= 0")
     if u == 0:
         return Enclosure.point(Fraction(1, math.factorial(k)))
-    tol = Fraction(1, 10 ** (digits + 1))
-    term = Fraction(1, math.factorial(k))
-    total = term
+    a, b = u.numerator, u.denominator
+    scale = 10 ** (digits + 1)
+    total, den, apow = 1, math.factorial(k), 1
     n = 0
     while True:
         n += 1
-        term *= Fraction(u, n * (n + k))
-        total += term
-        ratio = Fraction(u, (n + 1) * (n + k + 1))
-        if ratio < Fraction(1, 2):
-            tail = term * ratio / (1 - ratio)
-            if tail < tol:
+        step = b * n * (n + k)
+        apow *= a
+        total = total * step + apow
+        den *= step
+        m = b * (n + 1) * (n + k + 1)
+        if 2 * a < m:
+            tail_den = den * (m - a)
+            if apow * a * scale < tail_den:
                 break
         if n > TERM_CAP:
             raise RuntimeError(
                 "Bessel series did not converge within TERM_CAP terms")
-    return Enclosure(total, total + tail).round_out(digits + 1)
+    # [S/Q, S/Q + tail] rounded outward to multiples of 10**-(digits+1)
+    lo = total * scale // den
+    hi = -(-(total * (m - a) + apow * a) * scale // tail_den)
+    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def _polygamma_mantissas(n: int, a: int, b: int, m: int, tol_den: int,

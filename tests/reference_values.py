@@ -1,12 +1,14 @@
 """Frozen reference values used by the test suite.
 
 Exact rationals transcribed from the published tables, plus derived oracle
-values frozen after independent computation, and one independent
-low-precision route to polygamma.
+values frozen after independent computation, one independent low-precision
+route to polygamma, and the plain Fraction loops that the integer series
+sums must reproduce exactly.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from cmcert.enclosure import Enclosure
 
@@ -65,3 +67,82 @@ def polygamma_hurwitz(n: int, x: Fraction, terms: int) -> Enclosure:
     tail_hi = tail_lo + 1 / (x + terms) ** (n + 1)
     mag = Enclosure(s + tail_lo, s + tail_hi) * math.factorial(n)
     return mag if n % 2 == 1 else -mag
+
+
+# -- Fraction-loop references for the integer series sums -------------------
+# The summations as they stood before the exact sums moved onto unnormalised
+# integers; the optimised routines must return the identical Enclosure.
+
+
+@lru_cache(maxsize=None)
+def taylor_coefficient_fraction(num, j: int) -> Fraction:
+    """j-th Taylor coefficient at 0 of an ExpPoly, one Fraction per term.
+
+    Memoised only so that a thousand-case comparison runs in seconds."""
+    acc = Fraction(0)
+    for f, p in num.terms:
+        for d in range(min(j, p.degree) + 1):
+            c = p[d]
+            if c:
+                acc += c * Fraction(f ** (j - d), math.factorial(j - d))
+    return acc
+
+
+def exp_series_tail_fraction(y: Fraction, order: int) -> Fraction:
+    t = y ** (order + 1) / Fraction(math.factorial(order + 1))
+    ratio = y / (order + 2)
+    if ratio >= Fraction(1, 2):
+        raise ValueError("series order too small for this argument")
+    return t / (1 - ratio)
+
+
+def numerator_series_fraction(num, u: Fraction, order: int) -> Enclosure:
+    partial = Fraction(0)
+    upow = [u ** j for j in range(order + 1)]
+    for j in range(order + 1):
+        partial += taylor_coefficient_fraction(num, j) * upow[j]
+    bound = Fraction(0)
+    for f, p in num.terms:
+        for d in range(p.degree + 1):
+            c = p[d]
+            if c:
+                bound += abs(c) * u ** d * exp_series_tail_fraction(f * u,
+                                                                    order - d)
+    return Enclosure(partial - bound, partial + bound)
+
+
+def expm1_series_fraction(u: Fraction, order: int) -> Enclosure:
+    partial = sum(u ** k / Fraction(math.factorial(k))
+                  for k in range(1, order + 1))
+    bound = exp_series_tail_fraction(u, order)
+    return Enclosure(partial, partial + bound)
+
+
+def bessel_ratio_fraction(k: int, u: Fraction, digits: int,
+                          term_cap: int) -> Enclosure:
+    """sum_n u**n / (n! (n+k)!) with a running Fraction term and total."""
+    if u == 0:
+        return Enclosure.point(Fraction(1, math.factorial(k)))
+    tol = Fraction(1, 10 ** (digits + 1))
+    term = Fraction(1, math.factorial(k))
+    total = term
+    n = 0
+    while True:
+        n += 1
+        term *= Fraction(u, n * (n + k))
+        total += term
+        ratio = Fraction(u, (n + 1) * (n + k + 1))
+        if ratio < Fraction(1, 2):
+            tail = term * ratio / (1 - ratio)
+            if tail < tol:
+                break
+        if n > term_cap:
+            raise RuntimeError(
+                "Bessel series did not converge within TERM_CAP terms")
+    return Enclosure(total, total + tail).round_out(digits + 1)
+
+
+def mul_four_products(x: Enclosure, y: Enclosure) -> Enclosure:
+    """Interval product as the min and max of all four endpoint products."""
+    prods = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
+    return Enclosure(min(prods), max(prods))

@@ -212,6 +212,18 @@ def test_bad_grid_spec_is_usage_error(runner):
     assert result.exit_code == 64
 
 
+@pytest.mark.parametrize("command", [
+    ["cm-check", "--alpha", "1/4", "--beta", "1", "--r", "0", "--orders", "2"],
+    ["kernel-ineq", "--k", "2"],
+])
+def test_empty_grid_is_usage_error(runner, command):
+    # a grid with no points used to print pass over zero cells and exit 0
+    result = invoke(runner, "--grid", "linear:1,2,0", *command)
+    assert result.exit_code == 64
+    assert result.stdout == ""
+    assert "count" in result.stderr
+
+
 BESSEL_JSON_ARGS = ["--format", "json", "--precision", "20", "bessel",
                     "--k", "3", "--u", "7/2"]
 MODULE_CMD = [sys.executable, "-m", "cmcert.cli"]
@@ -284,9 +296,9 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
 # (it prints text), and the exit-64 paths of --interval and --bracket.  Grids
-# are linear: geometric grid points are built with float powers, and golden
-# bytes must not depend on libm.  tests/golden_cli.json holds the stdout,
-# stderr and exit code of each case.
+# are linear except in GOLDEN_SINGLE: geometric grid points are built with
+# float powers, and golden bytes should not depend on libm.
+# tests/golden_cli.json holds the stdout, stderr and exit code of each case.
 
 GOLDEN_FILE = Path(__file__).with_name("golden_cli.json")
 GOLDEN_POLYS = {"good": ["101", "-20", "1"],   # (x - 10)^2 + 1 > 0
@@ -328,6 +340,18 @@ GOLDEN_COMMANDS = {
                              "conjecture-scan", "--k", "2"],
     "reproduce-paper": ["reproduce-paper"],
 }
+# The benchmark's kernel-scan invocations on the default geometric grid, and
+# the Bessel series far out at high precision: they pin the exact series sums
+# of eval_enclosure and bessel_ratio byte for byte.  Geometric grid points are
+# float powers rounded by limit_denominator(10**6), which absorbs a last-ulp
+# libm difference unless a point sits on a rounding boundary.
+GOLDEN_SINGLE = {
+    "kernel-ineq-default/json": ["--format", "json", "kernel-ineq", "--k", "5"],
+    "conjecture-scan-default/json": ["--format", "json", "conjecture-scan",
+                                     "--k", "6"],
+    "bessel-far/text": ["--precision", "80", "bessel", "--k", "5",
+                        "--u", "1000"],
+}
 GOLDEN_USAGE_ERRORS = {
     "certify-poly-interval-03": ["certify-poly", "--file", "{good}",
                                  "--interval", "03"],
@@ -341,8 +365,8 @@ def golden_cases() -> dict:
     for name, args in GOLDEN_COMMANDS.items():
         for fmt, flags in GOLDEN_FORMATS.items():
             cases[f"{name}/{fmt}"] = flags + args
-    for name, args in GOLDEN_USAGE_ERRORS.items():
-        cases[name] = args
+    cases.update(GOLDEN_SINGLE)
+    cases.update(GOLDEN_USAGE_ERRORS)
     return cases
 
 

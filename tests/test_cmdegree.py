@@ -149,6 +149,17 @@ def test_conjecture_scan_finds_order_six_counterexample():
     assert scan["counterexample"]["margin"].hi < 0
 
 
+@pytest.mark.parametrize("scan", [
+    lambda: cmdegree.cm_check(cmdegree.h_expression(1, 1), 0, 2, [], 15),
+    lambda: cmdegree.kernel_certificate(5, [], digits=15),
+    lambda: cmdegree.conjecture_scan(6, [], digits=15),
+])
+def test_empty_grid_is_rejected(scan):
+    # zero cells would make every cell pass vacuously
+    with pytest.raises(ValueError, match="no points"):
+        scan()
+
+
 def test_verify_identity_small_orders():
     for k in range(4):
         rep = cmdegree.verify_identity(k, 25)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cmcert.enclosure import (Enclosure, integer_nth_root, nth_root_enclosure,
                               rational_power_enclosure, to_fraction)
+
+from reference_values import mul_four_products
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -100,3 +102,47 @@ def test_to_fraction_parses_strings():
     assert to_fraction("0.25") == Fraction(1, 4)
     with pytest.raises(TypeError):
         to_fraction(0.25)
+
+
+# -- product against the four-product min/max -------------------------------
+# Each factor is negative, positive or straddles 0; "negative" and "positive"
+# include a zero endpoint, and a point 0 falls in both.
+
+def _rationals(least: int):
+    return st.builds(Fraction, st.integers(least, 10 ** 12),
+                     st.integers(1, 10 ** 6))
+
+
+SIGN_CLASSES = {
+    "nonneg": st.builds(lambda lo, w: Enclosure(lo, lo + w),
+                        _rationals(0), _rationals(0)),
+    "nonpos": st.builds(lambda hi, w: Enclosure(-hi - w, -hi),
+                        _rationals(0), _rationals(0)),
+    "straddle": st.builds(lambda lo, hi: Enclosure(-lo, hi),
+                          _rationals(1), _rationals(1)),
+}
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(SIGN_CLASSES)).flatmap(
+           lambda a: SIGN_CLASSES[a]),
+       st.sampled_from(sorted(SIGN_CLASSES)).flatmap(
+           lambda b: SIGN_CLASSES[b]))
+def test_mul_equals_the_four_product_hull(x, y):
+    assert x * y == mul_four_products(x, y)
+    assert y * x == mul_four_products(y, x)
+
+
+def test_mul_all_nine_sign_cases_with_zero_endpoints():
+    values = [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+              Fraction(2)]
+    boxes = [Enclosure(lo, hi) for lo in values for hi in values if lo <= hi]
+    def sign_class(x):
+        return 1 if x.lo >= 0 else -1 if x.hi <= 0 else 0
+
+    cases = set()
+    for x in boxes:
+        for y in boxes:
+            assert x * y == mul_four_products(x, y), (x, y)
+            cases.add((sign_class(x), sign_class(y)))
+    assert len(cases) == 9

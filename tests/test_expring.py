@@ -2,10 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmcert import expring, specfun
+from cmcert.enclosure import Enclosure
 from cmcert.expring import ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
+
+from reference_values import expm1_series_fraction, numerator_series_fraction
 
 
 def test_exppoly_ring_operations():
@@ -73,6 +77,60 @@ def test_eval_enclosure_continuous_across_series_switch():
     assert below.lo > 0 and above.lo > 0
     assert abs(at.mid - below.mid) < Fraction(1, 100)
     assert abs(above.mid - at.mid) < Fraction(1, 100)
+
+
+# u in (0, 1/4]: everyday rationals, and tiny ones in [10^-18, 10^-12]
+small_u = st.one_of(
+    st.fractions(min_value=0, max_value=expring.SERIES_SWITCH,
+                 max_denominator=10 ** 6).filter(lambda u: u > 0),
+    st.builds(Fraction, st.integers(1, 1000),
+              st.integers(10 ** 15, 10 ** 18)))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=6), small_u,
+       st.integers(min_value=10, max_value=120))
+def test_series_enclosures_equal_the_fraction_loops(k, u, order):
+    num = expring.kernel_derivative(k).numerator
+    assert expring._numerator_series_enclosure(num, u, order) == \
+        numerator_series_fraction(num, u, order)
+    assert expring._expm1_series_enclosure(u, order) == \
+        expm1_series_fraction(u, order)
+
+
+def _mpf(q: Fraction):
+    import mpmath
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=6),
+       st.one_of(
+           small_u.filter(lambda u: u < expring.SERIES_SWITCH),
+           st.fractions(min_value=expring.SERIES_SWITCH, max_value=50,
+                        max_denominator=10 ** 6)),
+       st.integers(min_value=5, max_value=40))
+def test_eval_enclosure_differential_against_mpmath(k, u, digits):
+    # mpmath differentiates u/(1 - e^-u) numerically on its own, accurate
+    # to its working precision; |kernel^(k)| <= 50 here, so 20 more digits
+    # resolve far below the enclosure's 10^-(digits+1) grid
+    mpmath = pytest.importorskip("mpmath")
+    e = expring.eval_enclosure(expring.kernel_derivative(k), u, digits)
+    assert e.width <= Fraction(1, 10 ** digits)
+    with mpmath.workdps(digits + 20):
+        value = mpmath.diff(lambda x: x / -mpmath.expm1(-x), _mpf(u), k)
+        assert _mpf(e.lo) <= value <= _mpf(e.hi), (k, u, digits, e)
+
+
+@pytest.mark.parametrize("u", [Fraction(1, 10), Fraction(3)])
+def test_eval_enclosure_raises_on_width_miss(monkeypatch, u):
+    # both routes return a unit-wide enclosure whatever the precision
+    monkeypatch.setattr(expring, "_numerator_series_enclosure",
+                        lambda num, u, order: Enclosure(1, 2))
+    monkeypatch.setattr(specfun, "exp_enclosure",
+                        lambda x, digits: Enclosure(x + 1, x + 2))
+    with pytest.raises(ArithmeticError, match="width 10\\^-12"):
+        expring.eval_enclosure(expring.kernel_derivative(2), u, 12)
 
 
 def test_eval_enclosure_rejects_nonpositive_argument():

@@ -279,3 +279,6 @@ def test_grid_builders():
                    Fraction(3, 4), Fraction(1)]
     with pytest.raises(ValueError):
         sr.geometric_grid(1, 1, 5)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count"):
+            sr.linear_grid(1, 2, count)

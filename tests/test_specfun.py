@@ -8,7 +8,7 @@ from cmcert import specfun
 from cmcert.enclosure import Enclosure
 from cmcert.seriesratio import geometric_grid
 
-from reference_values import polygamma_hurwitz
+from reference_values import bessel_ratio_fraction, polygamma_hurwitz
 
 # frozen 30-digit oracle values (mpmath, independent implementation)
 E_ORACLE = Fraction("2.71828182845904523536028747135")
@@ -148,6 +148,18 @@ def test_bessel_ratio_differential_against_mpmath(k, u, digits):
     with mpmath.workdps(digits + 50):
         value = mpmath.hyp0f1(k + 1, _mpf(u)) / mpmath.factorial(k)
         assert _mpf(e.lo) <= value <= _mpf(e.hi), (k, u, digits, e)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=8),
+       st.one_of(
+           st.just(Fraction(0)),
+           st.fractions(min_value=0, max_value=1000, max_denominator=10 ** 6),
+           st.sampled_from(geometric_grid(Fraction(1, 100), 1000, 25))),
+       st.integers(min_value=5, max_value=60))
+def test_bessel_ratio_equals_the_fraction_loop(k, u, digits):
+    assert specfun.bessel_ratio(k, u, digits) == \
+        bessel_ratio_fraction(k, u, digits, specfun.TERM_CAP)
 
 
 def test_bessel_ratio_raises_at_term_cap(monkeypatch):
