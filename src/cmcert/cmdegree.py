@@ -1,10 +1,11 @@
 """Completely-monotonic-degree analysis of the exponential/trigamma gap.
 
 Symbolic derivative tower for expressions built from t^a, e^(beta/t) and
-polygamma atoms; sign-enclosure degree checks on grids and the violation
-search above the degree; the p(t) -> 4 asymptotic; Laplace-kernel
-certificates and the counterexample scan; and exact termwise transform
-identities.
+polygamma atoms, summed at each grid point from one table of exact integer
+endpoints shared by the point's whole derivative column; sign-enclosure
+degree checks on grids and the violation search above the degree; the
+p(t) -> 4 asymptotic; Laplace-kernel certificates and the counterexample
+scan; and exact termwise transform identities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .enclosure import (Enclosure, format_rational, rational_power_enclosure,
                         to_fraction)
@@ -22,33 +23,44 @@ from .expring import eval_enclosure, kernel_derivative
 
 DIGIT_CAP = 150
 
-# atoms: ("const",) | ("exp", beta) | ("psi", n)
-Atom = tuple
 
+class PointTable(dict):
+    """Exact integer endpoints of t^p and of the atoms at one point t > 0.
 
-@lru_cache(maxsize=4096)
-def _cached_polygamma(n: int, t: Fraction, digits: int) -> Enclosure:
-    return specfun.polygamma(n, t, digits)
+    table[d, key] is computed on first use and kept for every later order
+    evaluated at (t, d): a key ("pow", u, v) is t^(u/v), any other key an
+    atom with its rational spelt as two ints, both enclosed at d + 8 digits,
+    as (lo numerator, lo denominator, hi numerator, hi denominator).
+    Integer powers are exact; the others come from `nth_root_enclosure`.
+    """
 
+    def __init__(self, t: Fraction):
+        super().__init__()
+        self.t = t
 
-@lru_cache(maxsize=4096)
-def _cached_exp(x: Fraction, digits: int) -> Enclosure:
-    return specfun.exp_enclosure(x, digits)
-
-
-def _eval_atom(atom: Atom, t: Fraction, digits: int) -> Enclosure:
-    if atom[0] == "const":
-        return Enclosure.point(1)
-    if atom[0] == "exp":
-        return _cached_exp(Fraction(atom[1], t), digits)
-    if atom[0] == "psi":
-        return _cached_polygamma(atom[1], t, digits)
-    raise ValueError(f"unknown atom {atom!r}")
+    def __missing__(self, key):
+        digits, (kind, *args) = key
+        if kind == "pow":
+            e = rational_power_enclosure(self.t, Fraction(*args), digits + 8)
+        elif kind == "exp":
+            e = specfun.exp_enclosure(Fraction(*args) / self.t, digits + 8)
+        elif kind == "psi":
+            e = specfun.polygamma(args[0], self.t, digits + 8)
+        elif kind == "const":
+            e = Enclosure.point(1)
+        else:
+            raise ValueError(f"unknown atom {key[1]!r}")
+        value = self[key] = (e.lo.numerator, e.lo.denominator,
+                             e.hi.numerator, e.hi.denominator)
+        return value
 
 
 @dataclass(frozen=True)
 class CMExpression:
-    """Finite sum of coef * t^power * atom terms, closed under d/dt."""
+    """Finite sum of coef * t^power * atom terms, closed under d/dt.
+
+    An atom is ("const",), ("exp", beta) for e^(beta/t) or ("psi", n).
+    """
 
     terms: tuple  # ((coef, power, atom), ...) canonical
 
@@ -97,35 +109,53 @@ class CMExpression:
                 out.append((c, p, ("psi", atom[1] + 1)))
         return CMExpression.of(out)
 
-    def evaluate(self, t, digits: int) -> Enclosure:
+    @cached_property
+    def _rows(self) -> tuple:
+        """The terms as (c numerator, c denominator, power key, atom key)."""
+        return tuple((c.numerator, c.denominator,
+                      ("pow", p.numerator, p.denominator),
+                      ("exp", a[1].numerator, a[1].denominator)
+                      if a[0] == "exp" else a)
+                     for c, p, a in self.terms)
+
+    def evaluate(self, t, digits: int,
+                 table: PointTable | None = None) -> Enclosure:
         """Enclosure of the expression at t > 0, rounded out at digits + 1.
 
-        t^p and the atoms are enclosed at digits + 8.  Each term c t^p A is
-        rounded outward once to integers at scale 10**-(digits+12) and the
-        lower and upper sums are two ints.  t^p >= 0, so each endpoint of
-        t^p A is an endpoint of A times the endpoint of t^p that its sign
+        t^p and the atoms come from `table`, a `PointTable` at t (a fresh
+        one when none is given), enclosed at digits + 8.  Each term c t^p A
+        is rounded outward once to integers at scale 10**-(digits+12) and
+        the lower and upper sums are two ints.  t^p >= 0, so each endpoint
+        of t^p A is an endpoint of A times the endpoint of t^p that its sign
         selects, and c < 0 swaps the two.  The scale is decimal because the
         atoms sit on a 10**-(digits+9) grid: exact products stay exact.
         """
         t = to_fraction(t)
         if t <= 0:
             raise ValueError("expressions are evaluated on t > 0 only")
+        table = PointTable(t) if table is None else table
         scale = 10 ** (digits + 12)
         lo = hi = 0
-        for c, p, atom in self.terms:
-            tp = rational_power_enclosure(t, p, digits + 8)
-            a = _eval_atom(atom, t, digits + 8)
-            lo_a, lo_t = a.lo, (tp.lo if a.lo >= 0 else tp.hi)
-            hi_a, hi_t = a.hi, (tp.hi if a.hi >= 0 else tp.lo)
-            if c < 0:
-                lo_a, lo_t, hi_a, hi_t = hi_a, hi_t, lo_a, lo_t
-            num = c.numerator * scale
-            lo += (num * lo_t.numerator * lo_a.numerator
-                   // (c.denominator * lo_t.denominator * lo_a.denominator))
-            hi -= (-num * hi_t.numerator * hi_a.numerator
-                   // (c.denominator * hi_t.denominator * hi_a.denominator))
-        return Enclosure(Fraction(lo, scale),
-                         Fraction(hi, scale)).round_out(digits + 1)
+        for c_num, c_den, p, atom in self._rows:
+            tl_num, tl_den, th_num, th_den = table[digits, p]
+            al_num, al_den, ah_num, ah_den = table[digits, atom]
+            if al_num >= 0:
+                lo_num, lo_den = al_num * tl_num, al_den * tl_den
+            else:
+                lo_num, lo_den = al_num * th_num, al_den * th_den
+            if ah_num >= 0:
+                hi_num, hi_den = ah_num * th_num, ah_den * th_den
+            else:
+                hi_num, hi_den = ah_num * tl_num, ah_den * tl_den
+            if c_num < 0:
+                lo_num, lo_den, hi_num, hi_den = hi_num, hi_den, lo_num, lo_den
+            num = c_num * scale
+            lo += num * lo_num // (c_den * lo_den)
+            hi -= -num * hi_num // (c_den * hi_den)
+        # round_out(digits + 1) of [lo, hi] * 10**-(digits+12), in ints
+        out = 10 ** (digits + 1)
+        return Enclosure(Fraction(lo // 10 ** 11, out),
+                         Fraction(-(-hi // 10 ** 11), out))
 
 
 def h_expression(alpha=1, beta=1) -> CMExpression:
@@ -209,36 +239,37 @@ def _grid_points(grid) -> list[Fraction]:
 
 
 def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
-                 digit_cap: int) -> DegreeCell:
+                 digit_cap: int, table: PointTable | None = None) -> DegreeCell:
     sign = (-1) ** n
     return DegreeCell(n, t, *_sign_definite(
-        lambda d: expr.evaluate(t, d) * sign, digits, digit_cap))
+        lambda d: expr.evaluate(t, d, table) * sign, digits, digit_cap))
 
 
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
              digit_cap: int = DIGIT_CAP, name: str = "f") -> DegreeReport:
     """Sign enclosures of (-1)^n (t^r f)^(n) on a grid for n = 0..N.
 
-    A pass at every cell is finite-order evidence for degree >= r, never a
-    proof; a fail cell carries an enclosure strictly violating the sign.
+    Each grid point's column of N + 1 orders is evaluated from one
+    `PointTable`; the cells are reported order by order.  A pass at every
+    cell is finite-order evidence for degree >= r, never a proof; a fail
+    cell carries an enclosure strictly violating the sign.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     r = to_fraction(r)
     pts = _grid_points(grid)
-    expr = f.mul_power(r)
-    cells = []
-    for n in range(N + 1):
-        if n:
-            expr = expr.derivative()
-        for t in pts:
-            cells.append(_signed_cell(expr, n, t, digits, digit_cap))
-    if any(c.verdict == "fail" for c in cells):
-        summary = "fail"
-    elif any(c.verdict == "indeterminate" for c in cells):
-        summary = "indeterminate"
-    else:
-        summary = "pass"
+    exprs = [f.mul_power(r)]
+    for _ in range(N):
+        exprs.append(exprs[-1].derivative())
+    columns = []
+    for t in pts:
+        table = PointTable(t)
+        columns.append([_signed_cell(expr, n, t, digits, digit_cap, table)
+                        for n, expr in enumerate(exprs)])
+    cells = [column[n] for n in range(N + 1) for column in columns]
+    verdicts = {c.verdict for c in cells}
+    summary = ("fail" if "fail" in verdicts else
+               "indeterminate" if "indeterminate" in verdicts else "pass")
     return DegreeReport(function=name, r=r, N=N, grid=pts, cells=cells,
                         summary=summary)
 
@@ -362,44 +393,40 @@ def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
 # -- exact transform identities --------------------------------------------
 
 
+def _transform_weight(m: int) -> int:
+    """The transform rule t^m -> m!/z^(m+1) as the weight m! of t^m."""
+    return math.factorial(m)
+
+
 def verify_identity(k: int, N: int) -> dict:
     """Exact termwise check of the truncated-exponential transform identities.
 
-    Matches coefficients of z^-(m+1) on both sides using the transform rule
-    t^m -> m!/z^(m+1): (a) the order-(k+2) Bessel-ratio form, constant
-    1/(k+1)! plus tail coefficients 1/(m+k+2)!; (b) the 1F2 form, where each
-    reassembled coefficient must collapse to 1/(n+k+1)!.
+    Matches coefficients of z^-j.  The left side is the series of e^(1/z),
+    its 1/j! from the running recurrence, minus its first k + 1 terms.  The
+    right side applies the transform rule t^m -> m!/z^(m+1) to integrand
+    coefficients built from their term ratios: (a) z^-(k+1) [1/(k+1)! +
+    transform of sum_m t^m/(m!(m+k+2)!)], the order-(k+2) Bessel ratio;
+    (b) the transform of the 1F2 form t^k 1F2(1; k+1, k+2; t)/(k!(k+1)!).
     """
     if k < 0 or N < 1:
         raise ValueError("need k >= 0 and N >= 1")
+    tail, inv_fact = [], Fraction(1)  # tail[i] is 1/(k+1+i)!
+    for j in range(1, N + k + 3):
+        inv_fact /= j
+        if j > k:
+            tail.append(inv_fact)
     mismatches = []
-    # left side: e^(1/z) - sum_{m<=k} z^-m/m! = z^-(k+1) [1/(k+1)!
-    #            + sum_{m>=0} z^-(m+1)/(m+k+2)!]
-    constant = Fraction(1, math.factorial(k + 1))
-    if constant != Fraction(1, math.factorial(k + 1)):
+    if tail[0] != Fraction(1, math.factorial(k + 1)):
         mismatches.append(("constant", k))
+    coeff = Fraction(1, math.factorial(k + 2))
     for m in range(N + 1):
-        lhs = Fraction(1, math.factorial(m + k + 2))
-        # integrand series term t^m/(m!(m+k+2)!) transforms to
-        # (m!/z^(m+1)) / (m!(m+k+2)!)
-        rhs = Fraction(math.factorial(m),
-                       math.factorial(m) * math.factorial(m + k + 2))
-        if lhs != rhs:
+        if coeff * _transform_weight(m) != tail[m + 1]:
             mismatches.append(("bessel", m))
-
-    def pochhammer(a: int, n: int) -> int:
-        out = 1
-        for i in range(n):
-            out *= a + i
-        return out
-
+        coeff /= (m + 1) * (m + k + 3)
+    coeff = Fraction(1, math.factorial(k) * math.factorial(k + 1))
     for n in range(N + 1):
-        coeff = (Fraction(1, math.factorial(k) * math.factorial(k + 1))
-                 * Fraction(pochhammer(1, n),
-                            pochhammer(k + 1, n) * pochhammer(k + 2, n)
-                            * math.factorial(n))
-                 * math.factorial(n + k))
-        if coeff != Fraction(1, math.factorial(n + k + 1)):
+        if coeff * _transform_weight(n + k) != tail[n]:
             mismatches.append(("hyp", n))
-    return {"k": k, "N": N, "constant": constant,
+        coeff /= (n + k + 1) * (n + k + 2)
+    return {"k": k, "N": N, "constant": tail[0],
             "passed": not mismatches, "mismatches": mismatches}

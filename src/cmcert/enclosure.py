@@ -223,10 +223,7 @@ def rational_power_enclosure(x: Rat, a: Rat, digits: int) -> Enclosure:
     a = Fraction(a)
     if x <= 0:
         raise ValueError("rational_power_enclosure requires x > 0")
+    base = x ** a.numerator  # exact, also for a negative numerator
     if a.denominator == 1:
-        p = int(a)
-        v = x ** p if p >= 0 else 1 / x ** (-p)
-        return Enclosure.point(v)
-    p, q = a.numerator, a.denominator
-    base = x ** p if p >= 0 else 1 / x ** (-p)
-    return nth_root_enclosure(base, q, digits)
+        return Enclosure(base, base)
+    return nth_root_enclosure(base, a.denominator, digits)

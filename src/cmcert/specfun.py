@@ -234,7 +234,8 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     """Enclosure of sum_{k>=1} k**ell * e**(-k a) for a > 0.
 
     Closed form: ell-fold application of q d/dq to q/(1-q), evaluated at an
-    enclosure of q = e**(-a).
+    enclosure of q = e**(-a).  The pole (1-q)**-(ell+1) magnifies the width
+    of q, so its digits double until the result is at most 10**-digits wide.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -248,7 +249,10 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     for _ in range(ell):
         num = q_poly * (num.derivative() * one_minus_q + num.scale(pole))
         pole += 1
-    q = exp_enclosure(-a, digits + 6)
-    omq = 1 - q
-    val = num.eval_interval(q) / omq ** pole
-    return val.round_out(digits + 1)
+    q_digits = digits + 6
+    while True:
+        q = exp_enclosure(-a, q_digits)
+        val = (num.eval_interval(q) / (1 - q) ** pole).round_out(digits + 1)
+        if val.width <= Fraction(1, 10 ** digits):
+            return val
+        q_digits *= 2

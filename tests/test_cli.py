@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -385,3 +386,28 @@ def run_golden_case(args, tmp_dir) -> dict:
 def test_golden_bytes(case, tmp_path):
     expected = json.loads(GOLDEN_FILE.read_text())[case]
     assert run_golden_case(golden_cases()[case], tmp_path) == expected
+
+
+# The cm-scan benchmark's seed-0 invocations on the default geometric grid:
+# sha256 of stdout and the exit code.  A faster evaluation of the same sums
+# must not move a byte of them.
+CM_SCAN_BYTES = {
+    ("1", "1", "4", 16): (
+        "bbdc30f7b8d974cfbe92034d646153defe9cefac0c4d98a1c7fc5b518b7d6d9e", 0),
+    ("1/2", "2", "2", 16): (
+        "5a7a17df24094abfe90b7315c1b0ae94f097d848a14e3d9fc472311a33e0309f", 0),
+    ("2", "1", "1", 16): (
+        "91677dcd4a5bce03cbeebda7a6e6c9b9ad7e4805fcfc3eee3476691d7995b7f1", 0),
+    ("1", "1", "9/2", 8): (
+        "eadd9e0636821b6b26c804f9a7adb6f9a92e16ce8c5bcb81c621f006a66821dc", 1),
+}
+
+
+@pytest.mark.parametrize("alpha,beta,r,orders", sorted(CM_SCAN_BYTES))
+def test_cm_scan_benchmark_bytes(alpha, beta, r, orders):
+    result = CliRunner().invoke(main, [
+        "--format", "json", "cm-check", "--alpha", alpha, "--beta", beta,
+        "--r", r, "--orders", str(orders)])
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert (digest, result.exit_code) == \
+        CM_SCAN_BYTES[alpha, beta, r, orders]

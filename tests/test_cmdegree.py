@@ -1,8 +1,10 @@
+import functools
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
@@ -37,13 +39,22 @@ def test_expression_algebra():
     assert CMExpression.zero().derivative().is_zero()
 
 
+@functools.lru_cache(maxsize=4096)
+def _eval_atom(atom, t: Fraction, digits: int) -> Enclosure:
+    if atom[0] == "exp":
+        return specfun.exp_enclosure(atom[1] / t, digits)
+    if atom[0] == "psi":
+        return specfun.polygamma(atom[1], t, digits)
+    return Enclosure.point(1)
+
+
 def _fraction_evaluate(expr: CMExpression, t: Fraction, digits: int):
     """Reference: the exact Enclosure sum that evaluate's integer sums
     replaced, with the same atoms and t^p enclosures."""
     total = Enclosure.point(0)
     for c, p, atom in expr.terms:
         tp = rational_power_enclosure(t, p, digits + 8)
-        total = total + tp * cmdegree._eval_atom(atom, t, digits + 8) * c
+        total = total + tp * _eval_atom(atom, t, digits + 8) * c
     return total.round_out(digits + 1)
 
 
@@ -60,6 +71,71 @@ def test_evaluate_matches_fraction_summation(alpha, beta, r):
         for t in grid:
             assert expr.evaluate(t, 40) == _fraction_evaluate(expr, t, 40), \
                 (n, t)
+
+
+def _per_cell_paths(expr, n, t, digits, digit_cap=cmdegree.DIGIT_CAP):
+    """The cell at (n, t) from a fresh table per evaluation and from the
+    Enclosure-sum reference, each escalating like cm_check, and the digit
+    counts the fresh-table path used."""
+    sign = (-1) ** n
+    used = []
+
+    def fresh(d):
+        used.append(d)
+        return expr.evaluate(t, d) * sign
+
+    cell = cmdegree._sign_definite(fresh, digits, digit_cap)
+    reference = cmdegree._sign_definite(
+        lambda d: _fraction_evaluate(expr, t, d) * sign, digits, digit_cap)
+    return cell, reference, used
+
+
+def _assert_column_matches_per_cell(f, r, N, grid, digits):
+    report = cmdegree.cm_check(f, r, N, grid, digits=digits)
+    assert [(c.n, c.t) for c in report.cells] == \
+        [(n, t) for n in range(N + 1) for t in report.grid]
+    expr = f.mul_power(r)
+    width = len(report.grid)
+    escalated = False
+    for n in range(N + 1):
+        if n:
+            expr = expr.derivative()
+        for cell in report.cells[n * width:(n + 1) * width]:
+            fresh, reference, used = _per_cell_paths(expr, n, cell.t, digits)
+            assert (cell.value, cell.verdict) == fresh == reference, \
+                (n, cell.t)
+            escalated |= len(used) > 1
+    return escalated
+
+
+_points = st.one_of(
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1, 100),
+                 max_denominator=10 ** 4),
+    st.fractions(min_value=Fraction(1, 100), max_value=1000,
+                 max_denominator=100),
+    st.fractions(min_value=1000, max_value=10 ** 5, max_denominator=10))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.fractions(min_value=-3, max_value=3, max_denominator=8),
+       st.fractions(min_value=-2, max_value=2, max_denominator=8),
+       st.integers(min_value=-4, max_value=10).map(lambda k: Fraction(k, 2)),
+       st.integers(min_value=1, max_value=12),
+       st.lists(_points, min_size=1, max_size=2, unique=True),
+       st.integers(min_value=10, max_value=40))
+@example(Fraction(1), Fraction(1), Fraction(4), 12,
+         [Fraction(1, 200), Fraction(1000)], 10)
+def test_column_table_matches_per_cell_evaluation(alpha, beta, r, N, grid,
+                                                  digits):
+    f = cmdegree.h_expression(alpha, beta)
+    _assert_column_matches_per_cell(f, r, N, grid, digits)
+
+
+def test_column_escalation_matches_per_cell_evaluation():
+    # the cm-scan benchmark's one escalation: (1, 1), r = 4, order 16 at
+    # t = 1000 meets 0 at 40 digits and is settled at 80
+    f = cmdegree.h_expression(1, 1)
+    assert _assert_column_matches_per_cell(f, 4, 16, [Fraction(1000)], 40)
 
 
 def test_cm_check_zero_expression_trivially_passes():
@@ -121,6 +197,31 @@ def test_p_value_limit():
         assert cmdegree.p_value(t, 10).width <= Fraction(1, 10 ** 10)
 
 
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.one_of(
+           st.fractions(min_value=Fraction(1, 100), max_value=100,
+                        max_denominator=1000),
+           st.fractions(min_value=100, max_value=10 ** 4,
+                        max_denominator=10)),
+       st.integers(min_value=5, max_value=30))
+def test_p_value_differential_against_mpmath(t, digits):
+    mpmath = pytest.importorskip("mpmath")
+    p = cmdegree.p_value(t, digits)
+    assert p.width <= Fraction(1, 10 ** digits), (t, digits, p.width)
+    # the numerator cancels to O(t^-3) and the bracket to O(t^-4), and the
+    # value is about 1/t <= 100 at small t, so 40 digits plus 6 per decade
+    # of t resolve it far below 10**-digits
+    decades = max(0, len(str(math.ceil(t))) - 1)
+    with mpmath.workdps(digits + 40 + 6 * decades):
+        x = mpmath.mpf(t.numerator) / t.denominator
+        e = mpmath.exp(1 / x)
+        value = ((x * x * mpmath.psi(2, x) + e)
+                 / (x * (e - mpmath.psi(1, x) - 1)))
+        lo = mpmath.mpf(p.lo.numerator) / p.lo.denominator
+        hi = mpmath.mpf(p.hi.numerator) / p.hi.denominator
+        assert lo <= value <= hi, (t, digits, p)
+
+
 def test_p_value_meets_its_width_at_large_t():
     # the numerator cancels to O(t^-3): 4 digits per decade of t left a
     # width of 4.8e10 here
@@ -165,6 +266,17 @@ def test_verify_identity_small_orders():
         rep = cmdegree.verify_identity(k, 25)
         assert rep["passed"]
         assert rep["mismatches"] == []
+
+
+def test_verify_identity_fails_under_a_wrong_transform_rule(monkeypatch):
+    # t^m -> (m+1)!/z^(m+1) breaks both forms, so the check is not a
+    # comparison of a formula with itself
+    monkeypatch.setattr(cmdegree, "_transform_weight",
+                        lambda m: math.factorial(m + 1))
+    rep = cmdegree.verify_identity(3, 20)
+    assert rep["passed"] is False
+    kinds = {kind for kind, _ in rep["mismatches"]}
+    assert kinds == {"bessel", "hyp"}
 
 
 def _laplace_tail_sum(t: Fraction, digits: int) -> Enclosure:

@@ -246,6 +246,31 @@ def test_k_tail_closed_forms():
         specfun.k_tail(2, 0, 10)
 
 
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=8),
+       st.fractions(min_value=Fraction(1, 1000), max_value=50,
+                    max_denominator=1000),
+       st.integers(min_value=5, max_value=50))
+def test_k_tail_differential_against_mpmath(ell, a, digits):
+    # sum_k k^ell q^k = Li_{-ell}(q) with q = e^-a, a rational function of q
+    # that mpmath evaluates on its own
+    mpmath = pytest.importorskip("mpmath")
+    e = specfun.k_tail(ell, a, digits)
+    assert e.width <= Fraction(1, 10 ** digits), (ell, a, digits, e.width)
+    # the value is below 2 ell!/a^(ell+1) < 10^32 for a >= 1/1000, so the
+    # oracle resolves 10**-(digits+28) in absolute terms
+    with mpmath.workdps(digits + 60):
+        value = mpmath.polylog(-ell, mpmath.exp(-_mpf(a)))
+        assert _mpf(e.lo) <= value <= _mpf(e.hi), (ell, a, digits, e)
+
+
+def test_k_tail_meets_its_width_near_the_pole():
+    # (1 - q)^-(ell+1) magnifies the width of q = e^-a by about
+    # ell!/a^(ell+2): with q at digits + 6 the result is 5e15 wide
+    e = specfun.k_tail(6, Fraction(1, 1000), 5)
+    assert e.width <= Fraction(1, 10 ** 5)
+
+
 def test_k_tail_partial_sums_converge_from_below():
     e = specfun.exp_enclosure(-Fraction(3, 2), 25)
     partial = sum((Enclosure.point(k ** 2) * e ** k for k in range(1, 60)),
