@@ -5,6 +5,12 @@ certificate is built from Taylor shifts and unit-interval coefficient bounds
 (Cargo-Shisha), with a dyadic witness search when a piece fails; the
 classical rational sandwich bounds for exp feed its derivation.  Descartes'
 sign rule and sign-change root isolation decide the paper's root remarks.
+
+Taylor shifts, affine changes of variable and the sandwich sums run on
+integer numerators over one common denominator D: a shift by r/t is an
+in-place integer Horner shift by r of the numerators scaled by powers of t,
+and the sandwich bounds are integer sums over D n!.  Each output coefficient
+or bound is a single Fraction.
 """
 
 from __future__ import annotations
@@ -134,39 +140,42 @@ def poly_eval(p: Polynomial, x) -> Fraction:
     return acc
 
 
+def _common_numerators(p: Polynomial) -> tuple[list[int], int]:
+    """Integers N_i and one denominator D with p[i] = N_i / D."""
+    d = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
 def taylor_shift(p: Polynomial, a) -> Polynomial:
-    """Return q with q(u) = p(u + a), exactly (repeated synthetic division)."""
+    """Return q with q(u) = p(u + a), exactly (see `compose_affine`)."""
     a = to_fraction(a)
     if a == 0 or p.is_zero():
         return p
-    work = list(p.coeffs)
-    n = len(work)
-    out = []
-    for _ in range(n):
-        # synthetic division of `work` by (x - (-a)) leaves p evaluated at
-        # the shift in the running remainder; remainders are the new coeffs
-        rem = Fraction(0)
-        for c in reversed(work):
-            rem = rem * a + c
-        out.append(rem)
-        # quotient coefficients
-        quot = []
-        carry = Fraction(0)
-        for c in reversed(work):
-            carry = carry * a + c
-            quot.append(carry)
-        quot.pop()  # drop the remainder
-        work = list(reversed(quot))
-        if not work:
-            break
-    return Polynomial.of(out)
+    return compose_affine(p, a, 1)
 
 
 def compose_affine(p: Polynomial, a, s) -> Polynomial:
-    """Return q with q(v) = p(a + s*v), exactly."""
-    shifted = taylor_shift(p, a)
-    s = to_fraction(s)
-    return Polynomial.of([c * s ** k for k, c in enumerate(shifted.coeffs)])
+    """Return q with q(v) = p(a + s*v), exactly, on integers.
+
+    With p = sum_i N_i x^i / D, a = r/t and s = g/h, the integer polynomial
+    sum_i N_i t^(n-i) z^i is shifted by r with in-place Horner (n passes of
+    P_j += r P_(j+1)); coefficient j of q is then P_j g^j / (D t^(n-j) h^j),
+    one Fraction each.
+    """
+    a, s = to_fraction(a), to_fraction(s)
+    if p.is_zero():
+        return p
+    num, d = _common_numerators(p)
+    n = len(num) - 1
+    r, t = a.numerator, a.denominator
+    P = [c * t ** (n - i) for i, c in enumerate(num)]
+    if r:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                P[j] += r * P[j + 1]
+    g, h = s.numerator, s.denominator
+    return Polynomial.of([Fraction(c * g ** j, d * t ** (n - j) * h ** j)
+                          for j, c in enumerate(P)])
 
 
 def descartes_sign_changes(p: Polynomial) -> int:
@@ -184,17 +193,22 @@ def cargo_shisha_bounds(p: Polynomial) -> list[Fraction]:
     """The n+1 weighted partial sums whose min/max sandwich p on [0, 1].
 
     b_k = sum_{l<=k} a_l * C(k,l)/C(n,l); min_k b_k <= p(x) <= max_k b_k
-    for 0 <= x <= 1.
+    for 0 <= x <= 1.  With a_l = N_l / D, b_k is the integer
+    sum_l N_l (n-l)! k!/(k-l)! over D n!, summed by Horner in the falling
+    factorial and made one Fraction.
     """
     if p.is_zero():
         raise ValueError("bounds undefined for the zero polynomial")
-    n = p.degree
+    num, d = _common_numerators(p)
+    n = len(num) - 1
+    w = [c * math.factorial(n - l) for l, c in enumerate(num)]
+    den = d * math.factorial(n)
     out = []
     for k in range(n + 1):
-        b = Fraction(0)
-        for l in range(k + 1):
-            b += p[l] * Fraction(math.comb(k, l), math.comb(n, l))
-        out.append(b)
+        acc = w[k]
+        for l in range(k - 1, -1, -1):
+            acc = w[l] + (k - l) * acc
+        out.append(Fraction(acc, den))
     return out
 
 

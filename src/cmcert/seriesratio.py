@@ -49,7 +49,10 @@ def q_coeff(k: int, beta) -> Fraction:
 
 
 def c_coeff(k: int, beta) -> Fraction:
-    return q_coeff(k, beta) / p_coeff(k)
+    """c_k = q_k / p_k = q_k (k+2)! / (2^(k+2) - k - 3), as one Fraction."""
+    q = q_coeff(k, beta)
+    return Fraction(q.numerator * math.factorial(k + 2),
+                    q.denominator * (2 ** (k + 2) - k - 3))
 
 
 def lambda_coeff(k: int) -> Fraction:
@@ -88,7 +91,10 @@ def xi_coeff(k: int, beta) -> Fraction:
 
 
 def C_coeff(k: int, beta) -> Fraction:
-    return xi_coeff(k, beta) / lambda_coeff(k)
+    """C_k = xi_k / lambda_k = xi_k (k+4)! / U_k, as one Fraction."""
+    xi = xi_coeff(k, beta)
+    return Fraction(xi.numerator * math.factorial(k + 4),
+                    xi.denominator * U_value(k))
 
 
 # -- integer ladder quantities ---------------------------------------------
@@ -102,24 +108,6 @@ def V_value(k: int, l: int) -> int:
     return (3 ** (k - l + 5) * l
             + 2 ** (k - l + 3) * (l * l - 17 * l - 5 * k - k * k)
             - 2 * l * l + 2 * k * l + 17 * l - 4 * k - 20)
-
-
-def _theta_row(k: int, U: int) -> list[Fraction]:
-    """theta_{k,0}, ..., theta_{k,k+1}, given U = U_k.
-
-    For 1 <= l <= k, theta_{k,l} = (k+4)! V_k(l) / (l! (l+2)! (k-l+5)! U_k)
-    = C(k+5,l) V_k(l) / ((k+5) (l+2)! U_k); the binomials and factorials are
-    carried along the row, so each entry is one Fraction of moderate size.
-    """
-    row = [Fraction(-2 * (2 ** (k + 1) * k + 1), U)]
-    binom, fact = 1, 2            # C(k+5, l) and (l+2)! at l = 0
-    for l in range(1, k + 1):
-        binom = binom * (k + 6 - l) // l
-        fact *= l + 2
-        row.append(Fraction(binom * V_value(k, l), (k + 5) * fact * U))
-    # fact is now (k+2)!
-    row.append(Fraction((k + 4) * (k + 1) * (k + 2), 2 * fact * U))
-    return row
 
 
 def script_A(m: int) -> int:
@@ -196,15 +184,24 @@ def ladder_check(k_max: int) -> dict:
     """Exact verification of every ladder inequality up to k_max.
 
     Checks, for 4 <= k <= k_max and admissible l, m:
+      U_k > 0 and U_{k+1} > 0 (a failure is reported as ("U", k, None));
       theta_{k+1,l} >= theta_{k,l};  M_m(k) >= 0;
-      U_{k+1}/U_k <= V_{k+1}(1)/V_k(1);
+      V_k(1) != 0 and U_{k+1}/U_k <= V_{k+1}(1)/V_k(1);
       the three quadratic seeds positive for k >= 4;
       A(m) > 0, B(m) < 0, C(m) > 0 for 0 <= m <= k_max.
 
-    U_k up to k_max+1 and the triples (A, B, C)(m) up to k_max are
-    tabulated once, so M_m(k) is a quadratic in k from the table, and each
-    row theta_{k,.} is built once and compared with the next one.  Every
-    comparison is exact.
+    The theta row expands C_k = sum_l theta_{k,l} beta^l, with
+    theta_{k,0} = -2 (2^(k+1) k + 1)/U_k and, for 1 <= l <= k,
+    theta_{k,l} = C(k+5,l) V_k(l) / ((k+5) (l+2)! U_k).  Once U_k and
+    U_{k+1} are checked positive, C(k+6,l)/C(k+5,l) = (k+6)/(k+6-l) makes
+    theta_{k+1,l} < theta_{k,l} the integer comparison
+    (k+5) U_k V_{k+1}(l) < (k+6-l) U_{k+1} V_k(l), and at l = 0
+    (2^(k+2) (k+1) + 1) U_k > (2^(k+1) k + 1) U_{k+1}.  The U ratio test,
+    multiplied through by U_k V_k(1)^2 > 0, is
+    V_k(1) (U_{k+1} V_k(1) - V_{k+1}(1) U_k) > 0.  U_k up to k_max+1 and
+    the triples (A, B, C)(m) up to k_max are tabulated once, so M_m(k) is a
+    quadratic in k from the table, and each V_k(l) is computed once and
+    carried to the next k.  Every comparison is exact.
     """
     if k_max < 6:
         raise ValueError("need k_max >= 6")
@@ -212,20 +209,27 @@ def ladder_check(k_max: int) -> dict:
     abc = [(script_A(m), script_B(m), script_C(m)) for m in range(k_max + 1)]
 
     failures = []
-    row = _theta_row(4, U[4])
+    V = [None] + [V_value(4, l) for l in range(1, 5)]
     for k in range(4, k_max + 1):
-        nxt = _theta_row(k + 1, U[k + 1])
-        for l in range(0, k + 1):
-            if nxt[l] < row[l]:
-                failures.append(("theta", k, l))
-        row = nxt
+        u, u_next = U[k], U[k + 1]
+        V_next = [None] + [V_value(k + 1, l) for l in range(1, k + 2)]
+        positive = u > 0 and u_next > 0
+        if not positive:
+            failures.append(("U", k, None))
+        else:
+            if (2 ** (k + 2) * (k + 1) + 1) * u > (2 ** (k + 1) * k + 1) * u_next:
+                failures.append(("theta", k, 0))
+            lhs = (k + 5) * u
+            for l in range(1, k + 1):
+                if lhs * V_next[l] < (k + 6 - l) * u_next * V[l]:
+                    failures.append(("theta", k, l))
         # M_m(k) = A(m) k^2 + B(m) k + C(m)
         M = [(a * k + b) * k + c for a, b, c in abc[:k - 1]]
         for m in range(0, k - 1):
             if M[m] < 0:
                 failures.append(("M", m, k))
-        if Fraction(U[k + 1], U[k]) > \
-                Fraction(V_value(k + 1, 1), V_value(k, 1)):
+        if positive and (V[1] == 0
+                         or V[1] * (u_next * V[1] - V_next[1] * u) > 0):
             failures.append(("UV", k, None))
         for m, seed in ((0, 3360 * (54 - 137 * k + 74 * k * k)),
                         (1, 1568 * (6480 - 7306 * k + 1909 * k * k)),
@@ -234,6 +238,7 @@ def ladder_check(k_max: int) -> dict:
                 failures.append(("seed-mismatch", m, k))
             if seed <= 0:
                 failures.append(("seed-sign", m, k))
+        V = V_next
     for m, (a, b, c) in enumerate(abc):
         if a <= 0:
             failures.append(("A", m, None))

@@ -182,7 +182,7 @@ def _polygamma_mantissas(n: int, a: int, b: int, m: int, tol_den: int,
             break
         if k > 1 and num * prev_den >= prev_num * den:
             return None
-        if bern > 0:
+        if bern.numerator > 0:
             lo += (num << p) // den
             hi -= (-num << p) // den
         else:

@@ -3,13 +3,15 @@
 Exact rationals transcribed from the published tables, plus derived oracle
 values frozen after independent computation, one independent low-precision
 route to polygamma, and the plain Fraction loops that the integer series
-sums must reproduce exactly.
+sums, polynomial shifts and sandwich sums, and the ladder's cross-multiplied
+comparisons must reproduce exactly.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+from cmcert import seriesratio
 from cmcert.enclosure import Enclosure
 
 # min/max sandwich coefficients of the degree-28 certificate polynomial on
@@ -146,3 +148,119 @@ def mul_four_products(x: Enclosure, y: Enclosure) -> Enclosure:
     """Interval product as the min and max of all four endpoint products."""
     prods = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
     return Enclosure(min(prods), max(prods))
+
+
+# -- Fraction-loop references for the integer polynomial algebra ------------
+# Taylor shift, affine composition, Cargo-Shisha sums and the ladder's theta
+# rows, as they stood before they moved onto integer numerators and
+# cross-multiplied comparisons; the optimised routines must return identical
+# Polynomials, bound lists and ladder failure lists.
+
+
+def taylor_shift_fraction(p, a):
+    """q(u) = p(u + a) by repeated synthetic division over Fraction."""
+    a = Fraction(a)
+    if a == 0 or p.is_zero():
+        return p
+    work = list(p.coeffs)
+    n = len(work)
+    out = []
+    for _ in range(n):
+        rem = Fraction(0)
+        for c in reversed(work):
+            rem = rem * a + c
+        out.append(rem)
+        quot = []
+        carry = Fraction(0)
+        for c in reversed(work):
+            carry = carry * a + c
+            quot.append(carry)
+        quot.pop()
+        work = list(reversed(quot))
+        if not work:
+            break
+    return type(p).of(out)
+
+
+def compose_affine_fraction(p, a, s):
+    """q(v) = p(a + s v): the Fraction shift, then c_k s^k."""
+    shifted = taylor_shift_fraction(p, a)
+    s = Fraction(s)
+    return type(p).of([c * s ** k for k, c in enumerate(shifted.coeffs)])
+
+
+def cargo_shisha_bounds_fraction(p):
+    """b_k = sum_{l<=k} a_l C(k,l)/C(n,l), one Fraction per term."""
+    if p.is_zero():
+        raise ValueError("bounds undefined for the zero polynomial")
+    n = p.degree
+    out = []
+    for k in range(n + 1):
+        b = Fraction(0)
+        for l in range(k + 1):
+            b += p[l] * Fraction(math.comb(k, l), math.comb(n, l))
+        out.append(b)
+    return out
+
+
+def theta_row_fraction(k: int, U: int) -> list:
+    """theta_{k,0}, ..., theta_{k,k+1}, given U = U_k.
+
+    theta_{k,l} = C(k+5,l) V_k(l) / ((k+5) (l+2)! U_k) for 1 <= l <= k,
+    with the binomials and factorials carried along the row.
+    """
+    row = [Fraction(-2 * (2 ** (k + 1) * k + 1), U)]
+    binom, fact = 1, 2            # C(k+5, l) and (l+2)! at l = 0
+    for l in range(1, k + 1):
+        binom = binom * (k + 6 - l) // l
+        fact *= l + 2
+        row.append(Fraction(binom * seriesratio.V_value(k, l),
+                            (k + 5) * fact * U))
+    # fact is now (k+2)!
+    row.append(Fraction((k + 4) * (k + 1) * (k + 2), 2 * fact * U))
+    return row
+
+
+def ladder_check_theta_rows(k_max: int) -> dict:
+    """`ladder_check` with every theta row built and compared as Fractions."""
+    if k_max < 6:
+        raise ValueError("need k_max >= 6")
+    U = [seriesratio.U_value(k) for k in range(k_max + 2)]
+    abc = [(seriesratio.script_A(m), seriesratio.script_B(m),
+            seriesratio.script_C(m)) for m in range(k_max + 1)]
+    failures = []
+    row = theta_row_fraction(4, U[4])
+    for k in range(4, k_max + 1):
+        nxt = theta_row_fraction(k + 1, U[k + 1])
+        for l in range(0, k + 1):
+            if nxt[l] < row[l]:
+                failures.append(("theta", k, l))
+        row = nxt
+        M = [(a * k + b) * k + c for a, b, c in abc[:k - 1]]
+        for m in range(0, k - 1):
+            if M[m] < 0:
+                failures.append(("M", m, k))
+        if Fraction(U[k + 1], U[k]) > Fraction(seriesratio.V_value(k + 1, 1),
+                                               seriesratio.V_value(k, 1)):
+            failures.append(("UV", k, None))
+        for m, seed in ((0, 3360 * (54 - 137 * k + 74 * k * k)),
+                        (1, 1568 * (6480 - 7306 * k + 1909 * k * k)),
+                        (2, 336 * (750942 - 549881 * k + 95837 * k * k))):
+            if M[m] != seed:
+                failures.append(("seed-mismatch", m, k))
+            if seed <= 0:
+                failures.append(("seed-sign", m, k))
+    for m, (a, b, c) in enumerate(abc):
+        if a <= 0:
+            failures.append(("A", m, None))
+        if b >= 0:
+            failures.append(("B", m, None))
+        if c <= 0:
+            failures.append(("C", m, None))
+    return {
+        "k_max": k_max,
+        "passed": not failures,
+        "failures": failures,
+        "C_values": {m: abc[m][2] for m in range(6)},
+        "U4": U[4],
+    }

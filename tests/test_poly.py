@@ -5,12 +5,26 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cmcert import poly, specfun
 from cmcert.poly import Polynomial
+from reference_values import (cargo_shisha_bounds_fraction,
+                              compose_affine_fraction, taylor_shift_fraction)
 
 coeff_lists = st.lists(
     st.fractions(min_value=-50, max_value=50, max_denominator=100),
     min_size=1, max_size=8)
 unit_points = st.fractions(min_value=0, max_value=1, max_denominator=500)
 shifts = st.fractions(min_value=-10, max_value=10, max_denominator=50)
+# degrees 0-30 with mixed denominators: integers, small and large fractions
+mixed_coeffs = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=-10 ** 4, max_value=10 ** 4,
+                 max_denominator=10 ** 6))
+degree_0_to_30 = st.lists(mixed_coeffs, min_size=1, max_size=31)
+# zero, negative and non-integer shifts and scales
+affine_params = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-20, max_value=20).map(Fraction),
+    st.fractions(min_value=-20, max_value=20, max_denominator=1000))
 
 
 def test_polynomial_basics():
@@ -22,14 +36,18 @@ def test_polynomial_basics():
     assert p[5] == 0
 
 
-@given(coeff_lists, unit_points)
+@given(coeff_lists | degree_0_to_30, unit_points)
+@settings(deadline=None, derandomize=True, max_examples=500)
 def test_sandwich_bounds_contain_values_on_unit_interval(coeffs, x):
+    # independent of how the bounds are summed: p(x) by Horner's rule at a
+    # drawn point and at both endpoints
     p = Polynomial.of(coeffs)
     if p.is_zero():
         return
     bks = poly.cargo_shisha_bounds(p)
     assert len(bks) == p.degree + 1
-    assert min(bks) <= p(x) <= max(bks)
+    for y in (x, 0, 1):
+        assert min(bks) <= p(y) <= max(bks)
 
 
 @given(coeff_lists)
@@ -58,6 +76,22 @@ def test_taylor_shift_evaluates_correctly(coeffs, a, x):
 def test_compose_affine_evaluates_correctly(coeffs, a, s, x):
     p = Polynomial.of(coeffs)
     assert poly.compose_affine(p, a, s)(x) == p(a + s * x)
+
+
+@given(degree_0_to_30, affine_params, affine_params)
+@settings(deadline=None, derandomize=True, max_examples=1000)
+def test_integer_algebra_equals_the_fraction_loops(coeffs, a, s):
+    p = Polynomial.of(coeffs)
+    assert poly.taylor_shift(p, a) == taylor_shift_fraction(p, a)
+    local = poly.compose_affine(p, a, s)
+    assert local == compose_affine_fraction(p, a, s)
+    for q in (p, local):
+        if q.is_zero():
+            with pytest.raises(ValueError):
+                poly.cargo_shisha_bounds(q)
+        else:
+            assert poly.cargo_shisha_bounds(q) == \
+                cargo_shisha_bounds_fraction(q)
 
 
 def test_descartes_counts():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cmcert import seriesratio as sr
 from cmcert.expring import ExpPoly
 from cmcert.poly import Polynomial
+from reference_values import ladder_check_theta_rows, theta_row_fraction
 
 betas = st.fractions(min_value=Fraction(1, 10), max_value=10,
                      max_denominator=50)
@@ -155,7 +156,7 @@ def test_q_matches_independent_convolution(beta, k):
 @given(betas, st.integers(min_value=4, max_value=11))
 @settings(deadline=None)
 def test_theta_expansion_reproduces_derivative_ratio(beta, k):
-    row = sr._theta_row(k, sr.U_value(k))
+    row = theta_row_fraction(k, sr.U_value(k))
     expanded = sum(theta * beta ** l for l, theta in enumerate(row))
     assert len(row) == k + 2
     assert expanded == sr.C_coeff(k, beta)
@@ -188,7 +189,50 @@ def test_ladder_check_passes_and_reports():
 
 @pytest.mark.parametrize("k_max", [6, 7, 50, 120])
 def test_ladder_check_equals_the_reference(k_max):
-    assert sr.ladder_check(k_max) == ladder_check_reference(k_max)
+    assert sr.ladder_check(k_max) == ladder_check_reference(k_max) \
+        == ladder_check_theta_rows(k_max)
+
+
+def _plant(monkeypatch, name, faults):
+    """Replace sr.<name> at the argument tuples in `faults` (args -> f)."""
+    original = getattr(sr, name)
+    monkeypatch.setattr(sr, name, lambda *args: faults[args](original(*args))
+                        if args in faults else original(*args))
+
+
+@pytest.mark.parametrize("name, faults", [
+    ("U_value", {(k,): lambda v: 2 * v for k in (5, 8, 33, 90)}),
+    ("U_value", {(k,): lambda v: v + 1 for k in (6, 61, 121)}),
+    ("V_value", {(10, 3): lambda v: 2 * v, (40, 1): lambda v: v - 1,
+                 (77, 77): lambda v: -v, (120, 60): lambda v: v // 2}),
+    ("V_value", {(k, 1): lambda v: -v for k in (12, 13, 50)}),
+    ("V_value", {(k, l): lambda v: v + 1 for k, l in
+                 ((4, 1), (4, 4), (5, 5), (100, 1), (100, 99))}),
+    # exact ties, theta_{31,5} = theta_{30,5} = 0 and
+    # theta_{21,0} = theta_{20,0} = -2, are not failures
+    ("V_value", {(30, 5): lambda v: 0, (31, 5): lambda v: 0}),
+    ("U_value", {(20,): lambda v: 2 ** 21 * 20 + 1,
+                 (21,): lambda v: 2 ** 22 * 21 + 1}),
+])
+def test_ladder_check_equals_the_theta_rows_under_planted_faults(
+        monkeypatch, name, faults):
+    # the cross-multiplied comparisons give the Fraction route's failure
+    # list whether or not a planted fault breaks an inequality
+    _plant(monkeypatch, name, faults)
+    assert sr.ladder_check(120) == ladder_check_theta_rows(120)
+
+
+@pytest.mark.parametrize("planted", [lambda v: -v, lambda v: 0])
+def test_ladder_check_reports_a_nonpositive_U(monkeypatch, planted):
+    # the cross-multiplied theta and U ratio tests rely on U_k > 0, so a U_k
+    # that is not positive is a failure, never assumed away
+    _plant(monkeypatch, "U_value", {(9,): planted})
+    report = sr.ladder_check(20)
+    assert not report["passed"]
+    assert [f for f in report["failures"] if f[0] == "U"] == \
+        [("U", 8, None), ("U", 9, None)]
+    assert not any(f[0] in ("theta", "UV") and f[1] in (8, 9)
+                   for f in report["failures"])
 
 
 @pytest.mark.parametrize("name, at, planted, expected", [
@@ -201,13 +245,11 @@ def test_ladder_check_equals_the_reference(k_max):
 def test_ladder_check_reports_a_planted_failure(monkeypatch, name, at,
                                                 planted, expected):
     # the tables must come from the ladder functions themselves
-    original = getattr(sr, name)
-    monkeypatch.setattr(sr, name, lambda n: planted(original(n))
-                        if n == at else original(n))
+    _plant(monkeypatch, name, {(at,): planted})
     report = sr.ladder_check(20)
     assert not report["passed"]
     assert all(f in report["failures"] for f in expected)
-    assert report == ladder_check_reference(20)
+    assert report == ladder_check_reference(20) == ladder_check_theta_rows(20)
 
 
 def test_ratio_sequences_monotone():
