@@ -2,10 +2,11 @@
 
 Symbolic derivative tower for expressions built from t^a, e^(beta/t) and
 polygamma atoms, summed at each grid point from one table of exact integer
-endpoints shared by the point's whole derivative column; sign-enclosure
-degree checks on grids and the violation search above the degree; the
-p(t) -> 4 asymptotic; Laplace-kernel certificates and the counterexample
-scan; and exact termwise transform identities.
+endpoints shared by the point's whole derivative column, whose polygamma
+orders come from one integer jet; sign-enclosure degree checks on grids
+and the violation search above the degree; the p(t) -> 4 asymptotic;
+Laplace-kernel certificates and the counterexample scan; and exact
+termwise transform identities.
 """
 
 from __future__ import annotations
@@ -28,24 +29,36 @@ class PointTable(dict):
     """Exact integer endpoints of t^p and of the atoms at one point t > 0.
 
     table[d, key] is computed on first use and kept for every later order
-    evaluated at (t, d): a key ("pow", u, v) is t^(u/v), any other key an
-    atom with its rational spelt as two ints, both enclosed at d + 8 digits,
-    as (lo numerator, lo denominator, hi numerator, hi denominator).
-    Integer powers are exact; the others come from `nth_root_enclosure`.
+    evaluated at (t, d), as (lo numerator, lo denominator, hi numerator, hi
+    denominator): a key ("pow", u, v) is t^(u/v), exact for v = 1, any other
+    key an atom with its rational spelt as two ints.  Roots and e^(beta/t)
+    are enclosed at d + 8 digits; the first psi atom missed at d fills its
+    order and every one up to `psi_top` from one `specfun.polygamma_jet`.
     """
 
-    def __init__(self, t: Fraction):
+    def __init__(self, t: Fraction, psi_top: int = 0):
         super().__init__()
         self.t = t
+        self.psi_top = psi_top
 
     def __missing__(self, key):
         digits, (kind, *args) = key
+        if kind == "psi":
+            n, scale = args[0], 10 ** (digits + 9)
+            jet = specfun.polygamma_jet(n, max(n, self.psi_top), self.t,
+                                        digits + 8)
+            for k, (lo, hi) in enumerate(jet, n):
+                self.setdefault((digits, ("psi", k)), (lo, scale, hi, scale))
+            return self[key]
+        if kind == "pow" and args[1] == 1:
+            u = args[0]
+            pair = (self.t.numerator ** abs(u), self.t.denominator ** abs(u))
+            value = self[key] = (pair if u >= 0 else pair[::-1]) * 2
+            return value
         if kind == "pow":
             e = rational_power_enclosure(self.t, Fraction(*args), digits + 8)
         elif kind == "exp":
             e = specfun.exp_enclosure(Fraction(*args) / self.t, digits + 8)
-        elif kind == "psi":
-            e = specfun.polygamma(args[0], self.t, digits + 8)
         elif kind == "const":
             e = Enclosure.point(1)
         else:
@@ -261,9 +274,10 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     exprs = [f.mul_power(r)]
     for _ in range(N):
         exprs.append(exprs[-1].derivative())
+    top = max([a[1] for _, _, a in exprs[-1].terms if a[0] == "psi"] + [0])
     columns = []
     for t in pts:
-        table = PointTable(t)
+        table = PointTable(t, top)
         columns.append([_signed_cell(expr, n, t, digits, digit_cap, table)
                         for n, expr in enumerate(exprs)])
     cells = [column[n] for n in range(N + 1) for column in columns]

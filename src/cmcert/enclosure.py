@@ -41,6 +41,8 @@ def integer_nth_root(a: int, n: int) -> int:
         return 0
     if n == 1:
         return a
+    if n == 2:
+        return math.isqrt(a)
     x = 1 << ((a.bit_length() + n - 1) // n + 1)
     while True:
         y = ((n - 1) * x + a // x ** (n - 1)) // n

@@ -1,43 +1,55 @@
 """Rigorous enclosures for the special functions used by the certificates.
 
-Everything returns an Enclosure whose endpoints are exact rationals; the
-`digits` parameter asks for width <= 10**-digits.  `exp_enclosure` always
-meets that width.  `bessel_ratio` adds terms to an unnormalised integer sum
-until its tail bound meets the target and raises at TERM_CAP terms.
-`polygamma` sums its terms on integer mantissas, so its lower and upper sums
-are two ints.  `k_tail` is a closed form evaluated at an exp enclosure.
+Endpoints are exact rationals, and `digits` asks for width <= 10**-digits.
+`exp_enclosure` always meets that width.  `bessel_ratio` adds terms to an
+unnormalised integer sum until its tail bound meets the target and raises
+at TERM_CAP terms.  `polygamma_jet` sums the polygamma orders n0..N at one
+point in one pass on integer mantissas and returns integer endpoints;
+`polygamma` is its one-order Enclosure.  `k_tail` is a closed form
+evaluated at an exp enclosure.  Bernoulli numbers are integer pairs from
+the tangent-number recurrence.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .enclosure import Enclosure, to_fraction
 from .poly import Polynomial
 
 TERM_CAP = 10 ** 6
 
-_bernoulli_cache: dict[int, Fraction] = {0: Fraction(1)}
+_bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
+
+
+def _bernoulli_pair(k_max: int) -> tuple[int, int]:
+    """B_(2 k_max) as (numerator, denominator).  A miss caches B_2k for k up
+    to max(k_max, twice the cached count) from the integer tangent numbers
+    T_k (Brent & Harvey 2011): B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k-1))."""
+    if k_max < len(_bernoulli_pairs):
+        return _bernoulli_pairs[k_max]
+    K = max(k_max, 2 * len(_bernoulli_pairs))
+    T = [0, 1]
+    for k in range(2, K + 1):
+        T.append((k - 1) * T[-1])
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    for k in range(len(_bernoulli_pairs), K + 1):
+        num, den = 2 * k * T[k], (4 ** k - 1) << 2 * k
+        g = math.gcd(num, den)
+        _bernoulli_pairs.append((num // g if k % 2 else -num // g, den // g))
+    return _bernoulli_pairs[k_max]
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2) via the defining recurrence."""
+    """Exact Bernoulli number B_n (B_1 = -1/2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n in _bernoulli_cache:
-        return _bernoulli_cache[n]
-    if n >= 3 and n % 2 == 1:
-        _bernoulli_cache[n] = Fraction(0)
-        return _bernoulli_cache[n]
-    for m in range(1, n + 1):
-        if m not in _bernoulli_cache:
-            acc = Fraction(0)
-            for k in range(m):
-                acc += math.comb(m + 1, k) * bernoulli(k)
-            _bernoulli_cache[m] = -acc / (m + 1)
-    return _bernoulli_cache[n]
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    return Fraction(*_bernoulli_pair(n // 2))
 
 
 def _exp_mantissas(num: int, den: int, k: int, p: int) -> tuple[int, int]:
@@ -143,91 +155,103 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
     return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def _polygamma_mantissas(n: int, a: int, b: int, m: int, tol_den: int,
-                         p: int) -> Optional[tuple[int, int]]:
-    """Mantissas lo, hi (scale 2**-p) bracketing |psi^(n)(a/b)|, or None.
+def _polygamma_mantissas(n0: int, N: int, a: int, b: int, m: int,
+                         tol_den: int, guard: int = 64) -> list:
+    """Per order n = n0..N: (p, lo, hi) bracketing |psi^(n)(a/b)| * 2**p,
+    or None; p resolves 1/tol_den times z**-n with `guard` bits to spare.
 
     With z = x + m:  |psi^(n)(x)| = A_n(z) + n! sum_{j<m} 1/(x+j)**(n+1),
     where A_n(z) = (n-1)!/z**n + n!/(2 z**(n+1))
                    + sum_{k>=1} B_2k (2k+n-1)!/((2k)! z**(2k+n))
-    is the enveloping expansion of (-1)**(n+1) psi^(n)(z).  It is cut at the
-    first term of size <= 1/tol_den, and that term's size bounds the error.
-    None means the terms stopped decreasing before reaching the tolerance
-    (z too small for this accuracy).  Each exact term num/den, a shift term
-    being n! b**(n+1) / (a+jb)**(n+1), enters the lower sum as its floor and
-    the upper sum as its ceiling at scale 2**-p; the stop tests compare the
-    exact terms by cross-multiplication.
+    is the enveloping expansion of (-1)**(n+1) psi^(n)(z), cut at its first
+    term of size <= 1/tol_den, which bounds the error.  None: the terms
+    stopped decreasing first (z too small).  One divmod floors each exact
+    term into lo and ceils it into hi.  The orders share the powers of b
+    and c = a + mb, and carry each (a+jb)**(n+1) by one multiplication.
     """
     c = a + m * b
-    bn, cn = b ** n, c ** n
-    num0 = math.factorial(n - 1) * bn << p
-    num1 = math.factorial(n) * bn * b << p
-    den1 = 2 * cn * c
-    lo = num0 // cn + num1 // den1
-    hi = -(-num0 // cn) - (-num1 // den1)
-    b2, c2 = b * b, c * c
-    prev_num, prev_den = 0, 0
-    k = 0
-    while True:
-        k += 1
-        bn *= b2
-        cn *= c2
-        bern = bernoulli(2 * k)
-        num = abs(bern.numerator) * math.perm(2 * k + n - 1, n - 1) * bn
-        den = bern.denominator * cn
-        if num * tol_den <= den:
-            err = -((-num << p) // den)
-            lo -= err
-            hi += err
-            break
-        if k > 1 and num * prev_den >= prev_num * den:
-            return None
-        if bern.numerator > 0:
-            lo += (num << p) // den
-            hi -= (-num << p) // den
-        else:
-            lo += (-num << p) // den
-            hi -= (num << p) // den
-        prev_num, prev_den = num, den
-    num = math.factorial(n) * b ** (n + 1) << p
-    for j in range(m):
-        den = (a + j * b) ** (n + 1)
-        lo += num // den
-        hi -= -num // den
-    return lo, hi
+    bpow, cpow = [1], [1]  # b**e and c**e, extended on demand
+    qs = [a + j * b for j in range(m)]
+    qpow = [q ** n0 for q in qs]
+    step = (m + a // b).bit_length()
+    fact = math.factorial(n0 - 1)
+    out = []
+    for n in range(n0, N + 1):
+        fact *= n  # n!
+        p = tol_den.bit_length() + n * step + guard
+        qpow = [qp * q for qp, q in zip(qpow, qs)]
+        lo = hi = prev_num = prev_den = k = 0
+        while True:
+            k += 1
+            e = n + 2 * k
+            while len(cpow) <= e:
+                bpow.append(bpow[-1] * b)
+                cpow.append(cpow[-1] * c)
+            bern_num, bern_den = _bernoulli_pair(k)
+            num = abs(bern_num) * math.perm(e - 1, n - 1) * bpow[e]
+            den = bern_den * cpow[e]
+            if num * tol_den <= den:
+                err = -((-num << p) // den)
+                lo, hi = lo - err, hi + err
+                break
+            if k > 1 and num * prev_den >= prev_num * den:
+                lo = None
+                break
+            q, r = divmod((num if bern_num > 0 else -num) << p, den)
+            lo, hi = lo + q, hi + q + (r > 0)
+            prev_num, prev_den = num, den
+        if lo is None:
+            out.append(None)
+            continue
+        # the positive terms (n-1)!/z**n, n!/(2 z**(n+1)) and the shifts
+        num = fact * bpow[n + 1] << p
+        quots, rems = zip(divmod(fact // n * bpow[n] << p, cpow[n]),
+                          divmod(num, 2 * cpow[n + 1]),
+                          *map(divmod, [num] * m, qpow))
+        total = sum(quots)
+        out.append((p, lo + total, hi + total + len(rems) - rems.count(0)))
+    return out
 
 
-def polygamma(n: int, x, digits: int) -> Enclosure:
-    """Enclosure of psi^(n)(x) for n >= 1, x > 0.
+def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
+    """psi^(n)(x) for n = n0..N as integer pairs (lo, hi) bracketing
+    psi^(n)(x) * 10**(digits+1); n0 >= 1, x > 0.
 
-    Lifts the argument by the exact recurrence until the asymptotic
-    expansion converges below tolerance, then shifts back (see
-    `_polygamma_mantissas`).  All terms are summed on integer mantissas at
-    one fixed scale 2**-p, flooring into the lower sum and ceiling into the
-    upper sum, so each term widens the enclosure by at most one ulp.  p
-    resolves 10**-(digits+1) times z**-n, a lower bound on the size of the
-    result, with 64 bits to spare.
+    The argument is lifted by the exact recurrence and each order summed on
+    integer mantissas at its own scale (`_polygamma_mantissas`).  Orders
+    whose terms stop decreasing are summed again with the lift target
+    doubled; the others keep their first result.
     """
-    if n < 1:
+    if n0 < 1:
         raise ValueError("derivative order must be >= 1")
     x = to_fraction(x)
     if x <= 0:
         raise ValueError("argument must be > 0")
-    a, b = x.numerator, x.denominator
     tol_den = 10 ** (digits + 1)
     target = max(20, digits)
-    while True:
-        m = max(0, math.ceil(target - x))
-        p = tol_den.bit_length() + n * (m + a // b).bit_length() + 64
-        body = _polygamma_mantissas(n, a, b, m, tol_den, p)
-        if body is not None:
-            break
-        target *= 2
+    out = [None] * (N - n0 + 1)
+    while None in out:
         if target > 64 * (digits + 20):
             raise RuntimeError("asymptotic expansion failed to converge")
-    lo, hi = body if n % 2 == 1 else (-body[1], -body[0])
-    return Enclosure(Fraction(lo, 1 << p),
-                     Fraction(hi, 1 << p)).round_out(digits + 1)
+        first = n0 + out.index(None)
+        last = N - out[::-1].index(None)
+        m = max(0, math.ceil(target - x))
+        bodies = _polygamma_mantissas(first, last, x.numerator,
+                                      x.denominator, m, tol_den)
+        for n, body in enumerate(bodies, first):
+            if body is not None and out[n - n0] is None:
+                p, lo, hi = body if n % 2 else (body[0], -body[2], -body[1])
+                # rounded outward to multiples of 10**-(digits+1)
+                out[n - n0] = (lo * tol_den >> p, -(-hi * tol_den >> p))
+        target *= 2
+    return out
+
+
+def polygamma(n: int, x, digits: int) -> Enclosure:
+    """Enclosure of psi^(n)(x), n >= 1, x > 0: one order of the jet."""
+    (lo, hi), = polygamma_jet(n, n, x, digits)
+    scale = 10 ** (digits + 1)
+    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def k_tail(ell: int, a, digits: int) -> Enclosure:

@@ -2,9 +2,12 @@
 
 Exact rationals transcribed from the published tables, plus derived oracle
 values frozen after independent computation, one independent low-precision
-route to polygamma, and the plain Fraction loops that the integer series
-sums, polynomial shifts and sandwich sums, and the ladder's cross-multiplied
-comparisons must reproduce exactly.
+route to polygamma, and the plain loops that the optimised routines must
+reproduce exactly: the Fraction loops behind the integer series sums,
+polynomial shifts and sandwich sums and the ladder's cross-multiplied
+comparisons, the per-order polygamma that the polygamma jet replaced, the
+Bernoulli recurrence that the tangent numbers replaced, and the Newton
+loop that `math.isqrt` replaced.
 """
 
 import math
@@ -264,3 +267,108 @@ def ladder_check_theta_rows(k_max: int) -> dict:
         "C_values": {m: abc[m][2] for m in range(6)},
         "U4": U[4],
     }
+
+
+# -- per-order references for the polygamma jet ------------------------------
+# Bernoulli numbers, square roots and polygamma as they stood before the jet:
+# the optimised routines must return identical numbers, roots and endpoints.
+
+
+_bernoulli_recurrence_cache: dict = {0: Fraction(1)}
+
+
+def bernoulli_recurrence(n: int) -> Fraction:
+    """B_n from sum_{k<=m} C(m+1, k) B_k = 0, summed over Fractions."""
+    if n in _bernoulli_recurrence_cache:
+        return _bernoulli_recurrence_cache[n]
+    if n >= 3 and n % 2 == 1:
+        return Fraction(0)
+    for m in range(1, n + 1):
+        if m not in _bernoulli_recurrence_cache:
+            acc = Fraction(0)
+            for k in range(m):
+                acc += math.comb(m + 1, k) * bernoulli_recurrence(k)
+            _bernoulli_recurrence_cache[m] = -acc / (m + 1)
+    return _bernoulli_recurrence_cache[n]
+
+
+def integer_nth_root_newton(a: int, n: int) -> int:
+    """Floor of the n-th root of a >= 0 by Newton's iteration from above."""
+    if a == 0:
+        return 0
+    if n == 1:
+        return a
+    x = 1 << ((a.bit_length() + n - 1) // n + 1)
+    while True:
+        y = ((n - 1) * x + a // x ** (n - 1)) // n
+        if y >= x:
+            break
+        x = y
+    while x ** n > a:
+        x -= 1
+    return x
+
+
+def polygamma_mantissas_per_order(n: int, a: int, b: int, m: int,
+                                  tol_den: int, p: int):
+    """Mantissas lo, hi (scale 2**-p) bracketing |psi^(n)(a/b)|, or None:
+    the lifted asymptotic sum plus the shift terms for one order, every
+    power raised from scratch and floor and ceiling taken by two divisions.
+    """
+    c = a + m * b
+    bn, cn = b ** n, c ** n
+    num0 = math.factorial(n - 1) * bn << p
+    num1 = math.factorial(n) * bn * b << p
+    den1 = 2 * cn * c
+    lo = num0 // cn + num1 // den1
+    hi = -(-num0 // cn) - (-num1 // den1)
+    b2, c2 = b * b, c * c
+    prev_num, prev_den = 0, 0
+    k = 0
+    while True:
+        k += 1
+        bn *= b2
+        cn *= c2
+        bern = bernoulli_recurrence(2 * k)
+        num = abs(bern.numerator) * math.perm(2 * k + n - 1, n - 1) * bn
+        den = bern.denominator * cn
+        if num * tol_den <= den:
+            err = -((-num << p) // den)
+            lo -= err
+            hi += err
+            break
+        if k > 1 and num * prev_den >= prev_num * den:
+            return None
+        if bern.numerator > 0:
+            lo += (num << p) // den
+            hi -= (-num << p) // den
+        else:
+            lo += (-num << p) // den
+            hi -= (num << p) // den
+        prev_num, prev_den = num, den
+    num = math.factorial(n) * b ** (n + 1) << p
+    for j in range(m):
+        den = (a + j * b) ** (n + 1)
+        lo += num // den
+        hi -= -num // den
+    return lo, hi
+
+
+def polygamma_per_order(n: int, x: Fraction, digits: int) -> Enclosure:
+    """psi^(n)(x) for one order: lift target max(20, digits), doubled while
+    the asymptotic terms stop decreasing, then rounded out at digits + 1."""
+    a, b = x.numerator, x.denominator
+    tol_den = 10 ** (digits + 1)
+    target = max(20, digits)
+    while True:
+        m = max(0, math.ceil(target - x))
+        p = tol_den.bit_length() + n * (m + a // b).bit_length() + 64
+        body = polygamma_mantissas_per_order(n, a, b, m, tol_den, p)
+        if body is not None:
+            break
+        target *= 2
+        if target > 64 * (digits + 20):
+            raise RuntimeError("asymptotic expansion failed to converge")
+    lo, hi = body if n % 2 == 1 else (-body[1], -body[0])
+    return Enclosure(Fraction(lo, 1 << p),
+                     Fraction(hi, 1 << p)).round_out(digits + 1)

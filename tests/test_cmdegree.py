@@ -10,7 +10,8 @@ from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
 from cmcert.enclosure import Enclosure, rational_power_enclosure
 
-from reference_values import polygamma_hurwitz
+import reference_values
+from reference_values import polygamma_hurwitz, polygamma_per_order
 
 
 def _float_at(expr: CMExpression, t: Fraction) -> float:
@@ -136,6 +137,80 @@ def test_column_escalation_matches_per_cell_evaluation():
     # t = 1000 meets 0 at 40 digits and is settled at 80
     f = cmdegree.h_expression(1, 1)
     assert _assert_column_matches_per_cell(f, 4, 16, [Fraction(1000)], 40)
+
+
+def _assert_psi_entries_match_per_order(table, digits, orders):
+    """Each psi entry of the table at `digits` holds the endpoints of the
+    per-order reference polygamma at digits + 8, and no entry is missing."""
+    for n in orders:
+        key = (digits, ("psi", n))
+        assert key in table, n
+        lo, lo_den, hi, hi_den = table[key]
+        ref = polygamma_per_order(n, table.t, digits + 8)
+        assert (Fraction(lo, lo_den), Fraction(hi, hi_den)) == \
+            (ref.lo, ref.hi), (n, table.t, digits)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=12),
+       st.one_of(
+           st.integers(min_value=1, max_value=10 ** 5).map(Fraction),
+           st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 5,
+                        max_denominator=10 ** 9)),
+       st.integers(min_value=5, max_value=90))
+def test_point_table_psi_jet_matches_per_order_polygamma(n, span, t, digits):
+    # the first psi miss fills orders n..top from one jet; each order's
+    # endpoints must be those of its own per-order sum and escalation
+    top = min(n + span, 30)
+    table = cmdegree.PointTable(t, top)
+    table[digits, ("psi", n)]
+    _assert_psi_entries_match_per_order(table, digits, range(n, top + 1))
+
+
+def test_point_table_psi_escalation_matches_per_order_polygamma(monkeypatch):
+    # orders whose asymptotic terms stop decreasing at the first lift are
+    # planted, with a gap, in the jet and in the per-order reference alike:
+    # only they are summed again, at twice the lift target, and orders 6-8
+    # keep their first result although the second jet runs over them
+    t, digits = Fraction(7, 3), 30
+    first_m = math.ceil(max(20, digits + 8) - t)
+    planted = {5, 9, 14, 15, 16}
+    jet = specfun._polygamma_mantissas
+    per_order = reference_values.polygamma_mantissas_per_order
+    calls = []
+
+    def planted_jet(n0, N, a, b, m, tol_den, guard=64):
+        calls.append((n0, N, m))
+        bodies = jet(n0, N, a, b, m, tol_den, guard)
+        return [None if m == first_m and n in planted else body
+                for n, body in enumerate(bodies, n0)]
+
+    def planted_per_order(n, a, b, m, tol_den, p):
+        if m == first_m and n in planted:
+            return None
+        return per_order(n, a, b, m, tol_den, p)
+
+    monkeypatch.setattr(specfun, "_polygamma_mantissas", planted_jet)
+    monkeypatch.setattr(reference_values, "polygamma_mantissas_per_order",
+                        planted_per_order)
+    table = cmdegree.PointTable(t, 16)
+    table[digits, ("psi", 1)]
+    assert calls == [(1, 16, first_m),
+                     (5, 16, math.ceil(2 * max(20, digits + 8) - t))]
+    _assert_psi_entries_match_per_order(table, digits, range(1, 17))
+
+    monkeypatch.setattr(specfun, "_polygamma_mantissas",
+                        lambda n0, N, *args: [None] * (N - n0 + 1))
+    with pytest.raises(RuntimeError):
+        cmdegree.PointTable(t, 3)[digits, ("psi", 1)]
+
+
+def test_point_table_integer_powers_are_exact():
+    table = cmdegree.PointTable(Fraction(3, 7))
+    assert table[10, ("pow", 3, 1)] == (27, 343, 27, 343)
+    assert table[10, ("pow", -2, 1)] == (49, 9, 49, 9)
+    assert table[10, ("pow", 0, 1)] == (1, 1, 1, 1)
 
 
 def test_cm_check_zero_expression_trivially_passes():
@@ -266,6 +341,36 @@ def test_verify_identity_small_orders():
         rep = cmdegree.verify_identity(k, 25)
         assert rep["passed"]
         assert rep["mismatches"] == []
+
+
+def _hyp1f2_partial_sum_and_tail(a, b1, b2, u: Fraction, tol: Fraction):
+    """(S, T): S sums 1F2(a; b1, b2; u) exactly, term by term from the term
+    ratio r_n = (a+n) u / ((b1+n) (b2+n) (n+1)), until T = t_N / (1 - r_N)
+    is below tol.  T bounds the tail sum_{n>=N} t_n when the ratios do not
+    increase from N on and r_N < 1, as for a = b1 = 1, b2 > 0 and u >= 0,
+    where r_n = u / ((b2+n) (n+1))."""
+    total, term, n = Fraction(0), Fraction(1), 0
+    while True:
+        ratio = (a + n) * u / ((b1 + n) * (b2 + n) * (n + 1))
+        if ratio < 1 and term / (1 - ratio) < tol:
+            return total, term / (1 - ratio)
+        total += term
+        term *= ratio
+        n += 1
+
+
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("u", [Fraction(0), Fraction(1, 3), Fraction(7, 2),
+                               Fraction(25), Fraction(100, 7)])
+def test_hyp1f2_partial_sums_overlap_the_bessel_ratio(k, u):
+    # 1F2(1; 1, k+1; u) = k! sum_n u^n / (n! (n+k)!) = k! bessel_ratio(k, u):
+    # the exact partial sum with its proven tail must meet the enclosure
+    digits = 30
+    s, tail = _hyp1f2_partial_sum_and_tail(1, 1, k + 1, u,
+                                           Fraction(1, 10 ** (digits + 5)))
+    ik = specfun.bessel_ratio(k, u, digits) * math.factorial(k)
+    assert ik.lo <= s + tail and s <= ik.hi, (k, u)
+    assert ik.width <= Fraction(math.factorial(k), 10 ** digits)
 
 
 def test_verify_identity_fails_under_a_wrong_transform_rule(monkeypatch):

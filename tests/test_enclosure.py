@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from cmcert.enclosure import (Enclosure, integer_nth_root, nth_root_enclosure,
                               rational_power_enclosure, to_fraction)
 
-from reference_values import mul_four_products
+from reference_values import integer_nth_root_newton, mul_four_products
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -76,6 +76,13 @@ def test_interval_arithmetic_contains_point_images(a, wa, x, b, wb, y):
 def test_integer_nth_root_floor(a, n):
     r = integer_nth_root(a, n)
     assert r ** n <= a < (r + 1) ** n
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.one_of(st.integers(min_value=0, max_value=2 ** 64),
+                 st.integers(min_value=0, max_value=2 ** 4000)))
+def test_integer_square_root_matches_the_newton_loop(a):
+    assert integer_nth_root(a, 2) == integer_nth_root_newton(a, 2)
 
 
 @given(st.fractions(min_value=Fraction(1, 1000), max_value=1000,

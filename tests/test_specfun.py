@@ -8,7 +8,8 @@ from cmcert import specfun
 from cmcert.enclosure import Enclosure
 from cmcert.seriesratio import geometric_grid
 
-from reference_values import bessel_ratio_fraction, polygamma_hurwitz
+from reference_values import (bernoulli_recurrence, bessel_ratio_fraction,
+                              polygamma_hurwitz)
 
 # frozen 30-digit oracle values (mpmath, independent implementation)
 E_ORACLE = Fraction("2.71828182845904523536028747135")
@@ -32,6 +33,11 @@ def test_bernoulli_values():
     assert specfun.bernoulli(2) == Fraction(1, 6)
     assert specfun.bernoulli(3) == 0
     assert specfun.bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_bernoulli_matches_the_fraction_recurrence():
+    for n in range(301):
+        assert specfun.bernoulli(n) == bernoulli_recurrence(n), n
 
 
 def test_exp_enclosure_matches_oracle():
@@ -208,10 +214,12 @@ def test_polygamma_mantissas_bracket_at_their_own_resolution(n, x, digits,
     # above the one polygamma starts from must give a sound bracket
     mpmath = pytest.importorskip("mpmath")
     m = max(0, math.ceil(max(20, digits) - x)) + extra_m
-    body = specfun._polygamma_mantissas(n, x.numerator, x.denominator, m,
-                                        10 ** (digits + 1), p)
-    assert body is not None
-    lo, hi = body
+    tol_den = 10 ** (digits + 1)
+    a, b = x.numerator, x.denominator
+    guard = p - tol_den.bit_length() - n * (m + a // b).bit_length()
+    (body,) = specfun._polygamma_mantissas(n, n, a, b, m, tol_den, guard)
+    assert body is not None and body[0] == p
+    _, lo, hi = body
     # |psi^(n)(x)| < 2**210 for x >= 1/100 and n <= 20
     with mpmath.workprec(p + 300):
         scaled = abs(mpmath.psi(n, _mpf(x))) * 2 ** p
