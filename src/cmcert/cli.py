@@ -9,23 +9,23 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import click
 
-from .enclosure import Enclosure, format_rational
+from .enclosure import Enclosure, Record, format_rational
 from . import cmdegree, expring, poly, seriesratio, specfun
 
 EX_USAGE = 64
 EX_CONFIG = 65
 
 
-@dataclass
-class RunConfig:
-    precision: int = 60
-    grid: str = "geometric:0.01,1000,25"
-    fmt: str = "text"
+class RunConfig(Record):
+    __slots__ = _fields = ("precision", "grid", "fmt")
+    _defaults = {"precision": 60, "grid": "geometric:0.01,1000,25",
+                 "fmt": "text"}
+    __setattr__ = object.__setattr__
+    __hash__ = None  # mutable
 
 
 def _parse_config_file(path: str) -> dict:

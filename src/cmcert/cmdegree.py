@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .enclosure import (Enclosure, format_rational, rational_power_enclosure,
-                        to_fraction)
+from .enclosure import (Enclosure, Record, format_rational,
+                        rational_power_enclosure, to_fraction)
 from . import specfun
 from .expring import eval_enclosure, kernel_derivative
 
@@ -68,14 +67,14 @@ class PointTable(dict):
         return value
 
 
-@dataclass(frozen=True)
-class CMExpression:
+class CMExpression(Record):
     """Finite sum of coef * t^power * atom terms, closed under d/dt.
 
     An atom is ("const",), ("exp", beta) for e^(beta/t) or ("psi", n).
+    Not slotted: `_rows` caches in the instance dict.
     """
 
-    terms: tuple  # ((coef, power, atom), ...) canonical
+    _fields = ("terms",)  # ((coef, power, atom), ...) canonical
 
     @staticmethod
     def of(raw) -> "CMExpression":
@@ -184,22 +183,14 @@ def h_expression(alpha=1, beta=1) -> CMExpression:
 # -- degree checks ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeCell:
-    n: int
-    t: Fraction
-    value: Enclosure
-    verdict: str  # pass | fail | indeterminate
+class DegreeCell(Record):
+    # verdict: pass | fail | indeterminate
+    __slots__ = _fields = ("n", "t", "value", "verdict")
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    function: str
-    r: Fraction
-    N: int
-    grid: list
-    cells: list
-    summary: str  # pass | fail | indeterminate
+class DegreeReport(Record):
+    # summary: pass | fail | indeterminate
+    __slots__ = _fields = ("function", "r", "N", "grid", "cells", "summary")
 
     def exit_code(self) -> int:
         return {"pass": 0, "fail": 1, "indeterminate": 2}[self.summary]
@@ -253,9 +244,11 @@ def _grid_points(grid) -> list[Fraction]:
 
 def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
                  digit_cap: int, table: PointTable | None = None) -> DegreeCell:
-    sign = (-1) ** n
-    return DegreeCell(n, t, *_sign_definite(
-        lambda d: expr.evaluate(t, d, table) * sign, digits, digit_cap))
+    def signed(d: int) -> Enclosure:
+        value = expr.evaluate(t, d, table)
+        return -value if n % 2 else value
+
+    return DegreeCell(n, t, *_sign_definite(signed, digits, digit_cap))
 
 
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,

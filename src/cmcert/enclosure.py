@@ -9,7 +9,6 @@ operations do not accumulate unbounded rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -54,20 +53,72 @@ def integer_nth_root(a: int, n: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class Enclosure:
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value whose fields are the names in `_fields`.
+
+    A subclass declares `__slots__ = _fields = (...)` and any defaults of
+    trailing fields in `_defaults`.  Construction by position or keyword,
+    equality within one class, hashing and the repr follow the fields, and
+    no code is generated when a class is defined: every CLI run is a fresh
+    process that would pay for it.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or values.keys() != set(fields)
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(f"{type(self).__name__} takes the fields "
+                                f"{fields}, got {args} and {kwargs}")
+            args = [values[name] for name in fields]
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+
+class Enclosure(Record):
     """Closed interval [lo, hi] certified to contain a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if not isinstance(self.lo, Fraction):
-            object.__setattr__(self, "lo", Fraction(self.lo))
-        if not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Rat, hi: Rat):
+        if not isinstance(lo, Fraction):
+            lo = Fraction(lo)
+        if not isinstance(hi, Fraction):
+            hi = Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"inverted interval [{lo}, {hi}]")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
     # -- constructors ------------------------------------------------------
 

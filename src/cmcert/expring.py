@@ -14,21 +14,19 @@ Zimmermann, Modern Computer Arithmetic, section 4.4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .enclosure import Enclosure, to_fraction
+from .enclosure import Enclosure, Record, to_fraction
 from .poly import Polynomial, certify_positive_on_interval, lemma1_exp_bounds
 from . import specfun
 
 
-@dataclass(frozen=True)
-class ExpPoly:
+class ExpPoly(Record):
     """Finite sum of p_i(u) * e^(i u) with exact polynomial coefficients."""
 
-    terms: tuple[tuple[int, Polynomial], ...]  # sorted by frequency
+    __slots__ = _fields = ("terms",)  # ((i, p_i), ...) sorted by frequency
 
     @staticmethod
     def of(mapping: dict[int, Polynomial]) -> "ExpPoly":
@@ -143,12 +141,10 @@ def _divide_by_exp_minus_one(num: ExpPoly) -> Optional[ExpPoly]:
     return ExpPoly.of({i: q for i, q in enumerate(quot)})
 
 
-@dataclass(frozen=True)
-class ExpPolyQuotient:
+class ExpPolyQuotient(Record):
     """numerator / (e^u - 1)^pole in canonical (fully reduced) form."""
 
-    numerator: ExpPoly
-    pole: int
+    __slots__ = _fields = ("numerator", "pole")
 
     @staticmethod
     def make(numerator: ExpPoly, pole: int) -> "ExpPolyQuotient":

@@ -17,22 +17,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .enclosure import Enclosure, format_rational, to_fraction
+from .enclosure import Enclosure, Record, format_rational, to_fraction
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Record):
     """Dense polynomial; coeffs[i] is the coefficient of x**i.
 
     The highest stored coefficient is nonzero; the zero polynomial has an
     empty coefficient tuple.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("coeffs",)
 
     @staticmethod
     def of(coeffs: Iterable) -> "Polynomial":
@@ -212,26 +210,19 @@ def cargo_shisha_bounds(p: Polynomial) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class PieceReport:
-    shift: Fraction
-    scale: Fraction
-    min_bk: Fraction
-    argmin: int
-    max_bk: Fraction
-    certified: bool
-    depth: int = 0
+class PieceReport(Record):
+    __slots__ = _fields = ("shift", "scale", "min_bk", "argmin", "max_bk",
+                           "certified", "depth")
+    _defaults = {"depth": 0}
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(Record):
     """Verdict for 'p > 0 on [lo, hi]' with per-piece bound data."""
 
-    verdict: str  # "certified" | "falsified" | "inconclusive"
-    interval: tuple[Fraction, Fraction]
-    pieces: tuple[PieceReport, ...]
-    witness: Optional[Fraction] = None
-    witness_value: Optional[Fraction] = None
+    # verdict: "certified" | "falsified" | "inconclusive"
+    __slots__ = _fields = ("verdict", "interval", "pieces", "witness",
+                           "witness_value")
+    _defaults = {"witness": None, "witness_value": None}
 
     def to_json(self) -> str:
         doc = {

@@ -9,11 +9,10 @@ unimodal maximization and slope signs by enclosure comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
-from .enclosure import Enclosure, to_fraction
+from .enclosure import Enclosure, Record, to_fraction
 from . import specfun
 from .expring import eval_enclosure, kernel_derivative
 
@@ -143,12 +142,10 @@ def script_C(m: int) -> int:
 # -- sequence reports -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    values: list[Fraction]
-    strictly_increasing: bool
-    nondecreasing: bool
-    first_violation: Optional[int]  # smallest k with values[k+1] <= values[k]
+class MonotonicityReport(Record):
+    # first_violation: the smallest k with values[k+1] <= values[k], or None
+    __slots__ = _fields = ("values", "strictly_increasing", "nondecreasing",
+                           "first_violation")
 
 
 def _monotonicity(values: list[Fraction]) -> MonotonicityReport:
@@ -281,12 +278,8 @@ def g_beta(u, beta, digits: int) -> Enclosure:
 # -- unimodal maximization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaxResult:
-    argmax: Enclosure
-    value: Enclosure
-    digits_used: int
-    resolved: bool
+class MaxResult(Record):
+    __slots__ = _fields = ("argmax", "value", "digits_used", "resolved")
 
 
 def unimodal_max(f: Callable[[Fraction, int], Enclosure], bracket, tol,

@@ -3,8 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cmcert.cli import RunConfig
+from cmcert.cmdegree import CMExpression, DegreeCell
 from cmcert.enclosure import (Enclosure, integer_nth_root, nth_root_enclosure,
                               rational_power_enclosure, to_fraction)
+from cmcert.expring import ExpPoly, _taylor_table
+from cmcert.poly import PieceReport, Polynomial, PositivityCertificate
+from cmcert.seriesratio import MaxResult
 
 from reference_values import integer_nth_root_newton, mul_four_products
 
@@ -25,6 +30,8 @@ def test_point_and_width():
 def test_inverted_interval_rejected():
     with pytest.raises(ValueError):
         interval(1, 0)
+    with pytest.raises(ValueError):
+        Enclosure(2, 1)
 
 
 def test_sign_classification():
@@ -153,3 +160,53 @@ def test_mul_all_nine_sign_cases_with_zero_endpoints():
             assert x * y == mul_four_products(x, y), (x, y)
             cases.add((sign_class(x), sign_class(y)))
     assert len(cases) == 9
+
+
+def test_value_fields_cannot_be_assigned():
+    cell = DegreeCell(0, Fraction(1), interval(0, 1), "pass")
+    for value, name in [(interval(0, 1), "lo"), (Polynomial.x(), "coeffs"),
+                        (cell, "verdict"), (CMExpression.zero(), "terms")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+
+def test_equal_values_hash_equal_and_share_cache_entries():
+    def build():
+        return ExpPoly.of({1: Polynomial.of([0, 1]), 2: Polynomial.of([3])})
+
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Polynomial.of([1, 2]) == Polynomial.of([Fraction(1), 2, 0])
+    assert hash(Polynomial.of([1, 2])) == hash(Polynomial.of(["1", "2"]))
+    first = _taylor_table(a, 7)
+    hits = _taylor_table.cache_info().hits
+    assert _taylor_table(b, 7) is first
+    assert _taylor_table.cache_info().hits == hits + 1
+
+
+def test_values_of_different_types_are_never_equal():
+    # both hold the single field value ()
+    assert Polynomial.zero() != ExpPoly.zero()
+    assert Polynomial.zero() == Polynomial.zero()
+    assert interval(0, 1) != (Fraction(0), Fraction(1))
+
+
+def test_value_construction_by_keyword_and_default():
+    piece = PieceReport(Fraction(0), Fraction(1), min_bk=Fraction(1),
+                        argmin=0, max_bk=Fraction(2), certified=True)
+    assert piece.depth == 0
+    assert piece == PieceReport(Fraction(0), Fraction(1), Fraction(1), 0,
+                                Fraction(2), True, 0)
+    cert = PositivityCertificate("certified", (0, 1), (piece,))
+    assert cert.witness is None and cert.witness_value is None
+    assert Enclosure(hi=2, lo=1) == interval(1, 2)
+    assert RunConfig(precision=80) == RunConfig(80, fmt="text",
+                                                grid="geometric:0.01,1000,25")
+    assert repr(DegreeCell(1, Fraction(1, 2), interval(0, 1), "fail")) == \
+        "DegreeCell(n=1, t=Fraction(1, 2), value=[0, 1], verdict='fail')"
+    for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"lo": 1}),
+                         ((1,), {"middle": 1})]:
+        with pytest.raises(TypeError):
+            MaxResult(*args, **kwargs)

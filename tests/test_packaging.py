@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,18 @@ def test_no_unused_top_level_imports():
 def test_every_exported_name_resolves():
     missing = [name for name in cmcert.__all__ if not hasattr(cmcert, name)]
     assert missing == []
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # a cold `import cmcert.cli` is paid by every invocation, and the
+    # benchmark tracer relies on it to load every module it rebinds
+    code = ("import json, sys; before = set(sys.modules); import cmcert.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = json.loads(out)
+    assert "dataclasses" not in loaded
+    for name in ("enclosure", "poly", "specfun", "expring", "seriesratio",
+                 "cmdegree"):
+        assert f"cmcert.{name}" in loaded
