@@ -22,57 +22,39 @@ EX_CONFIG = 65
 
 class RunConfig(Record):
     __slots__ = _fields = ("precision", "grid", "fmt")
-    _defaults = {"precision": 60, "grid": "geometric:0.01,1000,25",
-                 "fmt": "text"}
-    __setattr__ = object.__setattr__
-    __hash__ = None  # mutable
-
-
-def _parse_config_file(path: str) -> dict:
-    values: dict = {}
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"line {lineno}: expected key=value")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
-    except (OSError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EX_CONFIG)
-    return values
 
 
 def _build_config(config_path, precision, fmt, grid) -> RunConfig:
-    cfg = RunConfig()
-    if config_path:
-        raw = _parse_config_file(config_path)
-        try:
+    """The defaults, overridden by the config file, then by the flags."""
+    values = {"precision": 60, "grid": "geometric:0.01,1000,25", "fmt": "text"}
+    try:
+        if config_path:
+            raw = {}
+            with open(config_path) as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line or line.startswith("#"):
+                        continue
+                    if "=" not in line:
+                        raise ValueError(f"line {lineno}: expected key=value")
+                    key, _, val = line.partition("=")
+                    raw[key.strip()] = val.strip()
             if "precision" in raw:
-                cfg.precision = int(raw["precision"])
+                values["precision"] = int(raw["precision"])
             if "grid" in raw:
-                cfg.grid = raw["grid"]
+                values["grid"] = raw["grid"]
             if "format" in raw:
-                cfg.fmt = raw["format"]
-        except ValueError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EX_CONFIG)
-    if precision is not None:
-        cfg.precision = precision
-    if fmt is not None:
-        cfg.fmt = fmt
-    if grid is not None:
-        cfg.grid = grid
-    if cfg.precision < 10:
-        click.echo("config error: precision must be >= 10", err=True)
+                values["fmt"] = raw["format"]
+        flags = {"precision": precision, "grid": grid, "fmt": fmt}
+        values.update((k, v) for k, v in flags.items() if v is not None)
+        if values["precision"] < 10:
+            raise ValueError("precision must be >= 10")
+        if values["fmt"] not in ("text", "json", "csv"):
+            raise ValueError(f"unknown format {values['fmt']!r}")
+    except (OSError, ValueError) as exc:
+        click.echo(f"config error: {exc}", err=True)
         sys.exit(EX_CONFIG)
-    if cfg.fmt not in ("text", "json", "csv"):
-        click.echo(f"config error: unknown format {cfg.fmt!r}", err=True)
-        sys.exit(EX_CONFIG)
-    return cfg
+    return RunConfig(**values)
 
 
 def _parse_grid(spec: str):
@@ -474,7 +456,7 @@ def reproduce_paper(cfg):
 
     chain = expring.build_F_chain()
     record("derivative chain origin zeros", chain[3]["verified"])
-    _, _, pade = expring.build_f4_via_pade()
+    _, pade = expring.build_f4_via_pade()
     record("two-sided bound reconstruction",
            pade["matches_reference"]
            and pade["sextic_factor_positive_on_0_6"] == "certified"

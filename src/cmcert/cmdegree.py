@@ -214,11 +214,11 @@ class DegreeReport(Record):
         }, indent=2)
 
 
-def _sign_definite(evaluate, digits: int, digit_cap: int):
+def _sign_definite(evaluate, digits: int):
     """(value, verdict) of evaluate(d), doubling d until sign-definite.
 
     The verdict is pass for a value >= 0, fail for a value < 0, and
-    indeterminate when the value still meets 0 at digit_cap digits.
+    indeterminate when the value still meets 0 at DIGIT_CAP digits.
     """
     d = digits
     while True:
@@ -227,9 +227,9 @@ def _sign_definite(evaluate, digits: int, digit_cap: int):
             return val, "pass"
         if val.hi < 0:
             return val, "fail"
-        if d >= digit_cap:
+        if d >= DIGIT_CAP:
             return val, "indeterminate"
-        d = min(2 * d, digit_cap)
+        d = min(2 * d, DIGIT_CAP)
 
 
 def _grid_points(grid) -> list[Fraction]:
@@ -243,16 +243,16 @@ def _grid_points(grid) -> list[Fraction]:
 
 
 def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
-                 digit_cap: int, table: PointTable | None = None) -> DegreeCell:
+                 table: PointTable | None = None) -> DegreeCell:
     def signed(d: int) -> Enclosure:
         value = expr.evaluate(t, d, table)
         return -value if n % 2 else value
 
-    return DegreeCell(n, t, *_sign_definite(signed, digits, digit_cap))
+    return DegreeCell(n, t, *_sign_definite(signed, digits))
 
 
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
-             digit_cap: int = DIGIT_CAP, name: str = "f") -> DegreeReport:
+             name: str = "f") -> DegreeReport:
     """Sign enclosures of (-1)^n (t^r f)^(n) on a grid for n = 0..N.
 
     Each grid point's column of N + 1 orders is evaluated from one
@@ -271,7 +271,7 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     columns = []
     for t in pts:
         table = PointTable(t, top)
-        columns.append([_signed_cell(expr, n, t, digits, digit_cap, table)
+        columns.append([_signed_cell(expr, n, t, digits, table)
                         for n, expr in enumerate(exprs)])
     cells = [column[n] for n in range(N + 1) for column in columns]
     verdicts = {c.verdict for c in cells}
@@ -281,8 +281,7 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
                         summary=summary)
 
 
-def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30,
-                          digit_cap: int = DIGIT_CAP):
+def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
     """Scan t upward in octaves for a sign-definite first-derivative violation.
 
     Complete monotonicity of t^r f needs (t^r f)' <= 0 everywhere; returns
@@ -294,7 +293,7 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30,
     t_hi = to_fraction(t_hi)
     d1 = f.mul_power(r).derivative()
     while t <= t_hi:
-        cell = _signed_cell(d1, 1, t, digits, digit_cap)
+        cell = _signed_cell(d1, 1, t, digits)
         if cell.verdict == "fail":
             # (-1)^1 * derivative certifiably negative => derivative > 0
             return t, -cell.value
@@ -346,15 +345,15 @@ def kernel_margin(k: int, u, digits: int) -> Enclosure:
     return (ik - kd).round_out(digits + 1)
 
 
-def kernel_certificate(k: int, grid, digits: int = 20,
-                       digit_cap: int = DIGIT_CAP) -> dict:
+def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
     """Grid certificate of i_k(u) >= kernel^(k-1)(u), plus the k=5 ray.
 
     For k = 5 the whole ray u >= 7 is certified through the exponential tail
-    sums K_l(a): the fourth kernel derivative is sum k^3 (k u - 4) e^(-k u),
-    bounded above termwise by u K_4(7) - 4 K_3(7) for u >= 7 (each weight
-    k(ku-4) >= 0 there), while i_5(u) >= (u + 6)/720 from its first two
-    series terms; K_4(7) < 1/720 closes the comparison for every u > 0.
+    sum K_4(7): the fourth kernel derivative is sum k^3 (k u - 4) e^(-k u),
+    at most u K_4(7) - 4 K_3(7) <= u K_4(7) for u >= 7 (each weight k(ku-4)
+    is >= 0 and e^(-ku) <= e^(-7k) there), while i_5(u) >= (u + 6)/720 from
+    its first two series terms; K_4(7) < 1/720 then gives u K_4(7) <
+    (u + 6)/720 for every u > 0.
     """
     if not 1 <= k <= 6:
         raise ValueError("supported orders are 1..6")
@@ -362,7 +361,7 @@ def kernel_certificate(k: int, grid, digits: int = 20,
     cells = []
     for u in pts:
         margin, verdict = _sign_definite(lambda d: kernel_margin(k, u, d),
-                                         digits, digit_cap)
+                                         digits)
         cells.append({"u": u, "margin": margin, "verdict": verdict})
     report = {
         "k": k,
@@ -371,12 +370,10 @@ def kernel_certificate(k: int, grid, digits: int = 20,
     }
     if k == 5:
         k4 = specfun.k_tail(4, 7, digits + 6)
-        k3 = specfun.k_tail(3, 7, digits + 6)
         ray_ok = k4.hi < Fraction(1, 720)
         report["ray"] = {
             "threshold": Fraction(1, 720),
             "K4_at_7": k4,
-            "K3_at_7": k3,
             "certified": ray_ok,
             "from": Fraction(7),
         }

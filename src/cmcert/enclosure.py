@@ -59,21 +59,19 @@ _set = object.__setattr__
 class Record:
     """Immutable value whose fields are the names in `_fields`.
 
-    A subclass declares `__slots__ = _fields = (...)` and any defaults of
-    trailing fields in `_defaults`.  Construction by position or keyword,
-    equality within one class, hashing and the repr follow the fields, and
-    no code is generated when a class is defined: every CLI run is a fresh
-    process that would pay for it.
+    A subclass declares `__slots__ = _fields = (...)`.  Construction by
+    position or keyword, equality within one class, hashing and the repr
+    follow the fields, and no code is generated when a class is defined:
+    every CLI run is a fresh process that would pay for it.
     """
 
     __slots__ = ()
     _fields: tuple = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
         if kwargs or len(args) != len(fields):
-            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            values = dict(zip(fields, args), **kwargs)
             if (len(args) > len(fields) or values.keys() != set(fields)
                     or not kwargs.keys().isdisjoint(fields[:len(args)])):
                 raise TypeError(f"{type(self).__name__} takes the fields "

@@ -158,22 +158,6 @@ class ExpPolyQuotient(Record):
             pole -= 1
         return ExpPolyQuotient(numerator, pole)
 
-    def is_zero(self) -> bool:
-        return self.numerator.is_zero()
-
-    def __add__(self, other: "ExpPolyQuotient") -> "ExpPolyQuotient":
-        m = max(self.pole, other.pole)
-        a = self.numerator
-        for _ in range(m - self.pole):
-            a = a * EXP_U_MINUS_ONE
-        b = other.numerator
-        for _ in range(m - other.pole):
-            b = b * EXP_U_MINUS_ONE
-        return ExpPolyQuotient.make(a + b, m)
-
-    def __sub__(self, other: "ExpPolyQuotient") -> "ExpPolyQuotient":
-        return self + ExpPolyQuotient(other.numerator.scale(-1), other.pole)
-
 
 def differentiate(f: ExpPolyQuotient) -> ExpPolyQuotient:
     """Exact derivative; d/du (e^u-1)^-m = -m e^u (e^u-1)^-(m+1)."""
@@ -344,10 +328,10 @@ def _extract_exp_factor(g: ExpPoly, scalar: int) -> ExpPoly:
 
 
 def build_F_chain():
-    """Build the three-stage derivative chain and verify its seven exact zeros.
+    """Build the three-stage derivative chain and check its seven exact zeros.
 
     Returns (F1, F2, F3, report) where F2 = F1''/(5 e^u) and F3 = F2''/(8 e^u);
-    the report lists the origin values that must all vanish.
+    the report lists the origin values, and it is verified when all vanish.
     """
     f1 = build_f1()
     f1d = f1.derivative()
@@ -365,10 +349,8 @@ def build_F_chain():
         "F1'(0)": f1d.value_at_origin(),
         "F1(0)": f1.value_at_origin(),
     }
-    bad = {k: v for k, v in zeros.items() if v != 0}
-    if bad:
-        raise ArithmeticError(f"chain zero-value check failed: {bad}")
-    report = {"zeros": {k: str(v) for k, v in zeros.items()}, "verified": True}
+    report = {"zeros": {k: str(v) for k, v in zeros.items()},
+              "verified": all(v == 0 for v in zeros.values())}
     return f1, f2, f3, report
 
 
@@ -411,8 +393,11 @@ def build_f4_via_pade():
     """Reproduce the degree-28 numerator by exact substitution of the
     rational exp sandwich (orders m=2, n=3) into the stage-three function.
 
-    Returns (f4, denom, report); denom is the cleared denominator
-    (quintic factor squared times sextic factor cubed), positive on (0, 6).
+    Returns (f4, report).  The reduction matches the reference when its
+    numerator vanishes at 0 and f4 is F4_REFERENCE_COEFFS.  The cleared
+    denominator, the (negative) quintic factor squared times the sextic
+    factor cubed, is positive on (0, 6) when the sextic and the negated
+    quintic factor are both certified positive there.
     """
     (lnum, lden), (unum, uden), _ = lemma1_exp_bounds(2, 3)
     u = Polynomial.x()
@@ -429,27 +414,13 @@ def build_f4_via_pade():
             - (lden ** 3 * uden ** 2).scale(793)
         )
     )
-    if numerator[0] != 0:
-        raise ArithmeticError("reduction numerator must vanish at 0")
     f4 = Polynomial.of([c / 6 for c in numerator.coeffs[1:]])
-    for i, ref in enumerate(F4_REFERENCE_COEFFS):
-        if f4[i] != ref:
-            raise ArithmeticError(
-                f"coefficient of u^{i} differs from the reference: "
-                f"{f4[i]} != {ref}")
-    quintic = Polynomial.of([-c if k % 2 == 0 else c
-                             for k, c in enumerate(uden.coeffs)])
-    denom = quintic ** 2 * lden ** 3
-    # denom > 0 on (0,6): the sextic factor is positive there and the
-    # (negative) quintic factor enters squared
-    sextic_cert = certify_positive_on_interval(lden, 0, 6, 1)
-    negquintic_cert = certify_positive_on_interval(uden, 0, 6, 1)
     report = {
-        "degree": f4.degree,
-        "leading": str(f4[f4.degree]),
-        "constant": str(f4[0]),
-        "matches_reference": True,
-        "sextic_factor_positive_on_0_6": sextic_cert.verdict,
-        "negated_quintic_positive_on_0_6": negquintic_cert.verdict,
+        "matches_reference": (numerator[0] == 0
+                              and f4.coeffs == F4_REFERENCE_COEFFS),
+        "sextic_factor_positive_on_0_6":
+            certify_positive_on_interval(lden, 0, 6, 1).verdict,
+        "negated_quintic_positive_on_0_6":
+            certify_positive_on_interval(uden, 0, 6, 1).verdict,
     }
-    return f4, denom, report
+    return f4, report

@@ -211,9 +211,7 @@ def cargo_shisha_bounds(p: Polynomial) -> list[Fraction]:
 
 
 class PieceReport(Record):
-    __slots__ = _fields = ("shift", "scale", "min_bk", "argmin", "max_bk",
-                           "certified", "depth")
-    _defaults = {"depth": 0}
+    __slots__ = _fields = ("shift", "min_bk", "argmin", "max_bk", "certified")
 
 
 class PositivityCertificate(Record):
@@ -222,7 +220,6 @@ class PositivityCertificate(Record):
     # verdict: "certified" | "falsified" | "inconclusive"
     __slots__ = _fields = ("verdict", "interval", "pieces", "witness",
                            "witness_value")
-    _defaults = {"witness": None, "witness_value": None}
 
     def to_json(self) -> str:
         doc = {
@@ -243,20 +240,25 @@ class PositivityCertificate(Record):
         return json.dumps(doc, indent=2)
 
 
-def _unit_interval_piece(p: Polynomial, shift: Fraction, scale: Fraction,
-                         depth: int) -> PieceReport:
-    local = compose_affine(p, shift, scale)
-    bs = cargo_shisha_bounds(local)
+# a failing piece is searched for a witness on WITNESS_LEVELS dyadic levels,
+# then bisected at most MAX_DEPTH times
+WITNESS_LEVELS = 6
+MAX_DEPTH = 12
+
+
+def _unit_interval_piece(p: Polynomial, shift: Fraction,
+                         scale: Fraction) -> PieceReport:
+    bs = cargo_shisha_bounds(compose_affine(p, shift, scale))
     mn = min(bs)
-    return PieceReport(shift=shift, scale=scale, min_bk=mn, argmin=bs.index(mn),
-                       max_bk=max(bs), certified=mn > 0, depth=depth)
+    return PieceReport(shift=shift, min_bk=mn, argmin=bs.index(mn),
+                       max_bk=max(bs), certified=mn > 0)
 
 
-def _search_witness(p: Polynomial, lo: Fraction, hi: Fraction,
-                    depth: int) -> Optional[Fraction]:
+def _search_witness(p: Polynomial, lo: Fraction,
+                    hi: Fraction) -> Optional[Fraction]:
     """Look for an exact point with p(x) <= 0, densifying dyadically."""
     seen = set()
-    for level in range(1, depth + 1):
+    for level in range(1, WITNESS_LEVELS + 1):
         step = (hi - lo) / 2 ** level
         for j in range(1, 2 ** level, 2):
             x = lo + j * step
@@ -271,14 +273,14 @@ def _search_witness(p: Polynomial, lo: Fraction, hi: Fraction,
     return None
 
 
-def certify_positive_on_interval(p: Polynomial, lo, hi, step,
-                                 max_depth: int = 12) -> PositivityCertificate:
+def certify_positive_on_interval(p: Polynomial, lo, hi,
+                                 step) -> PositivityCertificate:
     """Certify p > 0 on [lo, hi] by step-wise Cargo-Shisha bounds.
 
     Each step-length piece is rescaled to [0, 1]; a piece certifies when its
     minimum coefficient bound is positive.  A failing piece is first searched
     for an exact nonpositive witness, then bisected (bounds tighten under
-    subdivision) up to `max_depth` before the verdict degrades to
+    subdivision) up to MAX_DEPTH times before the verdict degrades to
     inconclusive.
     """
     lo, hi, step = to_fraction(lo), to_fraction(hi), to_fraction(step)
@@ -290,16 +292,16 @@ def certify_positive_on_interval(p: Polynomial, lo, hi, step,
 
     def handle(a: Fraction, b: Fraction, depth: int) -> str:
         nonlocal witness
-        rep = _unit_interval_piece(p, a, b - a, depth)
+        rep = _unit_interval_piece(p, a, b - a)
         if rep.certified:
             pieces.append(rep)
             return "certified"
-        w = _search_witness(p, a, b, depth=6)
+        w = _search_witness(p, a, b)
         if w is not None:
             witness = w
             pieces.append(rep)
             return "falsified"
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             pieces.append(rep)
             return "inconclusive"
         m = (a + b) / 2

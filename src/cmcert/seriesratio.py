@@ -278,16 +278,20 @@ def g_beta(u, beta, digits: int) -> Enclosure:
 # -- unimodal maximization --------------------------------------------------
 
 
+# unimodal_max and slope_sign_changes double the precision up to this
+DIGIT_CAP = 120
+
+
 class MaxResult(Record):
     __slots__ = _fields = ("argmax", "value", "digits_used", "resolved")
 
 
 def unimodal_max(f: Callable[[Fraction, int], Enclosure], bracket, tol,
-                 digits: int = 30, digit_cap: int = 120) -> MaxResult:
+                 digits: int = 30) -> MaxResult:
     """Narrow the maximizer of a unimodal f by enclosure comparisons.
 
     Trisection with exact rational probe points; when two probe enclosures
-    overlap, the working precision doubles up to `digit_cap`, after which the
+    overlap, the working precision doubles up to DIGIT_CAP, after which the
     achieved widths are returned with resolved=False.
     """
     a, b = to_fraction(bracket[0]), to_fraction(bracket[1])
@@ -308,10 +312,10 @@ def unimodal_max(f: Callable[[Fraction, int], Enclosure], bracket, tol,
             if v2.definitely_less(v1):
                 b = m2
                 break
-            if d >= digit_cap:
+            if d >= DIGIT_CAP:
                 resolved = False
                 break
-            d = min(2 * d, digit_cap)
+            d = min(2 * d, DIGIT_CAP)
         if not resolved:
             break
     mid = (a + b) / 2
@@ -322,7 +326,7 @@ def unimodal_max(f: Callable[[Fraction, int], Enclosure], bracket, tol,
 
 
 def slope_sign_changes(f: Callable[[Fraction, int], Enclosure], grid,
-                       digits: int = 30, digit_cap: int = 120):
+                       digits: int = 30):
     """Signs of consecutive finite differences of f over a grid.
 
     Each difference is refined until sign-definite or the cap is hit; returns
@@ -335,10 +339,10 @@ def slope_sign_changes(f: Callable[[Fraction, int], Enclosure], grid,
         while True:
             diff = f(x1, d) - f(x0, d)
             s = diff.sign()
-            if s != 0 or d >= digit_cap:
+            if s != 0 or d >= DIGIT_CAP:
                 signs.append(s)
                 break
-            d = min(2 * d, digit_cap)
+            d = min(2 * d, DIGIT_CAP)
     changes = 0
     last = 0
     for s in signs:

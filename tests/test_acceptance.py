@@ -49,7 +49,7 @@ def test_derivative_chain_and_reconstruction():
     assert report["verified"]
     assert len(report["zeros"]) == 7
     assert all(v == "0" for v in report["zeros"].values())
-    f4, _, pade_report = expring.build_f4_via_pade()
+    f4, pade_report = expring.build_f4_via_pade()
     assert pade_report["matches_reference"]
     assert f4.coeffs == expring.F4_REFERENCE_COEFFS
     assert time.monotonic() - start < 10.0

@@ -11,9 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import cmcert
-from cmcert import seriesratio
+from cmcert import expring, seriesratio
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
+from cmcert.expring import ExpPoly
+from cmcert.poly import Polynomial
 
 
 @pytest.fixture()
@@ -205,6 +207,27 @@ def test_limit_battery_reads_endpoints_not_midpoints(runner, monkeypatch):
     assert result.exit_code == 1
     assert "[FAIL] limit battery" in result.stdout.splitlines()
     assert result.stdout.splitlines()[-1] == "summary: some checks FAILED"
+
+
+def test_failed_algebra_checks_are_reported(runner, monkeypatch):
+    # F1(0) = 1 leaves F1'' and the rest of the chain as they are; a doubled
+    # lower sandwich numerator moves the reduction off the reference
+    build_f1, bounds = expring.build_f1, expring.lemma1_exp_bounds
+
+    def planted_bounds(m, n):
+        (lnum, lden), upper, limit = bounds(m, n)
+        return (lnum.scale(2), lden), upper, limit
+
+    monkeypatch.setattr(expring, "build_f1", lambda: build_f1()
+                        + ExpPoly.of({0: Polynomial.constant(1)}))
+    monkeypatch.setattr(expring, "lemma1_exp_bounds", planted_bounds)
+    result = invoke(runner, "reproduce-paper")
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert "[FAIL] derivative chain origin zeros" in lines
+    assert "[FAIL] two-sided bound reconstruction" in lines
+    assert sum(line.startswith("[pass] ") for line in lines) == 9
+    assert lines[-1] == "summary: some checks FAILED"
 
 
 def test_bad_grid_spec_is_usage_error(runner):

@@ -74,7 +74,7 @@ def test_evaluate_matches_fraction_summation(alpha, beta, r):
                 (n, t)
 
 
-def _per_cell_paths(expr, n, t, digits, digit_cap=cmdegree.DIGIT_CAP):
+def _per_cell_paths(expr, n, t, digits):
     """The cell at (n, t) from a fresh table per evaluation and from the
     Enclosure-sum reference, each escalating like cm_check, and the digit
     counts the fresh-table path used."""
@@ -85,9 +85,9 @@ def _per_cell_paths(expr, n, t, digits, digit_cap=cmdegree.DIGIT_CAP):
         used.append(d)
         return expr.evaluate(t, d) * sign
 
-    cell = cmdegree._sign_definite(fresh, digits, digit_cap)
+    cell = cmdegree._sign_definite(fresh, digits)
     reference = cmdegree._sign_definite(
-        lambda d: _fraction_evaluate(expr, t, d) * sign, digits, digit_cap)
+        lambda d: _fraction_evaluate(expr, t, d) * sign, digits)
     return cell, reference, used
 
 

@@ -165,7 +165,8 @@ def test_mul_all_nine_sign_cases_with_zero_endpoints():
 def test_value_fields_cannot_be_assigned():
     cell = DegreeCell(0, Fraction(1), interval(0, 1), "pass")
     for value, name in [(interval(0, 1), "lo"), (Polynomial.x(), "coeffs"),
-                        (cell, "verdict"), (CMExpression.zero(), "terms")]:
+                        (cell, "verdict"), (CMExpression.zero(), "terms"),
+                        (RunConfig(60, "linear:1,2,3", "text"), "fmt")]:
         with pytest.raises(AttributeError):
             setattr(value, name, None)
         with pytest.raises(AttributeError):
@@ -193,17 +194,18 @@ def test_values_of_different_types_are_never_equal():
     assert interval(0, 1) != (Fraction(0), Fraction(1))
 
 
-def test_value_construction_by_keyword_and_default():
-    piece = PieceReport(Fraction(0), Fraction(1), min_bk=Fraction(1),
-                        argmin=0, max_bk=Fraction(2), certified=True)
-    assert piece.depth == 0
-    assert piece == PieceReport(Fraction(0), Fraction(1), Fraction(1), 0,
-                                Fraction(2), True, 0)
-    cert = PositivityCertificate("certified", (0, 1), (piece,))
+def test_value_construction_by_position_and_keyword():
+    piece = PieceReport(Fraction(0), min_bk=Fraction(1), argmin=0,
+                        max_bk=Fraction(2), certified=True)
+    assert piece == PieceReport(Fraction(0), Fraction(1), 0, Fraction(2), True)
+    cert = PositivityCertificate("certified", (0, 1), (piece,),
+                                 witness_value=None, witness=None)
     assert cert.witness is None and cert.witness_value is None
     assert Enclosure(hi=2, lo=1) == interval(1, 2)
-    assert RunConfig(precision=80) == RunConfig(80, fmt="text",
-                                                grid="geometric:0.01,1000,25")
+    assert RunConfig(precision=80, grid="linear:1,2,3", fmt="text") == \
+        RunConfig(80, fmt="text", grid="linear:1,2,3")
+    with pytest.raises(TypeError):  # no field has a default
+        PositivityCertificate("certified", (0, 1), (piece,))
     assert repr(DegreeCell(1, Fraction(1, 2), interval(0, 1), "fail")) == \
         "DegreeCell(n=1, t=Fraction(1, 2), value=[0, 1], verdict='fail')"
     for args, kwargs in [((), {}), ((1, 2, 3), {}), ((1,), {"lo": 1}),

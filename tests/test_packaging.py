@@ -67,3 +67,15 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     for name in ("enclosure", "poly", "specfun", "expring", "seriesratio",
                  "cmdegree"):
         assert f"cmcert.{name}" in loaded
+
+
+def test_benchmark_tracer_finds_every_target():
+    # the traced benchmark rebinds each name in its TARGETS list; a deleted
+    # or renamed one raises here instead of only in a traced benchmark run
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+            "tracer.Tracer().install(); print(len(tracer.TARGETS))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) > 0
