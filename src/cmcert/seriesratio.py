@@ -144,21 +144,14 @@ def script_C(m: int) -> int:
 
 class MonotonicityReport(Record):
     # first_violation: the smallest k with values[k+1] <= values[k], or None
-    __slots__ = _fields = ("values", "strictly_increasing", "nondecreasing",
-                           "first_violation")
+    __slots__ = _fields = ("values", "strictly_increasing", "first_violation")
 
 
 def _monotonicity(values: list[Fraction]) -> MonotonicityReport:
-    first = None
-    nondec = True
-    for k in range(len(values) - 1):
-        if values[k + 1] <= values[k]:
-            if first is None:
-                first = k
-            if values[k + 1] < values[k]:
-                nondec = False
+    first = next((k for k in range(len(values) - 1)
+                  if values[k + 1] <= values[k]), None)
     return MonotonicityReport(values=values, strictly_increasing=first is None,
-                              nondecreasing=nondec, first_violation=first)
+                              first_violation=first)
 
 
 def c_ratio_sequence(beta, K: int) -> MonotonicityReport:

@@ -230,6 +230,43 @@ def test_failed_algebra_checks_are_reported(runner, monkeypatch):
     assert lines[-1] == "summary: some checks FAILED"
 
 
+def test_flat_ratio_step_fails_the_battery(runner, monkeypatch):
+    # c_0(1) = c_1(1) is the one flat step of the ratio sequence; a flat step
+    # later on, c_6(1) = c_5(1), must fail the strict monotonicity check
+    c_coeff = seriesratio.c_coeff
+    monkeypatch.setattr(seriesratio, "c_coeff", lambda k, beta: c_coeff(
+        5 if (k, beta) == (6, 1) else k, beta))
+    result = invoke(runner, "reproduce-paper")
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert "[FAIL] ratio monotonicity" in lines
+    assert lines[-1] == "summary: some checks FAILED"
+
+
+def test_indivisible_derivative_chain_fails_the_battery(runner, monkeypatch):
+    # + u^2 gives F1'' an e^0 term, so F1'' is not divisible by e^u
+    build_f1 = expring.build_f1
+    monkeypatch.setattr(expring, "build_f1", lambda: build_f1()
+                        + ExpPoly.of({0: Polynomial.of([0, 0, 1])}))
+    result = invoke(runner, "reproduce-paper")
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert "[FAIL] derivative chain origin zeros" in lines
+    assert sum(line.startswith("[pass] ") for line in lines) == 10
+    assert lines[-1] == "summary: some checks FAILED"
+
+
+def test_unresolved_maximum_is_inconclusive(runner, monkeypatch):
+    # probe values that always overlap leave the maximizer unresolved at the
+    # precision cap
+    monkeypatch.setattr(seriesratio, "f_beta",
+                        lambda u, beta, digits: Enclosure(0, 1))
+    result = invoke(runner, "unimodal-max", "--function", "F",
+                    "--beta", "1/2")
+    assert result.exit_code == 2
+    assert "resolved: False" in result.stdout.splitlines()
+
+
 def test_bad_grid_spec_is_usage_error(runner):
     result = invoke(runner, "--grid", "fancy:1,2,3", "kernel-ineq",
                     "--k", "1")
@@ -306,6 +343,9 @@ def test_installed_entry_point_matches_module_run():
     ["unimodal-max", "--function", "F", "--beta", "1", "--tol", "0"],
     ["bessel", "--k", "1", "--u", "-1"],
     ["p-limit", "--t", "0"],
+    # arguments the exponential enclosures cannot reach
+    ["p-limit", "--t", f"1/{10 ** 64}"],
+    ["ktail", "--ell", "1", "--a", str(10 ** 71)],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
@@ -313,8 +353,10 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
     run = run_child(MODULE_CMD + args, "1")
     stderr = run.stderr.decode(errors="replace")
     assert run.returncode == 64, stderr
+    assert run.stdout == b""
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ")
+    assert sum(line.startswith("error: ") for line in stderr.splitlines()) == 1
 
 
 # -- golden bytes ------------------------------------------------------------

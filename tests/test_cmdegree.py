@@ -458,3 +458,27 @@ def test_remark_vn_degree_check():
     grid = seriesratio.geometric_grid(Fraction(1, 2), 20, 7)
     assert cmdegree.cm_check(g2, 0, 6, grid, digits=15).summary == "pass"
     assert cmdegree.cm_check(g4, 0, 6, grid, digits=15).summary == "pass"
+
+
+def test_cm_check_stops_at_the_precision_cap(monkeypatch):
+    # 2 - sqrt(t) vanishes at t = 4, so its enclosure meets 0 at every
+    # precision: the order-0 cell doubles its digits up to DIGIT_CAP and
+    # is left indeterminate
+    expr = CMExpression.of([(2, 0, ("const",)),
+                            (-1, Fraction(1, 2), ("const",))])
+    evaluate = CMExpression.evaluate
+    digits = []
+
+    def recording(self, t, d, table=None):
+        if self == expr:
+            digits.append(d)
+        return evaluate(self, t, d, table)
+
+    monkeypatch.setattr(CMExpression, "evaluate", recording)
+    report = cmdegree.cm_check(expr, 0, 1, [4], digits=40)
+    cell = next(c for c in report.cells if c.n == 0)
+    assert cell.verdict == "indeterminate"
+    assert cell.value.lo <= 0 <= cell.value.hi
+    assert report.summary == "indeterminate"
+    assert report.exit_code() == 2
+    assert digits == [40, 80, cmdegree.DIGIT_CAP]

@@ -256,7 +256,6 @@ def test_ratio_sequences_monotone():
     c = sr.c_ratio_sequence(1, 30)
     assert c.values[0] == 1 and c.values[1] == 1
     assert not c.strictly_increasing          # the k = 0 step is flat
-    assert c.nondecreasing
     assert c.first_violation == 0
     assert all(c.values[k + 1] > c.values[k] for k in range(1, 30))
 
