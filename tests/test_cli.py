@@ -424,6 +424,19 @@ GOLDEN_USAGE_ERRORS = {
     "unimodal-max-bracket-1": ["unimodal-max", "--function", "F",
                                "--beta", "1", "--bracket", "1"],
 }
+# Option values that start with "-", and the parse order: a config error
+# (exit 65) is reported before an error in the command's own options.
+GOLDEN_PARSE = {
+    "certify-poly-negative-interval": ["certify-poly", "--file", "{good}",
+                                       "--interval", "-1,1"],
+    "cm-check-negative-r": ["--grid", "linear:1/2,4,3", "--precision", "15",
+                            "cm-check", "--alpha", "1", "--beta", "1",
+                            "--r", "-1/2", "--orders", "2"],
+    "ratio-mono-negative-beta": ["ratio-mono", "--which", "c",
+                                 "--beta", "-1/2", "--count", "3"],
+    "config-error-before-option-error": ["--precision", "2", "bessel",
+                                         "--k", "x", "--u", "1"],
+}
 
 
 def golden_cases() -> dict:
@@ -433,6 +446,7 @@ def golden_cases() -> dict:
             cases[f"{name}/{fmt}"] = flags + args
     cases.update(GOLDEN_SINGLE)
     cases.update(GOLDEN_USAGE_ERRORS)
+    cases.update(GOLDEN_PARSE)
     return cases
 
 
