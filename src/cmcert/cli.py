@@ -7,11 +7,10 @@ stream as text, JSON or CSV.  Exit codes: 0 certified/pass, 1 falsified,
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from fractions import Fraction
-
-import click
 
 from .enclosure import Enclosure, Record, format_rational
 from . import cmdegree, expring, poly, seriesratio, specfun
@@ -26,10 +25,10 @@ class RunConfig(Record):
 
 def _build_config(config_path, precision, fmt, grid) -> RunConfig:
     """The defaults, overridden by the config file, then by the flags."""
-    values = {"precision": 60, "grid": "geometric:0.01,1000,25", "fmt": "text"}
+    values = {"precision": 60, "grid": "geometric:0.01,1000,25",
+              "format": "text"}
     try:
         if config_path:
-            raw = {}
             with open(config_path) as fh:
                 for lineno, line in enumerate(fh, 1):
                     line = line.strip()
@@ -37,24 +36,19 @@ def _build_config(config_path, precision, fmt, grid) -> RunConfig:
                         continue
                     if "=" not in line:
                         raise ValueError(f"line {lineno}: expected key=value")
-                    key, _, val = line.partition("=")
-                    raw[key.strip()] = val.strip()
-            if "precision" in raw:
-                values["precision"] = int(raw["precision"])
-            if "grid" in raw:
-                values["grid"] = raw["grid"]
-            if "format" in raw:
-                values["fmt"] = raw["format"]
-        flags = {"precision": precision, "grid": grid, "fmt": fmt}
+                    key, _, val = map(str.strip, line.partition("="))
+                    if key in values:
+                        values[key] = int(val) if key == "precision" else val
+        flags = {"precision": precision, "grid": grid, "format": fmt}
         values.update((k, v) for k, v in flags.items() if v is not None)
         if values["precision"] < 10:
             raise ValueError("precision must be >= 10")
-        if values["fmt"] not in ("text", "json", "csv"):
-            raise ValueError(f"unknown format {values['fmt']!r}")
+        if values["format"] not in ("text", "json", "csv"):
+            raise ValueError(f"unknown format {values['format']!r}")
     except (OSError, ValueError) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(EX_CONFIG)
-    return RunConfig(**values)
+    return RunConfig(values["precision"], values["grid"], values["format"])
 
 
 def _parse_grid(spec: str):
@@ -63,18 +57,21 @@ def _parse_grid(spec: str):
         lo_s, hi_s, count_s = rest.split(",")
         lo, hi, count = Fraction(lo_s), Fraction(hi_s), int(count_s)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"bad grid spec {spec!r}; "
-                               "expected scale:lo,hi,count")
+        raise ValueError(f"bad grid spec {spec!r}; expected scale:lo,hi,count")
     if scale == "geometric":
         return seriesratio.geometric_grid(lo, hi, count)
     if scale == "linear":
         return seriesratio.linear_grid(lo, hi, count)
-    raise click.UsageError(f"unknown grid scale {scale!r}")
+    raise ValueError(f"unknown grid scale {scale!r}")
 
 
 def _read_poly_file(path: str) -> poly.Polynomial:
     coeffs = []
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path!r}: {exc.strerror}")
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -82,8 +79,7 @@ def _read_poly_file(path: str) -> poly.Polynomial:
             try:
                 coeffs.append(Fraction(line))
             except (ValueError, ZeroDivisionError):
-                raise click.UsageError(
-                    f"{path}:{lineno}: bad coefficient {line!r}")
+                raise ValueError(f"{path}:{lineno}: bad coefficient {line!r}")
     return poly.Polynomial.of(coeffs)
 
 
@@ -91,53 +87,89 @@ def _rat(value: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise click.UsageError(f"bad rational {value!r}")
+        raise ValueError(f"bad rational {value!r}")
 
 
 def _pair(value: str, name: str) -> tuple[Fraction, Fraction]:
     """The rationals of a "lo,hi" option value."""
-    try:
-        lo_s, hi_s = value.split(",")
-    except ValueError:
-        raise click.UsageError(f"{name} must be lo,hi")
-    return _rat(lo_s), _rat(hi_s)
+    if value.count(",") != 1:
+        raise ValueError(f"{name} must be lo,hi")
+    return tuple(map(_rat, value.split(",")))
 
 
-class _Group(click.Group):
-    """Group whose usage, value and arithmetic errors exit with 64."""
+class _Parser(argparse.ArgumentParser):
+    """--help and one unabbreviated --flag per option; an error raises
+    ValueError.  `options` maps each keyword of a command function to the
+    add_argument keywords of its flag, "--keyword" with "-" for "_"."""
 
-    def main(self, *args, **kwargs):
-        kwargs.setdefault("standalone_mode", False)
-        try:
-            return super().main(*args, **kwargs)
-        except click.UsageError as exc:
-            click.echo(f"error: {exc.format_message()}", err=True)
-            if exc.ctx is not None:
-                click.echo(exc.ctx.get_help(), err=True)
-            sys.exit(EX_USAGE)
-        except click.ClickException as exc:
-            exc.show()
-            sys.exit(EX_USAGE)
-        except click.exceptions.Abort:
-            sys.exit(EX_USAGE)
-        except (ValueError, ArithmeticError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EX_USAGE)
+    def __init__(self, options: dict, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this help")
+        for dest, keywords in options.items():
+            self.add_argument("--" + dest.replace("_", "-"), **keywords)
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-@click.group(cls=_Group)
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="key=value config file")
-@click.option("--precision", type=int, default=None,
-              help="target enclosure digits (default 60)")
-@click.option("--format", "fmt", type=str, default=None,
-              help="output format: text, json or csv")
-@click.option("--grid", type=str, default=None,
-              help="grid spec scale:lo,hi,count")
-@click.pass_context
-def main(ctx, config_path, precision, fmt, grid):
+def _joined(args) -> list:
+    """Each "--flag value" pair as "--flag=value": every option but --help
+    takes one value, which argparse would read as a flag if it started with
+    "-" (--beta -1/2).  A trailing flag stays, for argparse to report."""
+    out, rest = [], iter(args)
+    for arg in rest:
+        if arg[:2] == "--" and "=" not in arg and arg not in ("--", "--help"):
+            value = next(rest, None)
+            arg = arg if value is None else f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
+_GLOBAL_OPTIONS = {
+    "config": dict(metavar="PATH", help="key=value config file"),
+    "precision": dict(type=int, help="target enclosure digits (default 60)"),
+    "format": dict(help="output format: text, json or csv"),
+    "grid": dict(help="grid spec scale:lo,hi,count")}
+_COMMANDS = {}
+
+
+def _command(name: str, **options):
+    """Register the decorated function as the command `name`, with the
+    options of a `_Parser`."""
+    def register(fn):
+        _COMMANDS[name] = fn, options
+        return fn
+    return register
+
+
+def main(args=None, prog_name: str = "cmcert"):
     """Certification toolkit for exponential/trigamma gap analysis."""
-    ctx.obj = _build_config(config_path, precision, fmt, grid)
+    width = max(map(len, _COMMANDS))
+    root = _Parser(_GLOBAL_OPTIONS, prog=prog_name, description=main.__doc__,
+                   formatter_class=argparse.RawDescriptionHelpFormatter,
+                   epilog="commands:\n" + "\n".join(
+                       f"  {name:{width}}  {fn.__doc__}"
+                       for name, (fn, _) in _COMMANDS.items()))
+    root.add_argument("command", choices=_COMMANDS, metavar="command")
+    root.add_argument("args", nargs=argparse.REMAINDER)
+    try:
+        # an unknown command exits 64 before a config error (65), and a
+        # config error before an error in the command's own options
+        ns = root.parse_args(_joined(sys.argv[1:] if args is None else args))
+        cfg = _build_config(ns.config, ns.precision, ns.format, ns.grid)
+        fn, options = _COMMANDS[ns.command]
+        fn(cfg, **vars(_Parser(options, prog=f"{prog_name} {ns.command}",
+                               description=fn.__doc__).parse_args(ns.args)))
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EX_USAGE)
+    except KeyboardInterrupt:
+        print(file=sys.stderr)  # end the line that shows the ^C
+        sys.exit(EX_USAGE)
+
+
+# perfbench/child.py calls cli.main.main(args=..., prog_name="cmcert")
+main.main = main
 
 
 def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
@@ -153,8 +185,7 @@ def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
         lines = [",".join(row) for row in rows]
     else:
         lines = text
-    for line in lines:
-        click.echo(line)
+    print(*lines, sep="\n")
     sys.exit(code)
 
 
@@ -169,14 +200,12 @@ def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
           [("label", "lo", "hi"), (label, lo, hi)])
 
 
-@main.command("certify-poly")
-@click.option("--file", "path", required=True, type=click.Path(exists=True))
-@click.option("--interval", required=True, help="lo,hi rationals")
-@click.option("--step", default="1", help="shift step for the piece chain")
-@click.pass_obj
-def certify_poly(cfg, path, interval, step):
+@_command("certify-poly", file=dict(required=True),
+          interval=dict(required=True, help="lo,hi rationals"),
+          step=dict(default="1", help="shift step for the piece chain"))
+def certify_poly(cfg, file, interval, step):
     """Certify strict positivity of a polynomial on an open interval."""
-    p = _read_poly_file(path)
+    p = _read_poly_file(file)
     lo, hi = _pair(interval, "interval")
     cert = poly.certify_positive_on_interval(p, lo, hi, _rat(step))
     text = [f"verdict: {cert.verdict}"] + [
@@ -190,13 +219,11 @@ def certify_poly(cfg, path, interval, step):
           code={"certified": 0, "falsified": 1}.get(cert.verdict, 2))
 
 
-@main.command("shift-chain")
-@click.option("--file", "path", required=True, type=click.Path(exists=True))
-@click.option("--shifts", default=1, type=int, help="number of unit shifts")
-@click.pass_obj
-def shift_chain(cfg, path, shifts):
+@_command("shift-chain", file=dict(required=True),
+          shifts=dict(default=1, type=int, help="number of unit shifts"))
+def shift_chain(cfg, file, shifts):
     """Print the polynomial after successive unit Taylor shifts."""
-    p = _read_poly_file(path)
+    p = _read_poly_file(file)
     chain = [[format_rational(c) for c in p.coeffs]]
     for _ in range(shifts):
         p = poly.taylor_shift(p, 1)
@@ -206,10 +233,8 @@ def shift_chain(cfg, path, shifts):
           [f"shift {i}: {' '.join(coeffs)}" for i, coeffs in enumerate(chain)])
 
 
-@main.command("lemma1-bounds")
-@click.option("--m", default=2, type=int)
-@click.option("--n", default=3, type=int)
-@click.pass_obj
+@_command("lemma1-bounds", m=dict(default=2, type=int),
+          n=dict(default=3, type=int))
 def lemma1_bounds(cfg, m, n):
     """Print the two-sided exponential bound numerators and their range."""
     (low, low_alt), (up, up_alt), limit = poly.lemma1_exp_bounds(m, n)
@@ -225,39 +250,29 @@ def lemma1_bounds(cfg, m, n):
           [f"{key}: {val}" for key, val in payload.items()])
 
 
-@main.command("bessel")
-@click.option("--k", required=True, type=int)
-@click.option("--u", required=True)
-@click.pass_obj
+@_command("bessel", k=dict(required=True, type=int), u=dict(required=True))
 def bessel(cfg, k, u):
     """Enclosure of the normalized Bessel series at order k."""
     _emit_enclosure(cfg, f"i_{k}({u})",
                     specfun.bessel_ratio(k, _rat(u), cfg.precision))
 
 
-@main.command("polygamma")
-@click.option("--n", required=True, type=int)
-@click.option("--x", required=True)
-@click.pass_obj
+@_command("polygamma", n=dict(required=True, type=int),
+          x=dict(required=True))
 def polygamma_cmd(cfg, n, x):
     """Enclosure of the n-th polygamma derivative at x."""
     _emit_enclosure(cfg, f"psi^({n})({x})",
                     specfun.polygamma(n, _rat(x), cfg.precision))
 
 
-@main.command("ktail")
-@click.option("--ell", required=True, type=int)
-@click.option("--a", required=True)
-@click.pass_obj
+@_command("ktail", ell=dict(required=True, type=int), a=dict(required=True))
 def ktail(cfg, ell, a):
     """Enclosure of the exponential tail sum K_ell(a)."""
     _emit_enclosure(cfg, f"K_{ell}({a})",
                     specfun.k_tail(ell, _rat(a), cfg.precision))
 
 
-@main.command("kernel-ineq")
-@click.option("--k", required=True, type=int)
-@click.pass_obj
+@_command("kernel-ineq", k=dict(required=True, type=int))
 def kernel_ineq(cfg, k):
     """Grid certificate of the order-k Bessel/kernel inequality."""
     grid = _parse_grid(cfg.grid)
@@ -286,32 +301,27 @@ def kernel_ineq(cfg, k):
     _emit(cfg, json.dumps(doc, indent=2), text, [header] + rows, code)
 
 
-@main.command("ratio-mono")
-@click.option("--which", type=click.Choice(["c", "C"]), required=True)
-@click.option("--beta", required=True)
-@click.option("--count", "K", default=50, type=int)
-@click.pass_obj
-def ratio_mono(cfg, which, beta, K):
+@_command("ratio-mono", which=dict(choices=["c", "C"], required=True),
+          beta=dict(required=True), count=dict(default=50, type=int))
+def ratio_mono(cfg, which, beta, count):
     """Exact coefficient-ratio sequence with a monotonicity verdict."""
     beta_f = _rat(beta)
     fn = seriesratio.c_ratio_sequence if which == "c" \
         else seriesratio.C_ratio_sequence
-    rep = fn(beta_f, K)
+    rep = fn(beta_f, count)
     values = [format_rational(v) for v in rep.values]
     _emit(cfg, json.dumps({
         "sequence": which, "beta": beta, "values": values,
         "strictly_increasing": rep.strictly_increasing,
         "first_violation": rep.first_violation}, indent=2),
-        [f"{which}_k({beta}), k = 0..{K}"]
+        [f"{which}_k({beta}), k = 0..{count}"]
         + [f"  {k}: {v}" for k, v in enumerate(values)]
         + [f"strictly increasing: {rep.strictly_increasing}"],
         [("k", "value")] + [(str(k), v) for k, v in enumerate(values)],
         0 if rep.strictly_increasing else 1)
 
 
-@main.command("ladder")
-@click.option("--k-max", default=50, type=int)
-@click.pass_obj
+@_command("ladder", k_max=dict(default=50, type=int))
 def ladder(cfg, k_max):
     """Exact verification of the coefficient-ladder inequalities."""
     rep = seriesratio.ladder_check(k_max)
@@ -327,23 +337,19 @@ def ladder(cfg, k_max):
         code=0 if rep["passed"] else 1)
 
 
-@main.command("unimodal-max")
-@click.option("--function", "which", type=click.Choice(["F", "G"]),
-              required=True)
-@click.option("--beta", required=True)
-@click.option("--bracket", default="0.1,60")
-@click.option("--tol", default="0.05")
-@click.pass_obj
-def unimodal_max_cmd(cfg, which, beta, bracket, tol):
+@_command("unimodal-max", function=dict(choices=["F", "G"], required=True),
+          beta=dict(required=True), bracket=dict(default="0.1,60"),
+          tol=dict(default="0.05"))
+def unimodal_max_cmd(cfg, function, beta, bracket, tol):
     """Enclose the maximizer of a unimodal ratio function."""
     beta_f = _rat(beta)
     lo, hi = _pair(bracket, "bracket")
-    base = seriesratio.f_beta if which == "F" else seriesratio.g_beta
+    base = seriesratio.f_beta if function == "F" else seriesratio.g_beta
     res = seriesratio.unimodal_max(
         lambda u, d: base(u, beta_f, d), (lo, hi), _rat(tol),
         digits=min(cfg.precision, 40))
     _emit(cfg, json.dumps({
-        "function": which, "beta": beta, "argmax": _ends(res.argmax),
+        "function": function, "beta": beta, "argmax": _ends(res.argmax),
         "max": _ends(res.value), "resolved": res.resolved}, indent=2),
         [f"argmax in {res.argmax.decimal_str(8)}",
          f"max in {res.value.decimal_str(8)}",
@@ -351,12 +357,8 @@ def unimodal_max_cmd(cfg, which, beta, bracket, tol):
         code=0 if res.resolved else 2)
 
 
-@main.command("cm-check")
-@click.option("--alpha", required=True)
-@click.option("--beta", required=True)
-@click.option("--r", required=True)
-@click.option("--orders", default=8, type=int)
-@click.pass_obj
+@_command("cm-check", alpha=dict(required=True), beta=dict(required=True),
+          r=dict(required=True), orders=dict(default=8, type=int))
 def cm_check_cmd(cfg, alpha, beta, r, orders):
     """Sign-enclosure degree evidence for the exponential/trigamma gap."""
     grid = _parse_grid(cfg.grid)
@@ -373,13 +375,11 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
           code=rep.exit_code())
 
 
-@main.command("p-limit")
-@click.option("--t", "t_values", required=True,
-              help="comma-separated rational evaluation points")
-@click.pass_obj
-def p_limit(cfg, t_values):
+@_command("p-limit", t=dict(required=True,
+                            help="comma-separated rational evaluation points"))
+def p_limit(cfg, t):
     """Enclosures of the first-derivative degree bound p(t)."""
-    pts = [_rat(s) for s in t_values.split(",")]
+    pts = [_rat(s) for s in t.split(",")]
     encs = [cmdegree.p_value(t, min(cfg.precision, 30)) for t in pts]
     header = ("t", "lo", "hi")
     rows = [(format_rational(t), *_ends(e)) for t, e in zip(pts, encs)]
@@ -388,26 +388,22 @@ def p_limit(cfg, t_values):
           [header] + rows)
 
 
-@main.command("verify-identity")
-@click.option("--k", default=0, type=int)
-@click.option("--terms", "N", default=40, type=int)
-@click.pass_obj
-def verify_identity_cmd(cfg, k, N):
+@_command("verify-identity", k=dict(default=0, type=int),
+          terms=dict(default=40, type=int))
+def verify_identity_cmd(cfg, k, terms):
     """Exact termwise check of the truncated-exponential transforms."""
-    rep = cmdegree.verify_identity(k, N)
+    rep = cmdegree.verify_identity(k, terms)
     constant = format_rational(rep["constant"])
     _emit(cfg, json.dumps({
-        "k": k, "N": N, "passed": rep["passed"], "constant": constant,
+        "k": k, "N": terms, "passed": rep["passed"], "constant": constant,
         "mismatches": rep["mismatches"]}),
-        [f"k={k}, N={N}: "
+        [f"k={k}, N={terms}: "
          f"{'all coefficients match' if rep['passed'] else 'MISMATCH'}"
          f" (constant {constant})"],
         code=0 if rep["passed"] else 1)
 
 
-@main.command("conjecture-scan")
-@click.option("--k", required=True, type=int)
-@click.pass_obj
+@_command("conjecture-scan", k=dict(required=True, type=int))
 def conjecture_scan_cmd(cfg, k):
     """Search for sign-definite counterexamples to the order-k inequality."""
     grid = _parse_grid(cfg.grid)
@@ -500,8 +496,7 @@ def paper_battery():
            f"max in {mf.value.decimal_str(6)}")
 
 
-@main.command("reproduce-paper")
-@click.pass_obj
+@_command("reproduce-paper")
 def reproduce_paper(cfg):
     """Run the full certification battery and emit one summary document."""
     lines = []

@@ -19,6 +19,7 @@ from .enclosure import Enclosure, to_fraction
 from .poly import Polynomial
 
 TERM_CAP = 10 ** 6
+EXP_BITS_CAP = 2 ** 24
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
 
@@ -89,7 +90,7 @@ def exp_enclosure(x, digits: int) -> Enclosure:
     working precision p is estimated in integer arithmetic from digits, x
     and k.  A result wider than 10**-(digits+2) is recomputed with twice
     the guard bits, so neither soundness nor the width rests on the
-    estimate.
+    estimate.  An x that needs more than EXP_BITS_CAP bits raises.
     """
     x = to_fraction(x)
     if x == 0:
@@ -107,6 +108,9 @@ def exp_enclosure(x, digits: int) -> Enclosure:
     scale = 10 ** (digits + 2)
     while True:
         p = base + guard
+        if p > EXP_BITS_CAP:
+            raise ArithmeticError(f"e**x at |x| = {x} needs {p} bits, over "
+                                  f"the limit of {EXP_BITS_CAP}")
         lo, hi = _exp_mantissas(num, den, k, p)
         if (hi - lo) * scale <= 1 << p:
             return Enclosure(Fraction(lo, 1 << p),

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -6,25 +8,29 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import cmcert
-from cmcert import expring, seriesratio
+from cmcert import expring, seriesratio, specfun
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
 from cmcert.expring import ExpPoly
 from cmcert.poly import Polynomial
 
 
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, **kw):
-    return runner.invoke(main, list(args), **kw)
+def invoke(*args):
+    """Run main(args) in this process; its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(),
+                           stderr=err.getvalue())
 
 
 def write_poly(tmp_path, name, lines):
@@ -33,165 +39,208 @@ def write_poly(tmp_path, name, lines):
     return str(path)
 
 
-def test_help_exits_zero(runner):
-    result = invoke(runner, "--help")
+def test_help_exits_zero():
+    result = invoke("--help")
     assert result.exit_code == 0
-    assert "certify-poly" in result.output
+    assert "certify-poly" in result.stdout
 
 
-def test_unknown_command_is_usage_error(runner):
-    result = invoke(runner, "no-such-command")
+def test_unknown_command_is_usage_error():
+    result = invoke("no-such-command")
     assert result.exit_code == 64
 
 
-def test_missing_required_option_is_usage_error(runner):
-    result = invoke(runner, "bessel")
+def test_missing_required_option_is_usage_error():
+    result = invoke("bessel")
     assert result.exit_code == 64
 
 
-def test_bad_rational_is_usage_error(runner):
-    result = invoke(runner, "bessel", "--k", "1", "--u", "abc")
+COMMAND_NAMES = ["certify-poly", "shift-chain", "lemma1-bounds", "bessel",
+                 "polygamma", "ktail", "kernel-ineq", "ratio-mono", "ladder",
+                 "unimodal-max", "cm-check", "p-limit", "verify-identity",
+                 "conjecture-scan", "reproduce-paper"]
+PARSE_ERRORS = {
+    "unknown command": ["no-such-command"],
+    "missing required option": ["bessel", "--k", "1"],
+    "non-integer value": ["bessel", "--k", "x", "--u", "1"],
+    "unknown option": ["bessel", "--k", "1", "--u", "1", "--v", "2"],
+    "abbreviated option": ["--prec", "30", "ladder"],
+    "global option after the command": ["ladder", "--precision", "30"],
+    "trailing option with no value": ["bessel", "--k", "1", "--u"],
+    "missing file": ["certify-poly", "--file", "{missing}",
+                     "--interval", "0,1"],
+    "directory as file": ["shift-chain", "--file", "{directory}"],
+}
+
+
+def test_parse_errors_are_one_usage_error_line(tmp_path):
+    paths = {"missing": str(tmp_path / "missing.poly"),
+             "directory": str(tmp_path)}
+    for case, args in PARSE_ERRORS.items():
+        result = invoke(*(a.format(**paths) for a in args))
+        assert (result.exit_code, result.stdout) == (64, ""), case
+        assert result.stderr.startswith("error: "), (case, result.stderr)
+        assert result.stderr.count("\n") == 1, (case, result.stderr)
+    for args in (["--help"], ["bessel", "--help"]):
+        result = invoke(*args)
+        assert (result.exit_code, result.stderr) == (0, ""), args
+    listed = [line.split()[0] for line in invoke("--help").stdout.splitlines()
+              if line.startswith("  ") and line.split()]
+    assert [name for name in COMMAND_NAMES if name not in listed] == []
+
+
+def test_interrupt_exits_64(monkeypatch):
+    def interrupted(k_max):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(seriesratio, "ladder_check", interrupted)
+    result = invoke("ladder")
+    assert (result.exit_code, result.stdout) == (64, "")
+
+
+def test_bad_rational_is_usage_error():
+    result = invoke("bessel", "--k", "1", "--u", "abc")
     assert result.exit_code == 64
 
 
-def test_bad_format_is_config_error(runner):
-    result = invoke(runner, "--format", "xml", "bessel", "--k", "1",
+def test_bad_format_is_config_error():
+    result = invoke("--format", "xml", "bessel", "--k", "1",
                     "--u", "1")
     assert result.exit_code == 65
 
 
-def test_low_precision_is_config_error(runner):
-    result = invoke(runner, "--precision", "2", "ladder", "--k-max", "6")
+def test_low_precision_is_config_error():
+    result = invoke("--precision", "2", "ladder", "--k-max", "6")
     assert result.exit_code == 65
 
 
-def test_config_file_parse_error(runner, tmp_path):
+def test_config_file_parse_error(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("precision 40\n")
-    result = invoke(runner, "--config", str(cfgfile), "ladder",
+    result = invoke("--config", str(cfgfile), "ladder",
                     "--k-max", "6")
     assert result.exit_code == 65
 
 
-def test_config_file_applies_and_flag_overrides(runner, tmp_path):
+def test_config_file_applies_and_flag_overrides(tmp_path):
     cfgfile = tmp_path / "ok.cfg"
     cfgfile.write_text("# comment\nprecision = 20\nformat = json\n")
-    result = invoke(runner, "--config", str(cfgfile), "bessel", "--k", "1",
+    result = invoke("--config", str(cfgfile), "bessel", "--k", "1",
                     "--u", "1")
     assert result.exit_code == 0
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert "lo" in doc and "hi" in doc
 
-    result = invoke(runner, "--config", str(cfgfile), "--format", "text",
+    result = invoke("--config", str(cfgfile), "--format", "text",
                     "bessel", "--k", "1", "--u", "1")
     assert result.exit_code == 0
     with pytest.raises(json.JSONDecodeError):
-        json.loads(result.output)
+        json.loads(result.stdout)
 
 
-def test_retired_config_keys_change_nothing(runner, tmp_path):
+def test_retired_config_keys_change_nothing(tmp_path):
     base = "precision = 20\nformat = json\n"
     plain = tmp_path / "plain.cfg"
     plain.write_text(base)
     retired = tmp_path / "retired.cfg"
     retired.write_text(base + "term-cap = 1\nparallelism = 4\n")
     args = ["bessel", "--k", "3", "--u", "7/2"]
-    expected = invoke(runner, "--config", str(plain), *args)
-    result = invoke(runner, "--config", str(retired), *args)
+    expected = invoke("--config", str(plain), *args)
+    result = invoke("--config", str(retired), *args)
     assert expected.exit_code == result.exit_code == 0
-    assert result.output == expected.output
+    assert result.stdout == expected.stdout
 
 
-def test_certify_poly_pass_and_fail(runner, tmp_path):
+def test_certify_poly_pass_and_fail(tmp_path):
     good = write_poly(tmp_path, "good.poly",
                       ["101  # constant", "-20", "1"])
-    result = invoke(runner, "certify-poly", "--file", good,
+    result = invoke("certify-poly", "--file", good,
                     "--interval", "0,6")
     assert result.exit_code == 0
 
     bad = write_poly(tmp_path, "bad.poly", ["-2", "0", "1"])
-    result = invoke(runner, "certify-poly", "--file", bad,
+    result = invoke("certify-poly", "--file", bad,
                     "--interval", "0,6")
     assert result.exit_code == 1
-    assert "witness" in result.output
+    assert "witness" in result.stdout
 
 
-def test_certify_poly_bad_coefficient(runner, tmp_path):
+def test_certify_poly_bad_coefficient(tmp_path):
     p = write_poly(tmp_path, "junk.poly", ["1", "oops"])
-    result = invoke(runner, "certify-poly", "--file", p, "--interval", "0,1")
+    result = invoke("certify-poly", "--file", p, "--interval", "0,1")
     assert result.exit_code == 64
 
 
-def test_shift_chain_output(runner, tmp_path):
+def test_shift_chain_output(tmp_path):
     p = write_poly(tmp_path, "p.poly", ["1", "1"])  # 1 + x
-    result = invoke(runner, "shift-chain", "--file", p, "--shifts", "2")
+    result = invoke("shift-chain", "--file", p, "--shifts", "2")
     assert result.exit_code == 0
-    assert "3" in result.output  # (x + 2) + 1 has constant 3
+    assert "3" in result.stdout  # (x + 2) + 1 has constant 3
 
 
-def test_kernel_ineq_csv(runner):
-    result = invoke(runner, "--format", "csv",
+def test_kernel_ineq_csv():
+    result = invoke("--format", "csv",
                     "--grid", "geometric:0.5,5,6", "kernel-ineq", "--k", "2")
     assert result.exit_code == 0
-    lines = [l for l in result.output.splitlines() if l]
+    lines = [l for l in result.stdout.splitlines() if l]
     assert lines[0].startswith("u,")
     assert all(line.endswith("pass") for line in lines[1:])
 
 
-def test_ratio_mono_and_ladder(runner):
-    result = invoke(runner, "ratio-mono", "--which", "C", "--beta", "1/2",
+def test_ratio_mono_and_ladder():
+    result = invoke("ratio-mono", "--which", "C", "--beta", "1/2",
                     "--count", "10")
     assert result.exit_code == 0
-    result = invoke(runner, "ladder", "--k-max", "8")
+    result = invoke("ladder", "--k-max", "8")
     assert result.exit_code == 0
 
 
-def test_cm_check_json(runner):
-    result = invoke(runner, "--format", "json", "--precision", "20",
+def test_cm_check_json():
+    result = invoke("--format", "json", "--precision", "20",
                     "--grid", "geometric:0.5,10,4",
                     "cm-check", "--alpha", "1", "--beta", "1", "--r", "4",
                     "--orders", "3")
     assert result.exit_code == 0
-    doc = json.loads(result.output)
+    doc = json.loads(result.stdout)
     assert doc["summary"] == "pass"
 
 
-def test_cm_check_failure_exit_code(runner):
+def test_cm_check_failure_exit_code():
     # alpha*beta < 1: the gap is not completely monotonic of any degree and
     # low orders already show a sign violation at r = 1
-    result = invoke(runner, "--precision", "20",
+    result = invoke("--precision", "20",
                     "--grid", "geometric:0.5,10,4",
                     "cm-check", "--alpha", "1/4", "--beta", "1", "--r", "0",
                     "--orders", "2")
     assert result.exit_code == 1
 
 
-def test_verify_identity_and_p_limit(runner):
-    result = invoke(runner, "verify-identity", "--k", "2", "--terms", "20")
+def test_verify_identity_and_p_limit():
+    result = invoke("verify-identity", "--k", "2", "--terms", "20")
     assert result.exit_code == 0
-    result = invoke(runner, "p-limit", "--t", "1,10,1000")
+    result = invoke("p-limit", "--t", "1,10,1000")
     assert result.exit_code == 0
 
 
-def test_p_limit_beyond_float_range(runner):
+def test_p_limit_beyond_float_range():
     # 10^310 overflows a float; the working precision is set with integers
-    result = invoke(runner, "--format", "json", "p-limit", "--t",
+    result = invoke("--format", "json", "p-limit", "--t",
                     str(10 ** 310))
-    assert result.exit_code == 0, result.output
-    (row,) = json.loads(result.output)
+    assert result.exit_code == 0, result.stdout
+    (row,) = json.loads(result.stdout)
     lo, hi = Fraction(row["lo"]), Fraction(row["hi"])
     assert lo <= 4 <= hi and hi - lo <= Fraction(1, 10 ** 30)
 
 
-def test_reproduce_paper_passes_every_check(runner):
-    result = invoke(runner, "reproduce-paper")
-    assert result.exit_code == 0, result.output
+def test_reproduce_paper_passes_every_check():
+    result = invoke("reproduce-paper")
+    assert result.exit_code == 0, result.stdout
     lines = result.stdout.splitlines()
     assert sum(line.startswith("[pass] ") for line in lines) == 11
     assert lines[-1] == "summary: all checks passed"
 
 
-def test_limit_battery_reads_endpoints_not_midpoints(runner, monkeypatch):
+def test_limit_battery_reads_endpoints_not_midpoints(monkeypatch):
     # an enclosure of f_1 at u = 10^-6 centred on 1 but 1/50 wide certifies
     # nothing about the limit 1 to within 10^-4
     f_beta = seriesratio.f_beta
@@ -203,13 +252,13 @@ def test_limit_battery_reads_endpoints_not_midpoints(runner, monkeypatch):
         return f_beta(u, beta, digits)
 
     monkeypatch.setattr(seriesratio, "f_beta", planted)
-    result = invoke(runner, "reproduce-paper")
+    result = invoke("reproduce-paper")
     assert result.exit_code == 1
     assert "[FAIL] limit battery" in result.stdout.splitlines()
     assert result.stdout.splitlines()[-1] == "summary: some checks FAILED"
 
 
-def test_failed_algebra_checks_are_reported(runner, monkeypatch):
+def test_failed_algebra_checks_are_reported(monkeypatch):
     # F1(0) = 1 leaves F1'' and the rest of the chain as they are; a doubled
     # lower sandwich numerator moves the reduction off the reference
     build_f1, bounds = expring.build_f1, expring.lemma1_exp_bounds
@@ -221,7 +270,7 @@ def test_failed_algebra_checks_are_reported(runner, monkeypatch):
     monkeypatch.setattr(expring, "build_f1", lambda: build_f1()
                         + ExpPoly.of({0: Polynomial.constant(1)}))
     monkeypatch.setattr(expring, "lemma1_exp_bounds", planted_bounds)
-    result = invoke(runner, "reproduce-paper")
+    result = invoke("reproduce-paper")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert "[FAIL] derivative chain origin zeros" in lines
@@ -230,25 +279,25 @@ def test_failed_algebra_checks_are_reported(runner, monkeypatch):
     assert lines[-1] == "summary: some checks FAILED"
 
 
-def test_flat_ratio_step_fails_the_battery(runner, monkeypatch):
+def test_flat_ratio_step_fails_the_battery(monkeypatch):
     # c_0(1) = c_1(1) is the one flat step of the ratio sequence; a flat step
     # later on, c_6(1) = c_5(1), must fail the strict monotonicity check
     c_coeff = seriesratio.c_coeff
     monkeypatch.setattr(seriesratio, "c_coeff", lambda k, beta: c_coeff(
         5 if (k, beta) == (6, 1) else k, beta))
-    result = invoke(runner, "reproduce-paper")
+    result = invoke("reproduce-paper")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert "[FAIL] ratio monotonicity" in lines
     assert lines[-1] == "summary: some checks FAILED"
 
 
-def test_indivisible_derivative_chain_fails_the_battery(runner, monkeypatch):
+def test_indivisible_derivative_chain_fails_the_battery(monkeypatch):
     # + u^2 gives F1'' an e^0 term, so F1'' is not divisible by e^u
     build_f1 = expring.build_f1
     monkeypatch.setattr(expring, "build_f1", lambda: build_f1()
                         + ExpPoly.of({0: Polynomial.of([0, 0, 1])}))
-    result = invoke(runner, "reproduce-paper")
+    result = invoke("reproduce-paper")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
     assert "[FAIL] derivative chain origin zeros" in lines
@@ -256,19 +305,19 @@ def test_indivisible_derivative_chain_fails_the_battery(runner, monkeypatch):
     assert lines[-1] == "summary: some checks FAILED"
 
 
-def test_unresolved_maximum_is_inconclusive(runner, monkeypatch):
+def test_unresolved_maximum_is_inconclusive(monkeypatch):
     # probe values that always overlap leave the maximizer unresolved at the
     # precision cap
     monkeypatch.setattr(seriesratio, "f_beta",
                         lambda u, beta, digits: Enclosure(0, 1))
-    result = invoke(runner, "unimodal-max", "--function", "F",
+    result = invoke("unimodal-max", "--function", "F",
                     "--beta", "1/2")
     assert result.exit_code == 2
     assert "resolved: False" in result.stdout.splitlines()
 
 
-def test_bad_grid_spec_is_usage_error(runner):
-    result = invoke(runner, "--grid", "fancy:1,2,3", "kernel-ineq",
+def test_bad_grid_spec_is_usage_error():
+    result = invoke("--grid", "fancy:1,2,3", "kernel-ineq",
                     "--k", "1")
     assert result.exit_code == 64
 
@@ -277,9 +326,9 @@ def test_bad_grid_spec_is_usage_error(runner):
     ["cm-check", "--alpha", "1/4", "--beta", "1", "--r", "0", "--orders", "2"],
     ["kernel-ineq", "--k", "2"],
 ])
-def test_empty_grid_is_usage_error(runner, command):
+def test_empty_grid_is_usage_error(command):
     # a grid with no points used to print pass over zero cells and exit 0
-    result = invoke(runner, "--grid", "linear:1,2,0", *command)
+    result = invoke("--grid", "linear:1,2,0", *command)
     assert result.exit_code == 64
     assert result.stdout == ""
     assert "count" in result.stderr
@@ -357,6 +406,16 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ")
     assert sum(line.startswith("error: ") for line in stderr.splitlines()) == 1
+    if args[-1] in EXP_OUT_OF_REACH:
+        # the message names the exp argument and the precision limit
+        assert stderr.startswith(
+            f"error: e**x at |x| = {EXP_OUT_OF_REACH[args[-1]]} needs ")
+        assert stderr.endswith(
+            f" bits, over the limit of {specfun.EXP_BITS_CAP}\n")
+
+
+# the exp argument behind each out-of-reach --t or --a value above
+EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71}
 
 
 # -- golden bytes ------------------------------------------------------------
@@ -456,7 +515,7 @@ def run_golden_case(args, tmp_dir) -> dict:
         paths[name] = str(Path(tmp_dir) / f"{name}.poly")
         Path(paths[name]).write_text("\n".join(lines) + "\n")
     args = [a.format(**paths) for a in args]
-    result = CliRunner().invoke(main, args)
+    result = invoke(*args)
     return {"stdout": result.stdout, "stderr": result.stderr,
             "exit": result.exit_code}
 
@@ -484,9 +543,8 @@ CM_SCAN_BYTES = {
 
 @pytest.mark.parametrize("alpha,beta,r,orders", sorted(CM_SCAN_BYTES))
 def test_cm_scan_benchmark_bytes(alpha, beta, r, orders):
-    result = CliRunner().invoke(main, [
-        "--format", "json", "cm-check", "--alpha", alpha, "--beta", beta,
-        "--r", r, "--orders", str(orders)])
-    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    result = invoke("--format", "json", "cm-check", "--alpha", alpha,
+                    "--beta", beta, "--r", r, "--orders", str(orders))
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert (digest, result.exit_code) == \
         CM_SCAN_BYTES[alpha, beta, r, orders]

@@ -120,6 +120,32 @@ def test_exp_enclosure_retries_a_too_wide_bracket(monkeypatch):
     assert close(e, Fraction("10.3122585013257650270155721085"))  # e**(7/3)
 
 
+@pytest.mark.parametrize("x", [10 ** 12, -10 ** 12])
+def test_exp_enclosure_out_of_reach_raises_before_any_sum(monkeypatch, x):
+    # about 1.5 |x| bits, a mantissa of some 190 GB
+    monkeypatch.setattr(specfun, "_exp_mantissas",
+                        lambda *args: pytest.fail("summed"))
+    with pytest.raises(ArithmeticError, match=f"at [|]x[|] = {abs(x)} needs "
+                       f".* bits, over the limit of {specfun.EXP_BITS_CAP}"):
+        specfun.exp_enclosure(x, 10)
+
+
+def test_exp_enclosure_stops_adding_guard_bits_at_the_cap(monkeypatch):
+    calls = []
+
+    def never_narrow(num, den, k, p):
+        # without the cap p doubles on until 1 << p exhausts memory
+        if p > 2 ** 26:
+            pytest.fail(f"working precision grew to {p} bits")
+        calls.append(p)
+        return 0, 1 << (p + 1)
+
+    monkeypatch.setattr(specfun, "_exp_mantissas", never_narrow)
+    with pytest.raises(ArithmeticError, match="over the limit"):
+        specfun.exp_enclosure(Fraction(7, 3), 30)
+    assert len(calls) > 10 and max(calls) <= specfun.EXP_BITS_CAP
+
+
 @pytest.mark.parametrize("digits", [10, 52, 60])
 def test_exp_enclosure_on_the_default_grid(digits):
     for u in geometric_grid(Fraction(1, 100), 1000, 25):
