@@ -160,7 +160,7 @@ def main(args=None, prog_name: str = "cmcert"):
         fn, options = _COMMANDS[ns.command]
         fn(cfg, **vars(_Parser(options, prog=f"{prog_name} {ns.command}",
                                description=fn.__doc__).parse_args(ns.args)))
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EX_USAGE)
     except KeyboardInterrupt:
@@ -466,8 +466,7 @@ def paper_battery():
 
     fsmall = seriesratio.f_beta(Fraction(1, 10 ** 6), 1, 10)
     flarge = seriesratio.f_beta(100, 1, 10)
-    h100 = specfun.exp_enclosure(Fraction(1, 100), 16) \
-        - specfun.polygamma(1, 100, 16) - 1
+    h100 = cmdegree.h_expression().evaluate(100, 16)
     p5 = cmdegree.p_value(10 ** 5, 10)
     yield ("limit battery",
            1 - Fraction(1, 10 ** 4) < fsmall.lo

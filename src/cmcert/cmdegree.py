@@ -305,12 +305,13 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
 
 
 def p_value(t, digits: int = 15) -> Enclosure:
-    """Enclosure of (t^2 psi''(t) + e^(1/t)) / (t [e^(1/t) - psi'(t) - 1]).
+    """Enclosure of p(t) = -t h'(t) / h(t), h = `h_expression()`.
 
     Numerator and denominator both collapse to O(t^-3) at large t, so the
     numerator's relative error is about t^5 10^-d: the working precision d
     starts at 5 digits per decade of t, found with integers, and doubles
-    until the result is at most 10^-digits wide.
+    until the result is at most 10^-digits wide.  Both are evaluated from
+    one `PointTable`, whose psi' and psi'' come from one polygamma jet.
     """
     t = to_fraction(t)
     if t <= 0:
@@ -320,12 +321,13 @@ def p_value(t, digits: int = 15) -> Enclosure:
         decades += 1
     d = digits + 10 + 5 * decades
     tol = Fraction(1, 10 ** digits)
+    h = h_expression()
+    minus_t_dh = h.derivative().mul_power(1).scale(-1)
+    table = PointTable(t, 2)
     while True:
-        e = specfun.exp_enclosure(Fraction(1, 1) / t, d)
-        num = t * t * specfun.polygamma(2, t, d) + e
-        den = t * (e - specfun.polygamma(1, t, d) - 1)
+        den = h.evaluate(t, d, table)
         if not (den.lo <= 0 <= den.hi):
-            p = (num / den).round_out(digits + 1)
+            p = (minus_t_dh.evaluate(t, d, table) / den).round_out(digits + 1)
             if p.width <= tol:
                 return p
         if d >= DIGIT_CAP + digits:

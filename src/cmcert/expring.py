@@ -95,11 +95,6 @@ class ExpPoly(Record):
             coeffs[f] = p(u)
         return Polynomial.of(coeffs)
 
-    def taylor_coefficient(self, j: int) -> Fraction:
-        """Exact j-th Taylor coefficient at u = 0."""
-        den, table = _taylor_table(self, j)
-        return Fraction(table[j], den * math.factorial(j))
-
 
 @lru_cache(maxsize=128)
 def _taylor_table(num: ExpPoly, order: int) -> tuple[int, tuple[int, ...]]:
@@ -276,25 +271,17 @@ def series_at_zero(f: ExpPolyQuotient, n_terms: int) -> list[Fraction]:
     a = [Fraction(k, den * math.factorial(j)) for j, k in enumerate(table)]
     if m == 0:
         return a[:n_terms]
-    # denominator (e^u - 1)^m = u^m * D(u), D(0) = 1
-    base = [Fraction(1, math.factorial(k + 1)) for k in range(order + 1)]
-    d = [Fraction(1)] + [Fraction(0)] * order
-    for _ in range(m):
-        nd = [Fraction(0)] * (order + 1)
-        for i, x in enumerate(d):
-            if x:
-                for j, y in enumerate(base):
-                    if i + j <= order:
-                        nd[i + j] += x * y
-        d = nd
     for j in range(m):
         if a[j] != 0:
             raise ValueError(f"genuine pole of order {m - j} at u = 0")
-    shifted = a[m:]
+    # (e^u - 1)^m = u^m * (1 + d_1 u + d_2 u^2 + ...), d_i at index m + i
+    _, powers = _taylor_table(math.prod([EXP_U_MINUS_ONE] * (m - 1),
+                                        start=EXP_U_MINUS_ONE), order)
+    d = [Fraction(k, math.factorial(j)) for j, k in enumerate(powers)]
     out = []
     for j in range(n_terms):
-        c = shifted[j] - sum(d[i] * out[j - i] for i in range(1, j + 1))
-        out.append(c / d[0])
+        out.append(a[m + j] - sum(d[m + i] * out[j - i]
+                                  for i in range(1, j + 1)))
     return out
 
 

@@ -5,9 +5,9 @@ Endpoints are exact rationals, and `digits` asks for width <= 10**-digits.
 unnormalised integer sum until its tail bound meets the target and raises
 at TERM_CAP terms.  `polygamma_jet` sums the polygamma orders n0..N at one
 point in one pass on integer mantissas and returns integer endpoints;
-`polygamma` is its one-order Enclosure.  `k_tail` is a closed form
-evaluated at an exp enclosure.  Bernoulli numbers are integer pairs from
-the tangent-number recurrence.
+`polygamma` is its one-order Enclosure.  `k_tail` is a derivative of
+1/(e**u - 1) in the `expring` ring, enclosed by that ring's evaluator.
+Bernoulli numbers are integer pairs from the tangent-number recurrence.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import math
 from fractions import Fraction
 
 from .enclosure import Enclosure, to_fraction
-from .poly import Polynomial
 
 TERM_CAP = 10 ** 6
-EXP_BITS_CAP = 2 ** 24
+EXP_BITS_CAP = 2 ** 15
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
 
@@ -261,26 +260,17 @@ def polygamma(n: int, x, digits: int) -> Enclosure:
 def k_tail(ell: int, a, digits: int) -> Enclosure:
     """Enclosure of sum_{k>=1} k**ell * e**(-k a) for a > 0.
 
-    Closed form: ell-fold application of q d/dq to q/(1-q), evaluated at an
-    enclosure of q = e**(-a).  The pole (1-q)**-(ell+1) magnifies the width
-    of q, so its digits double until the result is at most 10**-digits wide.
+    1/(e**u - 1) = sum_{k>=1} e**(-k u), so the sum is (-1)**ell times the
+    ell-th derivative of 1/(e**u - 1) at a, enclosed by `eval_enclosure`.
     """
+    from . import expring  # expring imports this module
     if ell < 0:
         raise ValueError("ell must be >= 0")
     a = to_fraction(a)
     if a <= 0:
         raise ValueError("a must be > 0")
-    num = Polynomial.of([0, 1])  # q
-    pole = 1
-    one_minus_q = Polynomial.of([1, -1])
-    q_poly = Polynomial.of([0, 1])
+    f = expring.ExpPolyQuotient.make(expring.EXP_U_MINUS_ONE, 2)  # 1/(e^u-1)
     for _ in range(ell):
-        num = q_poly * (num.derivative() * one_minus_q + num.scale(pole))
-        pole += 1
-    q_digits = digits + 6
-    while True:
-        q = exp_enclosure(-a, q_digits)
-        val = (num.eval_interval(q) / (1 - q) ** pole).round_out(digits + 1)
-        if val.width <= Fraction(1, 10 ** digits):
-            return val
-        q_digits *= 2
+        f = expring.differentiate(f)
+    value = expring.eval_enclosure(f, a, digits)
+    return -value if ell % 2 else value

@@ -339,7 +339,7 @@ BESSEL_JSON_ARGS = ["--format", "json", "--precision", "20", "bessel",
 MODULE_CMD = [sys.executable, "-m", "cmcert.cli"]
 
 
-def run_child(cmd, hash_seed):
+def run_child(cmd, hash_seed, timeout=None):
     """Run cmd in a fresh process that imports the cmcert under test.
 
     The directory holding the imported package goes first on PYTHONPATH, so
@@ -353,7 +353,7 @@ def run_child(cmd, hash_seed):
     env["PYTHONPATH"] = (package_root if not inherited
                          else package_root + os.pathsep + inherited)
     env["PYTHONHASHSEED"] = hash_seed
-    return subprocess.run(cmd, capture_output=True, env=env)
+    return subprocess.run(cmd, capture_output=True, env=env, timeout=timeout)
 
 
 def stderr_report(*runs):
@@ -395,11 +395,16 @@ def test_installed_entry_point_matches_module_run():
     # arguments the exponential enclosures cannot reach
     ["p-limit", "--t", f"1/{10 ** 64}"],
     ["ktail", "--ell", "1", "--a", str(10 ** 71)],
+    ["p-limit", "--t", "1/100000"],
+    ["ktail", "--ell", "1", "--a", "100000"],
+    # a RecursionError in kernel_derivative, not a falsified claim
+    ["conjecture-scan", "--k", "1200"],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
     args = [a.replace("{poly}", poly_file) for a in args]
-    run = run_child(MODULE_CMD + args, "1")
+    # an argument out of reach is refused at once, not after hours of work
+    run = run_child(MODULE_CMD + args, "1", timeout=10)
     stderr = run.stderr.decode(errors="replace")
     assert run.returncode == 64, stderr
     assert run.stdout == b""
@@ -415,7 +420,8 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
 
 
 # the exp argument behind each out-of-reach --t or --a value above
-EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71}
+EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
+                    "1/100000": 10 ** 5, "100000": 10 ** 5}
 
 
 # -- golden bytes ------------------------------------------------------------
@@ -476,6 +482,13 @@ GOLDEN_SINGLE = {
                                      "--k", "6"],
     "bessel-far/text": ["--precision", "80", "bessel", "--k", "5",
                         "--u", "1000"],
+    # K_ell below SERIES_SWITCH and near its pole, and p(t) from 1/100 to
+    # 10^5: each through the one evaluator of its ring
+    "ktail-series/text": ["ktail", "--ell", "2", "--a", "1/10"],
+    "ktail-pole/text": ["--precision", "12", "ktail", "--ell", "6",
+                        "--a", "1/1000"],
+    "p-limit-wide/json": ["--format", "json", "p-limit",
+                          "--t", "1/100,1/10,3,100000"],
 }
 GOLDEN_USAGE_ERRORS = {
     "certify-poly-interval-03": ["certify-poly", "--file", "{good}",

@@ -26,10 +26,10 @@ def test_version_has_one_source():
 
 
 def _unused_imports(path: Path) -> list:
-    """Names a module imports at top level and never reads."""
+    """Names a module imports, at any level, and never reads."""
     tree = ast.parse(path.read_text())
     imported = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):

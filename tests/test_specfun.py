@@ -299,8 +299,8 @@ def test_k_tail_differential_against_mpmath(ell, a, digits):
 
 
 def test_k_tail_meets_its_width_near_the_pole():
-    # (1 - q)^-(ell+1) magnifies the width of q = e^-a by about
-    # ell!/a^(ell+2): with q at digits + 6 the result is 5e15 wide
+    # K_6(a) is about 6!/a^7 = 7.2e23 here, so a width of 10^-5 needs 29
+    # significant digits through the pole (e^a - 1)^-7
     e = specfun.k_tail(6, Fraction(1, 1000), 5)
     assert e.width <= Fraction(1, 10 ** 5)
 
