@@ -4,10 +4,19 @@ Exact coefficient sequences for the two power-series quotients whose
 monotonicity drives the main theorems, the integer ladder inequalities that
 prove those monotonicities, the two ratio functions as enclosures, and
 unimodal maximization and slope signs by enclosure comparison.
+
+The sequences are D-finite (Stanley, "Differentiably finite power series",
+Eur. J. Combin. 1 (1980) 175-188).  With i_m(x) = sum_n x^n/(n! (n+m)!),
+y = i_m(beta u) solves u y'' + (m+1) y' = beta y, so f = e^(cu) y solves
+u f'' + (m+1-2cu) f' + (c^2 u - c(m+1) - beta) f = 0.  For beta = p/q in
+lowest terms the integers a_n = n! (n+m)! q^n [u^n] f then obey
+a_(n+1) = (c(2n+m+1) q + p) a_n - c^2 q^2 n(n+m) a_(n-1), a_0 = 1,
+a_(-1) = 0: every coefficient up to index K in O(K) integer steps.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable
@@ -20,80 +29,67 @@ from .expring import eval_enclosure, kernel_derivative
 # -- exact coefficient sequences -------------------------------------------
 
 
-def p_coeff(k: int) -> Fraction:
-    """Denominator-series coefficient (2^(k+2) - k - 3)/(k+2)!."""
-    return Fraction(2 ** (k + 2) - k - 3, math.factorial(k + 2))
+def _ratio_terms(beta, derivative: bool):
+    """Yield the integers (N_k, F_k, W_k) for k = 0, 1, 2, ...
+
+    At n = k+2 (first quotient) or n = k+4 (derivative quotient) the
+    numerator-series coefficient is N_k/(n! F_k), the denominator-series
+    coefficient W_k/n!, and their ratio N_k/(F_k W_k):
+      q_k = [u^n] (e^(2u) - 2e^u + 1) i_2(beta u), F_k = (n+2)! q^n,
+          p_k = (2^n - n - 1)/n!;
+      xi_k = [u^n] (E-1)^2 (E-1-u) beta i_3(beta u)
+          - ((u-2)E + u + 2)(E-1) i_2(beta u) with E = e^u,
+          F_k = (n+3)! q^(n+1), lambda_k = U_k/n!.
+    Each e^(cu) i_m(beta u), c = 0..m, m = 2 (and 3), steps its integers
+    a_n by the module's recurrence, keeping only the last two.
+    """
+    p, q = to_fraction(beta).as_integer_ratio()
+    qq = q * q
+    mc = [(m, c) for m in ((2, 3) if derivative else (2,)) for c in range(m + 1)]
+    prev, cur = [0] * len(mc), [1] * len(mc)
+    n0, F = (4, 5040 * q ** 5) if derivative else (2, 24 * qq)
+    for n in itertools.count():
+        if n >= n0:
+            b0, b1, b2, *a = cur
+            d0, _, d2, *ap = prev
+            if derivative:
+                yield (p * (a[3] - 3 * a[2] + 3 * a[1] - a[0]
+                            - n * (n + 3) * q * (ap[2] - 2 * ap[1] + ap[0]))
+                       + 2 * (n + 3) * q * (b2 - 2 * b1 + b0)
+                       - n * (n + 2) * (n + 3) * qq * (d2 - d0),
+                       F, U_value(n - 4))
+            else:
+                yield b2 - 2 * b1 + b0, F, (1 << n) - n - 1
+            F *= (n + 3 + derivative) * q
+        prev, cur = cur, [(c * (2 * n + m + 1) * q + p) * x
+                          - c * c * qq * n * (n + m) * y
+                          for (m, c), x, y in zip(mc, cur, prev)]
+
+
+def _coefficient(k: int, beta, derivative: bool, ratio: bool) -> Fraction:
+    N, F, W = next(itertools.islice(_ratio_terms(beta, derivative), k, None))
+    return Fraction(N, F * W if ratio
+                    else math.factorial(k + 2 + 2 * derivative) * F)
 
 
 def q_coeff(k: int, beta) -> Fraction:
-    """Numerator-series coefficient of the first ratio, exact in beta.
-
-    q_k = sum_{l<=k} C(k+2,l) (2^(k-l+2) - 2) beta^l / ((l+2)! (k+2)!).  With
-    beta = p/q and the integers T_l = C(k+2,l) (k+2)!/(l+2)! (T_0 = (k+2)!/2,
-    T_(l+1) = T_l (k+2-l)/((l+1)(l+3)) exactly for l < k), the sum is one
-    integer sum_l T_l (2^(k-l+2) - 2) p^l q^(k-l) over (k+2)!^2 q^k,
-    normalized once.
-    """
-    beta = to_fraction(beta)
-    p, q = beta.numerator, beta.denominator
-    t = math.factorial(k + 2) // 2
-    acc = 0
-    p_l = 1
-    for l in range(k + 1):
-        if l:
-            t = t * (k + 3 - l) // (l * (l + 2))
-            p_l *= p
-        acc = acc * q + ((t << (k - l + 2)) - 2 * t) * p_l
-    return Fraction(acc, math.factorial(k + 2) ** 2 * q ** k)
+    """q_k = [u^(k+2)] (e^u - 1)^2 i_2(beta u), exact in beta."""
+    return _coefficient(k, beta, derivative=False, ratio=False)
 
 
 def c_coeff(k: int, beta) -> Fraction:
-    """c_k = q_k / p_k = q_k (k+2)! / (2^(k+2) - k - 3), as one Fraction."""
-    q = q_coeff(k, beta)
-    return Fraction(q.numerator * math.factorial(k + 2),
-                    q.denominator * (2 ** (k + 2) - k - 3))
-
-
-def lambda_coeff(k: int) -> Fraction:
-    """(3^(k+4) - (k+6) 2^(k+4) + k^2 + 9k + 21)/(k+4)!."""
-    return Fraction(U_value(k), math.factorial(k + 4))
+    """c_k = q_k / p_k, p_k = (2^(k+2) - k - 3)/(k+2)!, as one Fraction."""
+    return _coefficient(k, beta, derivative=False, ratio=True)
 
 
 def xi_coeff(k: int, beta) -> Fraction:
-    """Numerator-series coefficient of the derivative ratio, exact in beta.
-
-    xi_k = sum_{l<=k} C(k+4,l) beta^l [a_d beta - (l+3) b_d] / ((l+3)! (k+4)!)
-    with d = k-l, a_d = 3^(d+4) - (d+10) 2^(d+3) + 2d + 11 and
-    b_d = d 2^(d+3) + 4.  With beta = p/q and the integers
-    T_l = C(k+4,l) (k+3)!/(l+3)! (T_0 = (k+3)!/6,
-    T_(l+1) = T_l (k+4-l)/((l+1)(l+4)) exactly for l < k), the sum is one
-    integer sum_l T_l [a_d p - (l+3) b_d q] p^l q^d over
-    (k+3)! (k+4)! q^(k+1), normalized once.
-    """
-    beta = to_fraction(beta)
-    p, q = beta.numerator, beta.denominator
-    t = math.factorial(k + 3) // 6
-    pow3 = 3 ** (k + 4)
-    acc = 0
-    p_l = 1
-    for l in range(k + 1):
-        d = k - l
-        if l:
-            t = t * (k + 5 - l) // (l * (l + 3))
-            p_l *= p
-            pow3 //= 3
-        a = pow3 - ((d + 10) << (d + 3)) + 2 * d + 11
-        b = (d << (d + 3)) + 4
-        acc = acc * q + t * (a * p - (l + 3) * b * q) * p_l
-    return Fraction(acc, math.factorial(k + 3) * math.factorial(k + 4)
-                    * q ** (k + 1))
+    """xi_k, the derivative quotient's numerator coefficient, exact in beta."""
+    return _coefficient(k, beta, derivative=True, ratio=False)
 
 
 def C_coeff(k: int, beta) -> Fraction:
-    """C_k = xi_k / lambda_k = xi_k (k+4)! / U_k, as one Fraction."""
-    xi = xi_coeff(k, beta)
-    return Fraction(xi.numerator * math.factorial(k + 4),
-                    xi.denominator * U_value(k))
+    """C_k = xi_k / lambda_k, lambda_k = U_k/(k+4)!, as one Fraction."""
+    return _coefficient(k, beta, derivative=True, ratio=True)
 
 
 # -- integer ladder quantities ---------------------------------------------
@@ -147,27 +143,24 @@ class MonotonicityReport(Record):
     __slots__ = _fields = ("values", "strictly_increasing", "first_violation")
 
 
-def _monotonicity(values: list[Fraction]) -> MonotonicityReport:
-    first = next((k for k in range(len(values) - 1)
-                  if values[k + 1] <= values[k]), None)
+def _ratio_sequence(beta, K: int, derivative: bool) -> MonotonicityReport:
+    if K < 2 + 2 * derivative:
+        raise ValueError(f"need K >= {2 + 2 * derivative}")
+    values = [Fraction(N, F * W) for N, F, W in
+              itertools.islice(_ratio_terms(beta, derivative), K + 1)]
+    first = next((k for k in range(K) if values[k + 1] <= values[k]), None)
     return MonotonicityReport(values=values, strictly_increasing=first is None,
                               first_violation=first)
 
 
 def c_ratio_sequence(beta, K: int) -> MonotonicityReport:
-    """Exact c_0..c_K for the first quotient plus a monotonicity verdict."""
-    if K < 2:
-        raise ValueError("need K >= 2")
-    beta = to_fraction(beta)
-    return _monotonicity([c_coeff(k, beta) for k in range(K + 1)])
+    """Exact c_0..c_K in one O(K) pass, plus a monotonicity verdict."""
+    return _ratio_sequence(beta, K, False)
 
 
 def C_ratio_sequence(beta, K: int) -> MonotonicityReport:
-    """Exact C_0..C_K for the derivative quotient plus a verdict."""
-    if K < 4:
-        raise ValueError("need K >= 4")
-    beta = to_fraction(beta)
-    return _monotonicity([C_coeff(k, beta) for k in range(K + 1)])
+    """Exact C_0..C_K in one O(K) pass, plus a monotonicity verdict."""
+    return _ratio_sequence(beta, K, True)
 
 
 def ladder_check(k_max: int) -> dict:

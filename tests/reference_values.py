@@ -5,9 +5,10 @@ values frozen after independent computation, one independent low-precision
 route to polygamma, and the plain loops that the optimised routines must
 reproduce exactly: the Fraction loops behind the integer series sums,
 polynomial shifts and sandwich sums and the ladder's cross-multiplied
-comparisons, the per-order polygamma that the polygamma jet replaced, the
-Bernoulli recurrence that the tangent numbers replaced, and the Newton
-loop that `math.isqrt` replaced.
+comparisons, the closed-form denominator coefficients p_k and lambda_k of
+the two ratio quotients, the per-order polygamma that the polygamma jet
+replaced, the Bernoulli recurrence that the tangent numbers replaced, and
+the Newton loop that `math.isqrt` replaced.
 """
 
 import math
@@ -267,6 +268,70 @@ def ladder_check_theta_rows(k_max: int) -> dict:
         "C_values": {m: abc[m][2] for m in range(6)},
         "U4": U[4],
     }
+
+
+# -- the two ratio quotients' coefficients, one index at a time ------------
+# p_k and lambda_k in closed form, and the per-index integer sums for q_k and
+# xi_k that the integer recurrences of `seriesratio._ratio_terms` replaced
+
+
+def q_coeff_sum(k: int, beta: Fraction) -> Fraction:
+    """q_k = sum_{l<=k} C(k+2,l) (2^(k-l+2) - 2) beta^l / ((l+2)! (k+2)!).
+
+    With beta = p/q and T_l = C(k+2,l) (k+2)!/(l+2)! (T_0 = (k+2)!/2,
+    T_(l+1) = T_l (k+2-l)/((l+1)(l+3)) exactly), one integer sum
+    sum_l T_l (2^(k-l+2) - 2) p^l q^(k-l) over (k+2)!^2 q^k.
+    """
+    p, q = beta.numerator, beta.denominator
+    t = math.factorial(k + 2) // 2
+    acc = 0
+    p_l = 1
+    for l in range(k + 1):
+        if l:
+            t = t * (k + 3 - l) // (l * (l + 2))
+            p_l *= p
+        acc = acc * q + ((t << (k - l + 2)) - 2 * t) * p_l
+    return Fraction(acc, math.factorial(k + 2) ** 2 * q ** k)
+
+
+def xi_coeff_sum(k: int, beta: Fraction) -> Fraction:
+    """xi_k = sum_{l<=k} C(k+4,l) beta^l [a_d beta - (l+3) b_d] / ((l+3)! (k+4)!)
+
+    with d = k-l, a_d = 3^(d+4) - (d+10) 2^(d+3) + 2d + 11 and
+    b_d = d 2^(d+3) + 4.  With beta = p/q and T_l = C(k+4,l) (k+3)!/(l+3)!
+    (T_0 = (k+3)!/6, T_(l+1) = T_l (k+4-l)/((l+1)(l+4)) exactly), one
+    integer sum sum_l T_l [a_d p - (l+3) b_d q] p^l q^d over
+    (k+3)! (k+4)! q^(k+1).
+    """
+    p, q = beta.numerator, beta.denominator
+    t = math.factorial(k + 3) // 6
+    pow3 = 3 ** (k + 4)
+    acc = 0
+    p_l = 1
+    for l in range(k + 1):
+        d = k - l
+        if l:
+            t = t * (k + 5 - l) // (l * (l + 3))
+            p_l *= p
+            pow3 //= 3
+        a = pow3 - ((d + 10) << (d + 3)) + 2 * d + 11
+        b = (d << (d + 3)) + 4
+        acc = acc * q + t * (a * p - (l + 3) * b * q) * p_l
+    return Fraction(acc, math.factorial(k + 3) * math.factorial(k + 4)
+                    * q ** (k + 1))
+
+
+
+def p_coeff(k: int) -> Fraction:
+    """p_k = [u^(k+2)] (e^(2u) - (1 + u) e^u) = (2^(k+2) - k - 3)/(k+2)!."""
+    return Fraction(2 ** (k + 2) - k - 3, math.factorial(k + 2))
+
+
+def lambda_coeff(k: int) -> Fraction:
+    """lambda_k = [u^(k+4)] (e^(3u) - 2 (1 + u) e^(2u) + (1 + u)^2 e^u),
+    that is (3^(k+4) - (k+6) 2^(k+4) + k^2 + 9k + 21)/(k+4)!."""
+    return Fraction(3 ** (k + 4) - (k + 6) * 2 ** (k + 4) + k * k + 9 * k + 21,
+                    math.factorial(k + 4))
 
 
 # -- per-order references for the polygamma jet ------------------------------

@@ -281,10 +281,17 @@ def test_failed_algebra_checks_are_reported(monkeypatch):
 
 def test_flat_ratio_step_fails_the_battery(monkeypatch):
     # c_0(1) = c_1(1) is the one flat step of the ratio sequence; a flat step
-    # later on, c_6(1) = c_5(1), must fail the strict monotonicity check
-    c_coeff = seriesratio.c_coeff
-    monkeypatch.setattr(seriesratio, "c_coeff", lambda k, beta: c_coeff(
-        5 if (k, beta) == (6, 1) else k, beta))
+    # later on, c_6(1) = c_5(1), must fail the strict monotonicity check.
+    # c_ratio_sequence reads every c_k from _ratio_terms, so the plant
+    # repeats its k = 5 term at k = 6 for beta = 1
+    ratio_terms = seriesratio._ratio_terms
+
+    def planted(beta, derivative):
+        for k, term in enumerate(ratio_terms(beta, derivative)):
+            yield last if (k, beta, derivative) == (6, 1, False) else term
+            last = term
+
+    monkeypatch.setattr(seriesratio, "_ratio_terms", planted)
     result = invoke("reproduce-paper")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
@@ -397,7 +404,7 @@ def test_installed_entry_point_matches_module_run():
     ["ktail", "--ell", "1", "--a", str(10 ** 71)],
     ["p-limit", "--t", "1/100000"],
     ["ktail", "--ell", "1", "--a", "100000"],
-    # a RecursionError in kernel_derivative, not a falsified claim
+    # an order past conjecture_scan's range, refused before any work
     ["conjecture-scan", "--k", "1200"],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
@@ -426,9 +433,9 @@ EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
 
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
-# (it prints text), and the exit-64 paths of --interval and --bracket.  Grids
-# are linear except in GOLDEN_SINGLE: geometric grid points are built with
-# float powers, and golden bytes should not depend on libm.
+# (it prints text), and the exit-64 paths of --interval, --bracket and --k.
+# Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
+# with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
 
 GOLDEN_FILE = Path(__file__).with_name("golden_cli.json")
@@ -495,6 +502,8 @@ GOLDEN_USAGE_ERRORS = {
                                  "--interval", "03"],
     "unimodal-max-bracket-1": ["unimodal-max", "--function", "F",
                                "--beta", "1", "--bracket", "1"],
+    "conjecture-scan-k-0": ["conjecture-scan", "--k", "0"],
+    "conjecture-scan-k-1200": ["conjecture-scan", "--k", "1200"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.

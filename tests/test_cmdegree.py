@@ -325,6 +325,19 @@ def test_conjecture_scan_finds_order_six_counterexample():
     assert scan["counterexample"]["margin"].hi < 0
 
 
+@pytest.mark.parametrize("k", [0, -1, cmdegree.CONJECTURE_MAX_ORDER + 1,
+                               1200])
+def test_conjecture_scan_refuses_orders_out_of_range(k):
+    # refused before any work: the empty grid is not reached
+    with pytest.raises(ValueError, match=rf"--k {k} .* range 1\.\.50$"):
+        cmdegree.conjecture_scan(k, [], digits=15)
+
+
+def test_conjecture_scan_runs_at_its_highest_order():
+    scan = cmdegree.conjecture_scan(cmdegree.CONJECTURE_MAX_ORDER, [1], 10)
+    assert scan["counterexample"]["margin"].hi < 0
+
+
 @pytest.mark.parametrize("scan", [
     lambda: cmdegree.cm_check(cmdegree.h_expression(1, 1), 0, 2, [], 15),
     lambda: cmdegree.kernel_certificate(5, [], digits=15),

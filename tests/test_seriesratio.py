@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from cmcert import seriesratio as sr
 from cmcert.expring import ExpPoly, ExpPolyQuotient, series_at_zero
 from cmcert.poly import Polynomial
-from reference_values import ladder_check_theta_rows, theta_row_fraction
+from reference_values import (lambda_coeff, ladder_check_theta_rows,
+                              p_coeff, q_coeff_sum, theta_row_fraction,
+                              xi_coeff_sum)
 
 betas = st.fractions(min_value=Fraction(1, 10), max_value=10,
                      max_denominator=50)
@@ -95,8 +97,8 @@ def test_first_ratio_closed_forms():
     for beta in (Fraction(1, 2), Fraction(3), Fraction(7, 5)):
         assert sr.c_coeff(0, beta) == 1
         assert sr.c_coeff(1, beta) == (3 + beta) / 4
-    assert sr.p_coeff(0) == Fraction(1, 2)
-    assert sr.p_coeff(1) == Fraction(2, 3)
+    assert p_coeff(0) == Fraction(1, 2)
+    assert p_coeff(1) == Fraction(2, 3)
     assert sr.q_coeff(0, 7) == Fraction(1, 2)
 
 
@@ -104,7 +106,7 @@ def test_derivative_ratio_closed_forms():
     for beta in (Fraction(1, 2), Fraction(3), Fraction(7, 5)):
         assert sr.C_coeff(0, beta) == (beta - 1) / 3
         assert sr.C_coeff(1, beta) == (beta ** 2 + 4 * beta - 4) / 20
-    assert sr.lambda_coeff(0) == Fraction(sr.U_value(0), math.factorial(4))
+    assert lambda_coeff(0) == Fraction(sr.U_value(0), math.factorial(4))
     assert sr.U_value(4) == 4074
 
 
@@ -136,8 +138,72 @@ def test_xi_matches_independent_convolution(beta, k):
 @given(any_betas, st.integers(min_value=0, max_value=80))
 @settings(deadline=None, derandomize=True, max_examples=200)
 def test_coefficients_equal_the_fraction_loops(beta, k):
-    assert sr.q_coeff(k, beta) == q_coeff_reference(k, beta)
-    assert sr.xi_coeff(k, beta) == xi_coeff_reference(k, beta)
+    assert sr.q_coeff(k, beta) == q_coeff_reference(k, beta) \
+        == q_coeff_sum(k, beta)
+    assert sr.xi_coeff(k, beta) == xi_coeff_reference(k, beta) \
+        == xi_coeff_sum(k, beta)
+
+
+# beta = 0, negative, tiny and huge: p = 0, negative p, and large p or q
+RATIO_BETAS = [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(0),
+               Fraction(-1, 2), Fraction(-7, 3), Fraction(1, 10 ** 6),
+               Fraction(10 ** 6)]
+
+
+@pytest.mark.parametrize("beta", RATIO_BETAS, ids=str)
+def test_ratio_sequences_equal_the_per_index_sums(beta):
+    # one recurrence pass against the per-index integer sums it replaced,
+    # which test_coefficients_equal_the_fraction_loops pins to the Fraction
+    # loops; those take seconds per beta at this length
+    assert sr.c_ratio_sequence(beta, 300).values == [
+        q_coeff_sum(k, beta) / p_coeff(k) for k in range(301)]
+    assert sr.C_ratio_sequence(beta, 200).values == [
+        xi_coeff_sum(k, beta) / lambda_coeff(k) for k in range(201)]
+
+
+@pytest.mark.parametrize("beta", RATIO_BETAS, ids=str)
+def test_each_index_equals_the_fraction_loops(beta):
+    # q_coeff, xi_coeff, c_coeff and C_coeff read index k from the recurrence
+    for k in range(41):
+        q, xi = q_coeff_reference(k, beta), xi_coeff_reference(k, beta)
+        assert sr.q_coeff(k, beta) == q
+        assert sr.xi_coeff(k, beta) == xi
+        assert sr.c_coeff(k, beta) == q / p_coeff(k)
+        assert sr.C_coeff(k, beta) == xi / lambda_coeff(k)
+
+
+def _taylor(expr: ExpPoly, n: int) -> list:
+    return series_at_zero(ExpPolyQuotient.make(expr, 0), n + 1)
+
+
+@given(any_betas, st.integers(min_value=4, max_value=60))
+@settings(deadline=None, derandomize=True, max_examples=25)
+def test_ratio_sequences_match_independent_convolutions(beta, K):
+    # c_k = q_k/p_k at u^(k+2) and C_k = xi_k/lambda_k at u^(k+4), every
+    # series from its defining e-polynomial and the Bessel series i_2, i_3
+    E = ExpPoly.of({1: Polynomial.constant(1)})
+    one = ExpPoly.of({0: Polynomial.constant(1)})
+    u = ExpPoly.of({0: Polynomial.of([0, 1])})
+    n = K + 4
+    q = _taylor((E - one) * (E - one), n)
+    p = _taylor(E * E - (one + u) * E, n)
+    a = _taylor((E - one) * (E - one) * (E - one - u), n)
+    b = _taylor(((u - one - one) * E + u + one + one) * (E - one), n)
+    lam = _taylor(E * E * E - (one + u) * (E * E + E * E)
+                  + (one + u) * (one + u) * E, n)
+    i2, i3 = ([beta ** j / (math.factorial(j) * math.factorial(j + m))
+               for j in range(n + 1)] for m in (2, 3))
+
+    def conv(x, y, m):
+        return sum((x[m - j] * y[j] for j in range(m + 1)), Fraction(0))
+
+    assert p[2:K + 3] == [p_coeff(k) for k in range(K + 1)]
+    assert lam[4:] == [lambda_coeff(k) for k in range(K + 1)]
+    assert sr.c_ratio_sequence(beta, K).values == [
+        conv(q, i2, k + 2) / p[k + 2] for k in range(K + 1)]
+    assert sr.C_ratio_sequence(beta, K).values == [
+        (beta * conv(a, i3, k + 4) - conv(b, i2, k + 4)) / lam[k + 4]
+        for k in range(K + 1)]
 
 
 @given(any_betas, st.integers(min_value=0, max_value=40))
