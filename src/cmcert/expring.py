@@ -2,8 +2,12 @@
 
 The smallest differentiation-closed ring containing u/(1 - e^-u): elements
 are finite maps frequency -> polynomial numerator over a pole power of
-(e^u - 1).  Supplies the derivative tower of the Laplace kernel and the
-exact algebra behind the degree-28 positivity reduction.
+(e^u - 1).  Supplies the derivative towers of 1/(e^u - 1) and of the
+Laplace kernel, and the exact algebra behind the degree-28 positivity
+reduction.  Both towers are closed forms in the Eulerian numbers A(n, i)
+(Graham, Knuth and Patashnik, Concrete Mathematics, section 6.2):
+D^n [1/(e^u - 1)] = (-1)^n sum_i A(n, i) e^(iu) / (e^u - 1)^(n+1), with
+A(0, 0) = 1 and A(n, i) = i A(n-1, i) + (n-i+1) A(n-1, i-1).
 
 Below SERIES_SWITCH `eval_enclosure` sums Taylor series whose coefficients
 come from one cached integer table per (numerator, order); each sum is one
@@ -16,7 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .enclosure import Enclosure, Record, to_fraction
 from .poly import Polynomial, certify_positive_on_interval, lemma1_exp_bounds
@@ -39,21 +42,8 @@ class ExpPoly(Record):
                 items.append((freq, p))
         return ExpPoly(tuple(items))
 
-    @staticmethod
-    def zero() -> "ExpPoly":
-        return ExpPoly(())
-
     def as_dict(self) -> dict[int, Polynomial]:
         return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, freq: int) -> Polynomial:
-        for f, p in self.terms:
-            if f == freq:
-                return p
-        return Polynomial.zero()
 
     def max_freq(self) -> int:
         return self.terms[-1][0] if self.terms else 0
@@ -118,60 +108,48 @@ EXP_U = ExpPoly.of({1: Polynomial.constant(1)})
 EXP_U_MINUS_ONE = EXP_U - ExpPoly.of({0: Polynomial.constant(1)})
 
 
-def _divide_by_exp_minus_one(num: ExpPoly) -> Optional[ExpPoly]:
-    """Exact division by (e^u - 1) in the e^u indeterminate, or None."""
-    if num.is_zero():
-        return num
-    top = num.max_freq()
-    coeffs = [num.coeff(f) for f in range(top + 1)]
-    # synthetic division by (E - 1): quotient q_i, remainder = sum coeffs at E=1
-    quot = [Polynomial.zero()] * top
-    carry = Polynomial.zero()
-    for i in range(top, 0, -1):
-        carry = carry + coeffs[i]
-        quot[i - 1] = carry
-    remainder = carry + coeffs[0]
-    if not remainder.is_zero():
-        return None
-    return ExpPoly.of({i: q for i, q in enumerate(quot)})
-
-
 class ExpPolyQuotient(Record):
-    """numerator / (e^u - 1)^pole in canonical (fully reduced) form."""
+    """numerator / (e^u - 1)^pole; the towers below build it fully reduced."""
 
     __slots__ = _fields = ("numerator", "pole")
 
-    @staticmethod
-    def make(numerator: ExpPoly, pole: int) -> "ExpPolyQuotient":
-        if pole < 0:
-            raise ValueError("pole order must be >= 0")
-        while pole > 0:
-            reduced = _divide_by_exp_minus_one(numerator)
-            if reduced is None:
-                break
-            numerator = reduced
-            pole -= 1
-        return ExpPolyQuotient(numerator, pole)
 
+def reciprocal_derivative(n: int) -> ExpPolyQuotient:
+    """n-th derivative of 1/(e^u - 1) in its Eulerian form, reduced.
 
-def differentiate(f: ExpPolyQuotient) -> ExpPolyQuotient:
-    """Exact derivative; d/du (e^u-1)^-m = -m e^u (e^u-1)^-(m+1)."""
-    if f.pole == 0:
-        return ExpPolyQuotient.make(f.numerator.derivative(), 0)
-    num = (f.numerator.derivative() * EXP_U_MINUS_ONE
-           - (EXP_U * f.numerator).scale(f.pole))
-    return ExpPolyQuotient.make(num, f.pole + 1)
+    The row A(n, 0..n) is built iteratively, without recursion.  At e^u = 1
+    the numerator is (-1)^n n! != 0, so no factor (e^u - 1) cancels.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    row = [1]
+    for m in range(1, n + 1):
+        row = [i * a + (m - i + 1) * b
+               for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
+    return ExpPolyQuotient(ExpPoly.of({i: Polynomial.constant((-1) ** n * a)
+                                       for i, a in enumerate(row)}), n + 1)
 
 
 @lru_cache(maxsize=None)
 def kernel_derivative(k: int) -> ExpPolyQuotient:
-    """k-th derivative of u/(1 - e^-u) = u e^u/(e^u - 1), canonical form."""
+    """k-th derivative of u/(1 - e^-u) = u + u g with g = 1/(e^u - 1).
+
+    Leibniz gives u g^(k) + k g^(k-1), plus 1 at k = 1, and g^(n) is the
+    Eulerian form N_n / (E - 1)^(n+1) of `reciprocal_derivative` (Graham,
+    Knuth and Patashnik 6.2).  So the numerator is u N_k + k N_(k-1) (E - 1),
+    plus (E - 1)^2 at k = 1, over the pole k + 1; at E = 1 it is
+    (-1)^k k! u != 0, so it is reduced.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
+    u = Polynomial.x()
     if k == 0:
-        num = ExpPoly.of({1: Polynomial.of([0, 1])})
-        return ExpPolyQuotient.make(num, 1)
-    return differentiate(kernel_derivative(k - 1))
+        return ExpPolyQuotient(ExpPoly.of({1: u}), 1)
+    num = (reciprocal_derivative(k).numerator.mul_poly(u) + (EXP_U_MINUS_ONE
+           * reciprocal_derivative(k - 1).numerator).scale(k))
+    if k == 1:
+        num = num + EXP_U_MINUS_ONE * EXP_U_MINUS_ONE
+    return ExpPolyQuotient(num, k + 1)
 
 
 # -- evaluation -------------------------------------------------------------
@@ -227,7 +205,8 @@ def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
 
     Direct exp-enclosure composition away from the origin; near u = 0 a
     single Taylor expansion of the whole numerator captures its cancellation
-    (in canonical form the numerator vanishes to the pole order there).
+    (the towers build their forms reduced, and the numerator of a function
+    that is finite at 0 vanishes to the pole order there).
     The guard digits grow over six rounds; if the enclosure is still wider
     than 10**-digits, ArithmeticError names the width.
     """

@@ -7,8 +7,9 @@ reproduce exactly: the Fraction loops behind the integer series sums,
 polynomial shifts and sandwich sums and the ladder's cross-multiplied
 comparisons, the closed-form denominator coefficients p_k and lambda_k of
 the two ratio quotients, the per-order polygamma that the polygamma jet
-replaced, the Bernoulli recurrence that the tangent numbers replaced, and
-the Newton loop that `math.isqrt` replaced.
+replaced, the Bernoulli recurrence that the tangent numbers replaced, the
+Newton loop that `math.isqrt` replaced, and the repeated differentiation
+with trial division that the Eulerian derivative towers replaced.
 """
 
 import math
@@ -17,6 +18,8 @@ from functools import lru_cache
 
 from cmcert import seriesratio
 from cmcert.enclosure import Enclosure
+from cmcert.expring import EXP_U, EXP_U_MINUS_ONE, ExpPoly, ExpPolyQuotient
+from cmcert.poly import Polynomial
 
 # min/max sandwich coefficients of the degree-28 certificate polynomial on
 # [0, 1], transcribed from the published table
@@ -437,3 +440,53 @@ def polygamma_per_order(n: int, x: Fraction, digits: int) -> Enclosure:
     lo, hi = body if n % 2 == 1 else (-body[1], -body[0])
     return Enclosure(Fraction(lo, 1 << p),
                      Fraction(hi, 1 << p)).round_out(digits + 1)
+
+
+# -- the derivative towers by repeated differentiation ----------------------
+# Each level differentiates the previous form in the ring and then divides
+# out (e^u - 1) while the division is exact; `expring.reciprocal_derivative`
+# and `expring.kernel_derivative` must return the identical reduced forms.
+
+
+def divide_by_exp_minus_one(num: ExpPoly):
+    """Exact division of num by (E - 1), E = e^u, or None if it leaves a
+    remainder: synthetic division from the top frequency down."""
+    coeffs = num.as_dict()
+    quot, carry = {}, Polynomial.zero()
+    for i in range(num.max_freq(), 0, -1):
+        carry = carry + coeffs.get(i, Polynomial.zero())
+        quot[i - 1] = carry
+    if not (carry + coeffs.get(0, Polynomial.zero())).is_zero():
+        return None
+    return ExpPoly.of(quot)
+
+
+def reduced_quotient(num: ExpPoly, pole: int) -> ExpPolyQuotient:
+    while pole > 0:
+        quot = divide_by_exp_minus_one(num)
+        if quot is None:
+            break
+        num, pole = quot, pole - 1
+    return ExpPolyQuotient(num, pole)
+
+
+def differentiate(f: ExpPolyQuotient) -> ExpPolyQuotient:
+    """d/du N (E - 1)^-m = (N' (E - 1) - m E N) (E - 1)^-(m+1), reduced."""
+    if f.pole == 0:
+        return reduced_quotient(f.numerator.derivative(), 0)
+    num = (f.numerator.derivative() * EXP_U_MINUS_ONE
+           - (EXP_U * f.numerator).scale(f.pole))
+    return reduced_quotient(num, f.pole + 1)
+
+
+def derivative_tower(f: ExpPolyQuotient, n_max: int) -> list:
+    """[f, f', ..., f^(n_max)], each one derivative of the one before."""
+    tower = [f]
+    for _ in range(n_max):
+        tower.append(differentiate(tower[-1]))
+    return tower
+
+
+# 1/(e^u - 1) and u e^u/(e^u - 1), the bases of the two towers
+RECIPROCAL_BASE = reduced_quotient(EXP_U_MINUS_ONE, 2)
+KERNEL_BASE = reduced_quotient(ExpPoly.of({1: Polynomial.x()}), 1)

@@ -404,8 +404,10 @@ def test_installed_entry_point_matches_module_run():
     ["ktail", "--ell", "1", "--a", str(10 ** 71)],
     ["p-limit", "--t", "1/100000"],
     ["ktail", "--ell", "1", "--a", "100000"],
-    # an order past conjecture_scan's range, refused before any work
+    # orders past the ranges of conjecture_scan and k_tail, refused before
+    # any work
     ["conjecture-scan", "--k", "1200"],
+    ["ktail", "--ell", "101", "--a", "1"],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
@@ -433,7 +435,8 @@ EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
 
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
-# (it prints text), and the exit-64 paths of --interval, --bracket and --k.
+# (it prints text), and the exit-64 paths of --interval, --bracket, --k and
+# --ell.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -504,6 +507,8 @@ GOLDEN_USAGE_ERRORS = {
                                "--beta", "1", "--bracket", "1"],
     "conjecture-scan-k-0": ["conjecture-scan", "--k", "0"],
     "conjecture-scan-k-1200": ["conjecture-scan", "--k", "1200"],
+    "ktail-ell-negative": ["ktail", "--ell", "-1", "--a", "1"],
+    "ktail-ell-101": ["ktail", "--ell", "101", "--a", "1"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.

@@ -9,31 +9,32 @@ from cmcert.enclosure import Enclosure
 from cmcert.expring import ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
 
-from reference_values import expm1_series_fraction, numerator_series_fraction
+from reference_values import (KERNEL_BASE, RECIPROCAL_BASE, derivative_tower,
+                              expm1_series_fraction, numerator_series_fraction)
 
 
 def test_exppoly_ring_operations():
     a = ExpPoly.of({1: Polynomial.of([0, 1])})          # u e^u
     b = ExpPoly.of({0: Polynomial.constant(1)})          # 1
     s = a + b
-    assert s.coeff(1).coeffs == (0, 1)
-    assert s.coeff(0).coeffs == (1,)
+    assert s.as_dict() == {0: Polynomial.constant(1), 1: Polynomial.x()}
     prod = a * a                                          # u^2 e^{2u}
-    assert prod.coeff(2).coeffs == (0, 0, 1)
+    assert prod.terms == ((2, Polynomial.of([0, 0, 1])),)
     assert prod.max_freq() == 2
+    assert (s - s).terms == ()
 
 
 def test_exppoly_derivative_product_rule():
     # d/du (u e^{2u}) = (1 + 2u) e^{2u}
     f = ExpPoly.of({2: Polynomial.of([0, 1])})
     d = f.derivative()
-    assert d.coeff(2).coeffs == (1, 2)
+    assert d.terms == ((2, Polynomial.of([1, 2])),)
 
 
 def test_exppoly_taylor_coefficient():
     # u e^{2u} = sum 2^j u^{j+1} / j!
     f = ExpPoly.of({2: Polynomial.of([0, 1])})
-    coeffs = expring.series_at_zero(ExpPolyQuotient.make(f, 0), 8)
+    coeffs = expring.series_at_zero(ExpPolyQuotient(f, 0), 8)
     for j in range(1, 8):
         assert coeffs[j] == Fraction(2 ** (j - 1), math.factorial(j - 1))
     assert coeffs[0] == 0
@@ -49,12 +50,37 @@ def test_kernel_series_matches_bernoulli_generating_function():
 
 
 def test_derivative_commutes_with_series():
-    f = expring.kernel_derivative(0)
-    df = expring.differentiate(f)
-    base = expring.series_at_zero(f, 9)
-    shifted = expring.series_at_zero(df, 8)
-    for j in range(8):
-        assert shifted[j] == (j + 1) * base[j + 1]
+    for k in range(7):
+        base = expring.series_at_zero(expring.kernel_derivative(k), 9)
+        shifted = expring.series_at_zero(expring.kernel_derivative(k + 1), 8)
+        for j in range(8):
+            assert shifted[j] == (j + 1) * base[j + 1], (k, j)
+
+
+def test_towers_equal_repeated_differentiation():
+    # orders 0-40 of both towers, against differentiation with trial division
+    tables = ((expring.reciprocal_derivative, RECIPROCAL_BASE),
+              (expring.kernel_derivative, KERNEL_BASE))
+    for tower, base in tables:
+        for n, form in enumerate(derivative_tower(base, 40)):
+            assert tower(n) == form, (tower.__name__, n)
+
+
+def _numerator_at_e_equal_one(form) -> Polynomial:
+    return sum((p for _, p in form.numerator.terms), Polynomial.zero())
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, specfun.K_TAIL_MAX_ORDER])
+def test_tower_numerators_are_reduced(n):
+    # at E = 1 the numerators are (-1)^n n! and (-1)^n n! u, not 0, so no
+    # factor (e^u - 1) is left to cancel against the pole n + 1; the Eulerian
+    # row is iterative, so the order of the --ell cap builds without recursion
+    value = (-1) ** n * math.factorial(n)
+    reciprocal = expring.reciprocal_derivative(n)
+    kernel = expring.kernel_derivative(n)
+    assert reciprocal.pole == kernel.pole == n + 1
+    assert _numerator_at_e_equal_one(reciprocal) == Polynomial.constant(value)
+    assert _numerator_at_e_equal_one(kernel) == Polynomial.of([0, value])
 
 
 def test_kernel_fourth_derivative_matches_exponential_sums():
@@ -139,7 +165,7 @@ def test_eval_enclosure_rejects_nonpositive_argument():
 
 
 def test_series_at_zero_detects_genuine_pole():
-    f = ExpPolyQuotient.make(ExpPoly.of({0: Polynomial.constant(1)}), 1)
+    f = ExpPolyQuotient(ExpPoly.of({0: Polynomial.constant(1)}), 1)
     with pytest.raises(ValueError, match="pole"):
         expring.series_at_zero(f, 5)
 
@@ -177,10 +203,10 @@ def test_remark_decomposition():
                         1: Polynomial.of([-4035, -7119])})
     part3 = ExpPoly.of({2: Polynomial.constant(3249),
                         0: Polynomial.of([-3249, -793])})
-    assert ((part1 + part2 + part3) - f3_chain).is_zero()
+    assert ((part1 + part2 + part3) - f3_chain).terms == ()
     assert part3.value_at_origin() == 0
     for piece, start in ((part1, 5), (part2, 3), (part3, 0)):
-        slope = ExpPolyQuotient.make(piece.derivative(), 0)
+        slope = ExpPolyQuotient(piece.derivative(), 0)
         for u in (Fraction(1, 2), 1, 3, 5, 10):
             if u >= start:
                 assert expring.eval_enclosure(slope, u, 20).lo >= 0, (start, u)

@@ -123,8 +123,8 @@ def test_xi_matches_independent_convolution(beta, k):
     B = (E.mul_poly(Polynomial.of([-2, 1]))
          + ExpPoly.of({0: Polynomial.of([2, 1])})) * (E - one)
     n = k + 4
-    a = series_at_zero(ExpPolyQuotient.make(A, 0), n + 1)
-    b = series_at_zero(ExpPolyQuotient.make(B, 0), n + 1)
+    a = series_at_zero(ExpPolyQuotient(A, 0), n + 1)
+    b = series_at_zero(ExpPolyQuotient(B, 0), n + 1)
     conv = sum(a[n - j]
                * beta ** (j + 1)
                / (math.factorial(j) * math.factorial(j + 3))
@@ -173,7 +173,7 @@ def test_each_index_equals_the_fraction_loops(beta):
 
 
 def _taylor(expr: ExpPoly, n: int) -> list:
-    return series_at_zero(ExpPolyQuotient.make(expr, 0), n + 1)
+    return series_at_zero(ExpPolyQuotient(expr, 0), n + 1)
 
 
 @given(any_betas, st.integers(min_value=4, max_value=60))
@@ -215,7 +215,7 @@ def test_q_matches_independent_convolution(beta, k):
     one = ExpPoly.of({0: Polynomial.constant(1)})
     A = (E - one) * (E - one)
     n = k + 2
-    a = series_at_zero(ExpPolyQuotient.make(A, 0), n + 1)
+    a = series_at_zero(ExpPolyQuotient(A, 0), n + 1)
     conv = sum(a[n - l]
                * beta ** l / (math.factorial(l) * math.factorial(l + 2))
                for l in range(n + 1))
