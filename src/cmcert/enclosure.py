@@ -157,6 +157,12 @@ class Enclosure(Record):
     def definitely_less(self, other: "Enclosure") -> bool:
         return self.hi < other.lo
 
+    def ratio(self) -> tuple[int, int, int]:
+        """Integers (lo, hi, den), den > 0, with [lo/den, hi/den] = self."""
+        den = math.lcm(self.lo.denominator, self.hi.denominator)
+        return (self.lo.numerator * (den // self.lo.denominator),
+                self.hi.numerator * (den // self.hi.denominator), den)
+
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Enclosure":
@@ -231,10 +237,7 @@ class Enclosure(Record):
 
     def round_out(self, digits: int) -> "Enclosure":
         """Widen outward so endpoint denominators divide 10**digits."""
-        scale = 10 ** digits
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(math.ceil(self.hi * scale), scale)
-        return Enclosure(lo, hi)
+        return divide_round_out(self.ratio(), (1, 1, 1), digits)
 
     # -- rendering ---------------------------------------------------------
 
@@ -251,6 +254,20 @@ class Enclosure(Record):
             return f"{sign}{s[:-places]}.{s[-places:]}"
 
         return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
+
+
+def divide_round_out(num, den, digits: int) -> Enclosure:
+    """num / den rounded outward to multiples of 10**-digits, on integers:
+    (lo, hi, q) is [lo/q, hi/q], q > 0, and den > 0.  Moore's rule picks
+    each quotient end by the sign of the numerator end, so each is one exact
+    ratio, floored or ceiled once; a difference is a quotient by (1, 1, 1)."""
+    (lo, hi, q), (dlo, dhi, dq) = num, den
+    if dlo <= 0:
+        raise ZeroDivisionError(f"divisor {den} is not positive")
+    scale = 10 ** digits
+    lo = lo * dq * scale // (q * (dhi if lo >= 0 else dlo))
+    hi = -(-hi * dq * scale // (q * (dlo if hi >= 0 else dhi)))
+    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
 
 def nth_root_enclosure(x: Rat, n: int, digits: int) -> Enclosure:

@@ -9,10 +9,11 @@ reduction.  Both towers are closed forms in the Eulerian numbers A(n, i)
 D^n [1/(e^u - 1)] = (-1)^n sum_i A(n, i) e^(iu) / (e^u - 1)^(n+1), with
 A(0, 0) = 1 and A(n, i) = i A(n-1, i) + (n-i+1) A(n-1, i-1).
 
-Below SERIES_SWITCH `eval_enclosure` sums Taylor series whose coefficients
-come from one cached integer table per (numerator, order); each sum is one
-integer Horner pass that becomes a Fraction only at the end (Brent and
-Zimmermann, Modern Computer Arithmetic, section 4.4).
+`eval_enclosure` works on integer pairs and rounds once (Brent and
+Zimmermann, Modern Computer Arithmetic, section 4.4): an integer interval
+Horner pass over the exp enclosure, or below SERIES_SWITCH integer Taylor
+sums from one cached table per (numerator, order), with no gcd until the
+quotient by the pole power is floored and ceiled at the target grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .enclosure import Enclosure, Record, to_fraction
+from .enclosure import Enclosure, Record, divide_round_out, to_fraction
 from .poly import Polynomial, certify_positive_on_interval, lemma1_exp_bounds
 from . import specfun
 
@@ -77,13 +78,6 @@ class ExpPoly(Record):
     def value_at_origin(self) -> Fraction:
         """Exact value at u = 0 (each e^(iu) factor equals 1)."""
         return sum((p(0) for _, p in self.terms), Fraction(0))
-
-    def eval_exact_u(self, u: Fraction) -> Polynomial:
-        """Freeze the polynomial part at rational u: polynomial in E = e^u."""
-        coeffs = [Fraction(0)] * (self.max_freq() + 1) if self.terms else []
-        for f, p in self.terms:
-            coeffs[f] = p(u)
-        return Polynomial.of(coeffs)
 
 
 @lru_cache(maxsize=128)
@@ -157,17 +151,18 @@ def kernel_derivative(k: int) -> ExpPolyQuotient:
 SERIES_SWITCH = Fraction(1, 4)
 
 
-def _series_parts(num: ExpPoly, u: Fraction, order: int) -> tuple[Fraction,
-                                                                   Fraction]:
-    """Taylor partial sum of num at u through u^order, and a tail bound.
+def _series_parts(num: ExpPoly, u: Fraction, order: int) -> tuple:
+    """Integers (P, T, Q): P/Q is the Taylor partial sum of num at u through
+    u^order, and T/Q bounds its tail.
 
     With u = a/b and c_j = K_j/(D j!) from `_taylor_table`, the partial sum
     is sum_j K_j (order!/j!) a^j b^(order-j) / (D order! b^order); its
     numerator is summed in one integer Horner pass, R <- R b j + K_j a^j.
     The tail of p[d] u^d e^(fu) past u^order is at most |p[d]| u^d times
     the Taylor tail of e^y past y^n, y = fu and n = order - d, which is at
-    most y^(n+1)/(n+1)! / (1 - y/(n+2)) while y/(n+2) < 1/2.  Over a/b
-    these terms share the factor a^(order+1)/b^order.
+    most y^(n+1)/(n+1)! / (1 - y/(n+2)) while y/(n+2) < 1/2.  The terms
+    share a^(order+1)/(D (order+1)! b^order) and are summed over the product
+    of their small denominators b (n+2) - f a.
     """
     den, table = _taylor_table(num, order)
     a, b = u.numerator, u.denominator
@@ -175,62 +170,66 @@ def _series_parts(num: ExpPoly, u: Fraction, order: int) -> tuple[Fraction,
     for j, k in enumerate(table):
         acc = acc * b * j + k * apow
         apow *= a
-    partial = Fraction(acc, den * math.factorial(order) * b ** order)
-    tail = Fraction(0)
+    tail, tail_den = 0, 1
     for f, p in num.terms:
         for d, c in enumerate(p.coeffs):
             if c and f:
                 n = order - d
+                q = b * (n + 2) - f * a
                 if 2 * f * a >= b * (n + 2):
                     raise ValueError("series order too small for this argument")
-                tail += abs(c) * Fraction(f ** (n + 1) * (n + 2),
-                                          math.factorial(n + 1)
-                                          * (b * (n + 2) - f * a))
-    return partial, tail * Fraction(apow, b ** order)
+                term = (abs(c.numerator) * (den // c.denominator)
+                        * f ** (n + 1) * (n + 2) * math.perm(order + 1, d))
+                tail, tail_den = tail * q + term * tail_den, tail_den * q
+    extra = (order + 1) * tail_den
+    return (acc * extra, tail * apow,
+            den * math.factorial(order) * b ** order * extra)
 
 
-def _numerator_series_enclosure(num: ExpPoly, u: Fraction, order: int) -> Enclosure:
-    partial, bound = _series_parts(num, u, order)
-    return Enclosure(partial - bound, partial + bound)
-
-
-def _expm1_series_enclosure(u: Fraction, order: int) -> Enclosure:
-    # every Taylor coefficient of e^u - 1 is positive: the sum is a lower bound
-    partial, bound = _series_parts(EXP_U_MINUS_ONE, u, order)
-    return Enclosure(partial, partial + bound)
+def _exp_horner(num: ExpPoly, u: Fraction, digits: int) -> tuple:
+    """num(u) and e^u - 1 as integer pairs (lo, hi, den).  With e^u in
+    [L/S, H/S] and u = a/b, p_f(u) = C_f / (D b^g), and Horner runs on
+    A <- A X + C_f S^(F-f), X = L or H by the sign of A (Moore's rule)."""
+    lo_e, hi_e, s = specfun.exp_enclosure(u, digits).ratio()
+    den, _ = _taylor_table(num, 0)  # D, the cached common denominator
+    a, b = u.numerator, u.denominator
+    g = max((len(p.coeffs) for _, p in num.terms), default=1) - 1
+    coeffs = {f: sum(c.numerator * (den // c.denominator) * a ** d
+                     * b ** (g - d) for d, c in enumerate(p.coeffs))
+              for f, p in num.terms}
+    lo, hi, spow = 0, 0, 1
+    for f in range(num.max_freq(), -1, -1):
+        c = coeffs.get(f, 0) * spow
+        lo = lo * (lo_e if lo >= 0 else hi_e) + c
+        hi = hi * (hi_e if hi >= 0 else lo_e) + c
+        spow *= s
+    return (lo, hi, den * b ** g * spow // s), (lo_e - s, hi_e - s, s)
 
 
 def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
-    """Enclosure of f(u) for rational u > 0.
+    """Enclosure of f(u) for rational u > 0, on integer pairs, rounded once.
 
-    Direct exp-enclosure composition away from the origin; near u = 0 a
-    single Taylor expansion of the whole numerator captures its cancellation
-    (the towers build their forms reduced, and the numerator of a function
-    that is finite at 0 vanishes to the pole order there).
-    The guard digits grow over six rounds; if the enclosure is still wider
-    than 10**-digits, ArithmeticError names the width.
+    Exp-enclosure Horner away from the origin; near u = 0 one Taylor expansion
+    of the whole numerator captures its cancellation (the towers build their
+    forms reduced).  The quotient by (e^u - 1)^pole is floored and ceiled
+    once at 10**-(digits+1).  The guard digits grow over six rounds; if the
+    enclosure is still wider than 10**-digits, ArithmeticError names it.
     """
     u = to_fraction(u)
     if u <= 0:
         raise ValueError("evaluation requires u > 0")
-    guard = 8
-    cap = 6
+    guard, cap = 8, 6
     for _ in range(cap):
         if u >= SERIES_SWITCH:
-            e = specfun.exp_enclosure(u, digits + guard)
-            num = f.numerator.eval_exact_u(u).eval_interval(e)
-            if f.pole == 0:
-                val = num
-            else:
-                val = num / (e - 1) ** f.pole
+            num, base = _exp_horner(f.numerator, u, digits + guard)
         else:
             order = 4 * (digits + guard) // 3 + f.numerator.max_freq() + 8
-            num = _numerator_series_enclosure(f.numerator, u, order)
-            if f.pole == 0:
-                val = num
-            else:
-                val = num / _expm1_series_enclosure(u, order) ** f.pole
-        val = val.round_out(digits + 1)
+            p, t, q = _series_parts(f.numerator, u, order)
+            num, base = (p - t, p + t, q), (1, 1, 1)
+            if f.pole:  # e^u - 1 has positive coefficients: P/Q is below it
+                p, t, q = _series_parts(EXP_U_MINUS_ONE, u, order)
+                base = (p, p + t, q)
+        val = divide_round_out(num, [x ** f.pole for x in base], digits + 1)
         if val.width <= Fraction(1, 10 ** digits):
             return val
         guard = guard * 2 + digits
@@ -368,20 +367,11 @@ def build_f4_via_pade():
     quintic factor are both certified positive there.
     """
     (lnum, lden), (unum, uden), _ = lemma1_exp_bounds(2, 3)
-    u = Polynomial.x()
-    l3u2 = lnum ** 3 * uden ** 2
-    numerator = (
-        l3u2.scale(69)
-        + (lnum ** 2 * lden * uden ** 2).scale(7215)
-        - (unum * lden ** 3 * uden).scale(4035)
-        - (lden ** 3 * uden ** 2).scale(3249)
-        + u * (
-            l3u2.scale(10)
-            - (unum ** 2 * lden ** 3).scale(2610)
-            - (unum * lden ** 3 * uden).scale(7119)
-            - (lden ** 3 * uden ** 2).scale(793)
-        )
-    )
+    u2, d3 = uden ** 2, lden ** 3
+    l2u2, d3u = lnum ** 2 * u2, d3 * unum
+    numerator = (l2u2 * lnum * _poly(69, 10) + (l2u2 * lden).scale(7215)
+                 - d3u * uden * _poly(4035, 7119) - d3 * u2 * _poly(3249, 793)
+                 - d3u * unum * _poly(0, 2610))
     f4 = Polynomial.of([c / 6 for c in numerator.coeffs[1:]])
     report = {
         "matches_reference": (numerator[0] == 0

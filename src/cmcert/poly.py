@@ -6,11 +6,12 @@ certificate is built from Taylor shifts and unit-interval coefficient bounds
 classical rational sandwich bounds for exp feed its derivation.  Descartes'
 sign rule and sign-change root isolation decide the paper's root remarks.
 
-Taylor shifts, affine changes of variable and the sandwich sums run on
-integer numerators over one common denominator D: a shift by r/t is an
-in-place integer Horner shift by r of the numerators scaled by powers of t,
-and the sandwich bounds are integer sums over D n!.  Each output coefficient
-or bound is a single Fraction.
+Products, Taylor shifts, affine changes of variable and the sandwich sums
+run on integer numerators over one common denominator D: a product is one
+integer convolution, a shift by r/t is an in-place integer Horner shift by
+r of the numerators scaled by powers of t, and the sandwich bounds are
+integer sums over D n!.  Each output coefficient or bound is a single
+Fraction.
 """
 
 from __future__ import annotations
@@ -74,18 +75,15 @@ class Polynomial(Record):
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial.of([self[i] - other[i] for i in range(n)])
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
             return Polynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial.of(out)
+        (a, da), (b, db) = _common_numerators(self), _common_numerators(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return Polynomial(tuple([Fraction(c, da * db) for c in out]))
 
     def scale(self, c) -> "Polynomial":
         c = to_fraction(c)

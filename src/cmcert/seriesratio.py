@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .enclosure import Enclosure, Record, to_fraction
+from .enclosure import Enclosure, Record, divide_round_out, to_fraction
 from . import specfun
 from .expring import eval_enclosure, kernel_derivative
 
@@ -248,7 +248,7 @@ def _kernel_ratio(k: int, u, beta, digits: int) -> Enclosure:
         raise ValueError("need u > 0 and beta > 0")
     kern = eval_enclosure(kernel_derivative(k - 1), u, digits + 4)
     ik = specfun.bessel_ratio(k, beta * u, digits + 4)
-    return (kern / ik).round_out(digits + 1)
+    return divide_round_out(kern.ratio(), ik.ratio(), digits + 1)
 
 
 def f_beta(u, beta, digits: int) -> Enclosure:

@@ -3,22 +3,25 @@
 Exact rationals transcribed from the published tables, plus derived oracle
 values frozen after independent computation, one independent low-precision
 route to polygamma, and the plain loops that the optimised routines must
-reproduce exactly: the Fraction loops behind the integer series sums,
-polynomial shifts and sandwich sums and the ladder's cross-multiplied
-comparisons, the closed-form denominator coefficients p_k and lambda_k of
-the two ratio quotients, the per-order polygamma that the polygamma jet
-replaced, the Bernoulli recurrence that the tangent numbers replaced, the
-Newton loop that `math.isqrt` replaced, and the repeated differentiation
-with trial division that the Eulerian derivative towers replaced.
+reproduce exactly: the Fraction loops behind the integer series sums, the
+Enclosure composition that `eval_enclosure` replaced with integer pairs,
+the schoolbook polynomial product, polynomial shifts and sandwich sums and
+the ladder's cross-multiplied comparisons, the closed-form denominator
+coefficients p_k and lambda_k of the two ratio quotients, the per-order
+polygamma that the polygamma jet replaced, the Bernoulli recurrence that
+the tangent numbers replaced, the Newton loop that `math.isqrt` replaced,
+and the repeated differentiation with trial division that the Eulerian
+derivative towers replaced.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from cmcert import seriesratio
+from cmcert import seriesratio, specfun
 from cmcert.enclosure import Enclosure
-from cmcert.expring import EXP_U, EXP_U_MINUS_ONE, ExpPoly, ExpPolyQuotient
+from cmcert.expring import (EXP_U, EXP_U_MINUS_ONE, SERIES_SWITCH, ExpPoly,
+                            ExpPolyQuotient)
 from cmcert.poly import Polynomial
 
 # min/max sandwich coefficients of the degree-28 certificate polynomial on
@@ -127,6 +130,41 @@ def expm1_series_fraction(u: Fraction, order: int) -> Enclosure:
     return Enclosure(partial, partial + bound)
 
 
+def eval_enclosure_fraction(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
+    """`expring.eval_enclosure` as an Enclosure composition: the Fraction
+    interval Horner over the exp enclosure, or the two Fraction series
+    enclosures, divided by the pole power and rounded out."""
+    u = Fraction(u)
+    if u <= 0:
+        raise ValueError("evaluation requires u > 0")
+    guard = 8
+    cap = 6
+    for _ in range(cap):
+        if u >= SERIES_SWITCH:
+            e = specfun.exp_enclosure(u, digits + guard)
+            coeffs = [Fraction(0)] * (f.numerator.max_freq() + 1)
+            for freq, p in f.numerator.terms:
+                coeffs[freq] = p(u)
+            num = Polynomial.of(coeffs).eval_interval(e)
+            if f.pole == 0:
+                val = num
+            else:
+                val = num / (e - 1) ** f.pole
+        else:
+            order = 4 * (digits + guard) // 3 + f.numerator.max_freq() + 8
+            num = numerator_series_fraction(f.numerator, u, order)
+            if f.pole == 0:
+                val = num
+            else:
+                val = num / expm1_series_fraction(u, order) ** f.pole
+        val = round_out_fraction(val, digits + 1)
+        if val.width <= Fraction(1, 10 ** digits):
+            return val
+        guard = guard * 2 + digits
+    raise ArithmeticError(f"f({u}) not enclosed to width 10^-{digits}: width "
+                          f"{val.width} after {cap} rounds")
+
+
 def bessel_ratio_fraction(k: int, u: Fraction, digits: int,
                           term_cap: int) -> Enclosure:
     """sum_n u**n / (n! (n+k)!) with a running Fraction term and total."""
@@ -151,6 +189,13 @@ def bessel_ratio_fraction(k: int, u: Fraction, digits: int,
     return Enclosure(total, total + tail).round_out(digits + 1)
 
 
+def round_out_fraction(x: Enclosure, digits: int) -> Enclosure:
+    """`Enclosure.round_out` as a Fraction floor and ceiling."""
+    scale = 10 ** digits
+    return Enclosure(Fraction(math.floor(x.lo * scale), scale),
+                     Fraction(math.ceil(x.hi * scale), scale))
+
+
 def mul_four_products(x: Enclosure, y: Enclosure) -> Enclosure:
     """Interval product as the min and max of all four endpoint products."""
     prods = (x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi)
@@ -162,6 +207,17 @@ def mul_four_products(x: Enclosure, y: Enclosure) -> Enclosure:
 # rows, as they stood before they moved onto integer numerators and
 # cross-multiplied comparisons; the optimised routines must return identical
 # Polynomials, bound lists and ladder failure lists.
+
+
+def polynomial_product_fraction(p, q):
+    """Schoolbook product with one Fraction multiply-add per pair."""
+    if p.is_zero() or q.is_zero():
+        return type(p).zero()
+    out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return type(p).of(out)
 
 
 def taylor_shift_fraction(p, a):

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
 from cmcert.enclosure import Enclosure, rational_power_enclosure
+from cmcert.expring import eval_enclosure, kernel_derivative
 
 import reference_values
-from reference_values import polygamma_hurwitz, polygamma_per_order
+from reference_values import (polygamma_hurwitz, polygamma_per_order,
+                              round_out_fraction)
 
 
 def _float_at(expr: CMExpression, t: Fraction) -> float:
@@ -303,6 +305,18 @@ def test_p_value_meets_its_width_at_large_t():
     p = cmdegree.p_value(10 ** 50, 30)
     assert p.width <= Fraction(1, 10 ** 30)
     assert abs(p.mid - 4) < Fraction(1, 10 ** 29)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=6),
+       st.fractions(min_value=0, max_value=50,
+                    max_denominator=1000).filter(lambda u: u > 0),
+       st.integers(min_value=5, max_value=40))
+def test_kernel_margin_is_the_rounded_enclosure_difference(k, u, digits):
+    ik = specfun.bessel_ratio(k, u, digits + 4)
+    kd = eval_enclosure(kernel_derivative(k - 1), u, digits + 4)
+    assert cmdegree.kernel_margin(k, u, digits) == \
+        round_out_fraction(ik - kd, digits + 1)
 
 
 def test_kernel_margin_and_certificates():

@@ -5,13 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from cmcert.cli import RunConfig
 from cmcert.cmdegree import CMExpression, DegreeCell
-from cmcert.enclosure import (Enclosure, integer_nth_root, nth_root_enclosure,
-                              rational_power_enclosure, to_fraction)
+from cmcert.enclosure import (Enclosure, divide_round_out, integer_nth_root,
+                              nth_root_enclosure, rational_power_enclosure,
+                              to_fraction)
 from cmcert.expring import ExpPoly, _taylor_table
 from cmcert.poly import PieceReport, Polynomial, PositivityCertificate
 from cmcert.seriesratio import MaxResult
 
-from reference_values import integer_nth_root_newton, mul_four_products
+from reference_values import (integer_nth_root_newton, mul_four_products,
+                              round_out_fraction)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -45,6 +47,8 @@ def test_sign_classification():
 def test_division_by_zero_straddling_interval():
     with pytest.raises(ZeroDivisionError):
         interval(-1, 1).inverse()
+    with pytest.raises(ZeroDivisionError):
+        divide_round_out((1, 1, 1), interval(-1, 1).ratio(), 3)
 
 
 def test_round_out_widens():
@@ -145,6 +149,24 @@ SIGN_CLASSES = {
 def test_mul_equals_the_four_product_hull(x, y):
     assert x * y == mul_four_products(x, y)
     assert y * x == mul_four_products(y, x)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(SIGN_CLASSES)).flatmap(
+           lambda a: SIGN_CLASSES[a]),
+       SIGN_CLASSES["nonneg"].filter(lambda y: y.lo > 0),
+       st.integers(min_value=0, max_value=30))
+def test_integer_rounding_equals_the_enclosure_arithmetic(x, y, digits):
+    # quotient by a positive interval, difference and plain rounding, each
+    # floored and ceiled once on integers, against Enclosure arithmetic
+    # rounded by Fraction floor and ceiling
+    (a, b, q), (c, d, r) = x.ratio(), y.ratio()
+    assert Enclosure(Fraction(a, q), Fraction(b, q)) == x
+    assert divide_round_out(x.ratio(), y.ratio(), digits) == \
+        round_out_fraction(x / y, digits)
+    assert divide_round_out((a * r - d * q, b * r - c * q, q * r), (1, 1, 1),
+                            digits) == round_out_fraction(x - y, digits)
+    assert x.round_out(digits) == round_out_fraction(x, digits)
 
 
 def test_mul_all_nine_sign_cases_with_zero_endpoints():

@@ -1,8 +1,9 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmcert import expring, specfun
 from cmcert.enclosure import Enclosure
@@ -10,7 +11,8 @@ from cmcert.expring import ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
 
 from reference_values import (KERNEL_BASE, RECIPROCAL_BASE, derivative_tower,
-                              expm1_series_fraction, numerator_series_fraction)
+                              eval_enclosure_fraction, expm1_series_fraction,
+                              numerator_series_fraction)
 
 
 def test_exppoly_ring_operations():
@@ -117,11 +119,52 @@ small_u = st.one_of(
 @given(st.integers(min_value=0, max_value=6), small_u,
        st.integers(min_value=10, max_value=120))
 def test_series_enclosures_equal_the_fraction_loops(k, u, order):
+    # _series_parts returns the partial sum P/Q and the tail bound T/Q
     num = expring.kernel_derivative(k).numerator
-    assert expring._numerator_series_enclosure(num, u, order) == \
+    p, t, q = expring._series_parts(num, u, order)
+    assert Enclosure(Fraction(p - t, q), Fraction(p + t, q)) == \
         numerator_series_fraction(num, u, order)
-    assert expring._expm1_series_enclosure(u, order) == \
+    p, t, q = expring._series_parts(expring.EXP_U_MINUS_ONE, u, order)
+    assert Enclosure(Fraction(p, q), Fraction(p + t, q)) == \
         expm1_series_fraction(u, order)
+
+
+TOWERS = (expring.kernel_derivative, expring.reciprocal_derivative)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.sampled_from(TOWERS), st.integers(min_value=0, max_value=8),
+       st.one_of(
+           small_u.filter(lambda u: u < expring.SERIES_SWITCH),
+           st.fractions(min_value=expring.SERIES_SWITCH, max_value=50,
+                        max_denominator=10 ** 6)),
+       st.integers(min_value=5, max_value=60))
+@example(expring.reciprocal_derivative, 8, expring.SERIES_SWITCH, 5)
+def test_eval_enclosure_equals_the_enclosure_composition(tower, n, u, digits):
+    # the integer pairs round the same exact rationals as the Fraction
+    # Enclosure composition, so the enclosures, or the errors, are equal
+    f = tower(n)
+    try:
+        expected = eval_enclosure_fraction(f, u, digits)
+    except (ArithmeticError, ValueError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            expring.eval_enclosure(f, u, digits)
+    else:
+        assert expring.eval_enclosure(f, u, digits) == expected
+
+
+def test_eval_enclosure_escalates_the_guard_like_the_composition(monkeypatch):
+    # D^8 [1/(e^u - 1)] is about 1e10 at u = 1/4: the first guard is too
+    # small for 10^-5, and both routes run the same second round
+    requested = []
+    exp_enclosure = specfun.exp_enclosure
+    monkeypatch.setattr(specfun, "exp_enclosure", lambda x, d: (
+        requested.append(d), exp_enclosure(x, d))[1])
+    f = expring.reciprocal_derivative(8)
+    value = expring.eval_enclosure(f, expring.SERIES_SWITCH, 5)
+    assert requested == [13, 26]
+    assert value == eval_enclosure_fraction(f, expring.SERIES_SWITCH, 5)
+    assert requested == [13, 26, 13, 26]
 
 
 def _mpf(q: Fraction):
@@ -150,9 +193,10 @@ def test_eval_enclosure_differential_against_mpmath(k, u, digits):
 
 @pytest.mark.parametrize("u", [Fraction(1, 10), Fraction(3)])
 def test_eval_enclosure_raises_on_width_miss(monkeypatch, u):
-    # both routes return a unit-wide enclosure whatever the precision
-    monkeypatch.setattr(expring, "_numerator_series_enclosure",
-                        lambda num, u, order: Enclosure(1, 2))
+    # both routes return a unit-wide enclosure whatever the precision: the
+    # series sums [1, 2] for the numerator and [3/2, 2] for e^u - 1
+    monkeypatch.setattr(expring, "_series_parts",
+                        lambda num, u, order: (3, 1, 2))
     monkeypatch.setattr(specfun, "exp_enclosure",
                         lambda x, digits: Enclosure(x + 1, x + 2))
     with pytest.raises(ArithmeticError, match="width 10\\^-12"):

@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 from cmcert import poly, specfun
 from cmcert.poly import Polynomial
 from reference_values import (cargo_shisha_bounds_fraction,
-                              compose_affine_fraction, taylor_shift_fraction)
+                              compose_affine_fraction,
+                              polynomial_product_fraction,
+                              taylor_shift_fraction)
 
 coeff_lists = st.lists(
     st.fractions(min_value=-50, max_value=50, max_denominator=100),
@@ -92,6 +94,18 @@ def test_integer_algebra_equals_the_fraction_loops(coeffs, a, s):
         else:
             assert poly.cargo_shisha_bounds(q) == \
                 cargo_shisha_bounds_fraction(q)
+
+
+@given(st.lists(mixed_coeffs, max_size=31),
+       st.lists(mixed_coeffs, max_size=12))
+@settings(deadline=None, derandomize=True, max_examples=500)
+def test_integer_product_equals_the_fraction_schoolbook(a, b):
+    # zero polynomials, negative and non-integer coefficients, unequal lengths
+    p, q = Polynomial.of(a), Polynomial.of(b)
+    product = polynomial_product_fraction(p, q)
+    assert p * q == product
+    assert q * p == product
+    assert q ** 2 == polynomial_product_fraction(q, q)
 
 
 def test_descartes_counts():

@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmcert import seriesratio as sr
-from cmcert.expring import ExpPoly, ExpPolyQuotient, series_at_zero
+from cmcert import seriesratio as sr, specfun
+from cmcert.expring import (ExpPoly, ExpPolyQuotient, eval_enclosure,
+                            kernel_derivative, series_at_zero)
 from cmcert.poly import Polynomial
 from reference_values import (lambda_coeff, ladder_check_theta_rows,
-                              p_coeff, q_coeff_sum, theta_row_fraction,
-                              xi_coeff_sum)
+                              p_coeff, q_coeff_sum, round_out_fraction,
+                              theta_row_fraction, xi_coeff_sum)
 
 betas = st.fractions(min_value=Fraction(1, 10), max_value=10,
                      max_denominator=50)
@@ -331,6 +332,22 @@ def test_ratio_sequences_monotone():
     C = sr.C_ratio_sequence(Fraction(1, 2), 20)
     assert C.strictly_increasing
     assert C.first_violation is None
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.sampled_from([(1, sr.f_beta), (2, sr.g_beta)]),
+       st.fractions(min_value=0, max_value=60,
+                    max_denominator=1000).filter(lambda u: u > 0),
+       st.fractions(min_value=0, max_value=3,
+                    max_denominator=20).filter(lambda b: b > 0),
+       st.integers(min_value=5, max_value=40))
+def test_ratio_functions_are_the_rounded_enclosure_quotient(ratio, u, beta,
+                                                            digits):
+    k, function = ratio
+    kern = eval_enclosure(kernel_derivative(k - 1), u, digits + 4)
+    ik = specfun.bessel_ratio(k, beta * u, digits + 4)
+    assert function(u, beta, digits) == \
+        round_out_fraction(kern / ik, digits + 1)
 
 
 def test_ratio_functions_at_small_argument():
