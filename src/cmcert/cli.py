@@ -175,12 +175,12 @@ main.main = main
 def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
     """Print one report in the configured format, then exit with code.
 
-    doc is the report's JSON text and rows its CSV records, header first.  A
-    command with no JSON or CSV form passes None, and its text lines print
-    under that format too.
+    doc returns the report's JSON text, called only under --format json,
+    and rows are its CSV records, header first.  A command with no JSON or
+    CSV form passes None, and its text lines print under that format too.
     """
     if cfg.fmt == "json" and doc is not None:
-        lines = [doc]
+        lines = [doc()]
     elif cfg.fmt == "csv" and rows is not None:
         lines = [",".join(row) for row in rows]
     else:
@@ -195,7 +195,7 @@ def _ends(enc: Enclosure) -> list:
 
 def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
     lo, hi = _ends(enc)
-    _emit(cfg, json.dumps({"label": label, "lo": lo, "hi": hi}),
+    _emit(cfg, lambda: json.dumps({"label": label, "lo": lo, "hi": hi}),
           [f"{label} = {enc.decimal_str(min(cfg.precision, 40))}"],
           [("label", "lo", "hi"), (label, lo, hi)])
 
@@ -215,7 +215,7 @@ def certify_poly(cfg, file, interval, step):
     if cert.witness is not None:
         text.append(f"  witness: {format_rational(cert.witness)} -> "
                     f"{format_rational(cert.witness_value)}")
-    _emit(cfg, cert.to_json(), text,
+    _emit(cfg, cert.to_json, text,
           code={"certified": 0, "falsified": 1}.get(cert.verdict, 2))
 
 
@@ -228,8 +228,8 @@ def shift_chain(cfg, file, shifts):
     for _ in range(shifts):
         p = poly.taylor_shift(p, 1)
         chain.append([format_rational(c) for c in p.coeffs])
-    _emit(cfg, json.dumps([{"shift": str(i), "coeffs": coeffs}
-                           for i, coeffs in enumerate(chain)]),
+    _emit(cfg, lambda: json.dumps([{"shift": str(i), "coeffs": coeffs}
+                                   for i, coeffs in enumerate(chain)]),
           [f"shift {i}: {' '.join(coeffs)}" for i, coeffs in enumerate(chain)])
 
 
@@ -246,7 +246,7 @@ def lemma1_bounds(cfg, m, n):
         "valid_on": f"(0, {format_rational(1 / limit)}]"
         if limit else "(0, inf)",
     }
-    _emit(cfg, json.dumps(payload, indent=2),
+    _emit(cfg, lambda: json.dumps(payload, indent=2),
           [f"{key}: {val}" for key, val in payload.items()])
 
 
@@ -298,7 +298,7 @@ def kernel_ineq(cfg, k):
                     f"< 1/720: {ray['certified']}")
         if not ray["certified"]:
             code = max(code, 2)
-    _emit(cfg, json.dumps(doc, indent=2), text, [header] + rows, code)
+    _emit(cfg, lambda: json.dumps(doc, indent=2), text, [header] + rows, code)
 
 
 @_command("ratio-mono", which=dict(choices=["c", "C"], required=True),
@@ -310,7 +310,7 @@ def ratio_mono(cfg, which, beta, count):
         else seriesratio.C_ratio_sequence
     rep = fn(beta_f, count)
     values = [format_rational(v) for v in rep.values]
-    _emit(cfg, json.dumps({
+    _emit(cfg, lambda: json.dumps({
         "sequence": which, "beta": beta, "values": values,
         "strictly_increasing": rep.strictly_increasing,
         "first_violation": rep.first_violation}, indent=2),
@@ -325,7 +325,7 @@ def ratio_mono(cfg, which, beta, count):
 def ladder(cfg, k_max):
     """Exact verification of the coefficient-ladder inequalities."""
     rep = seriesratio.ladder_check(k_max)
-    _emit(cfg, json.dumps({
+    _emit(cfg, lambda: json.dumps({
         "k_max": rep["k_max"], "passed": rep["passed"],
         "failures": rep["failures"],
         "C_values": {str(m): v for m, v in rep["C_values"].items()}},
@@ -348,7 +348,7 @@ def unimodal_max_cmd(cfg, function, beta, bracket, tol):
     res = seriesratio.unimodal_max(
         lambda u, d: base(u, beta_f, d), (lo, hi), _rat(tol),
         digits=min(cfg.precision, 40))
-    _emit(cfg, json.dumps({
+    _emit(cfg, lambda: json.dumps({
         "function": function, "beta": beta, "argmax": _ends(res.argmax),
         "max": _ends(res.value), "resolved": res.resolved}, indent=2),
         [f"argmax in {res.argmax.decimal_str(8)}",
@@ -366,7 +366,7 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
         cmdegree.h_expression(_rat(alpha), _rat(beta)), _rat(r), orders,
         grid, digits=min(cfg.precision, 40),
         name=f"gap(alpha={alpha},beta={beta})")
-    _emit(cfg, rep.to_json(),
+    _emit(cfg, rep.to_json,
           [f"{rep.function} at degree {format_rational(rep.r)}, "
            f"orders 0..{rep.N}: {rep.summary}"]
           + [f"  n={c.n} t={format_rational(c.t)}: {c.verdict} "
@@ -383,7 +383,7 @@ def p_limit(cfg, t):
     encs = [cmdegree.p_value(t, min(cfg.precision, 30)) for t in pts]
     header = ("t", "lo", "hi")
     rows = [(format_rational(t), *_ends(e)) for t, e in zip(pts, encs)]
-    _emit(cfg, json.dumps([dict(zip(header, row)) for row in rows]),
+    _emit(cfg, lambda: json.dumps([dict(zip(header, row)) for row in rows]),
           [f"p({row[0]}) = {e.decimal_str(12)}" for row, e in zip(rows, encs)],
           [header] + rows)
 
@@ -394,7 +394,7 @@ def verify_identity_cmd(cfg, k, terms):
     """Exact termwise check of the truncated-exponential transforms."""
     rep = cmdegree.verify_identity(k, terms)
     constant = format_rational(rep["constant"])
-    _emit(cfg, json.dumps({
+    _emit(cfg, lambda: json.dumps({
         "k": k, "N": terms, "passed": rep["passed"], "constant": constant,
         "mismatches": rep["mismatches"]}),
         [f"k={k}, N={terms}: "
@@ -422,7 +422,7 @@ def conjecture_scan_cmd(cfg, k):
                                      "margin": _ends(ce["margin"])}
         text = [f"counterexample at u = {format_rational(ce['u'])}: "
                 f"margin [{', '.join(_ends(ce['margin']))}]"]
-    _emit(cfg, json.dumps(payload, indent=2), text,
+    _emit(cfg, lambda: json.dumps(payload, indent=2), text,
           code=0 if ce is None else 1)
 
 

@@ -28,7 +28,7 @@ def to_fraction(x) -> Fraction:
 
 def format_rational(x: Fraction) -> str:
     """Render as 'p/q' (or plain integer when q == 1)."""
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

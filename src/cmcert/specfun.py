@@ -4,7 +4,9 @@ Endpoints are exact rationals, and `digits` asks for width <= 10**-digits.
 `exp_enclosure` always meets that width.  `bessel_ratio` adds terms to an
 unnormalised integer sum until its tail bound meets the target and raises
 at TERM_CAP terms.  `polygamma_jet` sums the polygamma orders n0..N at one
-point in one pass on integer mantissas and returns integer endpoints;
+point in one pass on fixed-point integer brackets, floored at the low end
+and ceiled at the high end of every product, so every bracket holds the
+true value, and the series is cut where exact rational sums cut it.
 `polygamma` is its one-order Enclosure.  `k_tail` is the Eulerian closed
 form of a derivative of 1/(e**u - 1), enclosed by the `expring` evaluator.
 Bernoulli numbers are integer pairs from the tangent-number recurrence.
@@ -12,6 +14,7 @@ Bernoulli numbers are integer pairs from the tangent-number recurrence.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -168,51 +171,81 @@ def _polygamma_mantissas(n0: int, N: int, a: int, b: int, m: int,
                    + sum_{k>=1} B_2k (2k+n-1)!/((2k)! z**(2k+n))
     is the enveloping expansion of (-1)**(n+1) psi^(n)(z), cut at its first
     term of size <= 1/tol_den, which bounds the error.  None: the terms
-    stopped decreasing first (z too small).  One divmod floors each exact
-    term into lo and ceils it into hi.  The orders share the powers of b
-    and c = a + mb, and carry each (a+jb)**(n+1) by one multiplication.
+    stopped decreasing first (z too small).
+
+    Soundness: each term v >= 0 is a bracket lo <= v 2**W <= hi at one
+    fixed point W (Brent and Zimmermann, Modern Computer Arithmetic, 4.4),
+    and a product or sum of brackets, floored at lo and ceiled at hi, is a
+    bracket.  1/(x+j), for x + j >= 1, w = 1/z and (x+j)**-(n0+1) are
+    floored or ceiled once; (x+j)**-(n+1) then takes one floored
+    multiply-shift per order, which loses < 2 units (both factors are
+    <= 1), so its high end is the low plus 2(n-n0) + 1; at x < 1 the j = 0
+    term is floored exactly.  (n-1)! w**n and each Bernoulli term go to the
+    next order times n w and (2k+n) w, and a term new at an order is
+    floored from its exact ratio.  The stop and None rules compare exact
+    ratios wherever the brackets straddle, so they cut where exact sums
+    would; each order's sum is then floored (lo) and ceiled (hi) from
+    2**-W to 2**-p.
     """
     c = a + m * b
-    bpow, cpow = [1], [1]  # b**e and c**e, extended on demand
-    qs = [a + j * b for j in range(m)]
-    qpow = [q ** n0 for q in qs]
     step = (m + a // b).bit_length()
-    fact = math.factorial(n0 - 1)
-    out = []
+    base = tol_den.bit_length() + guard
+    # n! times the power sum's slack stays below 2**-15 units of 2**-base
+    W = 16 + max(base + N * step, 0,
+                 base + (math.factorial(N) * (m + N) * N).bit_length())
+    thr = (1 << W) // tol_den  # an integer u is <= 2**W/tol_den iff <= thr
+    small = a < b
+    qs = [a + j * b for j in range(small, m)]
+    rl = [(b << W) // q for q in qs]
+    pl = [(b ** (n0 + 1) << W) // q ** (n0 + 1) for q in qs]
+    wl, wh = (b << W) // c, -(-(b << W) // c)
+    fact, apow, bnpow = math.factorial(n0 - 1), a ** n0, b ** n0
+    # term k at order n: |B_2k| (2k+n-1)!/(2k)! w**(2k+n); k = 0 is
+    # (n-1)! w**n, and n! w**(n+1)/2 is half of it at order n + 1
+    tl, th, out = [], [], []
+
+    def exact(k, n):
+        num, den = _bernoulli_pair(k)
+        e = n + 2 * k
+        return abs(num) * math.perm(e - 1, n - 1) * b ** e, den * c ** e
+
+    def bracket(k, n):  # floored from the exact ratio when new
+        if k == len(tl):
+            num, den = exact(k, n)
+            q, r = divmod(num << W, den)
+            tl.append(q)
+            th.append(q + (r > 0))
+        return tl[k], th[k]
+
     for n in range(n0, N + 1):
-        fact *= n  # n!
-        p = tol_den.bit_length() + n * step + guard
-        qpow = [qp * q for qp, q in zip(qpow, qs)]
-        lo = hi = prev_num = prev_den = k = 0
-        while True:
-            k += 1
-            e = n + 2 * k
-            while len(cpow) <= e:
-                bpow.append(bpow[-1] * b)
-                cpow.append(cpow[-1] * c)
-            bern_num, bern_den = _bernoulli_pair(k)
-            num = abs(bern_num) * math.perm(e - 1, n - 1) * bpow[e]
-            den = bern_den * cpow[e]
-            if num * tol_den <= den:
-                err = -((-num << p) // den)
-                lo, hi = lo - err, hi + err
+        t_lo, t_hi = bracket(0, n)
+        lo = t_lo + (t_lo * n * wl >> W + 1) + fact * n * sum(pl)
+        hi = t_hi - (-t_hi * n * wh >> W + 1) + fact * n * (
+            sum(pl) + len(pl) * (2 * (n - n0) + 1))
+        fact, apow, bnpow = fact * n, apow * a, bnpow * b
+        if small:
+            q, r = divmod(fact * bnpow << W, apow)
+            lo, hi = lo + q, hi + q + (r > 0)
+        for k in itertools.count(1):
+            t_lo, t_hi = bracket(k, n)
+            if t_hi <= thr or t_lo <= thr and \
+                    (e := exact(k, n))[0] * tol_den <= e[1]:
+                lo, hi = lo - t_hi, hi + t_hi
                 break
-            if k > 1 and num * prev_den >= prev_num * den:
+            if k > 1 and (t_lo >= th[k - 1] or t_hi >= tl[k - 1] and
+                          (e := exact(k - 1, n))[0] * (f := exact(k, n))[1]
+                          <= f[0] * e[1]):
                 lo = None
                 break
-            q, r = divmod((num if bern_num > 0 else -num) << p, den)
-            lo, hi = lo + q, hi + q + (r > 0)
-            prev_num, prev_den = num, den
-        if lo is None:
-            out.append(None)
-            continue
-        # the positive terms (n-1)!/z**n, n!/(2 z**(n+1)) and the shifts
-        num = fact * bpow[n + 1] << p
-        quots, rems = zip(divmod(fact // n * bpow[n] << p, cpow[n]),
-                          divmod(num, 2 * cpow[n + 1]),
-                          *map(divmod, [num] * m, qpow))
-        total = sum(quots)
-        out.append((p, lo + total, hi + total + len(rems) - rems.count(0)))
+            if k % 2:  # B_2k > 0
+                lo, hi = lo + t_lo, hi + t_hi
+            else:
+                lo, hi = lo - t_hi, hi - t_lo
+        p = base + n * step
+        out.append(None if lo is None else (p, lo >> W - p, -(-hi >> W - p)))
+        pl = [v * r >> W for v, r in zip(pl, rl)]
+        tl = [t * (n + 2 * k) * wl >> W for k, t in enumerate(tl)]
+        th = [-(-t * (n + 2 * k) * wh >> W) for k, t in enumerate(th)]
     return out
 
 
@@ -221,9 +254,10 @@ def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
     psi^(n)(x) * 10**(digits+1); n0 >= 1, x > 0.
 
     The argument is lifted by the exact recurrence and each order summed on
-    integer mantissas at its own scale (`_polygamma_mantissas`).  Orders
-    whose terms stop decreasing are summed again with the lift target
-    doubled; the others keep their first result.
+    fixed-point brackets, returned at its own scale p
+    (`_polygamma_mantissas`).  Orders whose terms stop decreasing are
+    summed again with the lift target doubled; the others keep their
+    first result.
     """
     if n0 < 1:
         raise ValueError("derivative order must be >= 1")

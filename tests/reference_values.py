@@ -8,7 +8,8 @@ Enclosure composition that `eval_enclosure` replaced with integer pairs,
 the schoolbook polynomial product, polynomial shifts and sandwich sums and
 the ladder's cross-multiplied comparisons, the closed-form denominator
 coefficients p_k and lambda_k of the two ratio quotients, the per-order
-polygamma that the polygamma jet replaced, the Bernoulli recurrence that
+polygamma that the polygamma jet replaced, the jet on exact rationals that
+its fixed-point mantissas replaced, the Bernoulli recurrence that
 the tangent numbers replaced, the Newton loop that `math.isqrt` replaced,
 and the repeated differentiation with trial division that the Eulerian
 derivative towers replaced.
@@ -476,6 +477,57 @@ def polygamma_mantissas_per_order(n: int, a: int, b: int, m: int,
         lo += num // den
         hi -= -num // den
     return lo, hi
+
+
+def polygamma_mantissas_exact(n0: int, N: int, a: int, b: int, m: int,
+                              tol_den: int, guard: int = 64) -> list:
+    """The polygamma jet on exact rationals: per order n = n0..N, (p, lo,
+    hi) bracketing |psi^(n)(a/b)| * 2**p, or None, with the lift, stop
+    rule and p of `specfun._polygamma_mantissas`.  One divmod floors each
+    exact term into lo and ceils it into hi; the orders share the powers
+    of b and c = a + mb and carry each (a+jb)**(n+1) by one multiplication.
+    """
+    c = a + m * b
+    bpow, cpow = [1], [1]
+    qs = [a + j * b for j in range(m)]
+    qpow = [q ** n0 for q in qs]
+    step = (m + a // b).bit_length()
+    fact = math.factorial(n0 - 1)
+    out = []
+    for n in range(n0, N + 1):
+        fact *= n
+        p = tol_den.bit_length() + n * step + guard
+        qpow = [qp * q for qp, q in zip(qpow, qs)]
+        lo = hi = prev_num = prev_den = k = 0
+        while True:
+            k += 1
+            e = n + 2 * k
+            while len(cpow) <= e:
+                bpow.append(bpow[-1] * b)
+                cpow.append(cpow[-1] * c)
+            bern = bernoulli_recurrence(2 * k)
+            num = abs(bern.numerator) * math.perm(e - 1, n - 1) * bpow[e]
+            den = bern.denominator * cpow[e]
+            if num * tol_den <= den:
+                err = -((-num << p) // den)
+                lo, hi = lo - err, hi + err
+                break
+            if k > 1 and num * prev_den >= prev_num * den:
+                lo = None
+                break
+            q, r = divmod((num if bern > 0 else -num) << p, den)
+            lo, hi = lo + q, hi + q + (r > 0)
+            prev_num, prev_den = num, den
+        if lo is None:
+            out.append(None)
+            continue
+        num = fact * bpow[n + 1] << p
+        quots, rems = zip(divmod(fact // n * bpow[n] << p, cpow[n]),
+                          divmod(num, 2 * cpow[n + 1]),
+                          *map(divmod, [num] * m, qpow))
+        total = sum(quots)
+        out.append((p, lo + total, hi + total + len(rems) - rems.count(0)))
+    return out
 
 
 def polygamma_per_order(n: int, x: Fraction, digits: int) -> Enclosure:

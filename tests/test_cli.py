@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import cmcert
-from cmcert import expring, seriesratio, specfun
+from cmcert import cmdegree, expring, seriesratio, specfun
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
 from cmcert.expring import ExpPoly
@@ -435,8 +435,8 @@ EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
 
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
-# (it prints text), and the exit-64 paths of --interval, --bracket, --k and
-# --ell.
+# (it prints text), and the exit-64 paths of --interval, --bracket, --k,
+# --ell and --orders.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -509,6 +509,10 @@ GOLDEN_USAGE_ERRORS = {
     "conjecture-scan-k-1200": ["conjecture-scan", "--k", "1200"],
     "ktail-ell-negative": ["ktail", "--ell", "-1", "--a", "1"],
     "ktail-ell-101": ["ktail", "--ell", "101", "--a", "1"],
+    "cm-check-orders-0": ["cm-check", "--alpha", "1", "--beta", "1",
+                          "--r", "4", "--orders", "0"],
+    "cm-check-orders-91": ["cm-check", "--alpha", "1", "--beta", "1",
+                           "--r", "4", "--orders", "91"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.
@@ -551,6 +555,16 @@ def run_golden_case(args, tmp_dir) -> dict:
 def test_golden_bytes(case, tmp_path):
     expected = json.loads(GOLDEN_FILE.read_text())[case]
     assert run_golden_case(golden_cases()[case], tmp_path) == expected
+
+
+def test_text_and_csv_do_not_build_the_json_document(monkeypatch):
+    def unused(self):
+        raise AssertionError("the JSON document was built")
+
+    monkeypatch.setattr(cmdegree.DegreeReport, "to_json", unused)
+    for fmt in ("text", "csv"):
+        result = invoke("--format", fmt, *GOLDEN_COMMANDS["cm-check"])
+        assert (result.exit_code, result.stderr) == (0, ""), fmt
 
 
 # The cm-scan benchmark's seed-0 invocations on the default geometric grid:

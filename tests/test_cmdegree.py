@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
-from cmcert.enclosure import Enclosure, rational_power_enclosure
+from cmcert.enclosure import (Enclosure, format_rational,
+                              rational_power_enclosure)
 from cmcert.expring import eval_enclosure, kernel_derivative
 
 import reference_values
@@ -213,6 +214,85 @@ def test_point_table_integer_powers_are_exact():
     assert table[10, ("pow", 3, 1)] == (27, 343, 27, 343)
     assert table[10, ("pow", -2, 1)] == (49, 9, 49, 9)
     assert table[10, ("pow", 0, 1)] == (1, 1, 1, 1)
+
+
+def _report_json(report) -> str:
+    """The report's document as json.dumps(..., indent=2) writes it."""
+    fmt = format_rational
+    return json.dumps({
+        "function": report.function, "r": fmt(report.r), "N": report.N,
+        "grid": [fmt(t) for t in report.grid],
+        "cells": [{"n": c.n, "t": fmt(c.t), "lo": fmt(c.value.lo),
+                   "hi": fmt(c.value.hi), "verdict": c.verdict}
+                  for c in report.cells],
+        "summary": report.summary,
+        "note": "finite-order evidence only, not a proof of complete "
+                "monotonicity"}, indent=2)
+
+
+_rationals = st.fractions(max_denominator=10 ** 12)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.text(), _rationals, st.integers(min_value=0, max_value=10 ** 6),
+       st.lists(_rationals, max_size=4),
+       st.lists(st.tuples(st.integers(min_value=-5, max_value=100),
+                          _rationals, _rationals, _rationals,
+                          st.sampled_from(["pass", "fail", "indeterminate"])
+                          | st.text()), max_size=4),
+       st.text())
+def test_report_json_is_the_indented_json_dump(name, r, N, grid, cells,
+                                               summary):
+    # quotes, backslashes, control characters and non-ASCII names must be
+    # escaped as json.dumps escapes them; empty lists print as []
+    report = cmdegree.DegreeReport(
+        name, r, N, grid, [cmdegree.DegreeCell(n, t, Enclosure(*sorted(e)),
+                                               verdict)
+                           for n, t, *e, verdict in cells], summary)
+    assert report.to_json() == _report_json(report)
+
+
+def test_report_json_of_a_scan_is_the_indented_json_dump():
+    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    report = cmdegree.cm_check(cmdegree.h_expression(1, 1), Fraction(9, 2),
+                               3, grid, digits=20, name='gap "1/1"\\')
+    assert report.summary == "fail"
+    assert report.to_json() == _report_json(report)
+
+
+@pytest.mark.parametrize("N", [0, -1, cmdegree.CM_CHECK_MAX_ORDER + 1])
+def test_cm_check_refuses_orders_out_of_range(N):
+    # refused before any work: the empty grid is not reached
+    with pytest.raises(ValueError, match=rf"--orders {N} .* range 1\.\.90$"):
+        cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, N, [], 15)
+
+
+def test_cm_check_runs_at_its_highest_order():
+    report = cmdegree.cm_check(cmdegree.h_expression(1, 1), 4,
+                               cmdegree.CM_CHECK_MAX_ORDER, [2], 10)
+    assert len(report.cells) == cmdegree.CM_CHECK_MAX_ORDER + 1
+    assert report.summary == "pass"
+
+
+def test_evaluation_without_a_table_runs_one_jet(monkeypatch):
+    # psi' and psi'' of (t^(9/2) h)' come from one jet at the point, with
+    # the values of one jet per order
+    jet = specfun.polygamma_jet
+    calls = []
+
+    def recording(n0, N, x, digits):
+        calls.append((n0, N))
+        return jet(n0, N, x, digits)
+
+    dh = cmdegree.h_expression(1, 1).mul_power(Fraction(9, 2)).derivative()
+    per_order = dh.evaluate(1, 30, cmdegree.PointTable(Fraction(1)))
+    monkeypatch.setattr(specfun, "polygamma_jet", recording)
+    assert dh.evaluate(1, 30) == per_order
+    assert calls == [(1, 2)]
+    calls.clear()
+    t, _ = cmdegree.find_degree_violation(cmdegree.h_expression(1, 1),
+                                          Fraction(9, 2), 1, 1)
+    assert (t, calls) == (1, [(1, 2)])
 
 
 def test_cm_check_zero_expression_trivially_passes():
@@ -493,15 +573,15 @@ def test_cm_check_stops_at_the_precision_cap(monkeypatch):
     # is left indeterminate
     expr = CMExpression.of([(2, 0, ("const",)),
                             (-1, Fraction(1, 2), ("const",))])
-    evaluate = CMExpression.evaluate
+    ends = CMExpression.ends
     digits = []
 
-    def recording(self, t, d, table=None):
+    def recording(self, d, table):
         if self == expr:
             digits.append(d)
-        return evaluate(self, t, d, table)
+        return ends(self, d, table)
 
-    monkeypatch.setattr(CMExpression, "evaluate", recording)
+    monkeypatch.setattr(CMExpression, "ends", recording)
     report = cmdegree.cm_check(expr, 0, 1, [4], digits=40)
     cell = next(c for c in report.cells if c.n == 0)
     assert cell.verdict == "indeterminate"

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from cmcert.enclosure import Enclosure
 from cmcert.seriesratio import geometric_grid
 
 from reference_values import (bernoulli_recurrence, bessel_ratio_fraction,
-                              polygamma_hurwitz)
+                              polygamma_hurwitz, polygamma_mantissas_exact)
 
 # frozen 30-digit oracle values (mpmath, independent implementation)
 E_ORACLE = Fraction("2.71828182845904523536028747135")
@@ -250,6 +251,85 @@ def test_polygamma_mantissas_bracket_at_their_own_resolution(n, x, digits,
     with mpmath.workprec(p + 300):
         scaled = abs(mpmath.psi(n, _mpf(x))) * 2 ** p
         assert lo <= scaled <= hi, (n, x, digits, m, p, lo, hi)
+
+
+# x from 10**-6 to 10**6, spread over the decades
+_wide_points = st.builds(
+    lambda mantissa, e: mantissa * Fraction(10) ** e,
+    st.fractions(min_value=1, max_value=10, max_denominator=1000),
+    st.integers(min_value=-6, max_value=5))
+
+
+def _jet_case(n0, span, x, digits, lift):
+    """Jet arguments: orders n0..N within 1..40, and the lift m that
+    polygamma_jet takes at target max(20, digits) * 2 / 2**lift; lifts
+    below the first make orders whose terms stop decreasing (None)."""
+    target = max(20, digits) * 2 >> lift
+    return (n0, min(n0 + span, 40), x.numerator, x.denominator,
+            max(0, math.ceil(target - x)), 10 ** (digits + 1))
+
+
+def _rounded(body, tol_den):
+    """A jet entry rounded outward at 1/tol_den, as polygamma_jet does."""
+    if body is None:
+        return None
+    p, lo, hi = body
+    return p, lo * tol_den >> p, -(-hi * tol_den >> p)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=39), _wide_points,
+       st.integers(min_value=5, max_value=158),
+       st.integers(min_value=0, max_value=4))
+def test_polygamma_jet_rounds_like_the_exact_jet(n0, span, x, digits, lift):
+    # the fixed-point mantissas keep the stop rule, None orders and p of
+    # the exact-rational jet at each lift, and round to the same endpoints;
+    # so does polygamma_jet, which retries at these digits only at high
+    # orders (next test)
+    args = _jet_case(n0, span, x, digits, lift)
+    tol_den = args[-1]
+    assert [_rounded(body, tol_den)
+            for body in specfun._polygamma_mantissas(*args)] == \
+        [_rounded(body, tol_den) for body in polygamma_mantissas_exact(*args)]
+    n0, N = args[:2]
+    jet = specfun.polygamma_jet(n0, N, x, digits)
+    with mock.patch.object(specfun, "_polygamma_mantissas",
+                           polygamma_mantissas_exact):
+        assert jet == specfun.polygamma_jet(n0, N, x, digits)
+
+
+@pytest.mark.parametrize("n0,N,x,digits", [
+    (300, 300, Fraction(3), 30), (120, 122, Fraction(1, 1000), 60),
+    (1000, 1000, Fraction(1, 3), 20), (90, 100, Fraction(7, 2), 40)])
+def test_polygamma_jet_matches_the_exact_jet_at_high_orders(n0, N, x,
+                                                             digits):
+    # high orders retry at larger lifts, and a jet that starts high floors
+    # its first lift powers from exact ratios
+    jet = specfun.polygamma_jet(n0, N, x, digits)
+    with mock.patch.object(specfun, "_polygamma_mantissas",
+                           polygamma_mantissas_exact):
+        assert jet == specfun.polygamma_jet(n0, N, x, digits)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=39), _wide_points,
+       st.integers(min_value=5, max_value=158),
+       st.integers(min_value=0, max_value=4))
+def test_polygamma_jet_brackets_contain_mpmath(n0, span, x, digits, lift):
+    mpmath = pytest.importorskip("mpmath")
+    args = _jet_case(n0, span, x, digits, lift)
+    a, b = args[2:4]
+    for n, body in enumerate(specfun._polygamma_mantissas(*args), n0):
+        if body is None:
+            continue
+        p, lo, hi = body
+        # |psi^(n)(x)| < n! (x**-(n+1) + 2) <= n! (floor(x**-(n+1)) + 3)
+        size = math.factorial(n) * (b ** (n + 1) // a ** (n + 1) + 3)
+        with mpmath.workprec(p + size.bit_length() + 64):
+            scaled = abs(mpmath.psi(n, _mpf(x))) * 2 ** p
+            assert lo <= scaled <= hi, (n, x, digits, args[4], p)
 
 
 def test_polygamma_recurrence():
