@@ -28,17 +28,17 @@ class PointTable(dict):
     """Exact integer endpoints of t^p and of the atoms at one point t > 0.
 
     table[d, key] is computed on first use and kept for every later order
-    evaluated at (t, d), as (lo numerator, lo denominator, hi numerator, hi
-    denominator): a key ("pow", u, v) is t^(u/v), exact for v = 1, any other
-    key an atom with its rational spelt as two ints.  Roots and e^(beta/t)
-    are enclosed at d + 8 digits; the first psi atom missed at d fills its
-    order and every one up to `psi_top` from one `specfun.polygamma_jet`.
+    evaluated at (t, d), as (lo, hi, den), den > 0, for [lo/den, hi/den]: a
+    key ("pow", u, v) is t^(u/v), exact for v = 1, any other key an atom
+    with its rational spelt as two ints.  Roots and e^(beta/t) are enclosed
+    at d + 8 digits; the first psi atom missed at d fills its order and
+    every one up to `psi_top` from one `specfun.polygamma_jet`.
     table[d, p, atom] is t^p atom times 10**(d+12) in the same form: t^p >=
     0, so each end is an end of the atom times the end of t^p that its sign
     selects.
     """
 
-    def __init__(self, t: Fraction, psi_top: int = 0):
+    def __init__(self, t: Fraction, psi_top: int):
         super().__init__()
         self.t = t
         self.psi_top = psi_top
@@ -46,14 +46,12 @@ class PointTable(dict):
     def __missing__(self, key):
         if len(key) == 3:
             digits, p, atom = key
-            power = self[digits, p]
-            t_lo, t_hi = power[:2], power[2:]
-            a_lo_num, a_lo_den, a_hi_num, a_hi_den = self[digits, atom]
-            lo = t_lo if a_lo_num >= 0 else t_hi
-            hi = t_hi if a_hi_num >= 0 else t_lo
+            t_lo, t_hi, t_den = self[digits, p]
+            lo, hi, den = self[digits, atom]
             scale = 10 ** (digits + 12)
-            value = self[key] = (a_lo_num * lo[0] * scale, a_lo_den * lo[1],
-                                 a_hi_num * hi[0] * scale, a_hi_den * hi[1])
+            value = self[key] = (lo * (t_lo if lo >= 0 else t_hi) * scale,
+                                 hi * (t_hi if hi >= 0 else t_lo) * scale,
+                                 den * t_den)
             return value
         digits, (kind, *args) = key
         if kind == "psi":
@@ -61,12 +59,12 @@ class PointTable(dict):
             jet = specfun.polygamma_jet(n, max(n, self.psi_top), self.t,
                                         digits + 8)
             for k, (lo, hi) in enumerate(jet, n):
-                self.setdefault((digits, ("psi", k)), (lo, scale, hi, scale))
+                self.setdefault((digits, ("psi", k)), (lo, hi, scale))
             return self[key]
         if kind == "pow" and args[1] == 1:
             u = args[0]
-            pair = (self.t.numerator ** abs(u), self.t.denominator ** abs(u))
-            value = self[key] = (pair if u >= 0 else pair[::-1]) * 2
+            num, den = self.t.numerator ** abs(u), self.t.denominator ** abs(u)
+            value = self[key] = (num, num, den) if u >= 0 else (den, den, num)
             return value
         if kind == "pow":
             e = rational_power_enclosure(self.t, Fraction(*args), digits + 8)
@@ -76,8 +74,7 @@ class PointTable(dict):
             e = Enclosure.point(1)
         else:
             raise ValueError(f"unknown atom {key[1]!r}")
-        value = self[key] = (e.lo.numerator, e.lo.denominator,
-                             e.hi.numerator, e.hi.denominator)
+        value = self[key] = e.ratio()
         return value
 
 
@@ -101,10 +98,6 @@ class CMExpression(Record):
             ((c, p, a) for (p, a), c in merged.items() if c != 0),
             key=lambda t: (t[1], t[2])))
         return CMExpression(terms=items)
-
-    @staticmethod
-    def zero() -> "CMExpression":
-        return CMExpression.of([])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -160,11 +153,12 @@ class CMExpression(Record):
         """
         lo = hi = 0
         for c_num, c_den, p, atom in self._rows:
-            l_num, l_den, h_num, h_den = table[digits, p, atom]
+            l, h, den = table[digits, p, atom]
             if c_num < 0:
-                l_num, l_den, h_num, h_den = h_num, h_den, l_num, l_den
-            lo += c_num * l_num // (c_den * l_den)
-            hi -= -c_num * h_num // (c_den * h_den)
+                l, h = h, l
+            den *= c_den
+            lo += c_num * l // den
+            hi -= -c_num * h // den
         return lo, hi
 
     def evaluate(self, t, digits: int,
@@ -259,10 +253,8 @@ def _grid_points(grid) -> list[Fraction]:
 
 
 def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
-                 table: PointTable | None = None) -> DegreeCell:
+                 table: PointTable) -> DegreeCell:
     """The cell of (-1)^n expr at t: an odd n swaps the integer ends."""
-    table = PointTable(t, expr.psi_top) if table is None else table
-
     def signed(d: int) -> Enclosure:
         lo, hi = expr.ends(d, table)
         lo, hi = (-hi, -lo) if n % 2 else (lo, hi)
@@ -319,7 +311,7 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
     t_hi = to_fraction(t_hi)
     d1 = f.mul_power(r).derivative()
     while t <= t_hi:
-        cell = _signed_cell(d1, 1, t, digits)
+        cell = _signed_cell(d1, 1, t, digits, PointTable(t, d1.psi_top))
         if cell.verdict == "fail":
             # (-1)^1 * derivative certifiably negative => derivative > 0
             return t, -cell.value

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
-
-Rat = Union[Fraction, int]
 
 
 def to_fraction(x) -> Fraction:
@@ -108,7 +105,7 @@ class Enclosure(Record):
 
     __slots__ = _fields = ("lo", "hi")
 
-    def __init__(self, lo: Rat, hi: Rat):
+    def __init__(self, lo: Fraction | int, hi: Fraction | int):
         if not isinstance(lo, Fraction):
             lo = Fraction(lo)
         if not isinstance(hi, Fraction):
@@ -121,7 +118,7 @@ class Enclosure(Record):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def point(x: Rat) -> "Enclosure":
+    def point(x: Fraction | int) -> "Enclosure":
         x = Fraction(x)
         return Enclosure(x, x)
 
@@ -135,27 +132,8 @@ class Enclosure(Record):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def contains(self, x: Rat) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
     def hull(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(min(self.lo, other.lo), max(self.hi, other.hi))
-
-    def sign(self) -> int:
-        """+1 / -1 when sign-definite, 0 when the interval meets 0."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
-    def definitely_less(self, other: "Enclosure") -> bool:
-        return self.hi < other.lo
 
     def ratio(self) -> tuple[int, int, int]:
         """Integers (lo, hi, den), den > 0, with [lo/den, hi/den] = self."""
@@ -270,7 +248,7 @@ def divide_round_out(num, den, digits: int) -> Enclosure:
     return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
 
-def nth_root_enclosure(x: Rat, n: int, digits: int) -> Enclosure:
+def nth_root_enclosure(x: Fraction | int, n: int, digits: int) -> Enclosure:
     """Enclosure of x**(1/n) for rational x >= 0, width <= 10**-digits."""
     x = Fraction(x)
     if x < 0:
@@ -285,7 +263,8 @@ def nth_root_enclosure(x: Rat, n: int, digits: int) -> Enclosure:
     return Enclosure(Fraction(r, scale), Fraction(r + 1, scale))
 
 
-def rational_power_enclosure(x: Rat, a: Rat, digits: int) -> Enclosure:
+def rational_power_enclosure(x: Fraction | int, a: Fraction | int,
+                             digits: int) -> Enclosure:
     """Enclosure of x**a for rational x > 0 and rational exponent a."""
     x = Fraction(x)
     a = Fraction(a)

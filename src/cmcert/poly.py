@@ -104,36 +104,19 @@ class Polynomial(Record):
     def derivative(self) -> "Polynomial":
         return Polynomial.of([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x):
-        return poly_eval(self, x)
+    def __call__(self, x) -> Fraction:
+        """Exact value at x by Horner's rule."""
+        x = to_fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def eval_interval(self, x: Enclosure) -> Enclosure:
         acc = Enclosure.point(0)
         for c in reversed(self.coeffs):
             acc = acc * x + Enclosure.point(c)
         return acc
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "Polynomial(0)"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            term = format_rational(c) if i == 0 else (
-                f"{format_rational(c)}*x^{i}" if i > 1 else f"{format_rational(c)}*x")
-            parts.append(term)
-        return "Polynomial(" + " + ".join(parts) + ")"
-
-
-def poly_eval(p: Polynomial, x) -> Fraction:
-    """Exact value p(x) by Horner's rule."""
-    x = to_fraction(x)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _common_numerators(p: Polynomial) -> tuple[list[int], int]:
@@ -263,10 +246,10 @@ def _search_witness(p: Polynomial, lo: Fraction,
             if x in seen:
                 continue
             seen.add(x)
-            if poly_eval(p, x) <= 0:
+            if p(x) <= 0:
                 return x
     for x in (lo, hi):
-        if poly_eval(p, x) <= 0:
+        if p(x) <= 0:
             return x
     return None
 
@@ -327,19 +310,19 @@ def certify_positive_on_interval(p: Polynomial, lo, hi,
         interval=(lo, hi),
         pieces=tuple(pieces),
         witness=witness,
-        witness_value=None if witness is None else poly_eval(p, witness),
+        witness_value=None if witness is None else p(witness),
     )
 
 
 def isolate_root(p: Polynomial, lo, hi, width) -> tuple[Fraction, Fraction]:
     """Bisect a sign change of p down to an interval of length <= width."""
     lo, hi, width = to_fraction(lo), to_fraction(hi), to_fraction(width)
-    flo, fhi = poly_eval(p, lo), poly_eval(p, hi)
+    flo, fhi = p(lo), p(hi)
     if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError("need opposite nonzero signs at the endpoints")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = poly_eval(p, mid)
+        fmid = p(mid)
         if fmid == 0:
             return (mid, mid)
         if (fmid > 0) == (flo > 0):
@@ -354,18 +337,14 @@ def isolate_root(p: Polynomial, lo, hi, width) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _exp_bound_coeff(n: int, k: int) -> Fraction:
-    return Fraction(math.comb(n, k) * math.factorial(2 * n - k),
-                    math.factorial(n))
-
-
 def exp_bound_polynomial(n: int) -> Polynomial:
     """Degree-n polynomial with coefficient of u**k equal to C(n,k)(2n-k)!/n!.
 
     In the variable u = 1/x this is x**n * Q_n(1/x) for the classical
     exp-bounding polynomials Q_n.
     """
-    return Polynomial.of([_exp_bound_coeff(n, k) for k in range(n + 1)])
+    return Polynomial.of([Fraction(math.comb(n, k) * math.factorial(2 * n - k),
+                                   math.factorial(n)) for k in range(n + 1)])
 
 
 def lemma1_exp_bounds(m: int, n: int):

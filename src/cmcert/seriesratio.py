@@ -66,30 +66,19 @@ def _ratio_terms(beta, derivative: bool):
                           for (m, c), x, y in zip(mc, cur, prev)]
 
 
-def _coefficient(k: int, beta, derivative: bool, ratio: bool) -> Fraction:
-    N, F, W = next(itertools.islice(_ratio_terms(beta, derivative), k, None))
-    return Fraction(N, F * W if ratio
-                    else math.factorial(k + 2 + 2 * derivative) * F)
+def _coefficient(k: int, beta, derivative: bool) -> Fraction:
+    N, F, _ = next(itertools.islice(_ratio_terms(beta, derivative), k, None))
+    return Fraction(N, math.factorial(k + 2 + 2 * derivative) * F)
 
 
 def q_coeff(k: int, beta) -> Fraction:
     """q_k = [u^(k+2)] (e^u - 1)^2 i_2(beta u), exact in beta."""
-    return _coefficient(k, beta, derivative=False, ratio=False)
-
-
-def c_coeff(k: int, beta) -> Fraction:
-    """c_k = q_k / p_k, p_k = (2^(k+2) - k - 3)/(k+2)!, as one Fraction."""
-    return _coefficient(k, beta, derivative=False, ratio=True)
+    return _coefficient(k, beta, derivative=False)
 
 
 def xi_coeff(k: int, beta) -> Fraction:
     """xi_k, the derivative quotient's numerator coefficient, exact in beta."""
-    return _coefficient(k, beta, derivative=True, ratio=False)
-
-
-def C_coeff(k: int, beta) -> Fraction:
-    """C_k = xi_k / lambda_k, lambda_k = U_k/(k+4)!, as one Fraction."""
-    return _coefficient(k, beta, derivative=True, ratio=True)
+    return _coefficient(k, beta, derivative=True)
 
 
 # -- integer ladder quantities ---------------------------------------------
@@ -292,10 +281,10 @@ def unimodal_max(f: Callable[[Fraction, int], Enclosure], bracket, tol,
         while True:
             v1 = f(m1, d)
             v2 = f(m2, d)
-            if v1.definitely_less(v2):
+            if v1.hi < v2.lo:
                 a = m1
                 break
-            if v2.definitely_less(v1):
+            if v2.hi < v1.lo:
                 b = m2
                 break
             if d >= DIGIT_CAP:
@@ -324,7 +313,7 @@ def slope_sign_changes(f: Callable[[Fraction, int], Enclosure], grid,
         d = digits
         while True:
             diff = f(x1, d) - f(x0, d)
-            s = diff.sign()
+            s = (diff.lo > 0) - (diff.hi < 0)
             if s != 0 or d >= DIGIT_CAP:
                 signs.append(s)
                 break

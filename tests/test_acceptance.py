@@ -84,10 +84,11 @@ def test_kernel_inequality_orders_1_to_5():
 def test_ratio_monotonicity():
     start = time.monotonic()
     for beta in (Fraction(1, 2), Fraction(3), Fraction(7, 5)):
-        assert seriesratio.c_coeff(1, beta) == (3 + beta) / 4
-        assert seriesratio.C_coeff(0, beta) == (beta - 1) / 3
-        assert seriesratio.C_coeff(1, beta) == \
-            (beta * beta + 4 * beta - 4) / 20
+        assert seriesratio.c_ratio_sequence(beta, 2).values[1] == \
+            (3 + beta) / 4
+        C = seriesratio.C_ratio_sequence(beta, 4).values
+        assert C[0] == (beta - 1) / 3
+        assert C[1] == (beta * beta + 4 * beta - 4) / 20
     assert time.monotonic() - start < 20.0
 
 

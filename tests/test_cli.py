@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -431,6 +432,35 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
 # the exp argument behind each out-of-reach --t or --a value above
 EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
                     "1/100000": 10 ** 5, "100000": 10 ** 5}
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_precision_above_the_cap_is_config_error(tmp_path, where):
+    # refused before any work: 10**9 digits would first build 10**(10**9)
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text("precision = 1000000000\n")
+    args = (["--precision", "1000000000"] if where == "flag"
+            else ["--config", str(cfgfile)])
+    run = run_child(MODULE_CMD + args + ["ktail", "--ell", "100", "--a", "1"],
+                    "1", timeout=10)
+    assert run.returncode == 65
+    assert run.stdout == b""
+    assert run.stderr == b"config error: precision must be <= 1000\n"
+    assert invoke("--precision", "1000", "ladder", "--k-max", "6") \
+        .exit_code == 0
+
+
+def test_exact_output_over_the_int_string_limit():
+    # 1/1601! has 4,437 denominator digits, over the 4,300 digits to which
+    # Python limits int-to-str conversion by default
+    run = run_child(MODULE_CMD + ["verify-identity", "--k", "1600",
+                                  "--terms", "1"], "1", timeout=30)
+    assert run.returncode == 0, run.stderr.decode(errors="replace")
+    den = run.stdout.decode().split("(constant 1/")[1].rstrip(")\n")
+    n = math.factorial(1601)
+    assert den.isdigit() and 10 ** (len(den) - 1) <= n < 10 ** len(den)
+    assert len(den) == 4437
+    assert den[:30] == str(n // 10 ** (len(den) - 30))
 
 
 # -- golden bytes ------------------------------------------------------------

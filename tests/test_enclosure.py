@@ -25,8 +25,7 @@ def interval(lo, hi):
 def test_point_and_width():
     e = Enclosure.point(Fraction(3, 7))
     assert e.width == 0
-    assert e.mid == Fraction(3, 7)
-    assert e.contains(Fraction(3, 7))
+    assert e.lo == e.hi == Fraction(3, 7)
 
 
 def test_inverted_interval_rejected():
@@ -34,14 +33,6 @@ def test_inverted_interval_rejected():
         interval(1, 0)
     with pytest.raises(ValueError):
         Enclosure(2, 1)
-
-
-def test_sign_classification():
-    assert interval(1, 2).sign() == 1
-    assert interval(-2, -1).sign() == -1
-    assert interval(-1, 1).sign() == 0
-    assert interval(1, 2).definitely_less(interval(3, 4))
-    assert not interval(1, 3).definitely_less(interval(3, 4))
 
 
 def test_division_by_zero_straddling_interval():
@@ -76,10 +67,9 @@ def test_interval_arithmetic_contains_point_images(a, wa, x, b, wb, y):
     lo1, hi1 = min(a, x), max(a, x)
     lo2, hi2 = min(b, y), max(b, y)
     e1, e2 = Enclosure(lo1, hi1), Enclosure(lo2, hi2)
-    assert (e1 + e2).contains(x + y)
-    assert (e1 - e2).contains(x - y)
-    assert (e1 * e2).contains(x * y)
-    assert (e1 ** 3).contains(x ** 3)
+    for e, value in [(e1 + e2, x + y), (e1 - e2, x - y), (e1 * e2, x * y),
+                     (e1 ** 3, x ** 3)]:
+        assert e.lo <= value <= e.hi
 
 
 @given(st.integers(min_value=0, max_value=10 ** 12),
@@ -187,7 +177,7 @@ def test_mul_all_nine_sign_cases_with_zero_endpoints():
 def test_value_fields_cannot_be_assigned():
     cell = DegreeCell(0, Fraction(1), interval(0, 1), "pass")
     for value, name in [(interval(0, 1), "lo"), (Polynomial.x(), "coeffs"),
-                        (cell, "verdict"), (CMExpression.zero(), "terms"),
+                        (cell, "verdict"), (CMExpression.of([]), "terms"),
                         (RunConfig(60, "linear:1,2,3", "text"), "fmt")]:
         with pytest.raises(AttributeError):
             setattr(value, name, None)

@@ -103,8 +103,9 @@ def test_eval_enclosure_continuous_across_series_switch():
         assert e.width <= Fraction(1, 10 ** 25)
     # second derivative of the kernel is near 1/6 and slowly varying here
     assert below.lo > 0 and above.lo > 0
-    assert abs(at.mid - below.mid) < Fraction(1, 100)
-    assert abs(above.mid - at.mid) < Fraction(1, 100)
+    below, at, above = ((e.lo + e.hi) / 2 for e in (below, at, above))
+    assert abs(at - below) < Fraction(1, 100)
+    assert abs(above - at) < Fraction(1, 100)
 
 
 # u in (0, 1/4]: everyday rationals, and tiny ones in [10^-18, 10^-12]

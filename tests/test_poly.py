@@ -151,8 +151,8 @@ def test_witness_in_right_half_after_inconclusive_left_half():
     cert = poly.certify_positive_on_interval(p, 0, 4, 4)
     assert cert.verdict == "falsified"
     assert 2 < cert.witness < 4
-    assert poly.poly_eval(p, cert.witness) <= 0
-    assert cert.witness_value == poly.poly_eval(p, cert.witness)
+    assert p(cert.witness) <= 0
+    assert cert.witness_value == p(cert.witness)
 
 
 def test_isolate_root_brackets_sqrt2():
