@@ -9,11 +9,14 @@ reduction.  Both towers are closed forms in the Eulerian numbers A(n, i)
 D^n [1/(e^u - 1)] = (-1)^n sum_i A(n, i) e^(iu) / (e^u - 1)^(n+1), with
 A(0, 0) = 1 and A(n, i) = i A(n-1, i) + (n-i+1) A(n-1, i-1).
 
-`eval_enclosure` works on integer pairs and rounds once (Brent and
-Zimmermann, Modern Computer Arithmetic, section 4.4): an integer interval
-Horner pass over the exp enclosure, or below SERIES_SWITCH integer Taylor
-sums from one cached table per (numerator, order), with no gcd until the
-quotient by the pole power is floored and ceiled at the target grid.
+`eval_enclosure` runs one path for every u > 0 on binary fixed-point
+brackets (Brent and Zimmermann, Modern Computer Arithmetic, sections 3-4):
+an interval Horner pass over the exp enclosure, the pole power by
+square-and-multiply, every product floored at the low end and ceiled at
+the high end, and one outward rounding of the quotient, so every bracket
+holds the exact interval value and no error estimate is needed.  The
+guard digits start from the pole's growth near 0 and then follow the
+measured width.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ def _taylor_table(num: ExpPoly, order: int) -> tuple[int, tuple[int, ...]]:
 
     p(u) e^(fu) contributes sum_d p[d] f^(j-d)/(j-d)! to the j-th coefficient;
     with D the common denominator of all p[d], each contribution is the
-    integer (D p[d]) f^(j-d) j!/(j-d)! over D j!.  The table does not
-    depend on u, so every evaluation point shares it.
+    integer (D p[d]) f^(j-d) j!/(j-d)! over D j!.  `series_at_zero` reads
+    its numerator's table and the pole power's from here.
     """
     den = math.lcm(*(c.denominator for _, p in num.terms for c in p.coeffs))
     parts = [(f, d, c.numerator * (den // c.denominator))
@@ -148,93 +151,65 @@ def kernel_derivative(k: int) -> ExpPolyQuotient:
 
 # -- evaluation -------------------------------------------------------------
 
-SERIES_SWITCH = Fraction(1, 4)
 
-
-def _series_parts(num: ExpPoly, u: Fraction, order: int) -> tuple:
-    """Integers (P, T, Q): P/Q is the Taylor partial sum of num at u through
-    u^order, and T/Q bounds its tail.
-
-    With u = a/b and c_j = K_j/(D j!) from `_taylor_table`, the partial sum
-    is sum_j K_j (order!/j!) a^j b^(order-j) / (D order! b^order); its
-    numerator is summed in one integer Horner pass, R <- R b j + K_j a^j.
-    The tail of p[d] u^d e^(fu) past u^order is at most |p[d]| u^d times
-    the Taylor tail of e^y past y^n, y = fu and n = order - d, which is at
-    most y^(n+1)/(n+1)! / (1 - y/(n+2)) while y/(n+2) < 1/2.  The terms
-    share a^(order+1)/(D (order+1)! b^order) and are summed over the product
-    of their small denominators b (n+2) - f a.
-    """
-    den, table = _taylor_table(num, order)
-    a, b = u.numerator, u.denominator
-    acc, apow = 0, 1
-    for j, k in enumerate(table):
-        acc = acc * b * j + k * apow
-        apow *= a
-    tail, tail_den = 0, 1
-    for f, p in num.terms:
-        for d, c in enumerate(p.coeffs):
-            if c and f:
-                n = order - d
-                q = b * (n + 2) - f * a
-                if 2 * f * a >= b * (n + 2):
-                    raise ValueError("series order too small for this argument")
-                term = (abs(c.numerator) * (den // c.denominator)
-                        * f ** (n + 1) * (n + 2) * math.perm(order + 1, d))
-                tail, tail_den = tail * q + term * tail_den, tail_den * q
-    extra = (order + 1) * tail_den
-    return (acc * extra, tail * apow,
-            den * math.factorial(order) * b ** order * extra)
-
-
-def _exp_horner(num: ExpPoly, u: Fraction, digits: int) -> tuple:
-    """num(u) and e^u - 1 as integer pairs (lo, hi, den).  With e^u in
-    [L/S, H/S] and u = a/b, p_f(u) = C_f / (D b^g), and Horner runs on
-    A <- A X + C_f S^(F-f), X = L or H by the sign of A (Moore's rule)."""
+def _fixed_parts(num: ExpPoly, u: Fraction, digits: int) -> tuple:
+    """Brackets (lo, hi) of num(u) 2**w and of (e^u - 1) 2**w, and w, the
+    bits of 10**-(digits+1).  The exp enclosure and each p_f(u) are floored
+    at lo and ceiled at hi; Horner runs A <- A X + p_f(u) from the top
+    frequency down, X the low or high end of e^u by the sign of A (Moore's
+    rule), each product floored (lo) or ceiled (hi), so each bracket holds
+    the exact interval Horner value over the same exp enclosure."""
+    w = (digits + 1) * 10 // 3
     lo_e, hi_e, s = specfun.exp_enclosure(u, digits).ratio()
-    den, _ = _taylor_table(num, 0)  # D, the cached common denominator
-    a, b = u.numerator, u.denominator
-    g = max((len(p.coeffs) for _, p in num.terms), default=1) - 1
-    coeffs = {f: sum(c.numerator * (den // c.denominator) * a ** d
-                     * b ** (g - d) for d, c in enumerate(p.coeffs))
-              for f, p in num.terms}
-    lo, hi, spow = 0, 0, 1
+    lo_e, hi_e = (lo_e << w) // s, -((-hi_e << w) // s)
+    coeffs = {f: p(u) for f, p in num.terms}
+    lo = hi = 0
     for f in range(num.max_freq(), -1, -1):
-        c = coeffs.get(f, 0) * spow
-        lo = lo * (lo_e if lo >= 0 else hi_e) + c
-        hi = hi * (hi_e if hi >= 0 else lo_e) + c
-        spow *= s
-    return (lo, hi, den * b ** g * spow // s), (lo_e - s, hi_e - s, s)
+        c = coeffs.get(f, 0)
+        n, d = c.numerator << w, c.denominator
+        lo = (lo * (lo_e if lo >= 0 else hi_e) >> w) + n // d
+        hi = -(-hi * (hi_e if hi >= 0 else lo_e) >> w) - (-n // d)
+    return (lo, hi), (lo_e - (1 << w), hi_e - (1 << w)), w
 
 
 def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
-    """Enclosure of f(u) for rational u > 0, on integer pairs, rounded once.
+    """Enclosure of f(u) for rational u > 0, of width <= 10**-digits.
 
-    Exp-enclosure Horner away from the origin; near u = 0 one Taylor expansion
-    of the whole numerator captures its cancellation (the towers build their
-    forms reduced).  The quotient by (e^u - 1)^pole is floored and ceiled
-    once at 10**-(digits+1).  The guard digits grow over six rounds; if the
-    enclosure is still wider than 10**-digits, ArithmeticError names it.
+    On the brackets of `_fixed_parts`, e^u - 1 is raised to the pole by
+    square-and-multiply, each product floored (lo) or ceiled (hi), only
+    while its low end is positive, and the quotient is rounded out once at
+    10**-(digits+1), so soundness rests on directed rounding alone.  The
+    first guard is 8 digits plus about pole * log10(1/u) for the pole's
+    growth near 0; a round that misses the width adds the digits of its
+    miss plus 2, one with no enclosure doubles the guard and adds digits,
+    and after six rounds ArithmeticError names the last width.
     """
     u = to_fraction(u)
     if u <= 0:
         raise ValueError("evaluation requires u > 0")
-    guard, cap = 8, 6
+    a, b = u.numerator, u.denominator
+    guard = 8 + f.pole * max(0, b.bit_length() - a.bit_length()) * 3 // 10
+    cap, last = 6, "no enclosure"
     for _ in range(cap):
-        if u >= SERIES_SWITCH:
-            num, base = _exp_horner(f.numerator, u, digits + guard)
-        else:
-            order = 4 * (digits + guard) // 3 + f.numerator.max_freq() + 8
-            p, t, q = _series_parts(f.numerator, u, order)
-            num, base = (p - t, p + t, q), (1, 1, 1)
-            if f.pole:  # e^u - 1 has positive coefficients: P/Q is below it
-                p, t, q = _series_parts(EXP_U_MINUS_ONE, u, order)
-                base = (p, p + t, q)
-        val = divide_round_out(num, [x ** f.pole for x in base], digits + 1)
-        if val.width <= Fraction(1, 10 ** digits):
+        (lo, hi), (x_lo, x_hi), w = _fixed_parts(f.numerator, u, digits + guard)
+        p_lo = p_hi = one = 1 << w
+        n = f.pole
+        while n and x_lo > 0:  # a bracket through 0 is never raised
+            if n & 1:
+                p_lo, p_hi = p_lo * x_lo >> w, -(-p_hi * x_hi >> w)
+            n >>= 1
+            x_lo, x_hi = x_lo * x_lo >> w, -(-x_hi * x_hi >> w)
+        if n or not p_lo:
+            guard = guard * 2 + digits
+            continue
+        val = divide_round_out((lo, hi, one), (p_lo, p_hi, one), digits + 1)
+        miss = val.width * 10 ** digits
+        if miss <= 1:
             return val
-        guard = guard * 2 + digits
-    raise ArithmeticError(f"f({u}) not enclosed to width 10^-{digits}: width "
-                          f"{val.width} after {cap} rounds")
+        last = f"width {val.width}"
+        guard += len(str(math.ceil(miss))) + 2
+    raise ArithmeticError(f"f({u}) not enclosed to width 10^-{digits}: "
+                          f"{last} after {cap} rounds")
 
 
 def series_at_zero(f: ExpPolyQuotient, n_terms: int) -> list[Fraction]:

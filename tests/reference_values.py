@@ -4,25 +4,23 @@ Exact rationals transcribed from the published tables, plus derived oracle
 values frozen after independent computation, one independent low-precision
 route to polygamma, and the plain loops that the optimised routines must
 reproduce exactly: the Fraction loops behind the integer series sums, the
-Enclosure composition that `eval_enclosure` replaced with integer pairs,
-the schoolbook polynomial product, polynomial shifts and sandwich sums and
-the ladder's cross-multiplied comparisons, the closed-form denominator
-coefficients p_k and lambda_k of the two ratio quotients, the per-order
-polygamma that the polygamma jet replaced, the jet on exact rationals that
-its fixed-point mantissas replaced, the Bernoulli recurrence that
-the tangent numbers replaced, the Newton loop that `math.isqrt` replaced,
-and the repeated differentiation with trial division that the Eulerian
-derivative towers replaced.
+exact Enclosure composition that `eval_enclosure`'s fixed-point brackets
+must contain, the schoolbook polynomial product, polynomial shifts and
+sandwich sums and the ladder's cross-multiplied comparisons, the
+closed-form denominator coefficients p_k and lambda_k of the two ratio
+quotients, the per-order polygamma that the polygamma jet replaced, the
+jet on exact rationals that its fixed-point mantissas replaced, the
+Bernoulli recurrence that the tangent numbers replaced, the Newton loop
+that `math.isqrt` replaced, and the repeated differentiation with trial
+division that the Eulerian derivative towers replaced.
 """
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from cmcert import seriesratio, specfun
 from cmcert.enclosure import Enclosure
-from cmcert.expring import (EXP_U, EXP_U_MINUS_ONE, SERIES_SWITCH, ExpPoly,
-                            ExpPolyQuotient)
+from cmcert.expring import EXP_U, EXP_U_MINUS_ONE, ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
 
 # min/max sandwich coefficients of the degree-28 certificate polynomial on
@@ -84,86 +82,23 @@ def polygamma_hurwitz(n: int, x: Fraction, terms: int) -> Enclosure:
 
 # -- Fraction-loop references for the integer series sums -------------------
 # The summations as they stood before the exact sums moved onto unnormalised
-# integers; the optimised routines must return the identical Enclosure.
-
-
-@lru_cache(maxsize=None)
-def taylor_coefficient_fraction(num, j: int) -> Fraction:
-    """j-th Taylor coefficient at 0 of an ExpPoly, one Fraction per term.
-
-    Memoised only so that a thousand-case comparison runs in seconds."""
-    acc = Fraction(0)
-    for f, p in num.terms:
-        for d in range(min(j, p.degree) + 1):
-            c = p[d]
-            if c:
-                acc += c * Fraction(f ** (j - d), math.factorial(j - d))
-    return acc
-
-
-def exp_series_tail_fraction(y: Fraction, order: int) -> Fraction:
-    t = y ** (order + 1) / Fraction(math.factorial(order + 1))
-    ratio = y / (order + 2)
-    if ratio >= Fraction(1, 2):
-        raise ValueError("series order too small for this argument")
-    return t / (1 - ratio)
-
-
-def numerator_series_fraction(num, u: Fraction, order: int) -> Enclosure:
-    partial = Fraction(0)
-    upow = [u ** j for j in range(order + 1)]
-    for j in range(order + 1):
-        partial += taylor_coefficient_fraction(num, j) * upow[j]
-    bound = Fraction(0)
-    for f, p in num.terms:
-        for d in range(p.degree + 1):
-            c = p[d]
-            if c:
-                bound += abs(c) * u ** d * exp_series_tail_fraction(f * u,
-                                                                    order - d)
-    return Enclosure(partial - bound, partial + bound)
-
-
-def expm1_series_fraction(u: Fraction, order: int) -> Enclosure:
-    partial = sum(u ** k / Fraction(math.factorial(k))
-                  for k in range(1, order + 1))
-    bound = exp_series_tail_fraction(u, order)
-    return Enclosure(partial, partial + bound)
+# integers; the optimised routines must return the identical Enclosure, except
+# eval_enclosure, whose fixed-point brackets contain the exact composition.
 
 
 def eval_enclosure_fraction(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
-    """`expring.eval_enclosure` as an Enclosure composition: the Fraction
-    interval Horner over the exp enclosure, or the two Fraction series
-    enclosures, divided by the pole power and rounded out."""
+    """f(u) as the exact Enclosure composition over exp_enclosure(u, digits):
+    the interval Horner of the numerator, divided by (e - 1)**pole, with no
+    rounding between steps.  `expring.eval_enclosure` must contain it when
+    its last round asked the exp enclosure for the same digits."""
     u = Fraction(u)
     if u <= 0:
         raise ValueError("evaluation requires u > 0")
-    guard = 8
-    cap = 6
-    for _ in range(cap):
-        if u >= SERIES_SWITCH:
-            e = specfun.exp_enclosure(u, digits + guard)
-            coeffs = [Fraction(0)] * (f.numerator.max_freq() + 1)
-            for freq, p in f.numerator.terms:
-                coeffs[freq] = p(u)
-            num = Polynomial.of(coeffs).eval_interval(e)
-            if f.pole == 0:
-                val = num
-            else:
-                val = num / (e - 1) ** f.pole
-        else:
-            order = 4 * (digits + guard) // 3 + f.numerator.max_freq() + 8
-            num = numerator_series_fraction(f.numerator, u, order)
-            if f.pole == 0:
-                val = num
-            else:
-                val = num / expm1_series_fraction(u, order) ** f.pole
-        val = round_out_fraction(val, digits + 1)
-        if val.width <= Fraction(1, 10 ** digits):
-            return val
-        guard = guard * 2 + digits
-    raise ArithmeticError(f"f({u}) not enclosed to width 10^-{digits}: width "
-                          f"{val.width} after {cap} rounds")
+    e = specfun.exp_enclosure(u, digits)
+    coeffs = [Fraction(0)] * (f.numerator.max_freq() + 1)
+    for freq, p in f.numerator.terms:
+        coeffs[freq] = p(u)
+    return Polynomial.of(coeffs).eval_interval(e) / (e - 1) ** f.pole
 
 
 def bessel_ratio_fraction(k: int, u: Fraction, digits: int,

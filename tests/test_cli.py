@@ -522,8 +522,8 @@ GOLDEN_SINGLE = {
                                      "--k", "6"],
     "bessel-far/text": ["--precision", "80", "bessel", "--k", "5",
                         "--u", "1000"],
-    # K_ell below SERIES_SWITCH and near its pole, and p(t) from 1/100 to
-    # 10^5: each through the one evaluator of its ring
+    # K_ell at 1/10 and near its pole, and p(t) from 1/100 to 10^5: each
+    # through the one evaluator of its ring
     "ktail-series/text": ["ktail", "--ell", "2", "--a", "1/10"],
     "ktail-pole/text": ["--precision", "12", "ktail", "--ell", "6",
                         "--a", "1/1000"],

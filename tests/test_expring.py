@@ -11,8 +11,7 @@ from cmcert.expring import ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
 
 from reference_values import (KERNEL_BASE, RECIPROCAL_BASE, derivative_tower,
-                              eval_enclosure_fraction, expm1_series_fraction,
-                              numerator_series_fraction)
+                              eval_enclosure_fraction)
 
 
 def test_exppoly_ring_operations():
@@ -95,10 +94,11 @@ def test_kernel_fourth_derivative_matches_exponential_sums():
 
 
 def test_eval_enclosure_continuous_across_series_switch():
+    # 1/4, where an earlier evaluator switched to Taylor sums below
     f = expring.kernel_derivative(2)
-    below = expring.eval_enclosure(f, expring.SERIES_SWITCH - Fraction(1, 1000), 25)
-    at = expring.eval_enclosure(f, expring.SERIES_SWITCH, 25)
-    above = expring.eval_enclosure(f, expring.SERIES_SWITCH + Fraction(1, 1000), 25)
+    below = expring.eval_enclosure(f, Fraction(1, 4) - Fraction(1, 1000), 25)
+    at = expring.eval_enclosure(f, Fraction(1, 4), 25)
+    above = expring.eval_enclosure(f, Fraction(1, 4) + Fraction(1, 1000), 25)
     for e in (below, at, above):
         assert e.width <= Fraction(1, 10 ** 25)
     # second derivative of the kernel is near 1/6 and slowly varying here
@@ -110,62 +110,94 @@ def test_eval_enclosure_continuous_across_series_switch():
 
 # u in (0, 1/4]: everyday rationals, and tiny ones in [10^-18, 10^-12]
 small_u = st.one_of(
-    st.fractions(min_value=0, max_value=expring.SERIES_SWITCH,
+    st.fractions(min_value=0, max_value=Fraction(1, 4),
                  max_denominator=10 ** 6).filter(lambda u: u > 0),
     st.builds(Fraction, st.integers(1, 1000),
               st.integers(10 ** 15, 10 ** 18)))
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None)
-@given(st.integers(min_value=0, max_value=6), small_u,
-       st.integers(min_value=10, max_value=120))
-def test_series_enclosures_equal_the_fraction_loops(k, u, order):
-    # _series_parts returns the partial sum P/Q and the tail bound T/Q
-    num = expring.kernel_derivative(k).numerator
-    p, t, q = expring._series_parts(num, u, order)
-    assert Enclosure(Fraction(p - t, q), Fraction(p + t, q)) == \
-        numerator_series_fraction(num, u, order)
-    p, t, q = expring._series_parts(expring.EXP_U_MINUS_ONE, u, order)
-    assert Enclosure(Fraction(p, q), Fraction(p + t, q)) == \
-        expm1_series_fraction(u, order)
-
-
 TOWERS = (expring.kernel_derivative, expring.reciprocal_derivative)
+
+
+def _recording_exp(monkeypatch, requested):
+    exp_enclosure = specfun.exp_enclosure
+    monkeypatch.setattr(specfun, "exp_enclosure", lambda x, d: (
+        requested.append(d), exp_enclosure(x, d))[1])
+
+
+def _contains(outer: Enclosure, inner: Enclosure) -> bool:
+    return outer.lo <= inner.lo and inner.hi <= outer.hi
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(st.sampled_from(TOWERS), st.integers(min_value=0, max_value=8),
        st.one_of(
-           small_u.filter(lambda u: u < expring.SERIES_SWITCH),
-           st.fractions(min_value=expring.SERIES_SWITCH, max_value=50,
+           small_u.filter(lambda u: u < Fraction(1, 4)),
+           st.fractions(min_value=Fraction(1, 4), max_value=50,
                         max_denominator=10 ** 6)),
        st.integers(min_value=5, max_value=60))
-@example(expring.reciprocal_derivative, 8, expring.SERIES_SWITCH, 5)
+@example(expring.reciprocal_derivative, 8, Fraction(1, 4), 5)
+@example(expring.kernel_derivative, 3, Fraction(0), 10)
 def test_eval_enclosure_equals_the_enclosure_composition(tower, n, u, digits):
-    # the integer pairs round the same exact rationals as the Fraction
-    # Enclosure composition, so the enclosures, or the errors, are equal
+    # directed rounding keeps every fixed-point bracket around the exact
+    # Enclosure composition over the last round's exp enclosure
     f = tower(n)
-    try:
-        expected = eval_enclosure_fraction(f, u, digits)
-    except (ArithmeticError, ValueError) as exc:
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
-            expring.eval_enclosure(f, u, digits)
-    else:
-        assert expring.eval_enclosure(f, u, digits) == expected
+    requested = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _recording_exp(monkeypatch, requested)
+        try:
+            value = expring.eval_enclosure(f, u, digits)
+        except (ArithmeticError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                eval_enclosure_fraction(f, u, digits)
+            return
+    assert _contains(value, eval_enclosure_fraction(f, u, requested[-1]))
+    assert value.width <= Fraction(1, 10 ** digits)
 
 
 def test_eval_enclosure_escalates_the_guard_like_the_composition(monkeypatch):
-    # D^8 [1/(e^u - 1)] is about 1e10 at u = 1/4: the first guard is too
-    # small for 10^-5, and both routes run the same second round
-    requested = []
-    exp_enclosure = specfun.exp_enclosure
-    monkeypatch.setattr(specfun, "exp_enclosure", lambda x, d: (
-        requested.append(d), exp_enclosure(x, d))[1])
+    # D^8 [1/(e^u - 1)] is about 1e10 at u = 1/4: the first guard, 8 plus
+    # pole * 3/10 * (bits of 4 - bits of 1) = 5, misses 10^-5, and the
+    # second round adds the decimal digits of the measured miss, plus 2
+    requested, values = [], []
+    _recording_exp(monkeypatch, requested)
+    divide = expring.divide_round_out
+    monkeypatch.setattr(expring, "divide_round_out", lambda *args: (
+        values.append(divide(*args)), values[-1])[1])
     f = expring.reciprocal_derivative(8)
-    value = expring.eval_enclosure(f, expring.SERIES_SWITCH, 5)
-    assert requested == [13, 26]
-    assert value == eval_enclosure_fraction(f, expring.SERIES_SWITCH, 5)
-    assert requested == [13, 26, 13, 26]
+    value = expring.eval_enclosure(f, Fraction(1, 4), 5)
+    miss = values[0].width * 10 ** 5
+    assert requested[0] == 5 + 13 and miss > 1
+    assert requested == [18, 18 + len(str(math.ceil(miss))) + 2]
+    assert values[1] is value and value.width <= Fraction(1, 10 ** 5)
+    assert _contains(value, eval_enclosure_fraction(f, Fraction(1, 4),
+                                                    requested[1]))
+
+
+def test_eval_enclosure_never_raises_a_bracket_of_e_u_minus_1_through_0(
+        monkeypatch):
+    # e^u in [1 - 10^-3, 1 + 10^-3] puts e^u - 1 across 0, where the even
+    # pole 2 of D[1/(e^u - 1)] would give an inverted, unsound bound
+    planted = Enclosure(1 - Fraction(1, 1000), 1 + Fraction(1, 1000))
+    monkeypatch.setattr(specfun, "exp_enclosure", lambda x, d: planted)
+    with pytest.raises(ArithmeticError, match="no enclosure after 6 rounds"):
+        expring.eval_enclosure(expring.reciprocal_derivative(1),
+                               Fraction(1, 2), 10)
+
+
+def test_eval_enclosure_recovers_from_one_bracket_through_0(monkeypatch):
+    # the planted bracket on round 1 gives no enclosure, so the guard
+    # doubles and adds digits: 8 -> 26, and round 2 encloses soundly
+    planted = Enclosure(1 - Fraction(1, 1000), 1 + Fraction(1, 1000))
+    exp_enclosure, requested = specfun.exp_enclosure, []
+    monkeypatch.setattr(specfun, "exp_enclosure", lambda x, d: (
+        requested.append(d), planted if len(requested) == 1
+        else exp_enclosure(x, d))[1])
+    f, u = expring.reciprocal_derivative(1), Fraction(1, 2)
+    value = expring.eval_enclosure(f, u, 10)
+    assert requested == [18, 36]
+    assert value.width <= Fraction(1, 10 ** 10)
+    assert _contains(value, eval_enclosure_fraction(f, u, 36))
 
 
 def _mpf(q: Fraction):
@@ -176,8 +208,8 @@ def _mpf(q: Fraction):
 @settings(max_examples=1000, derandomize=True, deadline=None)
 @given(st.integers(min_value=0, max_value=6),
        st.one_of(
-           small_u.filter(lambda u: u < expring.SERIES_SWITCH),
-           st.fractions(min_value=expring.SERIES_SWITCH, max_value=50,
+           small_u.filter(lambda u: u < Fraction(1, 4)),
+           st.fractions(min_value=Fraction(1, 4), max_value=50,
                         max_denominator=10 ** 6)),
        st.integers(min_value=5, max_value=40))
 def test_eval_enclosure_differential_against_mpmath(k, u, digits):
@@ -192,12 +224,34 @@ def test_eval_enclosure_differential_against_mpmath(k, u, digits):
         assert _mpf(e.lo) <= value <= _mpf(e.hi), (k, u, digits, e)
 
 
+# order 100 at a = 10^-6 only at 60 digits: mpmath's polylog takes over a
+# second there at either precision
+K_TAIL_CASES = [(ell, a, d) for ell in (0, 6, 50, 100)
+                for a in (Fraction(1, 10 ** 6), Fraction(1, 1000),
+                          Fraction(249, 1000), Fraction(1), Fraction(7),
+                          Fraction(2500))
+                for d in (20, 60)
+                if (ell, a, d) != (100, Fraction(1, 10 ** 6), 20)]
+
+
+@pytest.mark.parametrize("ell, a, digits", K_TAIL_CASES)
+def test_k_tail_contains_mpmath_polylog(ell, a, digits):
+    # K_ell(a) = Li_{-ell}(e^-a), summed by mpmath on its own.  Its working
+    # precision covers the value's size, about ell!/a^(ell+1), the digits
+    # asked for, and log10(1/a) lost to z = e^-a near 1, with 20 to spare
+    mpmath = pytest.importorskip("mpmath")
+    e = specfun.k_tail(ell, a, digits)
+    assert e.width <= Fraction(1, 10 ** digits)
+    log_a = math.log10(a.numerator) - math.log10(a.denominator)
+    size = max(0, math.lgamma(ell + 1) / math.log(10) - (ell + 1) * log_a)
+    with mpmath.workdps(int(size + digits + max(0, -log_a)) + 20):
+        value = mpmath.polylog(-ell, mpmath.exp(-_mpf(a)))
+        assert _mpf(e.lo) <= value <= _mpf(e.hi), (ell, a, digits)
+
+
 @pytest.mark.parametrize("u", [Fraction(1, 10), Fraction(3)])
 def test_eval_enclosure_raises_on_width_miss(monkeypatch, u):
-    # both routes return a unit-wide enclosure whatever the precision: the
-    # series sums [1, 2] for the numerator and [3/2, 2] for e^u - 1
-    monkeypatch.setattr(expring, "_series_parts",
-                        lambda num, u, order: (3, 1, 2))
+    # e^u in [u + 1, u + 2] whatever the precision: every round misses
     monkeypatch.setattr(specfun, "exp_enclosure",
                         lambda x, digits: Enclosure(x + 1, x + 2))
     with pytest.raises(ArithmeticError, match="width 10\\^-12"):
