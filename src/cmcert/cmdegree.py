@@ -1,23 +1,24 @@
 """Completely-monotonic-degree analysis of the exponential/trigamma gap.
 
 Symbolic derivative tower for expressions built from t^a, e^(beta/t) and
-polygamma atoms, summed at each grid point from one table of exact integer
-endpoints shared by the point's whole derivative column, whose polygamma
-orders come from one integer jet; sign-enclosure degree checks on grids
-and the violation search above the degree; the p(t) -> 4 asymptotic;
-Laplace-kernel certificates and the counterexample scan; and exact
-termwise transform identities.
+polygamma atoms, built on integer rows for the degree checks and summed at
+each grid point from one table of exact integer endpoints shared by the
+point's whole column, whose polygamma orders come from one integer jet;
+sign-enclosure degree checks on grids and the violation search above the
+degree; the p(t) -> 4 asymptotic; Laplace-kernel certificates and the
+counterexample scan; and exact termwise transform identities.
 """
 
 from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as _json_str
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
 from .enclosure import (Enclosure, Record, divide_round_out, format_rational,
-                        rational_power_enclosure, to_fraction)
+                        integer_nth_root, to_fraction)
 from . import specfun
 from .expring import eval_enclosure, kernel_derivative
 
@@ -27,55 +28,71 @@ DIGIT_CAP = 150
 class PointTable(dict):
     """Exact integer endpoints of t^p and of the atoms at one point t > 0.
 
-    table[d, key] is computed on first use and kept for every later order
-    evaluated at (t, d), as (lo, hi, den), den > 0, for [lo/den, hi/den]: a
-    key ("pow", u, v) is t^(u/v), exact for v = 1, any other key an atom
-    with its rational spelt as two ints.  Roots and e^(beta/t) are enclosed
-    at d + 8 digits; the first psi atom missed at d fills its order and
-    every one up to `psi_top` from one `specfun.polygamma_jet`.
-    table[d, p, atom] is t^p atom times 10**(d+12) in the same form: t^p >=
-    0, so each end is an end of the atom times the end of t^p that its sign
-    selects.
+    table[d, key], computed on first use, serves every order at (t, d).  A
+    key ("pow", u, v) holds (lo, hi, den) for [lo/den, hi/den] around
+    t^(u/v): exact for v = 1, else r and r + 1 over 10**(d+8), r the v-th
+    root of floor(t^u 10**(v(d+8))).  An atom key holds (lo, hi) for
+    [lo, hi] 10**-(d+12), scaled exactly from an enclosure at d + 8 digits
+    (e^(beta/t), or one `specfun.polygamma_jet` filling every psi order up
+    to `psi_top` at the first psi miss), whose grid is 10**-(d+9).
     """
 
     def __init__(self, t: Fraction, psi_top: int):
         super().__init__()
-        self.t = t
-        self.psi_top = psi_top
+        self.t, self.psi_top = t, psi_top
 
     def __missing__(self, key):
-        if len(key) == 3:
-            digits, p, atom = key
-            t_lo, t_hi, t_den = self[digits, p]
-            lo, hi, den = self[digits, atom]
-            scale = 10 ** (digits + 12)
-            value = self[key] = (lo * (t_lo if lo >= 0 else t_hi) * scale,
-                                 hi * (t_hi if hi >= 0 else t_lo) * scale,
-                                 den * t_den)
-            return value
         digits, (kind, *args) = key
+        scale = 10 ** (digits + (12 if kind != "pow" else 8))
         if kind == "psi":
-            n, scale = args[0], 10 ** (digits + 9)
+            n = args[0]
             jet = specfun.polygamma_jet(n, max(n, self.psi_top), self.t,
                                         digits + 8)
             for k, (lo, hi) in enumerate(jet, n):
-                self.setdefault((digits, ("psi", k)), (lo, hi, scale))
+                self.setdefault((digits, ("psi", k)), (lo * 1000, hi * 1000))
             return self[key]
-        if kind == "pow" and args[1] == 1:
-            u = args[0]
-            num, den = self.t.numerator ** abs(u), self.t.denominator ** abs(u)
-            value = self[key] = (num, num, den) if u >= 0 else (den, den, num)
-            return value
         if kind == "pow":
-            e = rational_power_enclosure(self.t, Fraction(*args), digits + 8)
+            u, v = args
+            num, den = self.t.numerator ** abs(u), self.t.denominator ** abs(u)
+            num, den = (num, den) if u >= 0 else (den, num)
+            if v == 1:
+                value = (num, num, den)
+            else:
+                root = integer_nth_root(num * scale ** v // den, v)
+                value = (root, root + 1, scale)
         elif kind == "exp":
             e = specfun.exp_enclosure(Fraction(*args) / self.t, digits + 8)
+            value = (int(e.lo * scale), int(e.hi * scale))
         elif kind == "const":
-            e = Enclosure.point(1)
+            value = (scale, scale)
         else:
             raise ValueError(f"unknown atom {key[1]!r}")
-        value = self[key] = e.ratio()
+        self[key] = value
         return value
+
+
+def _ends(rows, digits: int, table: PointTable) -> tuple[int, int]:
+    """Integers lo, hi: [lo, hi] 10**-(digits+12) encloses the sum of the
+    rows (c numerator, c denominator, power key, atom key) at table.t.  As
+    t^p >= 0, each end of c t^p A is an atom end times the end of t^p its
+    sign selects (c < 0 swaps them), floored or ceiled by one division."""
+    lo = hi = 0
+    for c_num, c_den, p, atom in rows:
+        t_lo, t_hi, den = table[digits, p]
+        a_lo, a_hi = table[digits, atom]
+        l = a_lo * (t_lo if a_lo >= 0 else t_hi)
+        h = a_hi * (t_hi if a_hi >= 0 else t_lo)
+        if c_num < 0:
+            l, h = h, l
+        den *= c_den
+        lo += c_num * l // den
+        hi -= -c_num * h // den
+    return lo, hi
+
+
+def _psi_top(rows) -> int:
+    """The highest psi order among the rows' atoms, 0 without one."""
+    return max([a[1] for *_, a in rows if a[0] == "psi"] + [0])
 
 
 class CMExpression(Record):
@@ -137,40 +154,16 @@ class CMExpression(Record):
                       if a[0] == "exp" else a)
                      for c, p, a in self.terms)
 
-    @cached_property
-    def psi_top(self) -> int:
-        """The highest psi order among the atoms, 0 without one."""
-        return max([a[1] for _, _, a in self.terms if a[0] == "psi"] + [0])
-
-    def ends(self, digits: int, table: PointTable) -> tuple[int, int]:
-        """Integers lo, hi: [lo, hi] 10**-(digits+12) encloses the expression
-        at table.t, from the scaled products t^p A at digits + 8 of `table`.
-
-        Each term c t^p A is rounded outward once to an integer at that
-        scale, c < 0 swapping the product's ends, and the lower and upper
-        sums are two ints.  The scale is decimal because the atoms sit on a
-        10**-(digits+9) grid: exact products stay exact.
-        """
-        lo = hi = 0
-        for c_num, c_den, p, atom in self._rows:
-            l, h, den = table[digits, p, atom]
-            if c_num < 0:
-                l, h = h, l
-            den *= c_den
-            lo += c_num * l // den
-            hi -= -c_num * h // den
-        return lo, hi
-
     def evaluate(self, t, digits: int,
                  table: PointTable | None = None) -> Enclosure:
         """Enclosure of the expression at t > 0, rounded out at digits + 1,
         from `table`, a `PointTable` at t (a fresh one up to the highest psi
-        order when none is given); see `ends`."""
+        order when none is given); see `_ends`."""
         t = to_fraction(t)
         if t <= 0:
             raise ValueError("expressions are evaluated on t > 0 only")
-        table = PointTable(t, self.psi_top) if table is None else table
-        lo, hi = self.ends(digits, table)
+        table = PointTable(t, _psi_top(self._rows)) if table is None else table
+        lo, hi = _ends(self._rows, digits, table)
         return divide_round_out((lo, hi, 10 ** (digits + 12)), (1, 1, 1),
                                 digits + 1)
 
@@ -252,18 +245,55 @@ def _grid_points(grid) -> list[Fraction]:
     return pts
 
 
-def _signed_cell(expr: CMExpression, n: int, t: Fraction, digits: int,
+def _signed_cell(rows, n: int, t: Fraction, digits: int,
                  table: PointTable) -> DegreeCell:
-    """The cell of (-1)^n expr at t: an odd n swaps the integer ends."""
+    """The cell of (-1)^n times the rows' sum at t: an odd n swaps the ends."""
     def signed(d: int) -> Enclosure:
-        lo, hi = expr.ends(d, table)
+        lo, hi = _ends(rows, d, table)
         lo, hi = (-hi, -lo) if n % 2 else (lo, hi)
         return divide_round_out((lo, hi, 10 ** (d + 12)), (1, 1, 1), d + 1)
 
     return DegreeCell(n, t, *_sign_definite(signed, digits))
 
 
-# cm_check's highest order N: 1.8 s on the default grid at r = 4 (100: 2.6 s)
+def _derivative_rows(f: CMExpression, r: Fraction, N: int) -> list:
+    """The rows (see `CMExpression._rows`) of (t^r f)^(n), n = 0..N: the
+    rationals of repeated `CMExpression.derivative`, built on integers.
+
+    An order is {(P, atom): C} for C/D t^(P/V) atom, V the lcm of the power
+    denominators.  With L the lcm of the exp atoms' denominators, d/dt
+    sends a term to C P L at P - V, -C beta L V at P - 2V for e^(beta/t)
+    and C V L with psi^(n+1) for psi^(n), over D V L; like terms merge,
+    zeros drop out, and each row reduces its coefficient and power."""
+    expr = f.mul_power(r)
+    V = math.lcm(1, *[p.denominator for _, p, _ in expr.terms])
+    D = math.lcm(1, *[c.denominator for c, _, _ in expr.terms])
+    L = math.lcm(1, *[a[2] for *_, a in expr._rows if a[0] == "exp"])
+    order = {(u * (V // v), atom): c_num * (D // c_den)
+             for c_num, c_den, (_, u, v), atom in expr._rows}
+    tower = []
+    for n in range(N + 1):
+        if n:
+            merged = defaultdict(int)
+            for (P, atom), C in order.items():
+                if P:
+                    merged[P - V, atom] += C * P * L
+                if atom[0] == "exp":
+                    merged[P - 2 * V, atom] -= C * atom[1] * (L // atom[2]) * V
+                elif atom[0] == "psi":
+                    merged[P, ("psi", atom[1] + 1)] += C * V * L
+            order = {key: C for key, C in merged.items() if C}
+            D *= V * L
+        rows = []
+        for (P, atom), C in order.items():
+            g, h = math.gcd(C, D), math.gcd(P, V)
+            rows.append((C // g, D // g, ("pow", P // h, V // h), atom))
+        tower.append(tuple(rows))
+    return tower
+
+
+# cm_check's highest order N: 1.0-1.2 s cold on the default grid at r = 4
+# (2 vCPUs), two thirds in `_ends` on exact t^p of up to 1,500 digits
 CM_CHECK_MAX_ORDER = 90
 
 
@@ -281,14 +311,12 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
                          f"1..{CM_CHECK_MAX_ORDER}")
     r = to_fraction(r)
     pts = _grid_points(grid)
-    exprs = [f.mul_power(r)]
-    for _ in range(N):
-        exprs.append(exprs[-1].derivative())
+    tower = _derivative_rows(f, r, N)
     columns = []
     for t in pts:
-        table = PointTable(t, exprs[-1].psi_top)
-        columns.append([_signed_cell(expr, n, t, digits, table)
-                        for n, expr in enumerate(exprs)])
+        table = PointTable(t, _psi_top(tower[-1]))
+        columns.append([_signed_cell(rows, n, t, digits, table)
+                        for n, rows in enumerate(tower)])
     cells = [column[n] for n in range(N + 1) for column in columns]
     verdicts = {c.verdict for c in cells}
     summary = ("fail" if "fail" in verdicts else
@@ -309,9 +337,9 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
     if t <= 0:
         raise ValueError("expressions are evaluated on t > 0 only")
     t_hi = to_fraction(t_hi)
-    d1 = f.mul_power(r).derivative()
+    d1 = f.mul_power(r).derivative()._rows
     while t <= t_hi:
-        cell = _signed_cell(d1, 1, t, digits, PointTable(t, d1.psi_top))
+        cell = _signed_cell(d1, 1, t, digits, PointTable(t, _psi_top(d1)))
         if cell.verdict == "fail":
             # (-1)^1 * derivative certifiably negative => derivative > 0
             return t, -cell.value

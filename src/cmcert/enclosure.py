@@ -246,31 +246,3 @@ def divide_round_out(num, den, digits: int) -> Enclosure:
     lo = lo * dq * scale // (q * (dhi if lo >= 0 else dlo))
     hi = -(-hi * dq * scale // (q * (dlo if hi >= 0 else dhi)))
     return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
-
-
-def nth_root_enclosure(x: Fraction | int, n: int, digits: int) -> Enclosure:
-    """Enclosure of x**(1/n) for rational x >= 0, width <= 10**-digits."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("nth_root_enclosure requires x >= 0")
-    if x == 0:
-        return Enclosure.point(0)
-    scale = 10 ** digits
-    m = (x.numerator * scale ** n * x.denominator ** (n - 1)) // x.denominator ** n
-    # r = floor((x*scale^n)^(1/n)) up to the floor slack in m, and
-    # (r+1)^n >= m+1 > x*scale^n, so [r, r+1]/scale brackets the root
-    r = integer_nth_root(m, n)
-    return Enclosure(Fraction(r, scale), Fraction(r + 1, scale))
-
-
-def rational_power_enclosure(x: Fraction | int, a: Fraction | int,
-                             digits: int) -> Enclosure:
-    """Enclosure of x**a for rational x > 0 and rational exponent a."""
-    x = Fraction(x)
-    a = Fraction(a)
-    if x <= 0:
-        raise ValueError("rational_power_enclosure requires x > 0")
-    base = x ** a.numerator  # exact, also for a negative numerator
-    if a.denominator == 1:
-        return Enclosure(base, base)
-    return nth_root_enclosure(base, a.denominator, digits)

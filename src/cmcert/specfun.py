@@ -209,38 +209,38 @@ def _polygamma_mantissas(n0: int, N: int, a: int, b: int, m: int,
         e = n + 2 * k
         return abs(num) * math.perm(e - 1, n - 1) * b ** e, den * c ** e
 
-    def bracket(k, n):  # floored from the exact ratio when new
-        if k == len(tl):
-            num, den = exact(k, n)
-            q, r = divmod(num << W, den)
-            tl.append(q)
-            th.append(q + (r > 0))
-        return tl[k], th[k]
+    def push(k, n):  # a term new at order n, floored from its exact ratio
+        num, den = exact(k, n)
+        q, r = divmod(num << W, den)
+        tl.append(q)
+        th.append(q + (r > 0))
 
+    push(0, n0)
     for n in range(n0, N + 1):
-        t_lo, t_hi = bracket(0, n)
-        lo = t_lo + (t_lo * n * wl >> W + 1) + fact * n * sum(pl)
-        hi = t_hi - (-t_hi * n * wh >> W + 1) + fact * n * (
-            sum(pl) + len(pl) * (2 * (n - n0) + 1))
+        s = sum(pl)
+        lo = tl[0] + (tl[0] * n * wl >> W + 1) + fact * n * s
+        hi = th[0] - (-th[0] * n * wh >> W + 1) + fact * n * (
+            s + len(pl) * (2 * (n - n0) + 1))
         fact, apow, bnpow = fact * n, apow * a, bnpow * b
         if small:
             q, r = divmod(fact * bnpow << W, apow)
             lo, hi = lo + q, hi + q + (r > 0)
         for k in itertools.count(1):
-            t_lo, t_hi = bracket(k, n)
+            if k == len(tl):
+                push(k, n)
+            t_lo, t_hi = tl[k], th[k]
             if t_hi <= thr or t_lo <= thr and \
                     (e := exact(k, n))[0] * tol_den <= e[1]:
-                lo, hi = lo - t_hi, hi + t_hi
                 break
             if k > 1 and (t_lo >= th[k - 1] or t_hi >= tl[k - 1] and
                           (e := exact(k - 1, n))[0] * (f := exact(k, n))[1]
                           <= f[0] * e[1]):
                 lo = None
                 break
-            if k % 2:  # B_2k > 0
-                lo, hi = lo + t_lo, hi + t_hi
-            else:
-                lo, hi = lo - t_hi, hi - t_lo
+        if lo is not None:
+            # terms 1..k-1 with B_2k > 0 at odd k, and the cut term k
+            lo += sum(tl[1:k:2]) - sum(th[2:k:2]) - t_hi
+            hi += sum(th[1:k:2]) - sum(tl[2:k:2]) + t_hi
         p = base + n * step
         out.append(None if lo is None else (p, lo >> W - p, -(-hi >> W - p)))
         pl = [v * r >> W for v, r in zip(pl, rl)]

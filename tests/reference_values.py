@@ -11,15 +11,17 @@ closed-form denominator coefficients p_k and lambda_k of the two ratio
 quotients, the per-order polygamma that the polygamma jet replaced, the
 jet on exact rationals that its fixed-point mantissas replaced, the
 Bernoulli recurrence that the tangent numbers replaced, the Newton loop
-that `math.isqrt` replaced, and the repeated differentiation with trial
-division that the Eulerian derivative towers replaced.
+that `math.isqrt` replaced, the rational power enclosures that the
+`cmdegree.PointTable` integer roots replaced, and the repeated
+differentiation with trial division that the Eulerian derivative towers
+replaced.
 """
 
 import math
 from fractions import Fraction
 
 from cmcert import seriesratio, specfun
-from cmcert.enclosure import Enclosure
+from cmcert.enclosure import Enclosure, integer_nth_root
 from cmcert.expring import EXP_U, EXP_U_MINUS_ONE, ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
 
@@ -367,6 +369,34 @@ def integer_nth_root_newton(a: int, n: int) -> int:
     while x ** n > a:
         x -= 1
     return x
+
+
+def nth_root_enclosure(x: Fraction | int, n: int, digits: int) -> Enclosure:
+    """Enclosure of x**(1/n) for rational x >= 0, width <= 10**-digits."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("nth_root_enclosure requires x >= 0")
+    if x == 0:
+        return Enclosure.point(0)
+    scale = 10 ** digits
+    m = (x.numerator * scale ** n * x.denominator ** (n - 1)) // x.denominator ** n
+    # r = floor((x*scale^n)^(1/n)) up to the floor slack in m, and
+    # (r+1)^n >= m+1 > x*scale^n, so [r, r+1]/scale brackets the root
+    r = integer_nth_root(m, n)
+    return Enclosure(Fraction(r, scale), Fraction(r + 1, scale))
+
+
+def rational_power_enclosure(x: Fraction | int, a: Fraction | int,
+                             digits: int) -> Enclosure:
+    """Enclosure of x**a for rational x > 0 and rational exponent a."""
+    x = Fraction(x)
+    a = Fraction(a)
+    if x <= 0:
+        raise ValueError("rational_power_enclosure requires x > 0")
+    base = x ** a.numerator  # exact, also for a negative numerator
+    if a.denominator == 1:
+        return Enclosure(base, base)
+    return nth_root_enclosure(base, a.denominator, digits)
 
 
 def polygamma_mantissas_per_order(n: int, a: int, b: int, m: int,

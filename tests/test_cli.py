@@ -619,3 +619,16 @@ def test_cm_scan_benchmark_bytes(alpha, beta, r, orders):
     digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert (digest, result.exit_code) == \
         CM_SCAN_BYTES[alpha, beta, r, orders]
+
+
+# sha256 of `reproduce-paper`'s stdout, recorded before the cm_check columns
+# were summed on pre-scaled atoms; the battery's degree evidence must keep
+# every byte, as the golden case does
+PAPER_BYTES = \
+    "630b9b71254a6a7f901bfe220d1a8ebcb9a569bac7b817e41dd275276086db6d"
+
+
+def test_reproduce_paper_bytes():
+    result = invoke("reproduce-paper")
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
+    assert (digest, result.exit_code) == (PAPER_BYTES, 0)

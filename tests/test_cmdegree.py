@@ -1,20 +1,20 @@
 import functools
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmcert import cmdegree, seriesratio, specfun
 from cmcert.cmdegree import CMExpression
-from cmcert.enclosure import (Enclosure, format_rational,
-                              rational_power_enclosure)
+from cmcert.enclosure import Enclosure, format_rational
 from cmcert.expring import eval_enclosure, kernel_derivative
 
 import reference_values
 from reference_values import (polygamma_hurwitz, polygamma_per_order,
-                              round_out_fraction)
+                              rational_power_enclosure, round_out_fraction)
 
 
 def _float_at(expr: CMExpression, t: Fraction) -> float:
@@ -77,6 +77,75 @@ def test_evaluate_matches_fraction_summation(alpha, beta, r):
         for t in grid:
             assert expr.evaluate(t, 40) == _fraction_evaluate(expr, t, 40), \
                 (n, t)
+
+
+# sha256 of to_json() of the cm-scan benchmark's four cm_check calls on the
+# default grid at 40 digits, recorded before the columns were summed on
+# pre-scaled atoms from the integer derivative tower: a faster column must
+# not move a byte
+CM_SCAN_JSON = {
+    (1, 1, 4, 16):
+        "ad6a9d1af289e78db10cd44b2171c6b7b2c0220ef5e1e806c897527b50acbc19",
+    (Fraction(1, 2), 2, 2, 16):
+        "1062fe474cd39e4511cf3fa56bc1fffc371ede482d214af34ba221960c0b1f36",
+    (2, 1, 1, 16):
+        "92b78c994b387fe6aadd276fdba7e9c7b06d6214ce42c428470973324fa8aae0",
+    (1, 1, Fraction(9, 2), 8):
+        "e806ac2a332d224c5ec6419f8dccb9fe57545d929494dc619517e58759352fb3",
+}
+
+
+@pytest.mark.parametrize("alpha,beta,r,orders", list(CM_SCAN_JSON),
+                         ids=str)
+def test_cm_scan_reports_keep_their_bytes(alpha, beta, r, orders):
+    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    report = cmdegree.cm_check(cmdegree.h_expression(alpha, beta), r,
+                               orders, grid, digits=40)
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == CM_SCAN_JSON[alpha, beta, r, orders]
+
+
+def _term_rationals(terms):
+    """{(power, atom): coefficient} with exp atoms spelt as rows spell them."""
+    return {(p, ("exp", a[1].numerator, a[1].denominator)
+             if a[0] == "exp" else a): c for c, p, a in terms}
+
+
+def _assert_rows_are_the_derivative_terms(f, r, N):
+    """Each order's rows, reduced, are the terms of repeated derivative(),
+    and the column's psi_top is that of the last order."""
+    tower = cmdegree._derivative_rows(f, Fraction(r), N)
+    expr = f.mul_power(r)
+    for n, rows in enumerate(tower):
+        if n:
+            expr = expr.derivative()
+        assert all(math.gcd(c, d) == 1 and d > 0 and math.gcd(u, v) == 1
+                   for c, d, (_, u, v), _ in rows), n
+        assert {(Fraction(u, v), a): Fraction(c, d)
+                for c, d, (_, u, v), a in rows} == \
+            _term_rationals(expr.terms), n
+        assert len(rows) == len(expr.terms), n
+    top = max([a[1] for _, _, a in expr.terms if a[0] == "psi"] + [0])
+    assert cmdegree._psi_top(tower[-1]) == top
+
+
+@pytest.mark.parametrize("alpha,beta,r", [
+    (1, 1, 4), (Fraction(1, 2), 2, 2), (2, 1, 1), (1, 1, Fraction(9, 2)),
+    (1, 1, Fraction(-1, 2)), (1, 1, Fraction(7, 3)),
+    (Fraction(3, 2), -3, Fraction(5, 2))])
+def test_derivative_rows_are_the_derivative_terms(alpha, beta, r):
+    _assert_rows_are_the_derivative_terms(
+        cmdegree.h_expression(alpha, beta), r, 30)
+
+
+def test_derivative_rows_of_mixed_power_denominators():
+    # powers over 2, 4 and 3 and exp atoms over 3 and 2: V = 12, L = 6
+    f = CMExpression.of([
+        (Fraction(3, 2), Fraction(3, 2), ("exp", Fraction(2, 3))),
+        (7, -1, ("exp", Fraction(-1, 2))),
+        (Fraction(-1, 5), Fraction(-1, 4), ("psi", 2)),
+        (5, 2, ("const",))])
+    _assert_rows_are_the_derivative_terms(f, Fraction(1, 3), 30)
 
 
 def _per_cell_paths(expr, n, t, digits):
@@ -145,14 +214,16 @@ def test_column_escalation_matches_per_cell_evaluation():
 
 
 def _assert_psi_entries_match_per_order(table, digits, orders):
-    """Each psi entry of the table at `digits` holds the endpoints of the
-    per-order reference polygamma at digits + 8, and no entry is missing."""
+    """Each psi entry of the table at `digits`, times 10**-(digits+12), is
+    the endpoints of the per-order reference polygamma at digits + 8, and no
+    entry is missing."""
+    scale = 10 ** (digits + 12)
     for n in orders:
         key = (digits, ("psi", n))
         assert key in table, n
-        lo, hi, den = table[key]
+        lo, hi = table[key]
         ref = polygamma_per_order(n, table.t, digits + 8)
-        assert (Fraction(lo, den), Fraction(hi, den)) == \
+        assert (Fraction(lo, scale), Fraction(hi, scale)) == \
             (ref.lo, ref.hi), (n, table.t, digits)
 
 
@@ -219,18 +290,42 @@ def test_point_table_integer_powers_are_exact():
 
 
 def test_point_table_atoms_are_the_enclosure_ratios():
-    # exp, root and const entries are Enclosure.ratio() of the enclosure
-    # at digits + 8
+    # exp and const entries times 10**-(digits+12) are the rationals of
+    # Enclosure.ratio() of the enclosures at digits + 8
     t, digits = Fraction(3, 7), 20
     table = cmdegree.PointTable(t, 0)
-    assert table[digits, ("exp", 2, 5)] == \
-        specfun.exp_enclosure(Fraction(2, 5) / t, digits + 8).ratio()
-    assert table[digits, ("exp", -3, 1)] == \
-        specfun.exp_enclosure(-3 / t, digits + 8).ratio()
-    for u in (5, -3):
-        assert table[digits, ("pow", u, 2)] == rational_power_enclosure(
-            t, Fraction(u, 2), digits + 8).ratio()
-    assert table[digits, ("const",)] == Enclosure.point(1).ratio()
+    scale = 10 ** (digits + 12)
+
+    def rationals(key):
+        return tuple(Fraction(end, scale) for end in table[digits, key])
+
+    def ratio(e):
+        lo, hi, den = e.ratio()
+        return Fraction(lo, den), Fraction(hi, den)
+
+    assert rationals(("exp", 2, 5)) == \
+        ratio(specfun.exp_enclosure(Fraction(2, 5) / t, digits + 8))
+    assert rationals(("exp", -3, 1)) == \
+        ratio(specfun.exp_enclosure(-3 / t, digits + 8))
+    assert rationals(("const",)) == ratio(Enclosure.point(1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 4,
+                    max_denominator=10 ** 6),
+       st.integers(min_value=-40, max_value=40),
+       st.sampled_from([2, 3]),
+       st.integers(min_value=10, max_value=60))
+@example(Fraction(3, 7), 5, 2, 20)
+@example(Fraction(3, 7), -3, 2, 20)
+def test_point_table_roots_are_the_rational_power_enclosures(t, u, v, digits):
+    # a root entry is [r, r + 1] 10**-(digits+8) from the integer root of
+    # floor(t^u 10**(v(digits+8))): the rational power oracle's enclosure;
+    # power keys are reduced, so u/v is too
+    assume(math.gcd(u, v) == 1)
+    lo, hi, den = cmdegree.PointTable(t, 0)[digits, ("pow", u, v)]
+    e = rational_power_enclosure(t, Fraction(u, v), digits + 8)
+    assert (Fraction(lo, den), Fraction(hi, den)) == (e.lo, e.hi)
 
 
 def _report_json(report) -> str:
@@ -590,15 +685,15 @@ def test_cm_check_stops_at_the_precision_cap(monkeypatch):
     # is left indeterminate
     expr = CMExpression.of([(2, 0, ("const",)),
                             (-1, Fraction(1, 2), ("const",))])
-    ends = CMExpression.ends
+    ends = cmdegree._ends
     digits = []
 
-    def recording(self, d, table):
-        if self == expr:
+    def recording(rows, d, table):
+        if set(rows) == set(expr._rows):
             digits.append(d)
-        return ends(self, d, table)
+        return ends(rows, d, table)
 
-    monkeypatch.setattr(CMExpression, "ends", recording)
+    monkeypatch.setattr(cmdegree, "_ends", recording)
     report = cmdegree.cm_check(expr, 0, 1, [4], digits=40)
     cell = next(c for c in report.cells if c.n == 0)
     assert cell.verdict == "indeterminate"

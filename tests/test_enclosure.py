@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from cmcert.cli import RunConfig
 from cmcert.cmdegree import CMExpression, DegreeCell
 from cmcert.enclosure import (Enclosure, divide_round_out, integer_nth_root,
-                              nth_root_enclosure, rational_power_enclosure,
                               to_fraction)
 from cmcert.expring import ExpPoly, _taylor_table
 from cmcert.poly import PieceReport, Polynomial, PositivityCertificate
 from cmcert.seriesratio import MaxResult
 
 from reference_values import (integer_nth_root_newton, mul_four_products,
+                              nth_root_enclosure, rational_power_enclosure,
                               round_out_fraction)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
