@@ -17,10 +17,9 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 
-from .enclosure import (Enclosure, Record, divide_round_out, format_rational,
-                        integer_nth_root, to_fraction)
-from . import specfun
-from .expring import eval_enclosure, kernel_derivative
+from .enclosure import (Enclosure, Record, check_range, divide_round_out,
+                        format_rational, integer_nth_root, to_fraction)
+from . import expring, specfun
 
 DIGIT_CAP = 150
 
@@ -306,9 +305,7 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     cell is finite-order evidence for degree >= r, never a proof; a fail
     cell carries an enclosure strictly violating the sign.
     """
-    if not 1 <= N <= CM_CHECK_MAX_ORDER:
-        raise ValueError(f"order --orders {N} is outside the supported range "
-                         f"1..{CM_CHECK_MAX_ORDER}")
+    check_range("order --orders", N, 1, CM_CHECK_MAX_ORDER)
     r = to_fraction(r)
     pts = _grid_points(grid)
     tower = _derivative_rows(f, r, N)
@@ -388,7 +385,8 @@ def p_value(t, digits: int = 15) -> Enclosure:
 def kernel_margin(k: int, u, digits: int) -> Enclosure:
     """i_k(u) - kernel^(k-1)(u), the integrand margin of the k-th certificate."""
     a, b, q = specfun.bessel_ratio(k, u, digits + 4).ratio()
-    c, d, r = eval_enclosure(kernel_derivative(k - 1), u, digits + 4).ratio()
+    c, d, r = expring.eval_enclosure(expring.kernel_derivative(k - 1), u,
+                                     digits + 4).ratio()
     return divide_round_out((a * r - d * q, b * r - c * q, q * r), (1, 1, 1),
                             digits + 1)
 
@@ -435,9 +433,7 @@ CONJECTURE_MAX_ORDER = 50
 
 def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
     """Search a grid for a sign-definite violation of the order-k inequality."""
-    if not 1 <= k <= CONJECTURE_MAX_ORDER:
-        raise ValueError(f"order --k {k} is outside the supported range "
-                         f"1..{CONJECTURE_MAX_ORDER}")
+    check_range("order --k", k, 1, CONJECTURE_MAX_ORDER)
     pts = _grid_points(grid)
     counterexample = None
     margins = []

@@ -29,6 +29,13 @@ def format_rational(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def check_range(flag: str, value: int, lo: int, hi: int) -> None:
+    """Refuse an integer option outside lo..hi before any work is done."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} {value} is outside the supported range "
+                         f"{lo}..{hi}")
+
+
 def integer_nth_root(a: int, n: int) -> int:
     """Floor of the n-th root of a nonnegative integer, exactly."""
     if a < 0 or n < 1:

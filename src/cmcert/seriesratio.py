@@ -21,9 +21,9 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .enclosure import Enclosure, Record, divide_round_out, to_fraction
-from . import specfun
-from .expring import eval_enclosure, kernel_derivative
+from .enclosure import (Enclosure, Record, check_range, divide_round_out,
+                        to_fraction)
+from . import expring, specfun
 
 
 # -- exact coefficient sequences -------------------------------------------
@@ -126,6 +126,10 @@ def script_C(m: int) -> int:
 
 # -- sequence reports -------------------------------------------------------
 
+# top ladder_check k_max and sequence count, cold on 2 vCPUs: ladder 800 took
+# 1.0 s, and count 1500 0.7-1.9 s (c and C, beta 1/2 and 355/113)
+LADDER_MAX_K, RATIO_MAX_COUNT = 800, 1500
+
 
 class MonotonicityReport(Record):
     # first_violation: the smallest k with values[k+1] <= values[k], or None
@@ -133,8 +137,7 @@ class MonotonicityReport(Record):
 
 
 def _ratio_sequence(beta, K: int, derivative: bool) -> MonotonicityReport:
-    if K < 2 + 2 * derivative:
-        raise ValueError(f"need K >= {2 + 2 * derivative}")
+    check_range("count --count", K, 2 + 2 * derivative, RATIO_MAX_COUNT)
     values = [Fraction(N, F * W) for N, F, W in
               itertools.islice(_ratio_terms(beta, derivative), K + 1)]
     first = next((k for k in range(K) if values[k + 1] <= values[k]), None)
@@ -175,8 +178,7 @@ def ladder_check(k_max: int) -> dict:
     quadratic in k from the table, and each V_k(l) is computed once and
     carried to the next k.  Every comparison is exact.
     """
-    if k_max < 6:
-        raise ValueError("need k_max >= 6")
+    check_range("order --k-max", k_max, 6, LADDER_MAX_K)
     U = [U_value(k) for k in range(k_max + 2)]
     abc = [(script_A(m), script_B(m), script_C(m)) for m in range(k_max + 1)]
 
@@ -235,7 +237,8 @@ def _kernel_ratio(k: int, u, beta, digits: int) -> Enclosure:
     u, beta = to_fraction(u), to_fraction(beta)
     if u <= 0 or beta <= 0:
         raise ValueError("need u > 0 and beta > 0")
-    kern = eval_enclosure(kernel_derivative(k - 1), u, digits + 4)
+    kern = expring.eval_enclosure(expring.kernel_derivative(k - 1), u,
+                                  digits + 4)
     ik = specfun.bessel_ratio(k, beta * u, digits + 4)
     return divide_round_out(kern.ratio(), ik.ratio(), digits + 1)
 

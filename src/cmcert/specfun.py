@@ -18,7 +18,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .enclosure import Enclosure, divide_round_out, to_fraction
+from .enclosure import (Enclosure, check_range, divide_round_out,
+                        to_fraction)
 
 TERM_CAP = 10 ** 6
 EXP_BITS_CAP = 2 ** 15
@@ -299,10 +300,8 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     (e**u - 1)**(ell+1) at u = a, with the Eulerian numbers A(n, i) =
     i A(n-1, i) + (n-i+1) A(n-1, i-1) (Graham, Knuth and Patashnik 6.2).
     """
+    check_range("order --ell", ell, 0, K_TAIL_MAX_ORDER)
     from .expring import eval_enclosure, reciprocal_derivative  # import cycle
-    if not 0 <= ell <= K_TAIL_MAX_ORDER:
-        raise ValueError(f"order --ell {ell} is outside the supported range "
-                         f"0..{K_TAIL_MAX_ORDER}")
     a = to_fraction(a)
     if a <= 0:
         raise ValueError("a must be > 0")

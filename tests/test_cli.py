@@ -434,6 +434,27 @@ EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
                     "1/100000": 10 ** 5, "100000": 10 ** 5}
 
 
+@pytest.mark.parametrize("args, lo, cap, code", [
+    (["ladder", "--k-max"], 6, seriesratio.LADDER_MAX_K, 0),
+    (["ratio-mono", "--which", "c", "--beta", "1", "--count"], 2,
+     seriesratio.RATIO_MAX_COUNT, 1),
+    (["ratio-mono", "--which", "C", "--beta", "1/2", "--count"], 4,
+     seriesratio.RATIO_MAX_COUNT, 0),
+])
+def test_ladder_and_sequence_caps(args, lo, cap, code):
+    # the cap runs in about a second cold; one past it is refused at once
+    # (without a cap, ladder --k-max 10**8 ran past a 20 s timeout)
+    top = run_child(MODULE_CMD + ["--format", "csv"] + args + [str(cap)], "1",
+                    timeout=10)
+    assert top.returncode == code, stderr_report(top)
+    over = run_child(MODULE_CMD + args + [str(cap + 1)], "1", timeout=10)
+    assert over.returncode == 64
+    assert over.stdout == b""
+    assert over.stderr.decode() == (
+        f"error: {'order' if args[0] == 'ladder' else 'count'} {args[-1]} "
+        f"{cap + 1} is outside the supported range {lo}..{cap}\n")
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_precision_above_the_cap_is_config_error(tmp_path, where):
     # refused before any work: 10**9 digits would first build 10**(10**9)

@@ -56,8 +56,9 @@ def test_every_exported_name_resolves():
 
 def test_cli_import_loads_every_module_and_no_dataclasses():
     # a cold `import cmcert.cli` is paid by every invocation, and the
-    # benchmark tracer relies on it to load every module it rebinds; the
-    # front end is stdlib argparse, with no third-party dependency
+    # benchmark tracer relies on it to register every module it rebinds (a
+    # registered module runs on first use); the front end is stdlib
+    # argparse, with no third-party dependency
     code = ("import json, sys; before = set(sys.modules); import cmcert.cli; "
             "print(json.dumps(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -82,3 +83,69 @@ def test_benchmark_tracer_finds_every_target():
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout) > 0
+
+
+ALL_MODULES = {"cli", "enclosure", "poly", "specfun", "expring", "seriesratio",
+               "cmdegree"}
+GRID = ["--grid", "linear:1,2,2"]
+
+
+@pytest.mark.parametrize("args, ran", [
+    (["certify-poly", "--file", "{poly}", "--interval", "0,1"],
+     {"cli", "enclosure", "poly"}),
+    (["shift-chain", "--file", "{poly}"], {"cli", "enclosure", "poly"}),
+    (["ratio-mono", "--which", "c", "--beta", "1"],
+     {"cli", "enclosure", "seriesratio"}),
+    (["ladder"], {"cli", "enclosure", "seriesratio"}),
+    (["verify-identity"], {"cli", "enclosure", "cmdegree"}),
+    (GRID + ["cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
+     {"cli", "enclosure", "seriesratio", "specfun", "cmdegree"}),
+    (GRID + ["kernel-ineq", "--k", "2"], ALL_MODULES),
+    (["reproduce-paper"], ALL_MODULES),
+    (["--help"], {"cli", "enclosure"}),
+])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, args, ran):
+    # every submodule is registered at import; only those a command touches
+    # run, so a cold process compiles no other module
+    poly_file = tmp_path / "p.poly"
+    poly_file.write_text("1\n0\n1\n")
+    code = ("import contextlib, io, json, sys, types; from cmcert import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n        cli.main(sys.argv[1:])\n"
+            "    except SystemExit:\n        pass\n"
+            "print(json.dumps(sorted(name for name, m in sys.modules.items()\n"
+            "    if name.startswith('cmcert.') and type(m) is types.ModuleType)))")
+    args = [a.replace("{poly}", str(poly_file)) for a in args]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == sorted(f"cmcert.{m}" for m in ran)
+
+
+def test_benchmark_tracer_wraps_the_lazily_registered_modules():
+    # the tracer finds each module in sys.modules before it has run; every
+    # module-level target must still read as its wrapper, and a command's
+    # call through the module the CLI holds must still be counted
+    code = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+t = tracer.Tracer()
+t.install()
+plain = [f"{mod}.{attr}" for mod, cls, attr, *_ in tracer.TARGETS
+         if cls is None and getattr(sys.modules["cmcert." + mod], attr)
+         .__qualname__ != "Tracer.wrap.<locals>.wrapper"]
+from cmcert import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["ladder", "--k-max", "6"])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(plain, t.calls["seriesratio.ladder"])
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code, str(ROOT / "perfbench")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[] 1\n"
