@@ -57,14 +57,20 @@ def test_every_exported_name_resolves():
 def test_cli_import_loads_every_module_and_no_dataclasses():
     # a cold `import cmcert.cli` is paid by every invocation, and the
     # benchmark tracer relies on it to register every module it rebinds (a
-    # registered module runs on first use); the front end is stdlib
-    # argparse, with no third-party dependency
-    code = ("import json, sys; before = set(sys.modules); import cmcert.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    # registered module runs on first use, so each is run here before the
+    # diff); the front end is stdlib argparse, with no third-party dependency
+    code = ("import json, sys, types; before = set(sys.modules); "
+            "import cmcert.cli; from cmcert import _EXPORTS; "
+            "[vars(sys.modules['cmcert.' + name]) for name in _EXPORTS]; "
+            "print(json.dumps(sorted(set(sys.modules) - before))); "
+            "print(json.dumps(sorted(name for name, m in sys.modules.items() "
+            "if name.startswith('cmcert.') "
+            "and type(m) is not types.ModuleType)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    loaded = json.loads(out)
+    loaded, not_run = map(json.loads, out.splitlines())
+    assert not_run == []
     assert "dataclasses" not in loaded and "inspect" not in loaded
     assert [name for name in loaded if name.split(".")[0] != "cmcert"
             and name.split(".")[0] not in sys.stdlib_module_names] == []
