@@ -46,3 +46,7 @@ def __getattr__(name):
         if name in names:
             return getattr(globals()[module], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

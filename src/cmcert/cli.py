@@ -64,9 +64,9 @@ def _parse_grid(spec: str):
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad grid spec {spec!r}; expected scale:lo,hi,count")
     if scale == "geometric":
-        return seriesratio.geometric_grid(lo, hi, count)
+        return cmdegree.geometric_grid(lo, hi, count)
     if scale == "linear":
-        return seriesratio.linear_grid(lo, hi, count)
+        return cmdegree.linear_grid(lo, hi, count)
     raise ValueError(f"unknown grid scale {scale!r}")
 
 
@@ -459,7 +459,7 @@ def paper_battery():
            and pade["negated_quintic_positive_on_0_6"] == "certified", "")
 
     k5 = cmdegree.kernel_certificate(
-        5, seriesratio.geometric_grid(Fraction(1, 100), 6, 40), digits=20)
+        5, cmdegree.geometric_grid(Fraction(1, 100), 6, 40), digits=20)
     yield "order-5 kernel inequality + ray", k5["passed"], ""
 
     # c_0(1) = c_1(1) = 1 exactly, then strictly increasing
@@ -483,7 +483,7 @@ def paper_battery():
            and 4 - Fraction(1, 10 ** 3) < p5.lo
            and p5.hi < 4 + Fraction(1, 10 ** 3), "")
 
-    grid25 = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid25 = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     deg = cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, 8, grid25,
                             digits=25)
     viol = cmdegree.find_degree_violation(cmdegree.h_expression(1, 1),

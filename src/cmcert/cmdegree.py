@@ -4,8 +4,8 @@ Symbolic derivative tower for expressions built from t^a, e^(beta/t) and
 polygamma atoms, built on integer rows for the degree checks and summed at
 each grid point from one table of exact integer endpoints shared by the
 point's whole column, whose polygamma orders come from one integer jet;
-sign-enclosure degree checks on grids and the violation search above the
-degree; the p(t) -> 4 asymptotic; Laplace-kernel certificates and the
+sign-enclosure degree checks on grids built here, the violation search above
+the degree; the p(t) -> 4 asymptotic; Laplace-kernel certificates and the
 counterexample scan; and exact termwise transform identities.
 """
 
@@ -15,7 +15,6 @@ import math
 from json.encoder import encode_basestring_ascii as _json_str
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property
 
 from .enclosure import (Enclosure, Record, check_range, divide_round_out,
                         format_rational, integer_nth_root, to_fraction)
@@ -98,10 +97,9 @@ class CMExpression(Record):
     """Finite sum of coef * t^power * atom terms, closed under d/dt.
 
     An atom is ("const",), ("exp", beta) for e^(beta/t) or ("psi", n).
-    Not slotted: `_rows` caches in the instance dict.
     """
 
-    _fields = ("terms",)  # ((coef, power, atom), ...) canonical
+    __slots__ = _fields = ("terms",)  # ((coef, power, atom), ...) canonical
 
     @staticmethod
     def of(raw) -> "CMExpression":
@@ -144,7 +142,7 @@ class CMExpression(Record):
                 out.append((c, p, ("psi", atom[1] + 1)))
         return CMExpression.of(out)
 
-    @cached_property
+    @property
     def _rows(self) -> tuple:
         """The terms as (c numerator, c denominator, power key, atom key)."""
         return tuple((c.numerator, c.denominator,
@@ -232,6 +230,38 @@ def _sign_definite(evaluate, digits: int):
         if d >= DIGIT_CAP:
             return val, "indeterminate"
         d = min(2 * d, DIGIT_CAP)
+
+
+# the most points a grid builder makes: cold on 2 vCPUs at 1,000 points,
+# cm-check (8 orders) took 0.8-1.1 s on geometric:0.01,1000, and kernel-ineq
+# --k 5 and conjecture-scan --k 6 1.8-1.9 s on linear:0.01,1000
+GRID_MAX_COUNT = 1000
+
+
+def geometric_grid(lo, hi, count: int) -> list[Fraction]:
+    """Deterministic rational grid, approximately geometric."""
+    lo, hi = to_fraction(lo), to_fraction(hi)
+    check_range("count --grid", count, 1, GRID_MAX_COUNT)
+    if not 0 < lo < hi:
+        raise ValueError("need 0 < lo < hi")
+    if count == 1:
+        return [lo]
+    ratio = float(hi / lo) ** (1.0 / (count - 1))
+    pts = [lo]
+    for i in range(1, count - 1):
+        # nearby clean rational; exactness of the probe point is all we need
+        pts.append(Fraction(float(lo) * ratio ** i).limit_denominator(10 ** 6))
+    pts.append(hi)
+    return pts
+
+
+def linear_grid(lo, hi, count: int) -> list[Fraction]:
+    lo, hi = to_fraction(lo), to_fraction(hi)
+    check_range("count --grid", count, 1, GRID_MAX_COUNT)
+    if count == 1:
+        return [lo]
+    step = (hi - lo) / (count - 1)
+    return [lo + i * step for i in range(count)]
 
 
 def _grid_points(grid) -> list[Fraction]:
@@ -447,6 +477,9 @@ def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
 
 # -- exact transform identities --------------------------------------------
 
+# verify_identity's top --k and --terms: 1.6 s cold at both (2 vCPUs)
+IDENTITY_MAX = 1600
+
 
 def _transform_weight(m: int) -> int:
     """The transform rule t^m -> m!/z^(m+1) as the weight m! of t^m."""
@@ -456,32 +489,31 @@ def _transform_weight(m: int) -> int:
 def verify_identity(k: int, N: int) -> dict:
     """Exact termwise check of the truncated-exponential transform identities.
 
-    Matches coefficients of z^-j.  The left side is the series of e^(1/z),
-    its 1/j! from the running recurrence, minus its first k + 1 terms.  The
-    right side applies the transform rule t^m -> m!/z^(m+1) to integrand
-    coefficients built from their term ratios: (a) z^-(k+1) [1/(k+1)! +
-    transform of sum_m t^m/(m!(m+k+2)!)], the order-(k+2) Bessel ratio;
-    (b) the transform of the 1F2 form t^k 1F2(1; k+1, k+2; t)/(k!(k+1)!).
+    Matches coefficients of z^-j on integers.  The left side is the series
+    of e^(1/z) minus its first k + 1 terms: 1/T_i with T_i = (k+1+i)! from
+    the running product.  The right side applies the transform rule
+    t^m -> w(m)/z^(m+1) to integrand coefficients 1/D, each D built from
+    its term ratios, so each comparison 1/D w(m) = 1/T_i is w(m) T_i = D:
+    (a) z^-(k+1) [1/(k+1)! + transform of sum_m t^m/(m!(m+k+2)!)], the
+    order-(k+2) Bessel ratio; (b) the transform of the 1F2 form
+    t^k 1F2(1; k+1, k+2; t)/(k!(k+1)!).
     """
-    if k < 0 or N < 1:
-        raise ValueError("need k >= 0 and N >= 1")
-    tail, inv_fact = [], Fraction(1)  # tail[i] is 1/(k+1+i)!
-    for j in range(1, N + k + 3):
-        inv_fact /= j
-        if j > k:
-            tail.append(inv_fact)
-    mismatches = []
-    if tail[0] != Fraction(1, math.factorial(k + 1)):
-        mismatches.append(("constant", k))
-    coeff = Fraction(1, math.factorial(k + 2))
-    for m in range(N + 1):
-        if coeff * _transform_weight(m) != tail[m + 1]:
-            mismatches.append(("bessel", m))
-        coeff /= (m + 1) * (m + k + 3)
-    coeff = Fraction(1, math.factorial(k) * math.factorial(k + 1))
-    for n in range(N + 1):
-        if coeff * _transform_weight(n + k) != tail[n]:
-            mismatches.append(("hyp", n))
-        coeff /= (n + k + 1) * (n + k + 2)
-    return {"k": k, "N": N, "constant": tail[0],
-            "passed": not mismatches, "mismatches": mismatches}
+    check_range("order --k", k, 0, IDENTITY_MAX)
+    check_range("count --terms", N, 1, IDENTITY_MAX)
+    T = math.prod(range(2, k + 2))  # T_0, then T_i by the running product
+    mismatches = [("constant", k)] if T != math.factorial(k + 1) else []
+    constant = Fraction(1, T)
+    bessel, hyp = [], []
+    d_bessel = math.factorial(k + 2)
+    d_hyp = math.factorial(k) * math.factorial(k + 1)
+    for i in range(N + 1):
+        if _transform_weight(i + k) * T != d_hyp:
+            hyp.append(("hyp", i))
+        d_hyp *= (i + k + 1) * (i + k + 2)
+        T *= i + k + 2
+        if _transform_weight(i) * T != d_bessel:
+            bessel.append(("bessel", i))
+        d_bessel *= (i + 1) * (i + k + 3)
+    mismatches += bessel + hyp
+    return {"k": k, "N": N, "constant": constant, "passed": not mismatches,
+            "mismatches": mismatches}

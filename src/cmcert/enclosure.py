@@ -167,32 +167,10 @@ class Enclosure(Record):
         return Enclosure.of(other) - self
 
     def __mul__(self, other) -> "Enclosure":
-        """Product interval from the endpoint signs (Moore's nine cases).
-
-        Each endpoint of the product is one endpoint product, picked by the
-        signs of the factors, so a sign-definite factor costs two products
-        instead of the min and max of four; only when 0 is interior to both
-        factors are all four formed.
-        """
+        """The hull of the four endpoint products."""
         o = Enclosure.of(other)
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if a >= 0:
-            if c >= 0:
-                return Enclosure(a * c, b * d)
-            if d <= 0:
-                return Enclosure(b * c, a * d)
-            return Enclosure(b * c, b * d)
-        if b <= 0:
-            if c >= 0:
-                return Enclosure(a * d, b * c)
-            if d <= 0:
-                return Enclosure(b * d, a * c)
-            return Enclosure(a * d, a * c)
-        if c >= 0:
-            return Enclosure(a * d, b * d)
-        if d <= 0:
-            return Enclosure(b * c, a * c)
-        return Enclosure(min(a * d, b * c), max(a * c, b * d))
+        ends = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
+        return Enclosure(min(ends), max(ends))
 
     __rmul__ = __mul__
 

@@ -127,9 +127,6 @@ def _common_numerators(p: Polynomial) -> tuple[list[int], int]:
 
 def taylor_shift(p: Polynomial, a) -> Polynomial:
     """Return q with q(u) = p(u + a), exactly (see `compose_affine`)."""
-    a = to_fraction(a)
-    if a == 0 or p.is_zero():
-        return p
     return compose_affine(p, a, 1)
 
 
@@ -238,14 +235,10 @@ def _unit_interval_piece(p: Polynomial, shift: Fraction,
 def _search_witness(p: Polynomial, lo: Fraction,
                     hi: Fraction) -> Optional[Fraction]:
     """Look for an exact point with p(x) <= 0, densifying dyadically."""
-    seen = set()
     for level in range(1, WITNESS_LEVELS + 1):
         step = (hi - lo) / 2 ** level
         for j in range(1, 2 ** level, 2):
             x = lo + j * step
-            if x in seen:
-                continue
-            seen.add(x)
             if p(x) <= 0:
                 return x
     for x in (lo, hi):

@@ -329,29 +329,3 @@ def slope_sign_changes(f: Callable[[Fraction, int], Enclosure], grid,
                 changes += 1
             last = s
     return signs, changes
-
-
-def geometric_grid(lo, hi, count: int) -> list[Fraction]:
-    """Deterministic rational grid, approximately geometric."""
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if not (0 < lo < hi and count >= 1):
-        raise ValueError("need 0 < lo < hi and count >= 1")
-    if count == 1:
-        return [lo]
-    ratio = float(hi / lo) ** (1.0 / (count - 1))
-    pts = [lo]
-    for i in range(1, count - 1):
-        # nearby clean rational; exactness of the probe point is all we need
-        pts.append(Fraction(float(lo) * ratio ** i).limit_denominator(10 ** 6))
-    pts.append(hi)
-    return pts
-
-
-def linear_grid(lo, hi, count: int) -> list[Fraction]:
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    if count < 1:
-        raise ValueError("need count >= 1")
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]

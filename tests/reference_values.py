@@ -12,9 +12,10 @@ quotients, the per-order polygamma that the polygamma jet replaced, the
 jet on exact rationals that its fixed-point mantissas replaced, the
 Bernoulli recurrence that the tangent numbers replaced, the Newton loop
 that `math.isqrt` replaced, the rational power enclosures that the
-`cmdegree.PointTable` integer roots replaced, and the repeated
+`cmdegree.PointTable` integer roots replaced, the repeated
 differentiation with trial division that the Eulerian derivative towers
-replaced.
+replaced, and the Fraction loop of the transform identities that
+`cmdegree.verify_identity`'s integer comparisons replaced.
 """
 
 import math
@@ -563,3 +564,29 @@ def derivative_tower(f: ExpPolyQuotient, n_max: int) -> list:
 # 1/(e^u - 1) and u e^u/(e^u - 1), the bases of the two towers
 RECIPROCAL_BASE = reduced_quotient(EXP_U_MINUS_ONE, 2)
 KERNEL_BASE = reduced_quotient(ExpPoly.of({1: Polynomial.x()}), 1)
+
+
+def verify_identity_fraction(k: int, N: int, weight=math.factorial) -> dict:
+    """The Fraction loop that `cmdegree.verify_identity`'s integer
+    comparisons replaced, with the transform rule's weight m -> m! as an
+    argument: the same report, mismatch for mismatch."""
+    tail, inv_fact = [], Fraction(1)  # tail[i] is 1/(k+1+i)!
+    for j in range(1, N + k + 3):
+        inv_fact /= j
+        if j > k:
+            tail.append(inv_fact)
+    mismatches = []
+    if tail[0] != Fraction(1, math.factorial(k + 1)):
+        mismatches.append(("constant", k))
+    coeff = Fraction(1, math.factorial(k + 2))
+    for m in range(N + 1):
+        if coeff * weight(m) != tail[m + 1]:
+            mismatches.append(("bessel", m))
+        coeff /= (m + 1) * (m + k + 3)
+    coeff = Fraction(1, math.factorial(k) * math.factorial(k + 1))
+    for n in range(N + 1):
+        if coeff * weight(n + k) != tail[n]:
+            mismatches.append(("hyp", n))
+        coeff /= (n + k + 1) * (n + k + 2)
+    return {"k": k, "N": N, "constant": tail[0],
+            "passed": not mismatches, "mismatches": mismatches}

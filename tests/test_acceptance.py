@@ -70,7 +70,7 @@ def test_degree28_positivity_chain():
 
 def test_kernel_inequality_orders_1_to_5():
     start = time.monotonic()
-    grid = seriesratio.geometric_grid(Fraction(1, 100), Fraction(699, 100), 40)
+    grid = cmdegree.geometric_grid(Fraction(1, 100), Fraction(699, 100), 40)
     for k in range(1, 6):
         report = cmdegree.kernel_certificate(k, grid, digits=20)
         assert report["passed"], f"order {k} failed"
@@ -111,7 +111,7 @@ def test_integer_ladder():
 
 def test_degree_evidence_pairs():
     start = time.monotonic()
-    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     cases = [
         ((Fraction(1, 2), Fraction(2)), Fraction(2)),
         ((Fraction(2), Fraction(1)), Fraction(1)),
@@ -130,13 +130,13 @@ def test_degree_evidence_pairs():
 
 def test_unimodality_and_conditions():
     start = time.monotonic()
-    down_grid = seriesratio.geometric_grid(Fraction(1, 10), 30, 12)
+    down_grid = cmdegree.geometric_grid(Fraction(1, 10), 30, 12)
     signs, changes = seriesratio.slope_sign_changes(
         lambda u, d: seriesratio.g_beta(u, 1, d), down_grid, digits=12)
     assert all(s == -1 for s in signs)
     assert changes == 0
 
-    log_grid = seriesratio.geometric_grid(Fraction(1, 100), 50, 60)
+    log_grid = cmdegree.geometric_grid(Fraction(1, 100), 50, 60)
     signs, changes = seriesratio.slope_sign_changes(
         lambda u, d: seriesratio.g_beta(u, Fraction(1, 2), d), log_grid,
         digits=12)

@@ -412,6 +412,11 @@ def test_installed_entry_point_matches_module_run():
     ["ladder", "--k-max", str(seriesratio.LADDER_MAX_K + 1)],
     ["ratio-mono", "--which", "c", "--beta", "1",
      "--count", str(seriesratio.RATIO_MAX_COUNT + 1)],
+    # a grid is refused before any point is built
+    ["--grid", f"geometric:1/100,1000,{cmdegree.GRID_MAX_COUNT + 1}",
+     "cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
+    ["verify-identity", "--k", str(cmdegree.IDENTITY_MAX + 1)],
+    ["verify-identity", "--terms", str(cmdegree.IDENTITY_MAX + 1)],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
@@ -484,7 +489,7 @@ def test_exact_output_over_the_int_string_limit():
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
 # (it prints text), and the exit-64 paths of --interval, --bracket, --k,
-# --ell, --orders, --k-max and --count.
+# --ell, --orders, --k-max, --count, --terms and the --grid count.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -566,6 +571,10 @@ GOLDEN_USAGE_ERRORS = {
                               "--count", "1501"],
     "ratio-mono-C-count-3": ["ratio-mono", "--which", "C", "--beta", "1",
                              "--count", "3"],
+    "cm-check-grid-count-1001": ["--grid", "linear:1,2,1001", "cm-check",
+                                 "--alpha", "1", "--beta", "1", "--r", "4"],
+    "verify-identity-k-1601": ["verify-identity", "--k", "1601"],
+    "verify-identity-terms-1601": ["verify-identity", "--terms", "1601"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.

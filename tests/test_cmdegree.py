@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cmcert import cmdegree, seriesratio, specfun
+from cmcert import cmdegree, specfun
 from cmcert.cmdegree import CMExpression
 from cmcert.enclosure import Enclosure, format_rational
 from cmcert.expring import eval_enclosure, kernel_derivative
@@ -69,7 +69,7 @@ def _fraction_evaluate(expr: CMExpression, t: Fraction, digits: int):
 @pytest.mark.parametrize("alpha,beta,r", [
     (1, 1, 4), (Fraction(1, 2), 2, 2), (2, 1, 1), (1, 1, Fraction(9, 2))])
 def test_evaluate_matches_fraction_summation(alpha, beta, r):
-    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     expr = cmdegree.h_expression(alpha, beta).mul_power(r)
     for n in range(17):
         if n:
@@ -98,7 +98,7 @@ CM_SCAN_JSON = {
 @pytest.mark.parametrize("alpha,beta,r,orders", list(CM_SCAN_JSON),
                          ids=str)
 def test_cm_scan_reports_keep_their_bytes(alpha, beta, r, orders):
-    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     report = cmdegree.cm_check(cmdegree.h_expression(alpha, beta), r,
                                orders, grid, digits=40)
     digest = hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -365,7 +365,7 @@ def test_report_json_is_the_indented_json_dump(name, r, N, grid, cells,
 
 
 def test_report_json_of_a_scan_is_the_indented_json_dump():
-    grid = seriesratio.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     report = cmdegree.cm_check(cmdegree.h_expression(1, 1), Fraction(9, 2),
                                3, grid, digits=20, name='gap "1/1"\\')
     assert report.summary == "fail"
@@ -525,7 +525,7 @@ def test_kernel_margin_and_certificates():
 
 
 def test_conjecture_scan_finds_order_six_counterexample():
-    grid = seriesratio.linear_grid(Fraction(10, 10), Fraction(22, 10), 13)
+    grid = cmdegree.linear_grid(Fraction(10, 10), Fraction(22, 10), 13)
     scan = cmdegree.conjecture_scan(6, grid, digits=15)
     assert scan["counterexample"] is not None
     assert scan["counterexample"]["margin"].hi < 0
@@ -590,6 +590,19 @@ def test_hyp1f2_partial_sums_overlap_the_bessel_ratio(k, u):
     ik = specfun.bessel_ratio(k, u, digits) * math.factorial(k)
     assert ik.lo <= s + tail and s <= ik.hi, (k, u)
     assert ik.width <= Fraction(math.factorial(k), 10 ** digits)
+
+
+@pytest.mark.parametrize("weight", ["m!", "(m+1)!"])
+@pytest.mark.parametrize("k, N", [(0, 40), (3, 25), (6, 200), (1600, 1),
+                                  (6, 1000), (0, 1)])
+def test_verify_identity_equals_the_fraction_loop(monkeypatch, weight, k, N):
+    # the integer comparisons give the report of the Fraction loop, also
+    # under a wrong transform rule, mismatch for mismatch
+    rule = {"m!": math.factorial,
+            "(m+1)!": lambda m: math.factorial(m + 1)}[weight]
+    monkeypatch.setattr(cmdegree, "_transform_weight", rule)
+    assert cmdegree.verify_identity(k, N) == \
+        reference_values.verify_identity_fraction(k, N, rule)
 
 
 def test_verify_identity_fails_under_a_wrong_transform_rule(monkeypatch):
@@ -674,7 +687,7 @@ def test_remark_vn_degree_check():
     # degree-0 evidence, orders 0..6, for x^2[e^(1/x) - 1 - psi'(x)] and the
     # shifted x^4 variant
     g2, g4, _ = _remark_functions()
-    grid = seriesratio.geometric_grid(Fraction(1, 2), 20, 7)
+    grid = cmdegree.geometric_grid(Fraction(1, 2), 20, 7)
     assert cmdegree.cm_check(g2, 0, 6, grid, digits=15).summary == "pass"
     assert cmdegree.cm_check(g4, 0, 6, grid, digits=15).summary == "pass"
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmcert import seriesratio as sr, specfun
+from cmcert.cmdegree import geometric_grid, linear_grid
 from cmcert.expring import (ExpPoly, ExpPolyQuotient, eval_enclosure,
                             kernel_derivative, series_at_zero)
 from cmcert.poly import Polynomial
@@ -404,17 +405,17 @@ def test_slope_sign_changes_on_exact_data():
 
 
 def test_grid_builders():
-    g = sr.geometric_grid(Fraction(1, 100), 1000, 25)
+    g = geometric_grid(Fraction(1, 100), 1000, 25)
     assert len(g) == 25
     assert g[0] == Fraction(1, 100)
     assert all(b > a for a, b in zip(g, g[1:]))
     assert all(x.denominator <= 10 ** 6 for x in g)
 
-    lin = sr.linear_grid(0, 1, 5)
+    lin = linear_grid(0, 1, 5)
     assert lin == [Fraction(0), Fraction(1, 4), Fraction(1, 2),
                    Fraction(3, 4), Fraction(1)]
     with pytest.raises(ValueError):
-        sr.geometric_grid(1, 1, 5)
+        geometric_grid(1, 1, 5)
     for count in (0, -1):
         with pytest.raises(ValueError, match="count"):
-            sr.linear_grid(1, 2, count)
+            linear_grid(1, 2, count)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmcert import specfun
 from cmcert.enclosure import Enclosure
-from cmcert.seriesratio import geometric_grid
+from cmcert.cmdegree import geometric_grid
 
 from reference_values import (bernoulli_recurrence, bessel_ratio_fraction,
                               polygamma_hurwitz, polygamma_mantissas_exact)
