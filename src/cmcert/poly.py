@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .enclosure import Enclosure, Record, format_rational, to_fraction
+from .enclosure import (Enclosure, Record, check_range, format_rational,
+                        to_fraction)
 
 
 class Polynomial(Record):
@@ -222,6 +223,10 @@ class PositivityCertificate(Record):
 # then bisected at most MAX_DEPTH times
 WITNESS_LEVELS = 6
 MAX_DEPTH = 12
+# the most step-length pieces an interval may ask for: cold on 2 vCPUs,
+# 2,000 pieces took 1.2 s for the degree-28 F4 on [0, 6] and 0.19 s for
+# 1 + x^2 on [0, 1] (20,000 pieces of 1 + x^2: 1.3 s and 1.6 MB of output)
+CERTIFY_MAX_PIECES = 2000
 
 
 def _unit_interval_piece(p: Polynomial, shift: Fraction,
@@ -260,6 +265,8 @@ def certify_positive_on_interval(p: Polynomial, lo, hi,
     lo, hi, step = to_fraction(lo), to_fraction(hi), to_fraction(step)
     if not (lo < hi and step > 0):
         raise ValueError("need lo < hi and step > 0")
+    check_range("pieces --interval/--step", math.ceil((hi - lo) / step), 1,
+                CERTIFY_MAX_PIECES)
 
     pieces: list[PieceReport] = []
     witness = None
@@ -340,6 +347,11 @@ def exp_bound_polynomial(n: int) -> Polynomial:
                                    math.factorial(n)) for k in range(n + 1)])
 
 
+# the top m and n of lemma1_exp_bounds: cold on 2 vCPUs, lemma1-bounds at
+# m = n = 300 took 0.36 s and printed 2.4 MB (400: 0.78 s and 4.4 MB)
+LEMMA1_MAX = 300
+
+
 def lemma1_exp_bounds(m: int, n: int):
     """Rational lower/upper sandwich for e**u valid on 0 < u <= 2(m+1).
 
@@ -347,8 +359,8 @@ def lemma1_exp_bounds(m: int, n: int):
     lower_num/lower_den < e**u < upper_num/upper_den on the validity range;
     threshold is the 1/(2(m+1)) cutoff in the reciprocal variable.
     """
-    if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
+    check_range("order --m", m, 0, LEMMA1_MAX)
+    check_range("order --n", n, 1, LEMMA1_MAX)
     even = exp_bound_polynomial(2 * n)
     odd = exp_bound_polynomial(2 * m + 1)
     alt_even = Polynomial.of([(-1) ** k * c for k, c in enumerate(even.coeffs)])

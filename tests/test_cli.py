@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import cmcert
-from cmcert import cmdegree, expring, seriesratio, specfun
+from cmcert import cli, cmdegree, expring, poly, seriesratio, specfun
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
 from cmcert.expring import ExpPoly
@@ -88,6 +88,134 @@ def test_parse_errors_are_one_usage_error_line(tmp_path):
     listed = [line.split()[0] for line in invoke("--help").stdout.splitlines()
               if line.startswith("  ") and line.split()]
     assert [name for name in COMMAND_NAMES if name not in listed] == []
+
+
+# -- the option grammar -----------------------------------------------------
+# Every option but --help takes one value, as "--flag value" or
+# "--flag=value"; the value may start with "-" or "--"; the last of a
+# repeated option wins; global options come before the command.
+
+BESSEL_ARGS = ["bessel", "--k", "3", "--u", "7/2"]
+
+
+def usage_error(result):
+    return (result.exit_code, result.stdout, result.stderr.count("\n"),
+            result.stderr[:7]) == (64, "", 1, "error: ")
+
+
+def test_flag_equals_value_is_flag_then_value():
+    spaced = invoke("--precision", "20", "--format", "json", *BESSEL_ARGS)
+    joined = invoke("--precision=20", "--format=json", "bessel", "--k=3",
+                    "--u=7/2")
+    assert spaced.exit_code == 0
+    assert joined == spaced
+    # only the first "=" splits: the rest belongs to the value
+    assert invoke("--grid=linear:1,2,2", "kernel-ineq", "--k=2") == \
+        invoke("--grid", "linear:1,2,2", "kernel-ineq", "--k", "2")
+
+
+def joined(args) -> list:
+    """args with each "--flag value" pair written as "--flag=value"."""
+    out, words = [], iter(args)
+    for word in words:
+        out.append(f"{word}={next(words)}" if word[:2] == "--" else word)
+    return out
+
+
+@pytest.mark.parametrize("args", [
+    ["ratio-mono", "--which", "c", "--beta", "-1/2", "--count", "3"],
+    ["certify-poly", "--file", "{poly}", "--interval", "-1,1"],
+    ["--precision", "15", "--grid", "linear:1/2,4,3", "cm-check",
+     "--alpha", "1", "--beta", "1", "--r", "-1/2", "--orders", "2"],
+])
+def test_values_may_start_with_a_dash(tmp_path, args):
+    poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
+    args = [a.replace("{poly}", poly_file) for a in args]
+    spaced = invoke(*args)
+    assert spaced.stderr == "" and spaced.exit_code in (0, 1)
+    assert invoke(*joined(args)) == spaced
+
+
+def test_values_may_start_with_two_dashes():
+    # each word after an option is its value, even one that looks like an
+    # option: --help, an option of the command, or a global option
+    result = invoke("p-limit", "--t", "--help")
+    assert usage_error(result)
+    assert result.stderr == "error: bad rational '--help'\n"
+    result = invoke("bessel", "--k", "1", "--u", "--k")
+    assert result.stderr == "error: bad rational '--k'\n"
+    result = invoke("--format", "--json", *BESSEL_ARGS)
+    assert (result.exit_code, result.stderr) == \
+        (65, "config error: unknown format '--json'\n")
+    result = invoke("--config=--precision", *BESSEL_ARGS)
+    assert result.exit_code == 65
+
+
+def test_repeated_option_keeps_its_last_value():
+    assert invoke("ladder", "--k-max", "7", "--k-max", "6") == \
+        invoke("ladder", "--k-max", "6")
+    assert invoke("--precision", "12", "--precision", "20", *BESSEL_ARGS) == \
+        invoke("--precision", "20", *BESSEL_ARGS)
+    assert invoke("--precision=12", "--precision", "20", *BESSEL_ARGS) == \
+        invoke("--precision", "20", *BESSEL_ARGS)
+    # an earlier bad value is still an error
+    assert usage_error(invoke("ladder", "--k-max", "x", "--k-max", "6"))
+
+
+@pytest.mark.parametrize("args", [
+    ["-h"], ["-"], ["-help"], ["ladder", "-h"], ["ladder", "-k-max", "6"],
+    ["bessel", "-k", "1", "--u", "1"], ["--precision", "20", "-h", "ladder"],
+    ["ladder", "--k-max", "6", "extra"], ["ladder", "--"], ["--", "ladder"],
+    ["--help=1"], ["ladder", "--help=1"], ["--k-max", "6", "ladder"],
+])
+def test_single_dash_and_stray_words_are_usage_errors(args):
+    assert usage_error(invoke(*args))
+
+
+@pytest.mark.parametrize("args", [[], ["--precision", "20"],
+                                  ["--format=json", "--grid", "linear:1,2,2"]])
+def test_no_command_is_usage_error(args):
+    result = invoke(*args)
+    assert usage_error(result)
+    assert result.stderr == "error: no command given\n"
+
+
+@pytest.mark.parametrize("args, listed", [
+    (["--precision", "20", "--help"], "commands:"),
+    (["--format=json", "--help", "no-such-command"], "commands:"),
+    (["bessel", "--k", "1", "--help"], "--u U"),
+    (["ladder", "--k-max=900", "--help"], "--k-max K_MAX"),
+])
+def test_help_after_other_options_prints_help(args, listed):
+    result = invoke(*args)
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert any(line.strip().startswith(listed)
+               for line in result.stdout.splitlines())
+
+
+def test_command_list_matches_the_registered_commands():
+    assert list(cli._COMMANDS) == COMMAND_NAMES
+
+
+@pytest.mark.parametrize("name", COMMAND_NAMES)
+def test_command_help_lists_every_option(name):
+    result = invoke(name, "--help")
+    assert (result.exit_code, result.stderr) == (0, "")
+    flags = [line.split()[0] for line in result.stdout.splitlines()
+             if line.startswith("  --")]
+    spec = cli._COMMANDS[name][1]
+    assert flags == ["--help"] + ["--" + dest.replace("_", "-")
+                                  for dest in spec]
+    assert result.stdout.startswith(f"usage: cmcert {name} ")
+
+
+def test_root_help_lists_global_options_and_commands():
+    result = invoke("--help")
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("usage: cmcert ")
+    listed = [line.split()[0] for line in lines if line.startswith("  ")]
+    assert listed == COMMAND_NAMES + ["--help", "--config", "--precision",
+                                      "--format", "--grid"]
 
 
 def test_interrupt_exits_64(monkeypatch):
@@ -417,6 +545,12 @@ def test_installed_entry_point_matches_module_run():
      "cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
     ["verify-identity", "--k", str(cmdegree.IDENTITY_MAX + 1)],
     ["verify-identity", "--terms", str(cmdegree.IDENTITY_MAX + 1)],
+    ["shift-chain", "--file", "{poly}",
+     "--shifts", str(cli.SHIFT_CHAIN_MAX + 1)],
+    ["certify-poly", "--file", "{poly}", "--interval", "0,1",
+     "--step", f"1/{poly.CERTIFY_MAX_PIECES + 1}"],
+    ["lemma1-bounds", "--m", str(poly.LEMMA1_MAX + 1)],
+    ["lemma1-bounds", "--n", str(poly.LEMMA1_MAX + 1)],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
@@ -489,7 +623,8 @@ def test_exact_output_over_the_int_string_limit():
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
 # (it prints text), and the exit-64 paths of --interval, --bracket, --k,
-# --ell, --orders, --k-max, --count, --terms and the --grid count.
+# --ell, --orders, --k-max, --count, --terms, --shifts, --step, --m, --n
+# and the --grid count.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -575,6 +710,12 @@ GOLDEN_USAGE_ERRORS = {
                                  "--alpha", "1", "--beta", "1", "--r", "4"],
     "verify-identity-k-1601": ["verify-identity", "--k", "1601"],
     "verify-identity-terms-1601": ["verify-identity", "--terms", "1601"],
+    "shift-chain-shifts-5001": ["shift-chain", "--file", "{good}",
+                                "--shifts", "5001"],
+    "certify-poly-pieces-2001": ["certify-poly", "--file", "{good}",
+                                 "--interval", "0,1", "--step", "1/2001"],
+    "lemma1-bounds-m-301": ["lemma1-bounds", "--m", "301"],
+    "lemma1-bounds-n-301": ["lemma1-bounds", "--n", "301"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.

@@ -63,7 +63,8 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     # a cold `import cmcert.cli` is paid by every invocation, and the
     # benchmark tracer relies on it to register every module it rebinds (a
     # registered module runs on first use, so each is run here before the
-    # diff); the front end is stdlib argparse, with no third-party dependency
+    # diff); the front end is cli.py's own option reader, with no
+    # third-party dependency
     code = ("import json, sys, types; before = set(sys.modules); "
             "import cmcert.cli; from cmcert import _EXPORTS; "
             "[vars(sys.modules['cmcert.' + name]) for name in _EXPORTS]; "
@@ -82,6 +83,24 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     for name in ("enclosure", "poly", "specfun", "expring", "seriesratio",
                  "cmdegree"):
         assert f"cmcert.{name}" in loaded
+
+
+@pytest.mark.parametrize("run", [
+    "import cmcert.cli",
+    "from cmcert import cli\ntry:\n    cli.main(['--help'])\n"
+    "except SystemExit as exc:\n    assert exc.code == 0, exc.code",
+], ids=["import", "help"])
+def test_cold_cli_loads_neither_argparse_nor_gettext(run):
+    # argparse, which imports gettext, cost about 3 ms of every cold
+    # process; the option reader in cli.py needs neither
+    code = ("import sys\nbefore = set(sys.modules)\n" + run + "\n"
+            "print(*sorted(set(sys.modules) - before), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    loaded = out.stderr.split()
+    assert "cmcert.cli" in loaded
+    assert "argparse" not in loaded and "gettext" not in loaded
 
 
 def test_benchmark_tracer_finds_every_target():

@@ -15,6 +15,11 @@ file holds, per workload and side, every run's `wall_ref`, `setup_s` and
 `peak_rss_mb` with their medians and quartiles, and for a baseline the
 number of seeds on which the checkout is lower.  It exits 1 if any run
 reports `correct: false` or a failed invocation.
+
+Every run gets PYTHONDONTWRITEBYTECODE=1, whatever the caller's
+environment, and `src/cmcert/__pycache__` is deleted in each checkout
+before each run, so every cmcert process compiles `src/` again and no run
+reads bytecode that an earlier one, or another tool, left behind.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,7 +45,8 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return {"correct": False, "failed": None,
@@ -74,7 +81,8 @@ def main(argv=None) -> int:
     if args.baseline:
         sides["baseline"] = os.path.abspath(args.baseline)
     record = {
-        "command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
+        "command": f"PYTHONDONTWRITEBYTECODE=1 perfbench/run.py "
+                   f"--seconds {SECONDS} --trace 0",
         "seeds": list(SEEDS),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -90,6 +98,10 @@ def main(argv=None) -> int:
             if seed % 2:
                 order.reverse()
             for side in order:
+                for checkout in sides.values():
+                    shutil.rmtree(os.path.join(checkout, "src", "cmcert",
+                                               "__pycache__"),
+                                  ignore_errors=True)
                 run = run_once(sides[side], workload, seed)
                 run["seed"] = seed
                 runs[side].append(run)
