@@ -66,6 +66,13 @@ def _parse_grid(spec: str):
     return getattr(cmdegree, f"{scale}_grid")(lo, hi, count)
 
 
+# the most coefficients in a polynomial file: cold on 2 vCPUs (medians of
+# 5), 40 ones or 40 coefficients of 30 digits took 1.2-1.4 s and 15-20 MB
+# of output at shift-chain --shifts 5000, and 1.7-1.9 s at certify-poly
+# with 2,000 pieces on [0, 1] or [0, 6]; the 29-coefficient F4 1.1-1.5 s
+POLY_MAX_COEFFS = 40
+
+
 def _read_poly_file(path: str) -> poly.Polynomial:
     coeffs = []
     try:
@@ -81,6 +88,7 @@ def _read_poly_file(path: str) -> poly.Polynomial:
                 coeffs.append(Fraction(line))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"{path}:{lineno}: bad coefficient {line!r}")
+            check_range("coefficients --file", len(coeffs), 0, POLY_MAX_COEFFS)
     return poly.Polynomial.of(coeffs)
 
 

@@ -16,11 +16,10 @@ from json.encoder import encode_basestring_ascii as _json_str
 from collections import defaultdict
 from fractions import Fraction
 
-from .enclosure import (Enclosure, Record, check_range, divide_round_out,
-                        format_rational, integer_nth_root, to_fraction)
+from .enclosure import (DIGIT_CAP, Enclosure, Record, check_range,
+                        divide_round_out, format_rational, integer_nth_root,
+                        refine, to_fraction)
 from . import expring, specfun
-
-DIGIT_CAP = 150
 
 
 class PointTable(dict):
@@ -86,6 +85,15 @@ def _ends(rows, digits: int, table: PointTable) -> tuple[int, int]:
         lo += c_num * l // den
         hi -= -c_num * h // den
     return lo, hi
+
+
+def _cell(rows, digits: int, table: PointTable, negate=False) -> Enclosure:
+    """The rows' sum at table.t, or its negation if negate, rounded out at
+    digits + 1 from the ends of `_ends`."""
+    lo, hi = _ends(rows, digits, table)
+    lo, hi = (-hi, -lo) if negate else (lo, hi)
+    return divide_round_out((lo, hi, 10 ** (digits + 12)), (1, 1, 1),
+                            digits + 1)
 
 
 def _psi_top(rows) -> int:
@@ -155,14 +163,12 @@ class CMExpression(Record):
                  table: PointTable | None = None) -> Enclosure:
         """Enclosure of the expression at t > 0, rounded out at digits + 1,
         from `table`, a `PointTable` at t (a fresh one up to the highest psi
-        order when none is given); see `_ends`."""
+        order when none is given); see `_cell`."""
         t = to_fraction(t)
         if t <= 0:
             raise ValueError("expressions are evaluated on t > 0 only")
         table = PointTable(t, _psi_top(self._rows)) if table is None else table
-        lo, hi = _ends(self._rows, digits, table)
-        return divide_round_out((lo, hi, 10 ** (digits + 12)), (1, 1, 1),
-                                digits + 1)
+        return _cell(self._rows, digits, table)
 
 
 def h_expression(alpha=1, beta=1) -> CMExpression:
@@ -215,21 +221,14 @@ def _json_list(items: list) -> str:
 
 
 def _sign_definite(evaluate, digits: int):
-    """(value, verdict) of evaluate(d), doubling d until sign-definite.
+    """(value, verdict) of evaluate(d), refined until sign-definite.
 
     The verdict is pass for a value >= 0, fail for a value < 0, and
     indeterminate when the value still meets 0 at DIGIT_CAP digits.
     """
-    d = digits
-    while True:
-        val = evaluate(d)
-        if val.lo >= 0:
-            return val, "pass"
-        if val.hi < 0:
-            return val, "fail"
-        if d >= DIGIT_CAP:
-            return val, "indeterminate"
-        d = min(2 * d, DIGIT_CAP)
+    val, _ = refine(evaluate, digits, lambda v: v.lo >= 0 or v.hi < 0)
+    return val, ("pass" if val.lo >= 0 else
+                 "fail" if val.hi < 0 else "indeterminate")
 
 
 # the most points a grid builder makes: cold on 2 vCPUs at 1,000 points,
@@ -276,13 +275,9 @@ def _grid_points(grid) -> list[Fraction]:
 
 def _signed_cell(rows, n: int, t: Fraction, digits: int,
                  table: PointTable) -> DegreeCell:
-    """The cell of (-1)^n times the rows' sum at t: an odd n swaps the ends."""
-    def signed(d: int) -> Enclosure:
-        lo, hi = _ends(rows, d, table)
-        lo, hi = (-hi, -lo) if n % 2 else (lo, hi)
-        return divide_round_out((lo, hi, 10 ** (d + 12)), (1, 1, 1), d + 1)
-
-    return DegreeCell(n, t, *_sign_definite(signed, digits))
+    """The cell of (-1)^n times the rows' sum at t."""
+    return DegreeCell(n, t, *_sign_definite(
+        lambda d: _cell(rows, d, table, n % 2), digits))
 
 
 def _derivative_rows(f: CMExpression, r: Fraction, N: int) -> list:
@@ -369,7 +364,7 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
         cell = _signed_cell(d1, 1, t, digits, PointTable(t, _psi_top(d1)))
         if cell.verdict == "fail":
             # (-1)^1 * derivative certifiably negative => derivative > 0
-            return t, -cell.value
+            return t, Enclosure(-cell.value.hi, -cell.value.lo)
         t *= 2
     return None
 
@@ -382,9 +377,10 @@ def p_value(t, digits: int = 15) -> Enclosure:
 
     Numerator and denominator both collapse to O(t^-3) at large t, so the
     numerator's relative error is about t^5 10^-d: the working precision d
-    starts at 5 digits per decade of t, found with integers, and doubles
-    until the result is at most 10^-digits wide.  Both are evaluated from
-    one `PointTable`, whose psi' and psi'' come from one polygamma jet.
+    starts at 5 digits per decade of t, found with integers, and doubles up
+    to DIGIT_CAP + digits until the result is at most 10^-digits wide.
+    Both are evaluated from one `PointTable`, whose psi' and psi'' come
+    from one polygamma jet.
     """
     t = to_fraction(t)
     if t <= 0:
@@ -392,21 +388,24 @@ def p_value(t, digits: int = 15) -> Enclosure:
     decades = 0  # smallest e >= 0 with 10^e >= t
     while 10 ** decades < t:
         decades += 1
-    d = digits + 10 + 5 * decades
-    tol = Fraction(1, 10 ** digits)
     h = h_expression()
     minus_t_dh = h.derivative().mul_power(1).scale(-1)
     table = PointTable(t, 2)
-    while True:
-        den = h.evaluate(t, d, table)
-        if not (den.lo <= 0 <= den.hi):
-            p = (minus_t_dh.evaluate(t, d, table) / den).round_out(digits + 1)
-            if p.width <= tol:
-                return p
-        if d >= DIGIT_CAP + digits:
-            raise ArithmeticError(f"p({t}) not enclosed to width 10^-{digits}"
-                                  f" at {d} digits")
-        d *= 2
+
+    def within_width(d: int) -> Enclosure | None:
+        """p(t) from d digits if it is 10^-digits wide, else None; h > 0 on
+        (0, oo), so the divisor is settled once its enclosure's lo is > 0."""
+        den = h.evaluate(t, d, table).ratio()
+        p = den[0] > 0 and divide_round_out(
+            minus_t_dh.evaluate(t, d, table).ratio(), den, digits + 1)
+        return p if p and p.width * 10 ** digits <= 1 else None
+
+    p, d = refine(within_width, digits + 10 + 5 * decades, bool,
+                  DIGIT_CAP + digits)
+    if p is None:
+        raise ArithmeticError(f"p({t}) not enclosed to width 10^-{digits}"
+                              f" at {d} digits")
+    return p
 
 
 # -- Laplace-kernel certificates -------------------------------------------

@@ -1,9 +1,9 @@
 """Interval arithmetic with exact rational endpoints.
 
 An Enclosure is a closed interval [lo, hi] with Fraction endpoints that is
-guaranteed to contain the true real value it stands for.  All arithmetic is
-exact; `round_out` trims endpoint denominators outward so that long chains of
-operations do not accumulate unbounded rationals.
+guaranteed to contain the true real value it stands for.  Certification
+paths compute on integer triples and round once, outward, by
+`divide_round_out`; `refine` doubles a precision until a decision settles.
 """
 
 from __future__ import annotations
@@ -27,6 +27,19 @@ def format_rational(x: Fraction) -> str:
     """Render as 'p/q' (or plain integer when q == 1)."""
     x = x if isinstance(x, Fraction) else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+# the most digits that `refine` doubles a working precision to
+DIGIT_CAP = 150
+
+
+def refine(evaluate, digits: int, decided, cap: int = DIGIT_CAP):
+    """(value, d) with value = evaluate(d): d starts at digits and doubles,
+    up to cap, until decided(value) holds or d reaches cap."""
+    d = digits
+    while not decided(value := evaluate(d)) and d < cap:
+        d = min(2 * d, cap)
+    return value, d
 
 
 def check_range(flag: str, value: int, lo: int, hi: int) -> None:
@@ -208,15 +221,15 @@ class Enclosure(Record):
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
     def decimal_str(self, places: int = 20) -> str:
+        """[lo, hi] in decimals, rounded outward to `places`, so the
+        printed interval contains this one."""
         def fmt(x: Fraction) -> str:
-            scaled = x * 10 ** places
-            n = scaled.numerator // scaled.denominator
-            sign = "-" if n < 0 else ""
-            n = abs(n)
-            s = str(n).rjust(places + 1, "0")
-            return f"{sign}{s[:-places]}.{s[-places:]}"
+            n = int(x * 10 ** places)
+            s = str(abs(n)).rjust(places + 1, "0")
+            return f"{'-' if n < 0 else ''}{s[:-places]}.{s[-places:]}"
 
-        return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
+        out = divide_round_out(self.ratio(), (1, 1, 1), places)
+        return f"[{fmt(out.lo)}, {fmt(out.hi)}]"
 
 
 def divide_round_out(num, den, digits: int) -> Enclosure:

@@ -3,7 +3,8 @@
 Exact coefficient sequences for the two power-series quotients whose
 monotonicity drives the main theorems, the integer ladder inequalities that
 prove those monotonicities, the two ratio functions as enclosures, and
-unimodal maximization and slope signs by enclosure comparison.
+unimodal maximization and slope signs by enclosure comparison, each
+comparison refined up to `enclosure.DIGIT_CAP` digits.
 
 The sequences are D-finite (Stanley, "Differentiably finite power series",
 Eur. J. Combin. 1 (1980) 175-188).  With i_m(x) = sum_n x^n/(n! (n+m)!),
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .enclosure import (Enclosure, Record, check_range, divide_round_out,
-                        to_fraction)
+                        refine, to_fraction)
 from . import expring, specfun
 
 
@@ -256,10 +257,6 @@ def g_beta(u, beta, digits: int) -> Enclosure:
 # -- unimodal maximization --------------------------------------------------
 
 
-# unimodal_max and slope_sign_changes double the precision up to this
-DIGIT_CAP = 120
-
-
 class MaxResult(Record):
     __slots__ = _fields = ("argmax", "value", "digits_used", "resolved")
 
@@ -269,63 +266,44 @@ def unimodal_max(f: Callable[[Fraction, int], Enclosure], bracket, tol,
     """Narrow the maximizer of a unimodal f by enclosure comparisons.
 
     Trisection with exact rational probe points; when two probe enclosures
-    overlap, the working precision doubles up to DIGIT_CAP, after which the
-    achieved widths are returned with resolved=False.
+    overlap, the working precision is refined up to `enclosure.DIGIT_CAP`,
+    after which the achieved widths are returned with resolved=False.
     """
     a, b = to_fraction(bracket[0]), to_fraction(bracket[1])
     tol = to_fraction(tol)
     if not (a < b and tol > 0):
         raise ValueError("invalid bracket or tolerance")
     d = digits
-    resolved = True
     while b - a > tol:
         m1 = a + (b - a) / 3
         m2 = b - (b - a) / 3
-        while True:
-            v1 = f(m1, d)
-            v2 = f(m2, d)
-            if v1.hi < v2.lo:
-                a = m1
-                break
-            if v2.hi < v1.lo:
-                b = m2
-                break
-            if d >= DIGIT_CAP:
-                resolved = False
-                break
-            d = min(2 * d, DIGIT_CAP)
-        if not resolved:
+        slope, d = refine(lambda d: _slope(f, m1, m2, d), d, bool)
+        if not slope:
             break
+        a, b = (m1, b) if slope > 0 else (a, m2)
     mid = (a + b) / 2
     center = f(mid, d)
     value = center.hull(f(a, d)).hull(f(b, d))
     return MaxResult(argmax=Enclosure(a, b), value=value,
-                     digits_used=d, resolved=resolved)
+                     digits_used=d, resolved=b - a <= tol)
+
+
+def _slope(f, x0, x1, d: int) -> int:
+    """The sign of f(x1) - f(x0) from enclosures at d digits, or 0."""
+    v0, v1 = f(x0, d), f(x1, d)
+    return (v0.hi < v1.lo) - (v1.hi < v0.lo)
 
 
 def slope_sign_changes(f: Callable[[Fraction, int], Enclosure], grid,
                        digits: int = 30):
     """Signs of consecutive finite differences of f over a grid.
 
-    Each difference is refined until sign-definite or the cap is hit; returns
-    (signs, n_changes) where an unresolved difference appears as 0.
+    Each difference is refined until sign-definite or `enclosure.DIGIT_CAP`
+    digits; returns (signs, n_changes) where an unresolved difference
+    appears as 0.
     """
     pts = [to_fraction(x) for x in grid]
-    signs = []
-    for x0, x1 in zip(pts, pts[1:]):
-        d = digits
-        while True:
-            diff = f(x1, d) - f(x0, d)
-            s = (diff.lo > 0) - (diff.hi < 0)
-            if s != 0 or d >= DIGIT_CAP:
-                signs.append(s)
-                break
-            d = min(2 * d, DIGIT_CAP)
-    changes = 0
-    last = 0
-    for s in signs:
-        if s != 0:
-            if last != 0 and s != last:
-                changes += 1
-            last = s
-    return signs, changes
+    signs = [refine(lambda d: _slope(f, x0, x1, d), digits, bool)[0]
+             for x0, x1 in zip(pts, pts[1:])]
+    settled = [s for s in signs if s]
+    return signs, sum(s != t for s, t in zip(settled, settled[1:]))

@@ -101,7 +101,8 @@ def exp_enclosure(x, digits: int) -> Enclosure:
     if x == 0:
         return Enclosure.point(1)
     if x < 0:
-        return exp_enclosure(-x, digits + 2).inverse().round_out(digits + 1)
+        e = exp_enclosure(-x, digits + 2)
+        return divide_round_out((1, 1, 1), e.ratio(), digits + 1)
     num, den = x.numerator, x.denominator
     k = 0
     while 2 * num > den << k:
@@ -306,4 +307,4 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     if a <= 0:
         raise ValueError("a must be > 0")
     value = eval_enclosure(reciprocal_derivative(ell), a, digits)
-    return -value if ell % 2 else value
+    return Enclosure(-value.hi, -value.lo) if ell % 2 else value

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -551,10 +552,14 @@ def test_installed_entry_point_matches_module_run():
      "--step", f"1/{poly.CERTIFY_MAX_PIECES + 1}"],
     ["lemma1-bounds", "--m", str(poly.LEMMA1_MAX + 1)],
     ["lemma1-bounds", "--n", str(poly.LEMMA1_MAX + 1)],
+    ["shift-chain", "--file", "{long}"],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
-    args = [a.replace("{poly}", poly_file) for a in args]
+    long_file = write_poly(tmp_path, "long.poly",
+                           ["1"] * (cli.POLY_MAX_COEFFS + 1))
+    args = [a.replace("{poly}", poly_file).replace("{long}", long_file)
+            for a in args]
     # an argument out of reach is refused at once, not after hours of work
     run = run_child(MODULE_CMD + args, "1", timeout=10)
     stderr = run.stderr.decode(errors="replace")
@@ -623,15 +628,16 @@ def test_exact_output_over_the_int_string_limit():
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
 # (it prints text), and the exit-64 paths of --interval, --bracket, --k,
-# --ell, --orders, --k-max, --count, --terms, --shifts, --step, --m, --n
-# and the --grid count.
+# --ell, --orders, --k-max, --count, --terms, --shifts, --step, --m, --n,
+# the --grid count and the coefficient count of --file.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
 
 GOLDEN_FILE = Path(__file__).with_name("golden_cli.json")
 GOLDEN_POLYS = {"good": ["101", "-20", "1"],   # (x - 10)^2 + 1 > 0
-                "bad": ["-2", "0", "1"]}       # x^2 - 2 dips below 0
+                "bad": ["-2", "0", "1"],       # x^2 - 2 dips below 0
+                "long": ["1"] * 41}            # one past the coefficient cap
 GOLDEN_FORMATS = {"text": [], "json": ["--format", "json"],
                   "csv": ["--format", "csv"]}
 GOLDEN_COMMANDS = {
@@ -716,6 +722,7 @@ GOLDEN_USAGE_ERRORS = {
                                  "--interval", "0,1", "--step", "1/2001"],
     "lemma1-bounds-m-301": ["lemma1-bounds", "--m", "301"],
     "lemma1-bounds-n-301": ["lemma1-bounds", "--n", "301"],
+    "shift-chain-coefficients-41": ["shift-chain", "--file", "{long}"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.
@@ -760,6 +767,73 @@ def test_golden_bytes(case, tmp_path):
     assert run_golden_case(golden_cases()[case], tmp_path) == expected
 
 
+# a text interval is [lo, hi] in decimals (or exact rationals); the JSON
+# form of the same call prints exact "lo"/"hi" fields or [lo, hi] pairs
+TEXT_INTERVAL = re.compile(r"\[(-?[0-9./]+), (-?[0-9./]+)\]")
+
+
+def json_intervals(doc) -> list:
+    """The exact intervals of a JSON document, in document order."""
+    if isinstance(doc, dict):
+        if "lo" in doc and "hi" in doc:
+            return [(Fraction(doc["lo"]), Fraction(doc["hi"]))]
+        return [i for value in doc.values() for i in json_intervals(value)]
+    if isinstance(doc, list):
+        if len(doc) == 2 and all(isinstance(x, str) for x in doc):
+            return [(Fraction(doc[0]), Fraction(doc[1]))]
+        return [i for value in doc for i in json_intervals(value)]
+    return []
+
+
+def test_text_intervals_contain_the_json_intervals():
+    # text rounds each end outward, so it never excludes the value; it
+    # prints the JSON form's intervals, or (cm-check) the failing cells'
+    # ones, in the same order
+    recorded = json.loads(GOLDEN_FILE.read_text())
+    checked = 0
+    for name in GOLDEN_COMMANDS:
+        try:
+            doc = json.loads(recorded[f"{name}/json"]["stdout"])
+        except json.JSONDecodeError:
+            continue  # no JSON form: reproduce-paper prints text
+        rest = iter(json_intervals(doc))
+        text = recorded[f"{name}/text"]["stdout"]
+        for lo, hi in TEXT_INTERVAL.findall(text):
+            lo, hi = Fraction(lo), Fraction(hi)
+            assert any(lo <= e_lo and e_hi <= hi for e_lo, e_hi in rest), \
+                (name, lo, hi)
+            checked += 1
+    assert checked >= 20
+
+
+ENCLOSURE_OPERATORS = ("__neg__", "__add__", "__radd__", "__sub__",
+                       "__rsub__", "__mul__", "__rmul__", "inverse",
+                       "__truediv__", "__rtruediv__", "__pow__")
+
+
+def test_no_command_runs_an_enclosure_operator(monkeypatch, tmp_path):
+    # every certification path rounds on integer triples; the operators
+    # remain only as the tests' reference arithmetic
+    x = Fraction(-37, 7)
+    exp_x = specfun.exp_enclosure(x, 30)
+    slopes = seriesratio.slope_sign_changes(
+        lambda u, d: seriesratio.g_beta(u, 1, d), [1, 2, 3], 12)
+
+    def stub(*args):
+        raise AssertionError("an Enclosure operator ran")
+
+    for name in ENCLOSURE_OPERATORS:
+        monkeypatch.setattr(Enclosure, name, stub)
+    assert specfun.exp_enclosure(x, 30) == exp_x
+    assert seriesratio.slope_sign_changes(
+        lambda u, d: seriesratio.g_beta(u, 1, d), [1, 2, 3], 12) == slopes
+    recorded = json.loads(GOLDEN_FILE.read_text())
+    for case, args in sorted(golden_cases().items()):
+        result = run_golden_case(args, tmp_path)
+        assert (result["exit"], result["stdout"]) == \
+            (recorded[case]["exit"], recorded[case]["stdout"]), case
+
+
 def test_text_and_csv_do_not_build_the_json_document(monkeypatch):
     def unused(self):
         raise AssertionError("the JSON document was built")
@@ -794,11 +868,11 @@ def test_cm_scan_benchmark_bytes(alpha, beta, r, orders):
         CM_SCAN_BYTES[alpha, beta, r, orders]
 
 
-# sha256 of `reproduce-paper`'s stdout, recorded before the cm_check columns
-# were summed on pre-scaled atoms; the battery's degree evidence must keep
-# every byte, as the golden case does
+# sha256 of `reproduce-paper`'s stdout, recorded once text intervals were
+# rounded outward; the battery's degree evidence must keep every byte, as
+# the golden case does
 PAPER_BYTES = \
-    "630b9b71254a6a7f901bfe220d1a8ebcb9a569bac7b817e41dd275276086db6d"
+    "5f1aff6641fc09a23644dac6c0ae5e946a3ee80dad2bf445054ea2944fbfd365"
 
 
 def test_reproduce_paper_bytes():

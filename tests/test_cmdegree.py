@@ -491,6 +491,22 @@ def test_p_value_differential_against_mpmath(t, digits):
         assert lo <= value <= hi, (t, digits, p)
 
 
+def test_p_value_stops_at_its_precision_cap(monkeypatch):
+    # a divisor enclosure that always meets 0 is refined up to exactly
+    # DIGIT_CAP + digits, where p_value gives up
+    seen = []
+
+    def straddling(self, t, d, table=None):
+        seen.append(d)
+        return Enclosure(-1, 1)
+
+    monkeypatch.setattr(CMExpression, "evaluate", straddling)
+    cap = cmdegree.DIGIT_CAP + 15
+    with pytest.raises(ArithmeticError, match=f" at {cap} digits$"):
+        cmdegree.p_value(Fraction(1, 100000), 15)
+    assert seen == [25, 50, 100, cap]
+
+
 def test_p_value_meets_its_width_at_large_t():
     # the numerator cancels to O(t^-3): 4 digits per decade of t left a
     # width of 4.8e10 here

@@ -404,6 +404,25 @@ def test_slope_sign_changes_on_exact_data():
     assert (set(signs), changes) == ({0}, 0)
 
 
+def test_undecided_comparisons_stop_at_the_one_cap():
+    # probe enclosures that always overlap are refined to exactly
+    # enclosure.DIGIT_CAP digits, then reported as undecided
+    from cmcert.enclosure import DIGIT_CAP, Enclosure
+    seen = []
+
+    def overlapping(x, d):
+        seen.append(d)
+        return Enclosure(-1, 1)
+
+    res = sr.unimodal_max(overlapping, (0, 1), Fraction(1, 10), digits=40)
+    assert (res.resolved, res.digits_used) == (False, DIGIT_CAP)
+    assert sorted(set(seen)) == [40, 80, DIGIT_CAP]
+    seen.clear()
+    assert sr.slope_sign_changes(overlapping, [1, 2, 3], digits=40) == \
+        ([0, 0], 0)
+    assert seen == [d for d in (40, 80, DIGIT_CAP) for _ in range(2)] * 2
+
+
 def test_grid_builders():
     g = geometric_grid(Fraction(1, 100), 1000, 25)
     assert len(g) == 25
