@@ -19,6 +19,9 @@ EX_CONFIG = 65
 # the highest --precision: on 2 vCPUs polygamma --n 1 took 6.9 s at 3,000
 # digits, and ktail --ell 100 0.11 s at 1,000 and 0.25 s at 2,000
 MAX_PRECISION = 1000
+# the most digits of an option value's numerator or denominator: those of
+# 2**specfun.EXP_BITS_CAP, past which no exp enclosure is computed
+RATIONAL_MAX_DIGITS = 9865
 
 
 class RunConfig(Record):
@@ -54,11 +57,24 @@ def _build_config(config_path, flags: dict) -> RunConfig:
     return RunConfig(values["precision"], values["grid"], values["format"])
 
 
+def _rat(value: str, what="rational", cap=RATIONAL_MAX_DIGITS) -> Fraction:
+    """Fraction(value), refused first if value's digits plus its exponent's
+    size, a bound on those of its numerator and denominator, pass cap."""
+    mantissa, _, exponent = value.lower().partition("e")
+    try:
+        if len(exponent) <= cap and abs(int(exponent or 0)) + sum(
+                map(str.isdigit, mantissa)) <= cap:
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad {what} {value!r}")
+    raise ValueError(f"{what} {value!r:.40} needs more than {cap} digits")
+
+
 def _parse_grid(spec: str):
     try:
         scale, _, rest = spec.partition(":")
         lo_s, hi_s, count_s = rest.split(",")
-        lo, hi, count = Fraction(lo_s), Fraction(hi_s), int(count_s)
+        lo, hi, count = _rat(lo_s), _rat(hi_s), int(count_s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad grid spec {spec!r}; expected scale:lo,hi,count")
     if scale not in ("geometric", "linear"):
@@ -71,6 +87,11 @@ def _parse_grid(spec: str):
 # of output at shift-chain --shifts 5000, and 1.7-1.9 s at certify-poly
 # with 2,000 pieces on [0, 1] or [0, 6]; the 29-coefficient F4 1.1-1.5 s
 POLY_MAX_COEFFS = 40
+# the most digits of a coefficient, and of the coefficients over one common
+# denominator, which the algebra runs on: as above, 40 of 100 nines took
+# 1.3-1.9 s and 1.7-2.4 s, 40 over 3-digit denominators at the cap 1.6-1.9 s
+# and 2.2-2.3 s, and 40 of 30 digits over distinct 30-digit ones 21 s and 19 s
+POLY_MAX_DIGITS = 100
 
 
 def _read_poly_file(path: str) -> poly.Polynomial:
@@ -85,18 +106,14 @@ def _read_poly_file(path: str) -> poly.Polynomial:
             if not line:
                 continue
             try:
-                coeffs.append(Fraction(line))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"{path}:{lineno}: bad coefficient {line!r}")
+                coeffs.append(_rat(line, "coefficient", POLY_MAX_DIGITS))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}")
             check_range("coefficients --file", len(coeffs), 0, POLY_MAX_COEFFS)
-    return poly.Polynomial.of(coeffs)
-
-
-def _rat(value: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational {value!r}")
+    nums, den = poly._common_numerators(p := poly.Polynomial.of(coeffs))
+    check_range("digits --file", len(str(max(map(abs, [den, *nums])))), 0,
+                POLY_MAX_DIGITS)
+    return p
 
 
 def _pair(value: str, name: str) -> tuple[Fraction, Fraction]:
@@ -262,13 +279,10 @@ def shift_chain(cfg, file, shifts):
 def lemma1_bounds(cfg, m, n):
     """Print the two-sided exponential bound numerators and their range."""
     (low, low_alt), (up, up_alt), limit = poly.lemma1_exp_bounds(m, n)
-    payload = {
-        "lower_numerator": [format_rational(c) for c in low.coeffs],
-        "upper_numerator": [format_rational(c) for c in up.coeffs],
-        "lower_alternating": [format_rational(c) for c in low_alt.coeffs],
-        "upper_alternating": [format_rational(c) for c in up_alt.coeffs],
-        "valid_on": f"(0, {format_rational(1 / limit)}]",
-    }
+    payload = {key: [format_rational(c) for c in p.coeffs] for key, p in (
+        ("lower_numerator", low), ("upper_numerator", up),
+        ("lower_alternating", low_alt), ("upper_alternating", up_alt))}
+    payload["valid_on"] = f"(0, {format_rational(1 / limit)})"
     _emit(cfg, lambda: json.dumps(payload, indent=2),
           [f"{key}: {val}" for key, val in payload.items()])
 

@@ -1,9 +1,9 @@
 """Completely-monotonic-degree analysis of the exponential/trigamma gap.
 
 Symbolic derivative tower for expressions built from t^a, e^(beta/t) and
-polygamma atoms, built on integer rows for the degree checks and summed at
-each grid point from one table of exact integer endpoints shared by the
-point's whole column, whose polygamma orders come from one integer jet;
+polygamma atoms, on integer rows for every derivative taken here, summed at
+each point from one table of exact integer endpoints shared by the point's
+whole column, whose polygamma orders come from one integer jet;
 sign-enclosure degree checks on grids built here, the violation search above
 the degree; the p(t) -> 4 asymptotic; Laplace-kernel certificates and the
 counterexample scan; and exact termwise transform identities.
@@ -121,24 +121,12 @@ class CMExpression(Record):
             key=lambda t: (t[1], t[2])))
         return CMExpression(terms=items)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CMExpression") -> "CMExpression":
-        return CMExpression.of(self.terms + other.terms)
-
-    def __sub__(self, other: "CMExpression") -> "CMExpression":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "CMExpression":
-        c = to_fraction(c)
-        return CMExpression.of([(c * k, p, a) for k, p, a in self.terms])
-
     def mul_power(self, a) -> "CMExpression":
         a = to_fraction(a)
         return CMExpression.of([(c, p + a, at) for c, p, at in self.terms])
 
     def derivative(self) -> "CMExpression":
+        """d/dt on Fractions: the tests' reference for `_derivative_rows`."""
         out = []
         for c, p, atom in self.terms:
             if p != 0:
@@ -319,6 +307,10 @@ def _derivative_rows(f: CMExpression, r: Fraction, N: int) -> list:
 # cm_check's highest order N: 1.0-1.2 s cold on the default grid at r = 4
 # (2 vCPUs), two thirds in `_ends` on exact t^p of up to 1,500 digits
 CM_CHECK_MAX_ORDER = 90
+# the largest |numerator| and denominator of r: at 90 orders r = 100 took
+# 2.4 s, -100 7.8 s, 1/10 5.8 s (v-th roots of v(d + 8)-digit integers) and
+# 1000 50 s; at 8 orders 1000 took 1.0 s and 1/100 3.6 s
+CM_CHECK_MAX_R_NUM, CM_CHECK_MAX_R_DEN = 100, 10
 
 
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
@@ -332,6 +324,8 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     """
     check_range("order --orders", N, 1, CM_CHECK_MAX_ORDER)
     r = to_fraction(r)
+    check_range("|numerator| --r", abs(r.numerator), 0, CM_CHECK_MAX_R_NUM)
+    check_range("denominator --r", r.denominator, 1, CM_CHECK_MAX_R_DEN)
     pts = _grid_points(grid)
     tower = _derivative_rows(f, r, N)
     columns = []
@@ -354,12 +348,11 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
     (t, enclosure) at the first point where the derivative is certifiably
     positive, or None when the scan finds nothing.
     """
-    r = to_fraction(r)
     t = to_fraction(t_lo)
     if t <= 0:
         raise ValueError("expressions are evaluated on t > 0 only")
     t_hi = to_fraction(t_hi)
-    d1 = f.mul_power(r).derivative()._rows
+    d1 = _derivative_rows(f, r, 1)[1]
     while t <= t_hi:
         cell = _signed_cell(d1, 1, t, digits, PointTable(t, _psi_top(d1)))
         if cell.verdict == "fail":
@@ -379,8 +372,9 @@ def p_value(t, digits: int = 15) -> Enclosure:
     numerator's relative error is about t^5 10^-d: the working precision d
     starts at 5 digits per decade of t, found with integers, and doubles up
     to DIGIT_CAP + digits until the result is at most 10^-digits wide.
-    Both are evaluated from one `PointTable`, whose psi' and psi'' come
-    from one polygamma jet.
+    h and h' are rows of `_derivative_rows`, and -t h' is h' with each
+    coefficient negated and each power raised by one, both summed by `_cell`
+    on one `PointTable`, whose psi' and psi'' come from one polygamma jet.
     """
     t = to_fraction(t)
     if t <= 0:
@@ -388,16 +382,17 @@ def p_value(t, digits: int = 15) -> Enclosure:
     decades = 0  # smallest e >= 0 with 10^e >= t
     while 10 ** decades < t:
         decades += 1
-    h = h_expression()
-    minus_t_dh = h.derivative().mul_power(1).scale(-1)
+    h, dh = _derivative_rows(h_expression(), 0, 1)
+    minus_t_dh = [(-c, c_den, ("pow", u + v, v), atom)
+                  for c, c_den, (_, u, v), atom in dh]
     table = PointTable(t, 2)
 
     def within_width(d: int) -> Enclosure | None:
         """p(t) from d digits if it is 10^-digits wide, else None; h > 0 on
         (0, oo), so the divisor is settled once its enclosure's lo is > 0."""
-        den = h.evaluate(t, d, table).ratio()
+        den = _cell(h, d, table).ratio()
         p = den[0] > 0 and divide_round_out(
-            minus_t_dh.evaluate(t, d, table).ratio(), den, digits + 1)
+            _cell(minus_t_dh, d, table).ratio(), den, digits + 1)
         return p if p and p.width * 10 ** digits <= 1 else None
 
     p, d = refine(within_width, digits + 10 + 5 * decades, bool,

@@ -58,11 +58,6 @@ class Polynomial(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
 
@@ -353,11 +348,11 @@ LEMMA1_MAX = 300
 
 
 def lemma1_exp_bounds(m: int, n: int):
-    """Rational lower/upper sandwich for e**u valid on 0 < u <= 2(m+1).
+    """Rational lower/upper sandwich for e**u valid on 0 < u < 2(m+1).
 
     Returns ((lower_num, lower_den), (upper_num, upper_den), threshold) with
-    lower_num/lower_den < e**u < upper_num/upper_den on the validity range;
-    threshold is the 1/(2(m+1)) cutoff in the reciprocal variable.
+    lower_num/lower_den < e**u < upper_num/upper_den there.  threshold =
+    1/(2(m+1)) is the open end in x = 1/u; at m = 0, upper_den = 2 - u.
     """
     check_range("order --m", m, 0, LEMMA1_MAX)
     check_range("order --n", n, 1, LEMMA1_MAX)

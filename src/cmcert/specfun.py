@@ -25,6 +25,9 @@ TERM_CAP = 10 ** 6
 EXP_BITS_CAP = 2 ** 15
 # top k_tail order, 60 digits: 0.06 s cold at a = 249/1000, 0.4 s at 10^-30
 K_TAIL_MAX_ORDER = 100
+# top bessel_ratio argument, for about e sqrt(u) terms of growing integers:
+# cold, bessel --k 0 --u 10^7 took 0.34 s at 60 digits, 1.9 s at 1,000
+BESSEL_MAX_U = 10 ** 7
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
 
@@ -136,8 +139,7 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
     if k < 0:
         raise ValueError("order must be >= 0")
     u = to_fraction(u)
-    if u < 0:
-        raise ValueError("argument must be >= 0")
+    check_range("argument --u/--grid", u, 0, BESSEL_MAX_U)
     if u == 0:
         return Enclosure.point(Fraction(1, math.factorial(k)))
     a, b = u.numerator, u.denominator

@@ -195,7 +195,7 @@ def cargo_shisha_bounds_fraction(p):
     """b_k = sum_{l<=k} a_l C(k,l)/C(n,l), one Fraction per term."""
     if p.is_zero():
         raise ValueError("bounds undefined for the zero polynomial")
-    n = p.degree
+    n = len(p.coeffs) - 1
     out = []
     for k in range(n + 1):
         b = Fraction(0)

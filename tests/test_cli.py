@@ -553,13 +553,27 @@ def test_installed_entry_point_matches_module_run():
     ["lemma1-bounds", "--m", str(poly.LEMMA1_MAX + 1)],
     ["lemma1-bounds", "--n", str(poly.LEMMA1_MAX + 1)],
     ["shift-chain", "--file", "{long}"],
+    # rationals whose digits Fraction would expand before any check, and
+    # the arguments whose cost grows without a ceiling
+    ["p-limit", "--t", "1e100000000"],
+    ["cm-check", "--alpha", "1e100000000", "--beta", "1", "--r", "4"],
+    ["--grid", "linear:1,1e100000000,2", "kernel-ineq", "--k", "2"],
+    ["shift-chain", "--file", "{huge}", "--shifts", "3"],
+    ["bessel", "--k", "1", "--u", "1000000000"],
+    ["--grid", "linear:1,1000000000,2", "kernel-ineq", "--k", "2"],
+    ["--grid", "linear:1,1000000000,2", "conjecture-scan", "--k", "2"],
+    ["cm-check", "--alpha", "1", "--beta", "1", "--r", "100000",
+     "--orders", "2"],
+    ["cm-check", "--alpha", "1", "--beta", "1", "--r", "1/1000",
+     "--orders", "2"],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
     long_file = write_poly(tmp_path, "long.poly",
                            ["1"] * (cli.POLY_MAX_COEFFS + 1))
+    huge_file = write_poly(tmp_path, "huge.poly", ["1e1000000"])
     args = [a.replace("{poly}", poly_file).replace("{long}", long_file)
-            for a in args]
+            .replace("{huge}", huge_file) for a in args]
     # an argument out of reach is refused at once, not after hours of work
     run = run_child(MODULE_CMD + args, "1", timeout=10)
     stderr = run.stderr.decode(errors="replace")
@@ -596,6 +610,66 @@ def test_ladder_and_sequence_caps(args, code):
     assert top.returncode == code, stderr_report(top)
 
 
+@pytest.fixture
+def long_int_strings():
+    """Lift the int-to-str digit limit, as cli.main does, for this test."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_rationals_are_refused_by_their_digits_before_they_are_built(
+        long_int_strings):
+    # Fraction expands an exponent first: Fraction("1e10000000") alone
+    # took 12 s; the bound is that of the exp enclosures
+    top = cli.RATIONAL_MAX_DIGITS
+    assert top == len(str(2 ** specfun.EXP_BITS_CAP))
+    for text, value in [("1e300", 10 ** 300), ("-2.5E-3", Fraction(-1, 400)),
+                        (f"1e{top - 1}", 10 ** (top - 1)),
+                        (f"1e-{top - 1}", Fraction(1, 10 ** (top - 1))),
+                        ("9" * top, 10 ** top - 1), (" 3/4 ", Fraction(3, 4)),
+                        (f"-1/{'9' * (top - 1)}",
+                         Fraction(-1, 10 ** (top - 1) - 1))]:
+        assert cli._rat(text) == value, text
+    for text in [f"1e{top}", f"1e-{top}", "1" * (top + 1), f"0.{'1' * top}",
+                 f"1/{'1' * top}", f"-0.5e-{top - 1}", "1e100000000",
+                 "1e-100000000", "1e" + "0" * (top + 1) + "1"]:
+        with pytest.raises(ValueError, match=f" needs more than {top} "):
+            cli._rat(text)
+    for text in ["x", "1/0", "1e", "e5", "1.5/2", "1e5/2", ""]:
+        with pytest.raises(ValueError, match="^bad rational "):
+            cli._rat(text)
+
+
+def test_polynomial_file_coefficients_are_refused_by_their_digits(tmp_path):
+    # each line before Fraction builds it, then all of them over their
+    # common denominator, which is what the algebra runs on
+    top = cli.POLY_MAX_DIGITS
+    at_cap = write_poly(tmp_path, "top.poly",
+                        ["9" * top] * cli.POLY_MAX_COEFFS)
+    assert len(cli._read_poly_file(at_cap).coeffs) == cli.POLY_MAX_COEFFS
+    line = write_poly(tmp_path, "line.poly", ["1", "# a comment", f"1e{top}"])
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}:3: coefficient "
+                       f"'1e{top}' needs more than {top} digits$"):
+        cli._read_poly_file(line)
+    # two coprime denominators of half the cap and one more digit
+    half = 10 ** (top // 2)
+    wide = write_poly(tmp_path, "wide.poly", [f"1/{half + 1}", f"1/{half}"])
+    with pytest.raises(ValueError, match=rf"^digits --file {top + 1} .* "
+                       rf"range 0\.\.{top}$"):
+        cli._read_poly_file(wide)
+
+
+def test_p_limit_reads_a_large_exponent():
+    result = invoke("p-limit", "--t", "1e300")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith("p(1" + "0" * 300 + ") = [3.99")
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_precision_above_the_cap_is_config_error(tmp_path, where):
     # refused before any work: 10**9 digits would first build 10**(10**9)
@@ -629,7 +703,8 @@ def test_exact_output_over_the_int_string_limit():
 # Every command in text, JSON and CSV, the formats a command has no form for
 # (it prints text), and the exit-64 paths of --interval, --bracket, --k,
 # --ell, --orders, --k-max, --count, --terms, --shifts, --step, --m, --n,
-# the --grid count and the coefficient count of --file.
+# --u, the numerator and denominator of --r, the --grid count, the digits of
+# an option value, and the coefficient count and digits of --file.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -637,7 +712,11 @@ def test_exact_output_over_the_int_string_limit():
 GOLDEN_FILE = Path(__file__).with_name("golden_cli.json")
 GOLDEN_POLYS = {"good": ["101", "-20", "1"],   # (x - 10)^2 + 1 > 0
                 "bad": ["-2", "0", "1"],       # x^2 - 2 dips below 0
-                "long": ["1"] * 41}            # one past the coefficient cap
+                "long": ["1"] * 41,            # one past the coefficient cap
+                # a million digits in nine characters, and two coefficients
+                # over coprime 60-digit denominators
+                "huge": ["1", "1e1000000"],
+                "wide": [f"1/{10 ** 59 + 1}", f"1/{10 ** 59 + 2}"]}
 GOLDEN_FORMATS = {"text": [], "json": ["--format", "json"],
                   "csv": ["--format", "csv"]}
 GOLDEN_COMMANDS = {
@@ -723,6 +802,14 @@ GOLDEN_USAGE_ERRORS = {
     "lemma1-bounds-m-301": ["lemma1-bounds", "--m", "301"],
     "lemma1-bounds-n-301": ["lemma1-bounds", "--n", "301"],
     "shift-chain-coefficients-41": ["shift-chain", "--file", "{long}"],
+    "shift-chain-coefficient-digits": ["shift-chain", "--file", "{huge}"],
+    "shift-chain-common-denominator": ["shift-chain", "--file", "{wide}"],
+    "p-limit-t-digits": ["p-limit", "--t", "1e100000000"],
+    "bessel-u-10000001": ["bessel", "--k", "0", "--u", "10000001"],
+    "cm-check-r-numerator-101": ["cm-check", "--alpha", "1", "--beta", "1",
+                                 "--r", "101"],
+    "cm-check-r-denominator-11": ["cm-check", "--alpha", "1", "--beta", "1",
+                                  "--r", "1/11"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.
@@ -757,7 +844,10 @@ def run_golden_case(args, tmp_dir) -> dict:
         Path(paths[name]).write_text("\n".join(lines) + "\n")
     args = [a.format(**paths) for a in args]
     result = invoke(*args)
-    return {"stdout": result.stdout, "stderr": result.stderr,
+    stderr = result.stderr  # a file's error names it as its case does
+    for name, path in paths.items():
+        stderr = stderr.replace(path, f"{{{name}}}")
+    return {"stdout": result.stdout, "stderr": stderr,
             "exit": result.exit_code}
 
 

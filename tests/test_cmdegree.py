@@ -35,14 +35,20 @@ def test_expression_derivative_matches_finite_difference():
         assert abs(fd - _float_at(d, t)) < 1e-4
 
 
+def _combine(*parts) -> CMExpression:
+    """sum of c * expr over the (c, expr) parts, merged by CMExpression.of."""
+    return CMExpression.of([(c * k, p, a) for c, expr in parts
+                            for k, p, a in expr.terms])
+
+
 def test_expression_algebra():
     a = CMExpression.of([(1, 0, ("const",))])
-    assert (a - a).is_zero()
-    tripled = a.scale(3).evaluate(2, 10)
+    assert _combine((1, a), (-1, a)).terms == ()
+    tripled = _combine((3, a)).evaluate(2, 10)
     assert tripled.lo <= 3 <= tripled.hi
     shifted = a.mul_power(Fraction(2)).evaluate(3, 10)
     assert shifted.lo <= 9 <= shifted.hi
-    assert CMExpression.of([]).derivative().is_zero()
+    assert CMExpression.of([]).derivative().terms == ()
 
 
 @functools.lru_cache(maxsize=4096)
@@ -379,6 +385,25 @@ def test_cm_check_refuses_orders_out_of_range(N):
         cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, N, [], 15)
 
 
+@pytest.mark.parametrize("r, part", [
+    (cmdegree.CM_CHECK_MAX_R_NUM + 1, r"\|numerator\|"),
+    (-cmdegree.CM_CHECK_MAX_R_NUM - 1, r"\|numerator\|"),
+    (10 ** 5, r"\|numerator\|"),
+    (Fraction(1, cmdegree.CM_CHECK_MAX_R_DEN + 1), "denominator"),
+    (Fraction(-7, 1000), "denominator")])
+def test_cm_check_refuses_a_degree_out_of_range(r, part):
+    # refused before any work: the empty grid is not reached
+    with pytest.raises(ValueError, match=rf"^{part} --r .* supported range"):
+        cmdegree.cm_check(cmdegree.h_expression(1, 1), r, 2, [], 15)
+
+
+def test_cm_check_runs_at_the_ends_of_its_degree_range():
+    top = Fraction(-cmdegree.CM_CHECK_MAX_R_NUM, cmdegree.CM_CHECK_MAX_R_DEN)
+    for r in (top, -top, cmdegree.CM_CHECK_MAX_R_NUM):
+        report = cmdegree.cm_check(cmdegree.h_expression(1, 1), r, 1, [2], 10)
+        assert len(report.cells) == 2, r
+
+
 def test_cm_check_runs_at_its_highest_order():
     report = cmdegree.cm_check(cmdegree.h_expression(1, 1), 4,
                                cmdegree.CM_CHECK_MAX_ORDER, [2], 10)
@@ -496,11 +521,11 @@ def test_p_value_stops_at_its_precision_cap(monkeypatch):
     # DIGIT_CAP + digits, where p_value gives up
     seen = []
 
-    def straddling(self, t, d, table=None):
+    def straddling(rows, d, table, negate=False):
         seen.append(d)
         return Enclosure(-1, 1)
 
-    monkeypatch.setattr(CMExpression, "evaluate", straddling)
+    monkeypatch.setattr(cmdegree, "_cell", straddling)
     cap = cmdegree.DIGIT_CAP + 15
     with pytest.raises(ArithmeticError, match=f" at {cap} digits$"):
         cmdegree.p_value(Fraction(1, 100000), 15)
@@ -672,19 +697,24 @@ def _remark_functions():
     one = CMExpression.of([(1, 0, ("const",))])
     exp_part = CMExpression.of([(1, 0, ("exp", Fraction(1)))])
     psi1 = CMExpression.of([(1, 0, ("psi", 1))])
-    core = exp_part - one - psi1  # e^(1/x) - 1 - psi'(x)
+    # e^(1/x) - 1 - psi'(x)
+    core = _combine((1, exp_part), (-1, one), (-1, psi1))
     g4_raw = core.mul_power(4)
-    series_part = CMExpression.of(
+    series_part = _combine((1, CMExpression.of(
         [(1, -1, ("const",)), (Fraction(1, 2), -2, ("const",)),
          (Fraction(1, 6), -3, ("const",)), (Fraction(-1, 30), -5, ("const",)),
-         (Fraction(1, 42), -7, ("const",))]) - psi1
+         (Fraction(1, 42), -7, ("const",))])), (-1, psi1))
     trunc = CMExpression.of(
         [(Fraction(-1, math.factorial(m)), -m, ("const",))
          for m in range(1, 8)])
-    exp_tail = exp_part - one + trunc  # e^(1/x) - sum_{m<=7} x^-m/m!
-    residue = (series_part + exp_tail).mul_power(4) - g4_raw
-    g4 = g4_raw + CMExpression.of([(Fraction(-1, 24), 0, ("const",)),
-                                   (Fraction(17, 720), -3, ("const",))])
+    # e^(1/x) - sum_{m<=7} x^-m/m!
+    exp_tail = _combine((1, exp_part), (-1, one), (1, trunc))
+    residue = _combine(
+        (1, _combine((1, series_part), (1, exp_tail)).mul_power(4)),
+        (-1, g4_raw))
+    g4 = _combine((1, g4_raw), (1, CMExpression.of(
+        [(Fraction(-1, 24), 0, ("const",)),
+         (Fraction(17, 720), -3, ("const",))])))
     return core.mul_power(2), g4, residue
 
 
@@ -696,7 +726,7 @@ def test_remark_functions_bookkeeping():
         (Fraction(-1, 720), -2, ("const",)),
         (Fraction(17, 720), -3, ("const",)),
     ])
-    assert (residue - expected).is_zero()
+    assert _combine((1, residue), (-1, expected)).terms == ()
 
 
 def test_remark_vn_degree_check():

@@ -31,7 +31,7 @@ affine_params = st.one_of(
 
 def test_polynomial_basics():
     p = Polynomial.of([1, 2, 3])
-    assert p.degree == 2
+    assert len(p.coeffs) - 1 == 2
     assert p(2) == 17
     assert p.derivative().coeffs == (2, 6)
     assert (p * Polynomial.x()).coeffs == (0, 1, 2, 3)
@@ -47,7 +47,7 @@ def test_sandwich_bounds_contain_values_on_unit_interval(coeffs, x):
     if p.is_zero():
         return
     bks = poly.cargo_shisha_bounds(p)
-    assert len(bks) == p.degree + 1
+    assert len(bks) == len(p.coeffs)
     for y in (x, 0, 1):
         assert min(bks) <= p(y) <= max(bks)
 
@@ -186,3 +186,11 @@ def test_lemma1_bounds_sandwich_exp(m, n, u):
     hi = Fraction(up_n(u), up_d(u))
     assert lo < e.lo
     assert e.hi < hi
+
+
+def test_lemma1_upper_bound_has_a_pole_at_the_open_end():
+    # m = 0: e**u < (2 + u)/(2 - u), whose denominator is 0 at u = 2, so
+    # the range lemma1-bounds prints is open there
+    _, (up_n, up_d), threshold = poly.lemma1_exp_bounds(0, 1)
+    assert 1 / threshold == 2
+    assert up_d(2) == 0 and up_n(2) == 4

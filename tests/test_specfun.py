@@ -195,6 +195,15 @@ def test_bessel_ratio_equals_the_fraction_loop(k, u, digits):
         bessel_ratio_fraction(k, u, digits, specfun.TERM_CAP)
 
 
+def test_bessel_ratio_refuses_an_argument_past_its_cap():
+    # about e sqrt(u) terms of growing integers: refused before any work
+    top = specfun.BESSEL_MAX_U
+    assert specfun.bessel_ratio(0, Fraction(top - 1, 10 ** 6), 10).lo > 0
+    for u in (top + 1, Fraction(10 * top + 1, 10), 10 ** 9):
+        with pytest.raises(ValueError, match=r"--u/--grid .* range 0\.\."):
+            specfun.bessel_ratio(1, u, 10)
+
+
 def test_bessel_ratio_raises_at_term_cap(monkeypatch):
     # the series of I_2(2 sqrt(1000))/1000 needs about 45 terms before its
     # ratios drop below 1/2; stopping at 10 has no proven tail bound
