@@ -53,7 +53,8 @@ def test_no_unused_top_level_imports():
 # public functions that no src/ path names, each kept for a stated reason
 UNNAMED_BUT_KEPT = {
     "linear_grid": "cli._parse_grid reaches it by an f-string getattr",
-    "slope_sign_changes": "backs a paper-claim acceptance test (ROADMAP 3)",
+    "slope_sign_changes": "backs a paper-claim acceptance test; ROADMAP "
+                          "item 3 is to call it",
     "descartes_sign_changes": "backs a paper-claim acceptance test",
     "isolate_root": "backs a paper-claim acceptance test",
     "series_at_zero": "the whole-ray kernel proof and the degree-4 theorem "
