@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .enclosure import Enclosure, Record, check_range, format_rational
+from .enclosure import Enclosure, Record, check_range
 from . import cmdegree, expring, poly, seriesratio, specfun
 
 EX_USAGE = 64
@@ -224,7 +224,7 @@ def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
 
 
 def _ends(enc: Enclosure) -> list:
-    return [format_rational(enc.lo), format_rational(enc.hi)]
+    return [str(enc.lo), str(enc.hi)]
 
 
 def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
@@ -243,12 +243,11 @@ def certify_poly(cfg, file, interval, step):
     lo, hi = _pair(interval, "interval")
     cert = poly.certify_positive_on_interval(p, lo, hi, _rat(step))
     text = [f"verdict: {cert.verdict}"] + [
-        f"  shift {format_rational(piece.shift)}: "
-        f"min_bk {format_rational(piece.min_bk)} (argmin {piece.argmin}), "
-        f"max_bk {format_rational(piece.max_bk)}" for piece in cert.pieces]
+        f"  shift {piece.shift}: min_bk {piece.min_bk} "
+        f"(argmin {piece.argmin}), max_bk {piece.max_bk}"
+        for piece in cert.pieces]
     if cert.witness is not None:
-        text.append(f"  witness: {format_rational(cert.witness)} -> "
-                    f"{format_rational(cert.witness_value)}")
+        text.append(f"  witness: {cert.witness} -> {cert.witness_value}")
     _emit(cfg, cert.to_json, text,
           code={"certified": 0, "falsified": 1}.get(cert.verdict, 2))
 
@@ -265,10 +264,10 @@ def shift_chain(cfg, file, shifts):
     """Print the polynomial after successive unit Taylor shifts."""
     check_range("count --shifts", shifts, 0, SHIFT_CHAIN_MAX)
     p = _read_poly_file(file)
-    chain = [[format_rational(c) for c in p.coeffs]]
+    chain = [[str(c) for c in p.coeffs]]
     for _ in range(shifts):
         p = poly.taylor_shift(p, 1)
-        chain.append([format_rational(c) for c in p.coeffs])
+        chain.append([str(c) for c in p.coeffs])
     _emit(cfg, lambda: json.dumps([{"shift": str(i), "coeffs": coeffs}
                                    for i, coeffs in enumerate(chain)]),
           [f"shift {i}: {' '.join(coeffs)}" for i, coeffs in enumerate(chain)])
@@ -279,10 +278,10 @@ def shift_chain(cfg, file, shifts):
 def lemma1_bounds(cfg, m, n):
     """Print the two-sided exponential bound numerators and their range."""
     (low, low_alt), (up, up_alt), limit = poly.lemma1_exp_bounds(m, n)
-    payload = {key: [format_rational(c) for c in p.coeffs] for key, p in (
+    payload = {key: [str(c) for c in p.coeffs] for key, p in (
         ("lower_numerator", low), ("upper_numerator", up),
         ("lower_alternating", low_alt), ("upper_alternating", up_alt))}
-    payload["valid_on"] = f"(0, {format_rational(1 / limit)})"
+    payload["valid_on"] = f"(0, {1 / limit})"
     _emit(cfg, lambda: json.dumps(payload, indent=2),
           [f"{key}: {val}" for key, val in payload.items()])
 
@@ -315,22 +314,21 @@ def kernel_ineq(cfg, k):
     grid = _parse_grid(cfg.grid)
     rep = cmdegree.kernel_certificate(k, grid, digits=min(cfg.precision, 40))
     header = ("u", "lo", "hi", "verdict")
-    rows = [(format_rational(c["u"]), *_ends(c["margin"]), c["verdict"])
+    rows = [(str(c["u"]), *_ends(c["margin"]), c["verdict"])
             for c in rep["cells"]]
     doc = {"k": k, "passed": rep["passed"],
            "cells": [dict(zip(header, row)) for row in rows], "ray": None}
-    text = [f"u={format_rational(c['u'])}: "
-            f"margin {c['margin'].decimal_str(12)} {c['verdict']}"
+    text = [f"u={c['u']}: margin {c['margin'].decimal_str(12)} {c['verdict']}"
             for c in rep["cells"]]
     verdicts = {c["verdict"] for c in rep["cells"]}
     code = 1 if "fail" in verdicts else 2 if "indeterminate" in verdicts else 0
     if "ray" in rep:
         ray = rep["ray"]
-        doc["ray"] = {"from": format_rational(ray["from"]),
+        doc["ray"] = {"from": str(ray["from"]),
                       "K4_at_7": _ends(ray["K4_at_7"]),
-                      "threshold": format_rational(ray["threshold"]),
+                      "threshold": str(ray["threshold"]),
                       "certified": ray["certified"]}
-        text.append(f"ray [{format_rational(ray['from'])}, inf): "
+        text.append(f"ray [{ray['from']}, inf): "
                     f"K_4(7) = {ray['K4_at_7'].decimal_str(12)} "
                     f"< 1/720: {ray['certified']}")
         if not ray["certified"]:
@@ -344,7 +342,7 @@ def ratio_mono(cfg, which, beta, count):
     """Exact coefficient-ratio sequence with a monotonicity verdict."""
     beta_f = _rat(beta)
     rep = getattr(seriesratio, f"{which}_ratio_sequence")(beta_f, count)
-    values = [format_rational(v) for v in rep.values]
+    values = [str(v) for v in rep.values]
     _emit(cfg, lambda: json.dumps({
         "sequence": which, "beta": beta, "values": values,
         "strictly_increasing": rep.strictly_increasing,
@@ -402,10 +400,9 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
         grid, digits=min(cfg.precision, 40),
         name=f"gap(alpha={alpha},beta={beta})")
     _emit(cfg, rep.to_json,
-          [f"{rep.function} at degree {format_rational(rep.r)}, "
+          [f"{rep.function} at degree {rep.r}, "
            f"orders 0..{rep.N}: {rep.summary}"]
-          + [f"  n={c.n} t={format_rational(c.t)}: {c.verdict} "
-             f"{c.value.decimal_str(10)}"
+          + [f"  n={c.n} t={c.t}: {c.verdict} {c.value.decimal_str(10)}"
              for c in rep.cells if c.verdict != "pass"],
           code=rep.exit_code())
 
@@ -417,7 +414,7 @@ def p_limit(cfg, t):
     pts = [_rat(s) for s in t.split(",")]
     encs = [cmdegree.p_value(t, min(cfg.precision, 30)) for t in pts]
     header = ("t", "lo", "hi")
-    rows = [(format_rational(t), *_ends(e)) for t, e in zip(pts, encs)]
+    rows = [(str(t), *_ends(e)) for t, e in zip(pts, encs)]
     _emit(cfg, lambda: json.dumps([dict(zip(header, row)) for row in rows]),
           [f"p({row[0]}) = {e.decimal_str(12)}" for row, e in zip(rows, encs)],
           [header] + rows)
@@ -428,7 +425,7 @@ def p_limit(cfg, t):
 def verify_identity_cmd(cfg, k, terms):
     """Exact termwise check of the truncated-exponential transforms."""
     rep = cmdegree.verify_identity(k, terms)
-    constant = format_rational(rep["constant"])
+    constant = str(rep["constant"])
     _emit(cfg, lambda: json.dumps({
         "k": k, "N": terms, "passed": rep["passed"], "constant": constant,
         "mismatches": rep["mismatches"]}),
@@ -445,7 +442,7 @@ def conjecture_scan_cmd(cfg, k):
     rep = cmdegree.conjecture_scan(k, grid, digits=min(cfg.precision, 40))
     payload = {
         "claim": f"i_{k}(u) >= kernel^({k - 1})(u) on the grid",
-        "grid": [format_rational(u) for u in grid],
+        "grid": [str(u) for u in grid],
         "precision": min(cfg.precision, 40),
     }
     ce = rep["counterexample"]
@@ -453,9 +450,9 @@ def conjecture_scan_cmd(cfg, k):
         text = [f"no counterexample found on grid at precision "
                 f"{payload['precision']}"]
     else:
-        payload["counterexample"] = {"u": format_rational(ce["u"]),
+        payload["counterexample"] = {"u": str(ce["u"]),
                                      "margin": _ends(ce["margin"])}
-        text = [f"counterexample at u = {format_rational(ce['u'])}: "
+        text = [f"counterexample at u = {ce['u']}: "
                 f"margin [{', '.join(_ends(ce['margin']))}]"]
     _emit(cfg, lambda: json.dumps(payload, indent=2), text,
           code=0 if ce is None else 1)
@@ -472,7 +469,7 @@ def paper_battery():
     yield ("sandwich coefficients",
            bks[0] == expring.F4_REFERENCE_COEFFS[0]
            and bks[-1] == sum(expring.F4_REFERENCE_COEFFS, Fraction(0))
-           and min(bks) > 0, f"b_0 = {format_rational(bks[0])}")
+           and min(bks) > 0, f"b_0 = {bks[0]}")
 
     cert = poly.certify_positive_on_interval(f4, 0, 6, 1)
     yield ("degree-28 positivity", cert.verdict == "certified",

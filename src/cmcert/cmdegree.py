@@ -17,8 +17,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .enclosure import (DIGIT_CAP, Enclosure, Record, check_range,
-                        divide_round_out, format_rational, integer_nth_root,
-                        refine, to_fraction)
+                        divide_round_out, integer_nth_root, refine,
+                        to_fraction)
 from . import expring, specfun
 
 
@@ -87,11 +87,10 @@ def _ends(rows, digits: int, table: PointTable) -> tuple[int, int]:
     return lo, hi
 
 
-def _cell(rows, digits: int, table: PointTable, negate=False) -> Enclosure:
-    """The rows' sum at table.t, or its negation if negate, rounded out at
-    digits + 1 from the ends of `_ends`."""
+def _cell(rows, digits: int, table: PointTable) -> Enclosure:
+    """The rows' sum at table.t, rounded out at digits + 1 from the ends of
+    `_ends`."""
     lo, hi = _ends(rows, digits, table)
-    lo, hi = (-hi, -lo) if negate else (lo, hi)
     return divide_round_out((lo, hi, 10 ** (digits + 12)), (1, 1, 1),
                             digits + 1)
 
@@ -138,15 +137,6 @@ class CMExpression(Record):
                 out.append((c, p, ("psi", atom[1] + 1)))
         return CMExpression.of(out)
 
-    @property
-    def _rows(self) -> tuple:
-        """The terms as (c numerator, c denominator, power key, atom key)."""
-        return tuple((c.numerator, c.denominator,
-                      ("pow", p.numerator, p.denominator),
-                      ("exp", a[1].numerator, a[1].denominator)
-                      if a[0] == "exp" else a)
-                     for c, p, a in self.terms)
-
     def evaluate(self, t, digits: int,
                  table: PointTable | None = None) -> Enclosure:
         """Enclosure of the expression at t > 0, rounded out at digits + 1,
@@ -155,8 +145,9 @@ class CMExpression(Record):
         t = to_fraction(t)
         if t <= 0:
             raise ValueError("expressions are evaluated on t > 0 only")
-        table = PointTable(t, _psi_top(self._rows)) if table is None else table
-        return _cell(self._rows, digits, table)
+        rows = _derivative_rows(self, 0, 0)[0]
+        table = PointTable(t, _psi_top(rows)) if table is None else table
+        return _cell(rows, digits, table)
 
 
 def h_expression(alpha=1, beta=1) -> CMExpression:
@@ -187,15 +178,13 @@ class DegreeReport(Record):
     def to_json(self) -> str:
         """json.dumps(..., indent=2) of the report, written directly: with
         an indent, json.dumps always runs the pure-Python encoder."""
-        grid = [f'"{format_rational(t)}"' for t in self.grid]
-        cells = [f'{{\n      "n": {c.n},\n'
-                 f'      "t": "{format_rational(c.t)}",\n'
-                 f'      "lo": "{format_rational(c.value.lo)}",\n'
-                 f'      "hi": "{format_rational(c.value.hi)}",\n'
+        grid = [f'"{t}"' for t in self.grid]
+        cells = [f'{{\n      "n": {c.n},\n      "t": "{c.t}",\n'
+                 f'      "lo": "{c.value.lo}",\n      "hi": "{c.value.hi}",\n'
                  f'      "verdict": {_json_str(c.verdict)}\n    }}'
                  for c in self.cells]
         return (f'{{\n  "function": {_json_str(self.function)},\n'
-                f'  "r": "{format_rational(self.r)}",\n  "N": {self.N},\n'
+                f'  "r": "{self.r}",\n  "N": {self.N},\n'
                 f'  "grid": {_json_list(grid)},\n'
                 f'  "cells": {_json_list(cells)},\n'
                 f'  "summary": {_json_str(self.summary)},\n'
@@ -263,26 +252,29 @@ def _grid_points(grid) -> list[Fraction]:
 
 def _signed_cell(rows, n: int, t: Fraction, digits: int,
                  table: PointTable) -> DegreeCell:
-    """The cell of (-1)^n times the rows' sum at t."""
-    return DegreeCell(n, t, *_sign_definite(
-        lambda d: _cell(rows, d, table, n % 2), digits))
+    """The order-n cell of the rows' sum at t, whose sign the rows carry."""
+    return DegreeCell(n, t, *_sign_definite(lambda d: _cell(rows, d, table),
+                                            digits))
 
 
 def _derivative_rows(f: CMExpression, r: Fraction, N: int) -> list:
-    """The rows (see `CMExpression._rows`) of (t^r f)^(n), n = 0..N: the
-    rationals of repeated `CMExpression.derivative`, built on integers.
+    """The rows (c numerator, c denominator, power key, atom key) of
+    (t^r f)^(n), n = 0..N, in term order at n = 0, an exp atom's key
+    ("exp", *beta.as_integer_ratio()): the rationals of repeated
+    `CMExpression.derivative`, built on integers.
 
     An order is {(P, atom): C} for C/D t^(P/V) atom, V the lcm of the power
     denominators.  With L the lcm of the exp atoms' denominators, d/dt
     sends a term to C P L at P - V, -C beta L V at P - 2V for e^(beta/t)
     and C V L with psi^(n+1) for psi^(n), over D V L; like terms merge,
     zeros drop out, and each row reduces its coefficient and power."""
-    expr = f.mul_power(r)
-    V = math.lcm(1, *[p.denominator for _, p, _ in expr.terms])
-    D = math.lcm(1, *[c.denominator for c, _, _ in expr.terms])
-    L = math.lcm(1, *[a[2] for *_, a in expr._rows if a[0] == "exp"])
-    order = {(u * (V // v), atom): c_num * (D // c_den)
-             for c_num, c_den, (_, u, v), atom in expr._rows}
+    terms = f.mul_power(r).terms
+    V = math.lcm(1, *[p.denominator for _, p, _ in terms])
+    D = math.lcm(1, *[c.denominator for c, _, _ in terms])
+    L = math.lcm(1, *[a[1].denominator for *_, a in terms if a[0] == "exp"])
+    order = {(p.numerator * (V // p.denominator),
+              ("exp", *a[1].as_integer_ratio()) if a[0] == "exp" else a):
+             c.numerator * (D // c.denominator) for c, p, a in terms}
     tower = []
     for n in range(N + 1):
         if n:
@@ -317,7 +309,8 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
              name: str = "f") -> DegreeReport:
     """Sign enclosures of (-1)^n (t^r f)^(n) on a grid for n = 0..N.
 
-    Each grid point's column of N + 1 orders is evaluated from one
+    The rows of each odd order are negated once, so every cell sums its
+    own rows.  Each grid point's column of N + 1 orders is evaluated from one
     `PointTable`; the cells are reported order by order.  A pass at every
     cell is finite-order evidence for degree >= r, never a proof; a fail
     cell carries an enclosure strictly violating the sign.
@@ -327,7 +320,8 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     check_range("|numerator| --r", abs(r.numerator), 0, CM_CHECK_MAX_R_NUM)
     check_range("denominator --r", r.denominator, 1, CM_CHECK_MAX_R_DEN)
     pts = _grid_points(grid)
-    tower = _derivative_rows(f, r, N)
+    tower = [rows if n % 2 == 0 else tuple((-c, *rest) for c, *rest in rows)
+             for n, rows in enumerate(_derivative_rows(f, r, N))]
     columns = []
     for t in pts:
         table = PointTable(t, _psi_top(tower[-1]))
@@ -354,10 +348,11 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
     t_hi = to_fraction(t_hi)
     d1 = _derivative_rows(f, r, 1)[1]
     while t <= t_hi:
-        cell = _signed_cell(d1, 1, t, digits, PointTable(t, _psi_top(d1)))
-        if cell.verdict == "fail":
-            # (-1)^1 * derivative certifiably negative => derivative > 0
-            return t, Enclosure(-cell.value.hi, -cell.value.lo)
+        table = PointTable(t, _psi_top(d1))
+        value, _ = refine(lambda d: _cell(d1, d, table), digits,
+                          lambda v: v.lo > 0 or v.hi <= 0)
+        if value.lo > 0:
+            return t, value
         t *= 2
     return None
 
@@ -415,6 +410,13 @@ def kernel_margin(k: int, u, digits: int) -> Enclosure:
                             digits + 1)
 
 
+def _margin_cells(k: int, grid, digits: int):
+    """(u, margin, verdict) at each grid point in turn, each margin refined
+    by `_sign_definite` from digits."""
+    for u in _grid_points(grid):
+        yield (u, *_sign_definite(lambda d: kernel_margin(k, u, d), digits))
+
+
 def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
     """Grid certificate of i_k(u) >= kernel^(k-1)(u), plus the k=5 ray.
 
@@ -425,14 +427,9 @@ def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
     its first two series terms; K_4(7) < 1/720 then gives u K_4(7) <
     (u + 6)/720 for every u > 0.
     """
-    if not 1 <= k <= 6:
-        raise ValueError("supported orders are 1..6")
-    pts = _grid_points(grid)
-    cells = []
-    for u in pts:
-        margin, verdict = _sign_definite(lambda d: kernel_margin(k, u, d),
-                                         digits)
-        cells.append({"u": u, "margin": margin, "verdict": verdict})
+    check_range("order --k", k, 1, 6)
+    cells = [{"u": u, "margin": margin, "verdict": verdict}
+             for u, margin, verdict in _margin_cells(k, grid, digits)]
     report = {
         "k": k,
         "cells": cells,
@@ -456,16 +453,16 @@ CONJECTURE_MAX_ORDER = 50
 
 
 def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
-    """Search a grid for a sign-definite violation of the order-k inequality."""
+    """The first grid point where the order-k inequality certifiably fails,
+    each margin refined as `kernel_certificate` refines it."""
     check_range("order --k", k, 1, CONJECTURE_MAX_ORDER)
-    pts = _grid_points(grid)
     counterexample = None
     margins = []
-    for u in pts:
-        margin = kernel_margin(k, u, digits)
+    for u, margin, verdict in _margin_cells(k, grid, digits):
         margins.append((u, margin))
-        if margin.hi < 0 and counterexample is None:
+        if verdict == "fail":
             counterexample = {"u": u, "margin": margin}
+            break
     return {"k": k, "counterexample": counterexample, "margins": margins}
 
 

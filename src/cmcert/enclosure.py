@@ -23,12 +23,6 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as 'p/q' (or plain integer when q == 1)."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # the most digits that `refine` doubles a working precision to
 DIGIT_CAP = 150
 
@@ -55,8 +49,6 @@ def integer_nth_root(a: int, n: int) -> int:
         raise ValueError("integer_nth_root requires a >= 0, n >= 1")
     if a == 0:
         return 0
-    if n == 1:
-        return a
     if n == 2:
         return math.isqrt(a)
     x = 1 << ((a.bit_length() + n - 1) // n + 1)
@@ -127,9 +119,9 @@ class Enclosure(Record):
 
     def __init__(self, lo: Fraction | int, hi: Fraction | int):
         if not isinstance(lo, Fraction):
-            lo = Fraction(lo)
+            lo = to_fraction(lo)
         if not isinstance(hi, Fraction):
-            hi = Fraction(hi)
+            hi = to_fraction(hi)
         if lo > hi:
             raise ValueError(f"inverted interval [{lo}, {hi}]")
         _set(self, "lo", lo)
@@ -139,7 +131,7 @@ class Enclosure(Record):
 
     @staticmethod
     def point(x: Fraction | int) -> "Enclosure":
-        x = Fraction(x)
+        x = to_fraction(x)
         return Enclosure(x, x)
 
     @staticmethod
@@ -218,7 +210,7 @@ class Enclosure(Record):
     # -- rendering ---------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
+        return f"[{self.lo}, {self.hi}]"
 
     def decimal_str(self, places: int = 20) -> str:
         """[lo, hi] in decimals, rounded outward to `places`, so the

@@ -342,8 +342,8 @@ def build_f4_via_pade():
     quintic factor are both certified positive there.
     """
     (lnum, lden), (unum, uden), _ = lemma1_exp_bounds(2, 3)
-    u2, d3 = uden ** 2, lden ** 3
-    l2u2, d3u = lnum ** 2 * u2, d3 * unum
+    u2, d3 = uden * uden, lden * lden * lden
+    l2u2, d3u = lnum * lnum * u2, d3 * unum
     numerator = (l2u2 * lnum * _poly(69, 10) + (l2u2 * lden).scale(7215)
                  - d3u * uden * _poly(4035, 7119) - d3 * u2 * _poly(3249, 793)
                  - d3u * unum * _poly(0, 2610))

@@ -21,8 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .enclosure import (Enclosure, Record, check_range, format_rational,
-                        to_fraction)
+from .enclosure import Enclosure, Record, check_range, to_fraction
 
 
 class Polynomial(Record):
@@ -68,8 +67,7 @@ class Polynomial(Record):
         return Polynomial.of([self[i] + other[i] for i in range(n)])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial.of([self[i] - other[i] for i in range(n)])
+        return self + other.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero() or other.is_zero():
@@ -86,16 +84,6 @@ class Polynomial(Record):
         if c == 0:
             return Polynomial.zero()
         return Polynomial(tuple(a * c for a in self.coeffs))
-
-    def __pow__(self, n: int) -> "Polynomial":
-        result = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def derivative(self) -> "Polynomial":
         return Polynomial.of([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -198,18 +186,17 @@ class PositivityCertificate(Record):
     def to_json(self) -> str:
         doc = {
             "verdict": self.verdict,
-            "interval": [format_rational(self.interval[0]),
-                         format_rational(self.interval[1])],
+            "interval": [str(self.interval[0]), str(self.interval[1])],
             "pieces": [
                 {
-                    "shift": format_rational(pc.shift),
-                    "min_bk": format_rational(pc.min_bk),
+                    "shift": str(pc.shift),
+                    "min_bk": str(pc.min_bk),
                     "argmin": pc.argmin,
-                    "max_bk": format_rational(pc.max_bk),
+                    "max_bk": str(pc.max_bk),
                 }
                 for pc in self.pieces
             ],
-            "witness": None if self.witness is None else format_rational(self.witness),
+            "witness": None if self.witness is None else str(self.witness),
         }
         return json.dumps(doc, indent=2)
 

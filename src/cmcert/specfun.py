@@ -28,6 +28,25 @@ K_TAIL_MAX_ORDER = 100
 # top bessel_ratio argument, for about e sqrt(u) terms of growing integers:
 # cold, bessel --k 0 --u 10^7 took 0.34 s at 60 digits, 1.9 s at 1,000
 BESSEL_MAX_U = 10 ** 7
+# top bessel_ratio order: kernel_margin needs 50 and unimodal-max 2; cold,
+# --k 100000 took 0.19-0.24 s at u = 10^7 (--k 1000000 at u = 1: 7.1 s)
+BESSEL_MAX_ORDER = 10 ** 5
+# the most bits of u's numerator and denominator, times isqrt(u) + 1 for the
+# terms that each grow the sums by those bits: cold, u = 10^7 (79,075) took
+# 0.37 s at 60 digits, 2.1-2.6 s at 1,000, and 9999999.9 0.78 s and 4.1 s
+BESSEL_MAX_SIZE = 80000
+# top polygamma order n: cm_check needs 91 and p_value 2; cold at 1,000
+# digits, n = 1000 took 0.6 s at x = 1
+POLYGAMMA_MAX_ORDER = 1000
+# the most (n + 1) times the bits of x's numerator and denominator, which
+# bound those of psi^(n)(x) ~ n!/x^(n+1) and of each order's fixed point:
+# cold at 1,000 digits, n = 1000 took 1.4-1.9 s at x = 10^-6 (21,021), 3.0 s
+# at 10^-10 and 13.8 s at 1 + 10^-50, and at 60 digits 28.7 s at 10^9000
+POLYGAMMA_MAX_SIZE = 22000
+# the most bits of x's denominator, whose powers the exact Bernoulli terms
+# take, more the higher the precision: cold at 1,000 digits, x = 10^-99
+# (329 bits) took 1.4-2.3 s at n = 1 and 2.0 s at n = 64, 10^-400 11.8 s
+POLYGAMMA_MAX_DEN_BITS = 330
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
 
@@ -101,8 +120,6 @@ def exp_enclosure(x, digits: int) -> Enclosure:
     estimate.  An x that needs more than EXP_BITS_CAP bits raises.
     """
     x = to_fraction(x)
-    if x == 0:
-        return Enclosure.point(1)
     if x < 0:
         e = exp_enclosure(-x, digits + 2)
         return divide_round_out((1, 1, 1), e.ratio(), digits + 1)
@@ -136,13 +153,14 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
     the sum stops when that is below 10**-(digits+1), decided by
     cross-multiplication, and only the rounded endpoints become Fractions.
     """
-    if k < 0:
-        raise ValueError("order must be >= 0")
+    check_range("order --k", k, 0, BESSEL_MAX_ORDER)
     u = to_fraction(u)
     check_range("argument --u/--grid", u, 0, BESSEL_MAX_U)
+    a, b = u.numerator, u.denominator
+    check_range("size --u/--grid", (a.bit_length() + b.bit_length())
+                * (math.isqrt(a // b) + 1), 0, BESSEL_MAX_SIZE)
     if u == 0:
         return Enclosure.point(Fraction(1, math.factorial(k)))
-    a, b = u.numerator, u.denominator
     scale = 10 ** (digits + 1)
     total, den, apow = 1, math.factorial(k), 1
     n = 0
@@ -255,7 +273,7 @@ def _polygamma_mantissas(n0: int, N: int, a: int, b: int, m: int,
 
 def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
     """psi^(n)(x) for n = n0..N as integer pairs (lo, hi) bracketing
-    psi^(n)(x) * 10**(digits+1); n0 >= 1, x > 0.
+    psi^(n)(x) * 10**(digits+1); n0 >= 1, x > 0, both within the caps above.
 
     The argument is lifted by the exact recurrence and each order summed on
     fixed-point brackets, returned at its own scale p
@@ -263,11 +281,16 @@ def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
     summed again with the lift target doubled; the others keep their
     first result.
     """
-    if n0 < 1:
-        raise ValueError("derivative order must be >= 1")
     x = to_fraction(x)
     if x <= 0:
         raise ValueError("argument must be > 0")
+    for n in (n0, N):
+        check_range("order --n", n, 1, POLYGAMMA_MAX_ORDER)
+    bits_a, bits_b = x.numerator.bit_length(), x.denominator.bit_length()
+    check_range("denominator bits --x/--t/--grid", bits_b, 1,
+                POLYGAMMA_MAX_DEN_BITS)
+    check_range("size --n/--x", (N + 1) * (bits_a + bits_b), 0,
+                POLYGAMMA_MAX_SIZE)
     tol_den = 10 ** (digits + 1)
     target = max(20, digits)
     out = [None] * (N - n0 + 1)

@@ -566,6 +566,17 @@ def test_installed_entry_point_matches_module_run():
      "--orders", "2"],
     ["cm-check", "--alpha", "1", "--beta", "1", "--r", "1/1000",
      "--orders", "2"],
+    ["kernel-ineq", "--k", "7"],
+    ["--precision", "1000", "polygamma", "--n", "8000", "--x", "1"],
+    ["--precision", "1000", "polygamma", "--n", "1000",
+     "--x", f"1/{10 ** 100}"],
+    ["--precision", "1000", "polygamma", "--n", "1", "--x", f"1/{10 ** 400}"],
+    ["--precision", "1000", "polygamma", "--n", "1",
+     "--x", f"{10 ** 1000 + 1}/{10 ** 1000}"],
+    ["polygamma", "--n", "1000", "--x", "1e9000"],
+    ["bessel", "--k", "1000000", "--u", "1"],
+    ["bessel", "--k", "0", "--u", "9999999." + "9" * 100],
+    ["--precision", "1000", "bessel", "--k", "0", "--u", "9999999.9"],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
@@ -704,7 +715,8 @@ def test_exact_output_over_the_int_string_limit():
 # (it prints text), and the exit-64 paths of --interval, --bracket, --k,
 # --ell, --orders, --k-max, --count, --terms, --shifts, --step, --m, --n,
 # --u, the numerator and denominator of --r, the --grid count, the digits of
-# an option value, and the coefficient count and digits of --file.
+# an option value, the coefficient count and digits of --file, and the
+# sizes of the polygamma and Bessel arguments.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -810,6 +822,13 @@ GOLDEN_USAGE_ERRORS = {
                                  "--r", "101"],
     "cm-check-r-denominator-11": ["cm-check", "--alpha", "1", "--beta", "1",
                                   "--r", "1/11"],
+    "kernel-ineq-k-7": ["kernel-ineq", "--k", "7"],
+    "polygamma-n-1001": ["polygamma", "--n", "1001", "--x", "1"],
+    "polygamma-size": ["polygamma", "--n", "1000", "--x", "1/10000000000"],
+    "polygamma-denominator-bits": ["polygamma", "--n", "1",
+                                   "--x", f"1/{10 ** 100}"],
+    "bessel-k-100001": ["bessel", "--k", "100001", "--u", "1"],
+    "bessel-size": ["bessel", "--k", "0", "--u", "9999999.9"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.

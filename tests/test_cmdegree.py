@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cmcert import cmdegree, specfun
 from cmcert.cmdegree import CMExpression
-from cmcert.enclosure import Enclosure, format_rational
+from cmcert.enclosure import Enclosure
 from cmcert.expring import eval_enclosure, kernel_derivative
 
 import reference_values
@@ -336,7 +336,7 @@ def test_point_table_roots_are_the_rational_power_enclosures(t, u, v, digits):
 
 def _report_json(report) -> str:
     """The report's document as json.dumps(..., indent=2) writes it."""
-    fmt = format_rational
+    fmt = str
     return json.dumps({
         "function": report.function, "r": fmt(report.r), "N": report.N,
         "grid": [fmt(t) for t in report.grid],
@@ -572,6 +572,44 @@ def test_conjecture_scan_finds_order_six_counterexample():
     assert scan["counterexample"]["margin"].hi < 0
 
 
+def test_conjecture_scan_refines_a_straddling_margin(monkeypatch):
+    # the margin at u = 2 meets 0 at the first precision and is negative
+    # from twice that on: the scan refines it, as kernel-ineq does
+    def margin(k, u, d):
+        if u != 2:
+            return Enclosure(1, 2)
+        return Enclosure(-1, 1) if d < 30 else Enclosure(-2, -1)
+
+    monkeypatch.setattr(cmdegree, "kernel_margin", margin)
+    scan = cmdegree.conjecture_scan(6, [1, 2, 3], digits=15)
+    assert scan["counterexample"] == {"u": 2, "margin": Enclosure(-2, -1)}
+
+
+def test_conjecture_scan_stops_at_its_counterexample(monkeypatch):
+    # no margin is computed past the first certified counterexample
+    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
+    seen = []
+    kernel_margin = cmdegree.kernel_margin
+
+    def recording(k, u, d):
+        seen.append(u)
+        return kernel_margin(k, u, d)
+
+    monkeypatch.setattr(cmdegree, "kernel_margin", recording)
+    scan = cmdegree.conjecture_scan(6, grid, digits=20)
+    u = scan["counterexample"]["u"]
+    assert 0 < grid.index(u) < len(grid) - 1
+    assert set(seen) == set(grid[:grid.index(u) + 1])
+    assert seen[-1] == u
+    assert [v for v, _ in scan["margins"]] == grid[:grid.index(u) + 1]
+
+
+@pytest.mark.parametrize("k", [0, 7])
+def test_kernel_certificate_refuses_orders_out_of_range(k):
+    with pytest.raises(ValueError, match=rf"^order --k {k} .* range 1\.\.6$"):
+        cmdegree.kernel_certificate(k, [], digits=15)
+
+
 @pytest.mark.parametrize("k", [0, -1, cmdegree.CONJECTURE_MAX_ORDER + 1,
                                1200])
 def test_conjecture_scan_refuses_orders_out_of_range(k):
@@ -745,10 +783,11 @@ def test_cm_check_stops_at_the_precision_cap(monkeypatch):
     expr = CMExpression.of([(2, 0, ("const",)),
                             (-1, Fraction(1, 2), ("const",))])
     ends = cmdegree._ends
+    rows0 = cmdegree._derivative_rows(expr, 0, 0)[0]
     digits = []
 
     def recording(rows, d, table):
-        if set(rows) == set(expr._rows):
+        if set(rows) == set(rows0):
             digits.append(d)
         return ends(rows, d, table)
 

@@ -28,6 +28,17 @@ def test_point_and_width():
     assert e.lo == e.hi == Fraction(3, 7)
 
 
+def test_float_endpoints_are_refused():
+    # Enclosure(0.1, 1) would start at the double nearest 1/10, which is
+    # above it, so the enclosure would exclude 1/10
+    for build in (lambda: Enclosure(0.1, 1), lambda: Enclosure(0, 0.5),
+                  lambda: Enclosure.point(0.5)):
+        with pytest.raises(TypeError, match="exact rational"):
+            build()
+    assert Enclosure(0, 1) == Enclosure.point(0).hull(Enclosure.point(1))
+    assert Enclosure("1/10", 1).lo == Fraction(1, 10)
+
+
 def test_inverted_interval_rejected():
     with pytest.raises(ValueError):
         interval(1, 0)

@@ -204,6 +204,39 @@ def test_bessel_ratio_refuses_an_argument_past_its_cap():
             specfun.bessel_ratio(1, u, 10)
 
 
+def test_bessel_ratio_refuses_an_order_or_a_size_past_its_cap():
+    # the order's factorial, and terms that grow by the bits of u's
+    # numerator and denominator, about isqrt(u) of them: refused at once
+    assert specfun.bessel_ratio(specfun.BESSEL_MAX_ORDER, 1, 10).hi > 0
+    assert specfun.bessel_ratio(0, specfun.BESSEL_MAX_U, 10).lo > 0
+    with pytest.raises(ValueError, match=r"^order --k 100001 .* 0\.\.100000$"):
+        specfun.bessel_ratio(specfun.BESSEL_MAX_ORDER + 1, 1, 10)
+    with pytest.raises(ValueError, match=r"^order --k -1 "):
+        specfun.bessel_ratio(-1, 1, 10)
+    for u in (Fraction(99999999, 10), 1 + Fraction(1, 10 ** 15000)):
+        with pytest.raises(ValueError, match=r"^size --u/--grid .* 0\.\."):
+            specfun.bessel_ratio(0, u, 10)
+
+
+def test_polygamma_refuses_an_order_or_a_size_past_its_cap():
+    top = specfun.POLYGAMMA_MAX_ORDER
+    assert specfun.polygamma(top, Fraction(1, 10 ** 6), 10).hi < 0
+    assert specfun.polygamma(1, Fraction(1, 10 ** 99), 10).lo > 0
+    for n in (0, top + 1):
+        with pytest.raises(ValueError, match=rf"^order --n {n} .*\.\.{top}$"):
+            specfun.polygamma(n, 1, 10)
+    with pytest.raises(ValueError, match=r"^order --n 1001 "):
+        specfun.polygamma_jet(1, top + 1, 1, 10)
+    # psi^(n)(x) ~ n!/x^(n+1) at small x, and long fixed points at large x
+    for n, x in ((top, Fraction(1, 10 ** 10)), (top, 10 ** 9000)):
+        with pytest.raises(ValueError, match=r"^size --n/--x .* 0\.\."):
+            specfun.polygamma(n, x, 10)
+    # exact Bernoulli terms take powers of the denominator
+    for x in (Fraction(1, 10 ** 100), 1 + Fraction(1, 10 ** 100)):
+        with pytest.raises(ValueError, match=r"^denominator bits .*\.\.330$"):
+            specfun.polygamma(1, x, 10)
+
+
 def test_bessel_ratio_raises_at_term_cap(monkeypatch):
     # the series of I_2(2 sqrt(1000))/1000 needs about 45 terms before its
     # ratios drop below 1/2; stopping at 10 has no proven tail bound
