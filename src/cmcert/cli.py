@@ -1,8 +1,8 @@
 """Command-line front end for the certification toolkit.
 
 Every certification and scan is a subcommand; reports are deterministic and
-stream as text, JSON or CSV.  Exit codes: 0 certified/pass, 1 falsified,
-2 inconclusive, 64 usage error or out-of-range argument, 65 config error.
+stream as text, JSON or CSV.  Exit codes: EXIT_CODES of the verdict, 64
+usage error or out-of-range argument, 65 config error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from fractions import Fraction
 from .enclosure import Enclosure, Record, check_range
 from . import cmdegree, expring, poly, seriesratio, specfun
 
+# the exit code of each verdict word, ordered by enclosure.VERDICT_RANK
+EXIT_CODES = {"pass": 0, "certified": 0, "fail": 1, "falsified": 1,
+              "indeterminate": 2, "inconclusive": 2}
 EX_USAGE = 64
 EX_CONFIG = 65
 # the highest --precision: on 2 vCPUs polygamma --n 1 took 6.9 s at 3,000
@@ -77,9 +80,11 @@ def _parse_grid(spec: str):
         lo, hi, count = _rat(lo_s), _rat(hi_s), int(count_s)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"bad grid spec {spec!r}; expected scale:lo,hi,count")
-    if scale not in ("geometric", "linear"):
+    builders = {"geometric": cmdegree.geometric_grid,
+                "linear": cmdegree.linear_grid}
+    if scale not in builders:
         raise ValueError(f"unknown grid scale {scale!r}")
-    return getattr(cmdegree, f"{scale}_grid")(lo, hi, count)
+    return builders[scale](lo, hi, count)
 
 
 # the most coefficients in a polynomial file: cold on 2 vCPUs (medians of
@@ -206,8 +211,8 @@ def main(args=None, prog_name: str = "cmcert"):
 main.main = main
 
 
-def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
-    """Print one report in the configured format, then exit with code.
+def _emit(cfg: RunConfig, doc, text, rows=None, verdict: str = "pass"):
+    """Print one report in the configured format; exit EXIT_CODES[verdict].
 
     doc returns the report's JSON text, called only under --format json,
     and rows are its CSV records, header first.  A command with no JSON or
@@ -220,7 +225,7 @@ def _emit(cfg: RunConfig, doc, text, rows=None, code: int = 0):
     else:
         lines = text
     print(*lines, sep="\n")
-    sys.exit(code)
+    sys.exit(EXIT_CODES[verdict])
 
 
 def _ends(enc: Enclosure) -> list:
@@ -248,8 +253,7 @@ def certify_poly(cfg, file, interval, step):
         for piece in cert.pieces]
     if cert.witness is not None:
         text.append(f"  witness: {cert.witness} -> {cert.witness_value}")
-    _emit(cfg, cert.to_json, text,
-          code={"certified": 0, "falsified": 1}.get(cert.verdict, 2))
+    _emit(cfg, cert.to_json, text, verdict=cert.verdict)
 
 
 # the most --shifts: cold on 2 vCPUs, 5,000 shifts took 0.20 s for 1 + x^2
@@ -320,8 +324,6 @@ def kernel_ineq(cfg, k):
            "cells": [dict(zip(header, row)) for row in rows], "ray": None}
     text = [f"u={c['u']}: margin {c['margin'].decimal_str(12)} {c['verdict']}"
             for c in rep["cells"]]
-    verdicts = {c["verdict"] for c in rep["cells"]}
-    code = 1 if "fail" in verdicts else 2 if "indeterminate" in verdicts else 0
     if "ray" in rep:
         ray = rep["ray"]
         doc["ray"] = {"from": str(ray["from"]),
@@ -331,17 +333,17 @@ def kernel_ineq(cfg, k):
         text.append(f"ray [{ray['from']}, inf): "
                     f"K_4(7) = {ray['K4_at_7'].decimal_str(12)} "
                     f"< 1/720: {ray['certified']}")
-        if not ray["certified"]:
-            code = max(code, 2)
-    _emit(cfg, lambda: json.dumps(doc, indent=2), text, [header] + rows, code)
+    _emit(cfg, lambda: json.dumps(doc, indent=2), text, [header] + rows,
+          rep["verdict"])
 
 
 @_command("ratio-mono", which=dict(choices=["c", "C"], required=True),
           beta=dict(required=True), count=dict(default=50, type=int))
 def ratio_mono(cfg, which, beta, count):
     """Exact coefficient-ratio sequence with a monotonicity verdict."""
-    beta_f = _rat(beta)
-    rep = getattr(seriesratio, f"{which}_ratio_sequence")(beta_f, count)
+    sequence = {"c": seriesratio.c_ratio_sequence,
+                "C": seriesratio.C_ratio_sequence}[which]
+    rep = sequence(_rat(beta), count)
     values = [str(v) for v in rep.values]
     _emit(cfg, lambda: json.dumps({
         "sequence": which, "beta": beta, "values": values,
@@ -351,7 +353,7 @@ def ratio_mono(cfg, which, beta, count):
         + [f"  {k}: {v}" for k, v in enumerate(values)]
         + [f"strictly increasing: {rep.strictly_increasing}"],
         [("k", "value")] + [(str(k), v) for k, v in enumerate(values)],
-        0 if rep.strictly_increasing else 1)
+        "pass" if rep.strictly_increasing else "fail")
 
 
 @_command("ladder", k_max=dict(default=50, type=int))
@@ -367,7 +369,7 @@ def ladder(cfg, k_max):
          f"{'all inequalities hold' if rep['passed'] else 'FAILED'}"]
         + [f"  C({m}) = {v}" for m, v in rep["C_values"].items()]
         + [f"  failure: {f}" for f in rep["failures"]],
-        code=0 if rep["passed"] else 1)
+        verdict="pass" if rep["passed"] else "fail")
 
 
 @_command("unimodal-max", function=dict(choices=["F", "G"], required=True),
@@ -387,7 +389,7 @@ def unimodal_max_cmd(cfg, function, beta, bracket, tol):
         [f"argmax in {res.argmax.decimal_str(8)}",
          f"max in {res.value.decimal_str(8)}",
          f"resolved: {res.resolved}"],
-        code=0 if res.resolved else 2)
+        verdict="pass" if res.resolved else "indeterminate")
 
 
 @_command("cm-check", alpha=dict(required=True), beta=dict(required=True),
@@ -404,7 +406,7 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
            f"orders 0..{rep.N}: {rep.summary}"]
           + [f"  n={c.n} t={c.t}: {c.verdict} {c.value.decimal_str(10)}"
              for c in rep.cells if c.verdict != "pass"],
-          code=rep.exit_code())
+          verdict=rep.summary)
 
 
 @_command("p-limit", t=dict(required=True,
@@ -432,7 +434,7 @@ def verify_identity_cmd(cfg, k, terms):
         [f"k={k}, N={terms}: "
          f"{'all coefficients match' if rep['passed'] else 'MISMATCH'}"
          f" (constant {constant})"],
-        code=0 if rep["passed"] else 1)
+        verdict="pass" if rep["passed"] else "fail")
 
 
 @_command("conjecture-scan", k=dict(required=True, type=int))
@@ -455,7 +457,7 @@ def conjecture_scan_cmd(cfg, k):
         text = [f"counterexample at u = {ce['u']}: "
                 f"margin [{', '.join(_ends(ce['margin']))}]"]
     _emit(cfg, lambda: json.dumps(payload, indent=2), text,
-          code=0 if ce is None else 1)
+          verdict="pass" if ce is None else "fail")
 
 
 def paper_battery():
@@ -538,7 +540,7 @@ def reproduce_paper(cfg):
                      + (f": {detail}" if detail else ""))
     _emit(cfg, None, lines + ["summary: " + ("all checks passed" if ok
                                              else "some checks FAILED")],
-          code=0 if ok else 1)
+          verdict="pass" if ok else "fail")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .enclosure import (DIGIT_CAP, Enclosure, Record, check_range,
                         divide_round_out, integer_nth_root, refine,
-                        to_fraction)
+                        to_fraction, worst)
 from . import expring, specfun
 
 
@@ -137,17 +137,14 @@ class CMExpression(Record):
                 out.append((c, p, ("psi", atom[1] + 1)))
         return CMExpression.of(out)
 
-    def evaluate(self, t, digits: int,
-                 table: PointTable | None = None) -> Enclosure:
+    def evaluate(self, t, digits: int) -> Enclosure:
         """Enclosure of the expression at t > 0, rounded out at digits + 1,
-        from `table`, a `PointTable` at t (a fresh one up to the highest psi
-        order when none is given); see `_cell`."""
+        from a `PointTable` at t up to the highest psi order; see `_cell`."""
         t = to_fraction(t)
         if t <= 0:
             raise ValueError("expressions are evaluated on t > 0 only")
         rows = _derivative_rows(self, 0, 0)[0]
-        table = PointTable(t, _psi_top(rows)) if table is None else table
-        return _cell(rows, digits, table)
+        return _cell(rows, digits, PointTable(t, _psi_top(rows)))
 
 
 def h_expression(alpha=1, beta=1) -> CMExpression:
@@ -171,9 +168,6 @@ class DegreeCell(Record):
 class DegreeReport(Record):
     # summary: pass | fail | indeterminate
     __slots__ = _fields = ("function", "r", "N", "grid", "cells", "summary")
-
-    def exit_code(self) -> int:
-        return {"pass": 0, "fail": 1, "indeterminate": 2}[self.summary]
 
     def to_json(self) -> str:
         """json.dumps(..., indent=2) of the report, written directly: with
@@ -328,11 +322,8 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
         columns.append([_signed_cell(rows, n, t, digits, table)
                         for n, rows in enumerate(tower)])
     cells = [column[n] for n in range(N + 1) for column in columns]
-    verdicts = {c.verdict for c in cells}
-    summary = ("fail" if "fail" in verdicts else
-               "indeterminate" if "indeterminate" in verdicts else "pass")
     return DegreeReport(function=name, r=r, N=N, grid=pts, cells=cells,
-                        summary=summary)
+                        summary=worst(c.verdict for c in cells))
 
 
 def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
@@ -430,21 +421,17 @@ def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
     check_range("order --k", k, 1, 6)
     cells = [{"u": u, "margin": margin, "verdict": verdict}
              for u, margin, verdict in _margin_cells(k, grid, digits)]
-    report = {
-        "k": k,
-        "cells": cells,
-        "passed": all(c["verdict"] == "pass" for c in cells),
-    }
+    report = {"k": k, "cells": cells}
+    verdicts = [c["verdict"] for c in cells]
     if k == 5:
         k4 = specfun.k_tail(4, 7, digits + 6)
         ray_ok = k4.hi < Fraction(1, 720)
-        report["ray"] = {
-            "threshold": Fraction(1, 720),
-            "K4_at_7": k4,
-            "certified": ray_ok,
-            "from": Fraction(7),
-        }
-        report["passed"] = report["passed"] and ray_ok
+        report["ray"] = {"threshold": Fraction(1, 720), "K4_at_7": k4,
+                         "certified": ray_ok, "from": Fraction(7)}
+        # an uncertified ray proves nothing either way
+        verdicts.append("pass" if ray_ok else "indeterminate")
+    report["verdict"] = worst(verdicts)
+    report["passed"] = report["verdict"] == "pass"
     return report
 
 
@@ -491,8 +478,7 @@ def verify_identity(k: int, N: int) -> dict:
     """
     check_range("order --k", k, 0, IDENTITY_MAX)
     check_range("count --terms", N, 1, IDENTITY_MAX)
-    T = math.prod(range(2, k + 2))  # T_0, then T_i by the running product
-    mismatches = [("constant", k)] if T != math.factorial(k + 1) else []
+    T = math.factorial(k + 1)  # T_0, then T_i by the running product
     constant = Fraction(1, T)
     bessel, hyp = [], []
     d_bessel = math.factorial(k + 2)
@@ -505,6 +491,6 @@ def verify_identity(k: int, N: int) -> dict:
         if _transform_weight(i) * T != d_bessel:
             bessel.append(("bessel", i))
         d_bessel *= (i + 1) * (i + k + 3)
-    mismatches += bessel + hyp
+    mismatches = bessel + hyp
     return {"k": k, "N": N, "constant": constant, "passed": not mismatches,
             "mismatches": mismatches}

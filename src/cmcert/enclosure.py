@@ -3,7 +3,8 @@
 An Enclosure is a closed interval [lo, hi] with Fraction endpoints that is
 guaranteed to contain the true real value it stands for.  Certification
 paths compute on integer triples and round once, outward, by
-`divide_round_out`; `refine` doubles a precision until a decision settles.
+`divide_round_out`; `refine` doubles a precision until a decision settles,
+and `worst` merges the three-way verdicts it leads to.
 """
 
 from __future__ import annotations
@@ -13,14 +14,23 @@ from fractions import Fraction
 
 
 def to_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' / decimal strings to Fraction."""
+    """Coerce an int or a Fraction to Fraction; text is read by `cli._rat`."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+# the three-way verdict in the words each layer prints, least severe first:
+# a certified counterexample outranks an undecided check, which outranks a pass
+VERDICT_RANK = {"pass": 0, "certified": 0, "indeterminate": 1,
+                "inconclusive": 1, "fail": 2, "falsified": 2}
+
+
+def worst(verdicts):
+    """The most severe of a nonempty iterable of verdicts."""
+    return max(verdicts, key=VERDICT_RANK.__getitem__)
 
 
 # the most digits that `refine` doubles a working precision to

@@ -83,7 +83,6 @@ class ExpPoly(Record):
         return sum((p(0) for _, p in self.terms), Fraction(0))
 
 
-@lru_cache(maxsize=128)
 def _taylor_table(num: ExpPoly, order: int) -> tuple[int, tuple[int, ...]]:
     """(D, K) with K[j] / (D j!) the j-th Taylor coefficient of num at 0.
 

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .enclosure import Enclosure, Record, check_range, to_fraction
+from .enclosure import Enclosure, Record, check_range, to_fraction, worst
 
 
 class Polynomial(Record):
@@ -269,22 +269,14 @@ def certify_positive_on_interval(p: Polynomial, lo, hi,
             return "inconclusive"
         m = (a + b) / 2
         left = handle(a, m, depth + 1)
-        if left == "falsified":
-            return left
         # the right half may hold a witness even when the left is inconclusive
-        right = handle(m, b, depth + 1)
-        return right if left == "certified" or right == "falsified" else left
+        return left if left == "falsified" else \
+            worst([left, handle(m, b, depth + 1)])
 
-    a = lo
-    status = "certified"
-    while a < hi:
+    a, status = lo, "certified"
+    while a < hi and status != "falsified":
         b = min(a + step, hi)
-        st = handle(a, b, 0)
-        if st == "falsified":
-            status = "falsified"
-            break
-        if st == "inconclusive":
-            status = "inconclusive"
+        status = worst([status, handle(a, b, 0)])
         a = b
 
     return PositivityCertificate(

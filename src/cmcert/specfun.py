@@ -20,20 +20,21 @@ from fractions import Fraction
 
 from .enclosure import (Enclosure, check_range, divide_round_out,
                         to_fraction)
+from . import expring
 
 TERM_CAP = 10 ** 6
 EXP_BITS_CAP = 2 ** 15
 # top k_tail order, 60 digits: 0.06 s cold at a = 249/1000, 0.4 s at 10^-30
 K_TAIL_MAX_ORDER = 100
 # top bessel_ratio argument, for about e sqrt(u) terms of growing integers:
-# cold, bessel --k 0 --u 10^7 took 0.34 s at 60 digits, 1.9 s at 1,000
+# cold, bessel --k 0 --u 10^7 took 0.23 s at 60 digits, 0.27 s at 1,000
 BESSEL_MAX_U = 10 ** 7
 # top bessel_ratio order: kernel_margin needs 50 and unimodal-max 2; cold,
 # --k 100000 took 0.19-0.24 s at u = 10^7 (--k 1000000 at u = 1: 7.1 s)
 BESSEL_MAX_ORDER = 10 ** 5
 # the most bits of u's numerator and denominator, times isqrt(u) + 1 for the
 # terms that each grow the sums by those bits: cold, u = 10^7 (79,075) took
-# 0.37 s at 60 digits, 2.1-2.6 s at 1,000, and 9999999.9 0.78 s and 4.1 s
+# 0.23 s at 60 digits, 0.25-0.28 s at 1,000, and 9999999.9 0.25-0.29 s at both
 BESSEL_MAX_SIZE = 80000
 # top polygamma order n: cm_check needs 91 and p_value 2; cold at 1,000
 # digits, n = 1000 took 0.6 s at x = 1
@@ -45,7 +46,7 @@ POLYGAMMA_MAX_ORDER = 1000
 POLYGAMMA_MAX_SIZE = 22000
 # the most bits of x's denominator, whose powers the exact Bernoulli terms
 # take, more the higher the precision: cold at 1,000 digits, x = 10^-99
-# (329 bits) took 1.4-2.3 s at n = 1 and 2.0 s at n = 64, 10^-400 11.8 s
+# (329 bits) took 0.36-0.42 s at n = 1 and 0.7-1.1 s at n = 64, 10^-400 1.6 s
 POLYGAMMA_MAX_DEN_BITS = 330
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
@@ -162,18 +163,20 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
     if u == 0:
         return Enclosure.point(Fraction(1, math.factorial(k)))
     scale = 10 ** (digits + 1)
-    total, den, apow = 1, math.factorial(k), 1
+    # apow is a**n, and apow_s the tail test's a**(n+1) * scale
+    total, den, apow, apow_s = 1, math.factorial(k), 1, scale * a
     n = 0
     while True:
         n += 1
         step = b * n * (n + k)
         apow *= a
+        apow_s *= a
         total = total * step + apow
         den *= step
         m = b * (n + 1) * (n + k + 1)
         if 2 * a < m:
             tail_den = den * (m - a)
-            if apow * a * scale < tail_den:
+            if apow_s < tail_den:
                 break
         if n > TERM_CAP:
             raise RuntimeError(
@@ -226,13 +229,18 @@ def _polygamma_mantissas(n0: int, N: int, a: int, b: int, m: int,
     # (n-1)! w**n, and n! w**(n+1)/2 is half of it at order n + 1
     tl, th, out = [], [], []
 
-    def exact(k, n):
+    def exact(k, n, powers=None):  # powers: b**e and c**e, if known
         num, den = _bernoulli_pair(k)
         e = n + 2 * k
-        return abs(num) * math.perm(e - 1, n - 1) * b ** e, den * c ** e
+        b_e, c_e = powers or (b ** e, c ** e)
+        return abs(num) * math.perm(e - 1, n - 1) * b_e, den * c_e
+
+    last = [0, 1, 1]  # the last pushed e, b**e and c**e; e only grows
 
     def push(k, n):  # a term new at order n, floored from its exact ratio
-        num, den = exact(k, n)
+        d = n + 2 * k - last[0]
+        last[:] = last[0] + d, last[1] * b ** d, last[2] * c ** d
+        num, den = exact(k, n, last[1:])
         q, r = divmod(num << W, den)
         tl.append(q)
         th.append(q + (r > 0))
@@ -327,9 +335,9 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     i A(n-1, i) + (n-i+1) A(n-1, i-1) (Graham, Knuth and Patashnik 6.2).
     """
     check_range("order --ell", ell, 0, K_TAIL_MAX_ORDER)
-    from .expring import eval_enclosure, reciprocal_derivative  # import cycle
     a = to_fraction(a)
     if a <= 0:
         raise ValueError("a must be > 0")
-    value = eval_enclosure(reciprocal_derivative(ell), a, digits)
+    value = expring.eval_enclosure(expring.reciprocal_derivative(ell), a,
+                                   digits)
     return Enclosure(-value.hi, -value.lo) if ell % 2 else value

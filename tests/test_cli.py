@@ -453,6 +453,49 @@ def test_unresolved_maximum_is_inconclusive(monkeypatch):
     assert "resolved: False" in result.stdout.splitlines()
 
 
+PASS, FAIL, OPEN = Enclosure(1, 2), Enclosure(-2, -1), Enclosure(-1, 1)
+
+
+@pytest.mark.parametrize("margins, k4, code", [
+    ((PASS, PASS), Enclosure(0, Fraction(1, 1000)), 0),
+    ((PASS, OPEN), Enclosure(0, Fraction(1, 1000)), 2),
+    ((PASS, PASS), Enclosure(0, 1), 2),
+    # a certified failing cell outranks the uncertified ray
+    ((FAIL, PASS), Enclosure(0, 1), 1),
+], ids=["pass", "open-cell", "open-ray", "fail-cell-open-ray"])
+def test_kernel_ineq_exits_with_the_worst_verdict(monkeypatch, margins, k4,
+                                                   code):
+    # planted margins at u = 1, 2 (OPEN meets 0 at every precision) and a
+    # planted K_4(7), certified below 1/720 or not
+    planted = dict(zip([1, 2], margins))
+    monkeypatch.setattr(cmdegree, "kernel_margin",
+                        lambda k, u, digits: planted[u])
+    monkeypatch.setattr(specfun, "k_tail", lambda ell, a, digits: k4)
+    result = invoke("--grid", "linear:1,2,2", "kernel-ineq", "--k", "5")
+    assert result.exit_code == code
+    lines = result.stdout.splitlines()
+    assert lines[0].endswith({PASS: "pass", FAIL: "fail",
+                              OPEN: "indeterminate"}[margins[0]])
+    assert lines[-1].endswith(f"< 1/720: {k4.hi < Fraction(1, 720)}")
+
+
+def test_certify_poly_falsified_after_an_inconclusive_piece(tmp_path):
+    # (x^2 - 2)^2 (5/2 - x): on [1, 2] its double root sqrt(2) leaves the
+    # piece inconclusive, and on [2, 3] x = 5/2 is a witness; no piece after
+    # the witness is tried
+    p = write_poly(tmp_path, "p.poly", ["10", "-4", "-10", "4", "5/2", "-1"])
+    alone = invoke("certify-poly", "--file", p, "--interval", "1,2")
+    assert alone.exit_code == 2
+    assert alone.stdout.startswith("verdict: inconclusive\n")
+    result = invoke("certify-poly", "--file", p, "--interval", "1,4")
+    assert result.exit_code == 1
+    lines = result.stdout.splitlines()
+    assert lines[0] == "verdict: falsified"
+    assert lines[-2:] == ["  shift 2: min_bk -49/2 (argmin 5), max_bk 3",
+                          "  witness: 5/2 -> 0"]
+    assert alone.stdout.splitlines()[1:] == lines[1:-2]
+
+
 def test_bad_grid_spec_is_usage_error():
     result = invoke("--grid", "fancy:1,2,3", "kernel-ineq",
                     "--k", "1")

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmcert.cli import RunConfig
+from cmcert.cli import RunConfig, _rat
 from cmcert.cmdegree import CMExpression, DegreeCell
 from cmcert.enclosure import (Enclosure, divide_round_out, integer_nth_root,
                               to_fraction)
@@ -36,7 +37,7 @@ def test_float_endpoints_are_refused():
         with pytest.raises(TypeError, match="exact rational"):
             build()
     assert Enclosure(0, 1) == Enclosure.point(0).hull(Enclosure.point(1))
-    assert Enclosure("1/10", 1).lo == Fraction(1, 10)
+    assert Enclosure(Fraction(1, 10), 1).lo == Fraction(1, 10)
 
 
 def test_inverted_interval_rejected():
@@ -116,11 +117,12 @@ def test_rational_power_half():
     assert e.lo ** 2 <= 2 <= e.hi ** 2
 
 
-def test_to_fraction_parses_strings():
-    assert to_fraction("3/7") == Fraction(3, 7)
-    assert to_fraction("0.25") == Fraction(1, 4)
-    with pytest.raises(TypeError):
-        to_fraction(0.25)
+def test_text_is_parsed_by_the_cli_alone():
+    assert _rat("3/7") == Fraction(3, 7)
+    assert _rat("0.25") == Fraction(1, 4)
+    for value in ("3/7", 0.25):
+        with pytest.raises(TypeError):
+            to_fraction(value)
 
 
 # -- product against the four-product min/max -------------------------------
@@ -203,11 +205,13 @@ def test_equal_values_hash_equal_and_share_cache_entries():
     a, b = build(), build()
     assert a is not b and a == b and hash(a) == hash(b)
     assert Polynomial.of([1, 2]) == Polynomial.of([Fraction(1), 2, 0])
-    assert hash(Polynomial.of([1, 2])) == hash(Polynomial.of(["1", "2"]))
-    first = _taylor_table(a, 7)
-    hits = _taylor_table.cache_info().hits
-    assert _taylor_table(b, 7) is first
-    assert _taylor_table.cache_info().hits == hits + 1
+    assert hash(Polynomial.of([1, 2])) == \
+        hash(Polynomial.of([Fraction(1), Fraction(2)]))
+    table = lru_cache(_taylor_table)
+    first = table(a, 7)
+    hits = table.cache_info().hits
+    assert table(b, 7) is first
+    assert table.cache_info().hits == hits + 1
 
 
 def test_values_of_different_types_are_never_equal():
