@@ -243,7 +243,7 @@ def _emit_enclosure(cfg: RunConfig, label: str, enc: Enclosure):
           interval=dict(required=True, help="lo,hi rationals"),
           step=dict(default="1", help="shift step for the piece chain"))
 def certify_poly(cfg, file, interval, step):
-    """Certify strict positivity of a polynomial on an open interval."""
+    """Certify p > 0 for a polynomial p on the closed interval [lo, hi]."""
     p = _read_poly_file(file)
     lo, hi = _pair(interval, "interval")
     cert = poly.certify_positive_on_interval(p, lo, hi, _rat(step))

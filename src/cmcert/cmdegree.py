@@ -29,9 +29,10 @@ class PointTable(dict):
     key ("pow", u, v) holds (lo, hi, den) for [lo/den, hi/den] around
     t^(u/v): exact for v = 1, else r and r + 1 over 10**(d+8), r the v-th
     root of floor(t^u 10**(v(d+8))).  An atom key holds (lo, hi) for
-    [lo, hi] 10**-(d+12), scaled exactly from an enclosure at d + 8 digits
-    (e^(beta/t), or one `specfun.polygamma_jet` filling every psi order up
-    to `psi_top` at the first psi miss), whose grid is 10**-(d+9).
+    [lo, hi] 10**-(d+12) around an enclosure at d + 8 digits: e^(beta/t)
+    floored at lo and ceiled at hi, or one `specfun.polygamma_jet` filling
+    every psi order up to `psi_top` at the first psi miss, scaled exactly
+    from its grid 10**-(d+9).
     """
 
     def __init__(self, t: Fraction, psi_top: int):
@@ -58,8 +59,9 @@ class PointTable(dict):
                 root = integer_nth_root(num * scale ** v // den, v)
                 value = (root, root + 1, scale)
         elif kind == "exp":
-            e = specfun.exp_enclosure(Fraction(*args) / self.t, digits + 8)
-            value = (int(e.lo * scale), int(e.hi * scale))
+            lo, hi, den = specfun.exp_enclosure(Fraction(*args) / self.t,
+                                                digits + 8).ratio()
+            value = (lo * scale // den, -(-hi * scale // den))
         elif kind == "const":
             value = (scale, scale)
         else:

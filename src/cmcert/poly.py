@@ -242,42 +242,33 @@ def certify_positive_on_interval(p: Polynomial, lo, hi,
     minimum coefficient bound is positive.  A failing piece is first searched
     for an exact nonpositive witness, then bisected (bounds tighten under
     subdivision) up to MAX_DEPTH times before the verdict degrades to
-    inconclusive.
+    inconclusive.  Pending pieces form one work-list taken from the left, a
+    bisected piece's halves going to its front, so pieces are recorded left
+    to right; the first witness ends the search.
     """
     lo, hi, step = to_fraction(lo), to_fraction(hi), to_fraction(step)
     if not (lo < hi and step > 0):
         raise ValueError("need lo < hi and step > 0")
-    check_range("pieces --interval/--step", math.ceil((hi - lo) / step), 1,
-                CERTIFY_MAX_PIECES)
+    count = math.ceil((hi - lo) / step)
+    check_range("pieces --interval/--step", count, 1, CERTIFY_MAX_PIECES)
 
+    cuts = [lo + i * step for i in range(count)] + [hi]
+    # reversed, so that pop() takes the leftmost pending piece
+    todo = [(a, b, 0) for a, b in zip(cuts, cuts[1:])][::-1]
     pieces: list[PieceReport] = []
-    witness = None
-
-    def handle(a: Fraction, b: Fraction, depth: int) -> str:
-        nonlocal witness
+    witness, status = None, "certified"
+    while todo and witness is None:
+        a, b, depth = todo.pop()
         rep = _unit_interval_piece(p, a, b - a)
-        if rep.certified:
-            pieces.append(rep)
-            return "certified"
-        w = _search_witness(p, a, b)
-        if w is not None:
-            witness = w
-            pieces.append(rep)
-            return "falsified"
-        if depth >= MAX_DEPTH:
-            pieces.append(rep)
-            return "inconclusive"
-        m = (a + b) / 2
-        left = handle(a, m, depth + 1)
-        # the right half may hold a witness even when the left is inconclusive
-        return left if left == "falsified" else \
-            worst([left, handle(m, b, depth + 1)])
-
-    a, status = lo, "certified"
-    while a < hi and status != "falsified":
-        b = min(a + step, hi)
-        status = worst([status, handle(a, b, 0)])
-        a = b
+        if not rep.certified:
+            witness = _search_witness(p, a, b)
+            if witness is None and depth < MAX_DEPTH:
+                m = (a + b) / 2
+                todo += [(m, b, depth + 1), (a, m, depth + 1)]
+                continue
+        pieces.append(rep)
+        status = worst([status, "certified" if rep.certified else
+                        "inconclusive" if witness is None else "falsified"])
 
     return PositivityCertificate(
         verdict=status,

@@ -33,9 +33,10 @@ BESSEL_MAX_U = 10 ** 7
 # --k 100000 took 0.19-0.24 s at u = 10^7 (--k 1000000 at u = 1: 7.1 s)
 BESSEL_MAX_ORDER = 10 ** 5
 # the most bits of u's numerator and denominator, times isqrt(u) + 1 for the
-# terms that each grow the sums by those bits: cold, u = 10^7 (79,075) took
-# 0.23 s at 60 digits, 0.25-0.28 s at 1,000, and 9999999.9 0.25-0.29 s at both
-BESSEL_MAX_SIZE = 80000
+# terms that each grow the sums by those bits: cold at 1,000 digits, u = 10^7
+# (79,075) took 0.25-0.28 s, and 9999999.999999999999999 (392,212) and
+# (10^7 2^50 - 1)/2^50 (395,375), the largest admitted near 10^7, 1.5-1.6 s
+BESSEL_MAX_SIZE = 400000
 # top polygamma order n: cm_check needs 91 and p_value 2; cold at 1,000
 # digits, n = 1000 took 0.6 s at x = 1
 POLYGAMMA_MAX_ORDER = 1000
@@ -45,9 +46,10 @@ POLYGAMMA_MAX_ORDER = 1000
 # at 10^-10 and 13.8 s at 1 + 10^-50, and at 60 digits 28.7 s at 10^9000
 POLYGAMMA_MAX_SIZE = 22000
 # the most bits of x's denominator, whose powers the exact Bernoulli terms
-# take, more the higher the precision: cold at 1,000 digits, x = 10^-99
-# (329 bits) took 0.36-0.42 s at n = 1 and 0.7-1.1 s at n = 64, 10^-400 1.6 s
-POLYGAMMA_MAX_DEN_BITS = 330
+# take, more the higher the precision: cold at 1,000 digits, 1/(2^1000 - 1)
+# took 1.1-1.5 s at n = 1 and 1.5-2.0 s at n = 20, the top order that
+# POLYGAMMA_MAX_SIZE admits there (10^-400, 1,329 bits: 1.8-2.2 s at n = 1)
+POLYGAMMA_MAX_DEN_BITS = 1000
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
 

@@ -14,15 +14,17 @@ Bernoulli recurrence that the tangent numbers replaced, the Newton loop
 that `math.isqrt` replaced, the rational power enclosures that the
 `cmdegree.PointTable` integer roots replaced, the repeated
 differentiation with trial division that the Eulerian derivative towers
-replaced, and the Fraction loop of the transform identities that
-`cmdegree.verify_identity`'s integer comparisons replaced.
+replaced, the Fraction loop of the transform identities that
+`cmdegree.verify_identity`'s integer comparisons replaced, and the
+recursive piece search that the positivity certificate's work-list
+replaced.
 """
 
 import math
 from fractions import Fraction
 
-from cmcert import seriesratio, specfun
-from cmcert.enclosure import Enclosure, integer_nth_root
+from cmcert import poly, seriesratio, specfun
+from cmcert.enclosure import Enclosure, integer_nth_root, worst
 from cmcert.expring import EXP_U, EXP_U_MINUS_ONE, ExpPoly, ExpPolyQuotient
 from cmcert.poly import Polynomial
 
@@ -203,6 +205,45 @@ def cargo_shisha_bounds_fraction(p):
             b += p[l] * Fraction(math.comb(k, l), math.comb(n, l))
         out.append(b)
     return out
+
+
+def certify_positive_recursive(p, lo, hi, step):
+    """`certify_positive_on_interval` with each failing piece handled by a
+    recursive function: left half first, then the right half unless the
+    left found a witness, each level merging the two verdicts; reads
+    `poly.MAX_DEPTH` at call time."""
+    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    pieces = []
+    witness = None
+
+    def handle(a, b, depth):
+        nonlocal witness
+        rep = poly._unit_interval_piece(p, a, b - a)
+        if rep.certified:
+            pieces.append(rep)
+            return "certified"
+        w = poly._search_witness(p, a, b)
+        if w is not None:
+            witness = w
+            pieces.append(rep)
+            return "falsified"
+        if depth >= poly.MAX_DEPTH:
+            pieces.append(rep)
+            return "inconclusive"
+        m = (a + b) / 2
+        left = handle(a, m, depth + 1)
+        return left if left == "falsified" else \
+            worst([left, handle(m, b, depth + 1)])
+
+    a, status = lo, "certified"
+    while a < hi and status != "falsified":
+        b = min(a + step, hi)
+        status = worst([status, handle(a, b, 0)])
+        a = b
+    return poly.PositivityCertificate(
+        verdict=status, interval=(lo, hi), pieces=tuple(pieces),
+        witness=witness,
+        witness_value=None if witness is None else p(witness))
 
 
 def theta_row_fraction(k: int, U: int) -> list:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -293,6 +294,18 @@ def test_certify_poly_pass_and_fail(tmp_path):
                     "--interval", "0,6")
     assert result.exit_code == 1
     assert "witness" in result.stdout
+
+
+def test_certify_poly_decides_the_closed_interval(tmp_path):
+    # p = x is positive on the open (0, 1) but 0 at the end x = 0, which is
+    # a witness on the closed [0, 1] that help names
+    p = write_poly(tmp_path, "x.poly", ["0", "1"])
+    result = invoke("certify-poly", "--file", p, "--interval", "0,1")
+    assert result.exit_code == 1
+    assert result.stdout == ("verdict: falsified\n"
+                             "  shift 0: min_bk 0 (argmin 0), max_bk 1\n"
+                             "  witness: 0 -> 0\n")
+    assert "closed interval [lo, hi]" in invoke("certify-poly", "--help").stdout
 
 
 def test_certify_poly_bad_coefficient(tmp_path):
@@ -613,13 +626,14 @@ def test_installed_entry_point_matches_module_run():
     ["--precision", "1000", "polygamma", "--n", "8000", "--x", "1"],
     ["--precision", "1000", "polygamma", "--n", "1000",
      "--x", f"1/{10 ** 100}"],
-    ["--precision", "1000", "polygamma", "--n", "1", "--x", f"1/{10 ** 400}"],
+    ["--precision", "1000", "polygamma", "--n", "1", "--x", f"1/{2 ** 1000}"],
     ["--precision", "1000", "polygamma", "--n", "1",
      "--x", f"{10 ** 1000 + 1}/{10 ** 1000}"],
     ["polygamma", "--n", "1000", "--x", "1e9000"],
     ["bessel", "--k", "1000000", "--u", "1"],
     ["bessel", "--k", "0", "--u", "9999999." + "9" * 100],
-    ["--precision", "1000", "bessel", "--k", "0", "--u", "9999999.9"],
+    ["--precision", "1000", "bessel", "--k", "0",
+     "--u", "9999999." + "9" * 16],
 ])
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
@@ -869,9 +883,9 @@ GOLDEN_USAGE_ERRORS = {
     "polygamma-n-1001": ["polygamma", "--n", "1001", "--x", "1"],
     "polygamma-size": ["polygamma", "--n", "1000", "--x", "1/10000000000"],
     "polygamma-denominator-bits": ["polygamma", "--n", "1",
-                                   "--x", f"1/{10 ** 100}"],
+                                   "--x", f"1/{2 ** 1000}"],
     "bessel-k-100001": ["bessel", "--k", "100001", "--u", "1"],
-    "bessel-size": ["bessel", "--k", "0", "--u", "9999999.9"],
+    "bessel-size": ["bessel", "--k", "0", "--u", "9999999." + "9" * 16],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.
@@ -956,6 +970,126 @@ def test_text_intervals_contain_the_json_intervals():
                 (name, lo, hi)
             checked += 1
     assert checked >= 20
+
+
+# -- golden intervals against mpmath -------------------------------------------
+# i_k(u) = I_k(2 sqrt u)/u^(k/2); K_ell(a) = Li_{-ell}(e^-a); kernel(u) =
+# u/(1 - e^-u) = u + u K_0(u), so kernel^(m) = u' + u (-1)^m K_m + m
+# (-1)^(m-1) K_(m-1); p(t) = -t h'(t)/h(t) with h = e^(1/t) - psi'(t) - 1.
+
+
+def _mp_oracles(mp):
+    def i(k, u):
+        return mp.besseli(k, 2 * mp.sqrt(u)) / u ** (mp.mpf(k) / 2)
+
+    def K(ell, a):
+        return mp.polylog(-ell, mp.exp(-a))
+
+    def kernel(m, u):
+        value = u * (-1) ** m * K(m, u) + (u if m == 0 else m == 1)
+        return value + m * (-1) ** (m - 1) * K(m - 1, u) if m else value
+
+    def p(t):
+        e = mp.exp(1 / t)
+        return t * (e / t ** 2 + mp.polygamma(2, t)) / (
+            e - mp.polygamma(1, t) - 1)
+
+    return {"i": i, "K": K, "psi": mp.polygamma,
+            "margin": lambda k, u: i(k, u) - kernel(k - 1, u), "p": p}
+
+
+def _assert_mp_contains(mp, lo, hi, value, arg, case):
+    """lo <= value(arg) <= hi, at a working precision sized from the ends'
+    magnitude and resolution and from arg's decades, which the kernel
+    derivatives at small u and p(t) at large t lose to cancellation."""
+    lo, hi, arg = Fraction(lo), Fraction(hi), Fraction(arg)
+    digits = max(len(str(abs(end.numerator))) + len(str(end.denominator))
+                 for end in (lo, hi))
+    decades = abs(len(str(arg.numerator)) - len(str(arg.denominator)))
+    with mp.workdps(30 + digits + 8 * decades):
+        v = value(_mpq(mp, arg))
+        assert _mpq(mp, lo) <= v <= _mpq(mp, hi), (case, arg, lo, hi, v)
+
+
+def _mpq(mp, q):
+    """The rational q (a Fraction or its text) at mpmath's precision."""
+    q = Fraction(q)
+    return mp.mpf(q.numerator) / q.denominator
+
+
+GOLDEN_LABEL = re.compile(r"(i|K)_(\d+)\(([0-9/]+)\)|psi\^\((\d+)\)\(([0-9/]+)\)")
+
+
+def _golden_cells(case, recorded, f):
+    """(value, argument, lo, hi) for each interval of a golden case that an
+    oracle of `_mp_oracles` covers: a value case's labelled interval, read
+    from its text when the case has no JSON form, p-limit's rows, the
+    kernel-ineq margins and K_4(7), and the conjecture-scan counterexample."""
+    name, _, fmt = case.partition("/")
+    out = recorded[case]["stdout"]
+    if recorded[case]["exit"] not in (0, 1) or fmt == "csv":
+        return []
+    if name.startswith(("bessel", "polygamma", "ktail")):
+        if fmt == "json":
+            doc = json.loads(out)
+            label, ends = doc["label"], (doc["lo"], doc["hi"])
+        elif f"{name}/json" not in recorded:
+            label, ends = out.split(" = ")[0], TEXT_INTERVAL.findall(out)[0]
+        else:
+            return []
+        kind, k, u, n, x = GOLDEN_LABEL.fullmatch(label).groups()
+        if kind:
+            return [(functools.partial(f[kind], int(k)), u, *ends)]
+        return [(functools.partial(f["psi"], int(n)), x, *ends)]
+    if fmt != "json" or not name.startswith(("p-limit", "kernel-ineq",
+                                              "conjecture-scan")):
+        return []
+    doc = json.loads(out)
+    if name.startswith("p-limit"):
+        return [(f["p"], c["t"], c["lo"], c["hi"]) for c in doc]
+    if name.startswith("kernel-ineq"):
+        margin = functools.partial(f["margin"], doc["k"])
+        cells = [(margin, c["u"], c["lo"], c["hi"]) for c in doc["cells"]]
+        if doc["ray"]:
+            cells.append((functools.partial(f["K"], 4), doc["ray"]["from"],
+                          *doc["ray"]["K4_at_7"]))
+        return cells
+    if name.startswith("conjecture-scan") and "counterexample" in doc:
+        k = int(re.match(r"i_(\d+)", doc["claim"]).group(1))
+        ce = doc["counterexample"]
+        return [(functools.partial(f["margin"], k), ce["u"], *ce["margin"])]
+    return []
+
+
+def test_golden_intervals_contain_the_mpmath_values():
+    # bessel, polygamma, ktail and p-limit values, kernel-ineq margins and
+    # K_4(7), and the conjecture-scan counterexample margin; text ends are
+    # outward decimals, so a case with no JSON form is read from its text
+    mp = pytest.importorskip("mpmath")
+    f = _mp_oracles(mp)
+    recorded = json.loads(GOLDEN_FILE.read_text())
+    cells = [(case, cell) for case in sorted(recorded)
+             for cell in _golden_cells(case, recorded, f)]
+    for case, (value, arg, lo, hi) in cells:
+        _assert_mp_contains(mp, lo, hi, value, arg, case)
+    assert len(cells) >= 45
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12 (b): unimodal_max "
+                   "returns the hull of f at its final probes, whose high "
+                   "end is below the maximum")
+def test_unimodal_max_golden_interval_contains_the_maximum():
+    mp = pytest.importorskip("mpmath")
+    f = _mp_oracles(mp)
+    doc = json.loads(json.loads(GOLDEN_FILE.read_text())
+                     ["unimodal-max/json"]["stdout"])
+    beta = Fraction(doc["beta"])
+    assert (doc["function"], beta) == ("F", Fraction(1, 2))
+    with mp.workdps(40):
+        ratio = lambda u: (u + u * f["K"](0, u)) / f["i"](1, u * _mpq(mp, beta))
+        lo, hi = (_mpq(mp, e) for e in doc["argmax"])
+        top = ratio(mp.findroot(lambda u: mp.diff(ratio, u), (lo + hi) / 2))
+        assert _mpq(mp, doc["max"][0]) <= top <= _mpq(mp, doc["max"][1]), top
 
 
 ENCLOSURE_OPERATORS = ("__neg__", "__add__", "__radd__", "__sub__",

@@ -316,6 +316,23 @@ def test_point_table_atoms_are_the_enclosure_ratios():
     assert rationals(("const",)) == ratio(Enclosure.point(1))
 
 
+def test_point_table_exp_atom_contains_an_enclosure_off_its_grid(monkeypatch):
+    # an exp enclosure whose ends are not multiples of 10**-(digits+12):
+    # the atom floors its low end and ceils its high end onto that grid
+    t, digits = Fraction(3, 7), 20
+    off = Fraction(1, 3 * 10 ** (digits + 14))
+    true_exp = specfun.exp_enclosure
+    monkeypatch.setattr(specfun, "exp_enclosure", lambda x, d: Enclosure(
+        true_exp(x, d).lo - off, true_exp(x, d).hi + off))
+    planted = specfun.exp_enclosure(Fraction(2, 5) / t, digits + 8)
+    lo, hi = cmdegree.PointTable(t, 0)[digits, ("exp", 2, 5)]
+    scale = 10 ** (digits + 12)
+    assert Fraction(lo, scale) <= planted.lo
+    assert planted.hi <= Fraction(hi, scale)
+    assert (lo, hi) == (math.floor(planted.lo * scale),
+                        math.ceil(planted.hi * scale))
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(st.fractions(min_value=Fraction(1, 10 ** 4), max_value=10 ** 4,
                     max_denominator=10 ** 6),

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmcert import poly, specfun
 from cmcert.poly import Polynomial
 from reference_values import (cargo_shisha_bounds_fraction,
+                              certify_positive_recursive,
                               compose_affine_fraction,
                               polynomial_product_fraction,
                               taylor_shift_fraction)
@@ -152,6 +153,50 @@ def test_witness_in_right_half_after_inconclusive_left_half():
     assert 2 < cert.witness < 4
     assert p(cert.witness) <= 0
     assert cert.witness_value == p(cert.witness)
+
+
+# integer factors: a dip below 0 on (-sqrt 2, sqrt 2), double roots at
+# +-sqrt 2 and +-sqrt 3 that no dyadic point hits (inconclusive pieces), dips
+# under 1/100 wide around them that only a bisected piece's points hit, a
+# double root at 1, and factors positive or signed on the drawn intervals
+certify_factors = st.sampled_from([
+    (-2, 0, 1), (4, 0, -4, 0, 1), (9, 0, -6, 0, 1),
+    (39999, 0, -40000, 0, 10000), (89999, 0, -60000, 0, 10000),
+    (1, -2, 1), (2, -2, 1), (1, 1), (-3, 1), (5, 0, 1), (-1, 3)])
+
+
+@st.composite
+def certify_inputs(draw):
+    p = Polynomial.constant(draw(st.sampled_from([1, 2, -1])))
+    for factor in draw(st.lists(certify_factors, min_size=1, max_size=3)):
+        if len(p.coeffs) + len(factor) - 2 <= 6:
+            p = p * Polynomial.of(factor)
+    if draw(st.integers(0, 3)) == 0:
+        p = Polynomial.of(draw(st.lists(st.integers(-6, 6), min_size=1,
+                                        max_size=7)))
+    assume(not p.is_zero())
+    lo = draw(st.fractions(-3, 3, max_denominator=4))
+    width = draw(st.fractions(Fraction(1, 4), 4, max_denominator=4))
+    step = width * draw(st.fractions(Fraction(1, 6), 2, max_denominator=12))
+    return p, lo, lo + width, step
+
+
+@given(certify_inputs())
+# a dip found only on bisected pieces, and one found after an inconclusive
+# leaf at sqrt 2
+@example((Polynomial.of([39999, 0, -40000, 0, 10000]), 0, 4, 4))
+@example((Polynomial.of([4, 0, -4, 0, 1]) * Polynomial.of([89999, -60000,
+                                                         10000]),
+          0, Fraction(39, 10), Fraction(39, 10)))
+@settings(deadline=None, derandomize=True, max_examples=300)
+def test_work_list_matches_the_recursive_search(inputs):
+    # the same pieces in the same order, verdict, witness and its value;
+    # a shallow depth makes inconclusive leaves cheap
+    p, lo, hi, step = inputs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "MAX_DEPTH", 4)
+        assert poly.certify_positive_on_interval(p, lo, hi, step) == \
+            certify_positive_recursive(p, lo, hi, step)
 
 
 def test_isolate_root_brackets_sqrt2():
