@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .enclosure import Enclosure, Record, check_range
+from .enclosure import Enclosure, Record, check_range, check_work, work
 from . import cmdegree, expring, poly, seriesratio, specfun
 
 # the exit code of each verdict word, ordered by enclosure.VERDICT_RANK
@@ -256,18 +256,18 @@ def certify_poly(cfg, file, interval, step):
     _emit(cfg, cert.to_json, text, verdict=cert.verdict)
 
 
-# the most --shifts: cold on 2 vCPUs, 5,000 shifts took 0.20 s for 1 + x^2
-# and 0.77 s, with 8 MB of output, for the degree-28 F4 (20,000 shifts of
-# 1 + x^2: 0.49 s and 589 KB)
-SHIFT_CHAIN_MAX = 5000
-
-
 @_command("shift-chain", file=dict(required=True),
           shifts=dict(default=1, type=int, help="number of unit shifts"))
 def shift_chain(cfg, file, shifts):
     """Print the polynomial after successive unit Taylor shifts."""
-    check_range("count --shifts", shifts, 0, SHIFT_CHAIN_MAX)
+    check_range("count --shifts", shifts, 0)
     p = _read_poly_file(file)
+    # each shift: n**2 Horner additions, and n rationals made and printed,
+    # each costing 96 integer operations and 4 products
+    n = len(p.coeffs)
+    size = poly._size(p) + n * shifts.bit_length()
+    check_work("--shifts/--file", work(shifts * n * n, size)
+               + work(96 * shifts * n, 0) + work(4 * shifts * n, size, size))
     chain = [[str(c) for c in p.coeffs]]
     for _ in range(shifts):
         p = poly.taylor_shift(p, 1)

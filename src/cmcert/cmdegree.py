@@ -16,9 +16,9 @@ from json.encoder import encode_basestring_ascii as _json_str
 from collections import defaultdict
 from fractions import Fraction
 
-from .enclosure import (DIGIT_CAP, Enclosure, Record, check_range,
-                        divide_round_out, integer_nth_root, refine,
-                        to_fraction, worst)
+from .enclosure import (DIGIT_CAP, Enclosure, Record, bits, check_range,
+                        check_work, divide_round_out, integer_nth_root,
+                        refine, to_fraction, work, worst)
 from . import expring, specfun
 
 
@@ -204,16 +204,20 @@ def _sign_definite(evaluate, digits: int):
                  "fail" if val.hi < 0 else "indeterminate")
 
 
-# the most points a grid builder makes: cold on 2 vCPUs at 1,000 points,
-# cm-check (8 orders) took 0.8-1.1 s on geometric:0.01,1000, and kernel-ineq
-# --k 5 and conjecture-scan --k 6 1.8-1.9 s on linear:0.01,1000
-GRID_MAX_COUNT = 1000
+def _grid_ends(lo, hi, count: int) -> tuple[Fraction, Fraction]:
+    """lo and hi as Fractions, once the budget admits count points."""
+    lo, hi = to_fraction(lo), to_fraction(hi)
+    check_range("count --grid", count, 1)
+    # a float power and limit_denominator, or a product and a sum, a point:
+    # charged 1,024 operations, some 4 times their cost, so that every grid
+    # the budget admits is built in under a second
+    check_work("--grid", work(1024 * count, bits(lo) + bits(hi)))
+    return lo, hi
 
 
 def geometric_grid(lo, hi, count: int) -> list[Fraction]:
     """Deterministic rational grid, approximately geometric."""
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    check_range("count --grid", count, 1, GRID_MAX_COUNT)
+    lo, hi = _grid_ends(lo, hi, count)
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     if count == 1:
@@ -228,8 +232,7 @@ def geometric_grid(lo, hi, count: int) -> list[Fraction]:
 
 
 def linear_grid(lo, hi, count: int) -> list[Fraction]:
-    lo, hi = to_fraction(lo), to_fraction(hi)
-    check_range("count --grid", count, 1, GRID_MAX_COUNT)
+    lo, hi = _grid_ends(lo, hi, count)
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
@@ -292,15 +295,6 @@ def _derivative_rows(f: CMExpression, r: Fraction, N: int) -> list:
     return tower
 
 
-# cm_check's highest order N: 1.0-1.2 s cold on the default grid at r = 4
-# (2 vCPUs), two thirds in `_ends` on exact t^p of up to 1,500 digits
-CM_CHECK_MAX_ORDER = 90
-# the largest |numerator| and denominator of r: at 90 orders r = 100 took
-# 2.4 s, -100 7.8 s, 1/10 5.8 s (v-th roots of v(d + 8)-digit integers) and
-# 1000 50 s; at 8 orders 1000 took 1.0 s and 1/100 3.6 s
-CM_CHECK_MAX_R_NUM, CM_CHECK_MAX_R_DEN = 100, 10
-
-
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
              name: str = "f") -> DegreeReport:
     """Sign enclosures of (-1)^n (t^r f)^(n) on a grid for n = 0..N.
@@ -311,11 +305,24 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     cell is finite-order evidence for degree >= r, never a proof; a fail
     cell carries an enclosure strictly violating the sign.
     """
-    check_range("order --orders", N, 1, CM_CHECK_MAX_ORDER)
+    check_range("order --orders", N, 1)
     r = to_fraction(r)
-    check_range("|numerator| --r", abs(r.numerator), 0, CM_CHECK_MAX_R_NUM)
-    check_range("denominator --r", r.denominator, 1, CM_CHECK_MAX_R_DEN)
     pts = _grid_points(grid)
+    # per point, refined up to DIGIT_CAP digits: the exp atoms, a psi jet,
+    # twice N + 2 orders of up to N + 2 rows, each a product of t^p of P
+    # bits by an atom and a coefficient of A bits, 4 (N + 2) powers t^u,
+    # and for v > 1 their v-th roots, of about v Newton steps on v P bits
+    v, d, m = r.denominator, DIGIT_CAP + 8, len(pts) * (N + 2)
+    T, R = max(map(bits, pts)), N + 2 + abs(r.numerator) // v
+    P = R * T + 4 * d
+    A = 4 * d + (N + 2) * (T + bits(r) + R.bit_length() + sum(
+        bits(c) + bits(p) + sum(map(bits, a[1:])) for c, p, a in f.terms))
+    check_work("--orders/--r/--grid", sum(
+        specfun.exp_work(a[1] / t, d) if a[0] == "exp" else
+        specfun.polygamma_work(a[1], N + a[1], t.numerator, t.denominator,
+                               d) if a[0] == "psi" else 0
+        for t in pts for *_, a in f.terms) + work(2 * m * (N + 2), P, A)
+        + work(4 * m, P, P) + work(4 * m * (v > 1) * v, v * P, P))
     tower = [rows if n % 2 == 0 else tuple((-c, *rest) for c, *rest in rows)
              for n, rows in enumerate(_derivative_rows(f, r, N))]
     columns = []
@@ -405,8 +412,12 @@ def kernel_margin(k: int, u, digits: int) -> Enclosure:
 
 def _margin_cells(k: int, grid, digits: int):
     """(u, margin, verdict) at each grid point in turn, each margin refined
-    by `_sign_definite` from digits."""
-    for u in _grid_points(grid):
+    by `_sign_definite` from digits, once the budget admits them all."""
+    pts, top = _grid_points(grid), max(digits, DIGIT_CAP) + 4
+    check_work("--k/--grid", work(k * k, k * k.bit_length()) + sum(
+        specfun.bessel_work(k, u, top) + expring.eval_work(k, u, top)
+        for u in pts))
+    for u in pts:
         yield (u, *_sign_definite(lambda d: kernel_margin(k, u, d), digits))
 
 
@@ -437,14 +448,10 @@ def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
     return report
 
 
-# conjecture_scan's top order: 0.1 s on the default grid (order 80: 0.13 s)
-CONJECTURE_MAX_ORDER = 50
-
-
 def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
     """The first grid point where the order-k inequality certifiably fails,
     each margin refined as `kernel_certificate` refines it."""
-    check_range("order --k", k, 1, CONJECTURE_MAX_ORDER)
+    check_range("order --k", k, 1)
     counterexample = None
     margins = []
     for u, margin, verdict in _margin_cells(k, grid, digits):
@@ -456,10 +463,6 @@ def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
 
 
 # -- exact transform identities --------------------------------------------
-
-# verify_identity's top --k and --terms: 1.6 s cold at both (2 vCPUs)
-IDENTITY_MAX = 1600
-
 
 def _transform_weight(m: int) -> int:
     """The transform rule t^m -> m!/z^(m+1) as the weight m! of t^m."""
@@ -478,8 +481,10 @@ def verify_identity(k: int, N: int) -> dict:
     order-(k+2) Bessel ratio; (b) the transform of the 1F2 form
     t^k 1F2(1; k+1, k+2; t)/(k!(k+1)!).
     """
-    check_range("order --k", k, 0, IDENTITY_MAX)
-    check_range("count --terms", N, 1, IDENTITY_MAX)
+    check_range("order --k", k, 0)
+    check_range("count --terms", N, 1)
+    size = (k + N + 2) * (k + N + 2).bit_length()  # of T and the weights
+    check_work("--k/--terms", work(4 * N + 8, size, size))
     T = math.factorial(k + 1)  # T_0, then T_i by the running product
     constant = Fraction(1, T)
     bessel, hyp = [], []

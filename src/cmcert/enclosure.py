@@ -46,11 +46,36 @@ def refine(evaluate, digits: int, decided, cap: int = DIGIT_CAP):
     return value, d
 
 
-def check_range(flag: str, value: int, lo: int, hi: int) -> None:
-    """Refuse an integer option outside lo..hi before any work is done."""
-    if not lo <= value <= hi:
+def bits(x: Fraction) -> int:
+    """The bits of a rational's numerator and denominator together."""
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def check_range(flag: str, value: int, lo: int, hi=None) -> None:
+    """Refuse an integer option outside lo..hi (lo.. with no hi) at once."""
+    if not lo <= value <= (value if hi is None else hi):
         raise ValueError(f"{flag} {value} is outside the supported range "
-                         f"{lo}..{hi}")
+                         f"{lo}..{'' if hi is None else hi}")
+
+
+# the most work one call may ask for, in word products: multiplying an
+# a-bit by a b-bit integer costs (a/64 + 1)(b/64 + 1) of them, the
+# schoolbook count of 64-bit word products (Brent and Zimmermann, Modern
+# Computer Arithmetic, 1.3), and an interpreted operation 32 more; each
+# `*_work` estimate counts them from the sizes of a call's inputs, and
+# CHANGES.md gives the cold timings the budget is sized from
+WORK_MAX = 10 ** 9
+
+
+def work(ops: int, a: int, b: int = 0) -> int:
+    """The work of ops operations on integers of a and b bits."""
+    return ops * (32 + (a // 64 + 1) * (b // 64 + 1))
+
+
+def check_work(flags: str, units: int) -> None:
+    """Refuse, before anything is built, an estimate over WORK_MAX."""
+    if units > WORK_MAX:
+        check_range("work " + flags, units, 0, WORK_MAX)
 
 
 def integer_nth_root(a: int, n: int) -> int:

@@ -25,7 +25,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .enclosure import Enclosure, Record, divide_round_out, to_fraction
+from .enclosure import (Enclosure, Record, divide_round_out, to_fraction,
+                        work)
 from .poly import Polynomial, certify_positive_on_interval, lemma1_exp_bounds
 from . import specfun
 
@@ -169,6 +170,19 @@ def _fixed_parts(num: ExpPoly, u: Fraction, digits: int) -> tuple:
         lo = (lo * (lo_e if lo >= 0 else hi_e) >> w) + n // d
         hi = -(-hi * (hi_e if hi >= 0 else lo_e) >> w) - (-n // d)
     return (lo, hi), (lo_e - (1 << w), hi_e - (1 << w)), w
+
+
+def eval_work(pole: int, u: Fraction, digits: int) -> int:
+    """Work of `eval_enclosure`: exp, Horner and the pole power."""
+    # at the first guard's digits d and twice them: Horner and the pole
+    # power on both ends and two rounds, on brackets of x bits, up to pole
+    # times e**u's e bits before the point; none once an exp raises
+    a, b = u.numerator, u.denominator
+    d = digits + pole * max(0, b.bit_length() - a.bit_length()) * 3 // 10
+    e = min(3 * (a // b) // 2, specfun.EXP_BITS_CAP)
+    x, exp = 8 * d + 80 + e, specfun.exp_work(u, d)
+    return exp and exp + specfun.exp_work(u, 2 * d) + work(
+        4 * pole, x + pole * (e + 9), x)
 
 
 def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:

@@ -21,7 +21,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .enclosure import Enclosure, Record, check_range, to_fraction, worst
+from .enclosure import (Enclosure, Record, bits, check_range, check_work,
+                        to_fraction, work, worst)
 
 
 class Polynomial(Record):
@@ -107,6 +108,12 @@ def _common_numerators(p: Polynomial) -> tuple[list[int], int]:
     """Integers N_i and one denominator D with p[i] = N_i / D."""
     d = math.lcm(*(c.denominator for c in p.coeffs))
     return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
+def _size(p: Polynomial) -> int:
+    """Bits of p's largest numerator or denominator over a common one."""
+    nums, d = _common_numerators(p)
+    return max(map(abs, [d, *nums])).bit_length()
 
 
 def taylor_shift(p: Polynomial, a) -> Polynomial:
@@ -205,10 +212,6 @@ class PositivityCertificate(Record):
 # then bisected at most MAX_DEPTH times
 WITNESS_LEVELS = 6
 MAX_DEPTH = 12
-# the most step-length pieces an interval may ask for: cold on 2 vCPUs,
-# 2,000 pieces took 1.2 s for the degree-28 F4 on [0, 6] and 0.19 s for
-# 1 + x^2 on [0, 1] (20,000 pieces of 1 + x^2: 1.3 s and 1.6 MB of output)
-CERTIFY_MAX_PIECES = 2000
 
 
 def _unit_interval_piece(p: Polynomial, shift: Fraction,
@@ -250,7 +253,15 @@ def certify_positive_on_interval(p: Polynomial, lo, hi,
     if not (lo < hi and step > 0):
         raise ValueError("need lo < hi and step > 0")
     count = math.ceil((hi - lo) / step)
-    check_range("pieces --interval/--step", count, 1, CERTIFY_MAX_PIECES)
+    # per piece, n**2 Horner steps by A-bit shifts and 8 n rational
+    # operations on B bits, each costing 32 integer ones and 3 products,
+    # for the pieces and the witness searches of bisection to MAX_DEPTH
+    pieces, n = count + 2 * MAX_DEPTH, len(p.coeffs)
+    A, f = bits(lo) + bits(hi) + bits(step), 8 * n * (
+        pieces + MAX_DEPTH * 2 ** WITNESS_LEVELS // 2)
+    B = _size(p) + n * A
+    check_work("--file/--interval/--step", work(32 * f, 0)
+               + work(3 * f, B, B) + work(pieces * n * n, B, A))
 
     cuts = [lo + i * step for i in range(count)] + [hi]
     # reversed, so that pop() takes the leftmost pending piece
@@ -312,11 +323,6 @@ def exp_bound_polynomial(n: int) -> Polynomial:
                                    math.factorial(n)) for k in range(n + 1)])
 
 
-# the top m and n of lemma1_exp_bounds: cold on 2 vCPUs, lemma1-bounds at
-# m = n = 300 took 0.36 s and printed 2.4 MB (400: 0.78 s and 4.4 MB)
-LEMMA1_MAX = 300
-
-
 def lemma1_exp_bounds(m: int, n: int):
     """Rational lower/upper sandwich for e**u valid on 0 < u < 2(m+1).
 
@@ -324,8 +330,10 @@ def lemma1_exp_bounds(m: int, n: int):
     lower_num/lower_den < e**u < upper_num/upper_den there.  threshold =
     1/(2(m+1)) is the open end in x = 1/u; at m = 0, upper_den = 2 - u.
     """
-    check_range("order --m", m, 0, LEMMA1_MAX)
-    check_range("order --n", n, 1, LEMMA1_MAX)
+    check_range("order --m", m, 0)
+    check_range("order --n", n, 1)
+    size = 4 * (m + n + 1) * (m + n + 1).bit_length()  # of (4n)!, (4m)!
+    check_work("--m/--n", work(8 * (m + n + 1), size, size))
     even = exp_bound_polynomial(2 * n)
     odd = exp_bound_polynomial(2 * m + 1)
     alt_even = Polynomial.of([(-1) ** k * c for k, c in enumerate(even.coeffs)])

@@ -22,8 +22,8 @@ import math
 from fractions import Fraction
 from typing import Callable
 
-from .enclosure import (Enclosure, Record, check_range, divide_round_out,
-                        refine, to_fraction)
+from .enclosure import (Enclosure, Record, bits, check_range, check_work,
+                        divide_round_out, refine, to_fraction, work)
 from . import expring, specfun
 
 
@@ -127,18 +127,17 @@ def script_C(m: int) -> int:
 
 # -- sequence reports -------------------------------------------------------
 
-# top ladder_check k_max and sequence count, cold on 2 vCPUs: ladder 800 took
-# 1.0 s, and count 1500 0.7-1.9 s (c and C, beta 1/2 and 355/113)
-LADDER_MAX_K, RATIO_MAX_COUNT = 800, 1500
-
-
 class MonotonicityReport(Record):
     # first_violation: the smallest k with values[k+1] <= values[k], or None
     __slots__ = _fields = ("values", "strictly_increasing", "first_violation")
 
 
 def _ratio_sequence(beta, K: int, derivative: bool) -> MonotonicityReport:
-    check_range("count --count", K, 2 + 2 * derivative, RATIO_MAX_COUNT)
+    check_range("count --count", K, 2 + 2 * derivative)
+    # K terms of `size` bits, each reduced by a gcd and compared once
+    beta = to_fraction(beta)
+    size = K * (K.bit_length() + 2 * bits(beta) + 4)
+    check_work("--count/--beta", work(2 * K, size, size) + work(24 * K, size))
     values = [Fraction(N, F * W) for N, F, W in
               itertools.islice(_ratio_terms(beta, derivative), K + 1)]
     first = next((k for k in range(K) if values[k + 1] <= values[k]), None)
@@ -179,7 +178,10 @@ def ladder_check(k_max: int) -> dict:
     quadratic in k from the table, and each V_k(l) is computed once and
     carried to the next k.  Every comparison is exact.
     """
-    check_range("order --k-max", k_max, 6, LADDER_MAX_K)
+    check_range("order --k-max", k_max, 6)
+    # k_max**2 comparisons of products of U and V, of up to 1.6 k_max bits
+    # each, and M, up to 3.2 k_max bits
+    check_work("--k-max", work(k_max * k_max, 3 * k_max, 2 * k_max))
     U = [U_value(k) for k in range(k_max + 2)]
     abc = [(script_A(m), script_B(m), script_C(m)) for m in range(k_max + 1)]
 

@@ -18,38 +18,12 @@ import itertools
 import math
 from fractions import Fraction
 
-from .enclosure import (Enclosure, check_range, divide_round_out,
-                        to_fraction)
+from .enclosure import (Enclosure, bits, check_range, check_work,
+                        divide_round_out, to_fraction, work)
 from . import expring
 
 TERM_CAP = 10 ** 6
 EXP_BITS_CAP = 2 ** 15
-# top k_tail order, 60 digits: 0.06 s cold at a = 249/1000, 0.4 s at 10^-30
-K_TAIL_MAX_ORDER = 100
-# top bessel_ratio argument, for about e sqrt(u) terms of growing integers:
-# cold, bessel --k 0 --u 10^7 took 0.23 s at 60 digits, 0.27 s at 1,000
-BESSEL_MAX_U = 10 ** 7
-# top bessel_ratio order: kernel_margin needs 50 and unimodal-max 2; cold,
-# --k 100000 took 0.19-0.24 s at u = 10^7 (--k 1000000 at u = 1: 7.1 s)
-BESSEL_MAX_ORDER = 10 ** 5
-# the most bits of u's numerator and denominator, times isqrt(u) + 1 for the
-# terms that each grow the sums by those bits: cold at 1,000 digits, u = 10^7
-# (79,075) took 0.25-0.28 s, and 9999999.999999999999999 (392,212) and
-# (10^7 2^50 - 1)/2^50 (395,375), the largest admitted near 10^7, 1.5-1.6 s
-BESSEL_MAX_SIZE = 400000
-# top polygamma order n: cm_check needs 91 and p_value 2; cold at 1,000
-# digits, n = 1000 took 0.6 s at x = 1
-POLYGAMMA_MAX_ORDER = 1000
-# the most (n + 1) times the bits of x's numerator and denominator, which
-# bound those of psi^(n)(x) ~ n!/x^(n+1) and of each order's fixed point:
-# cold at 1,000 digits, n = 1000 took 1.4-1.9 s at x = 10^-6 (21,021), 3.0 s
-# at 10^-10 and 13.8 s at 1 + 10^-50, and at 60 digits 28.7 s at 10^9000
-POLYGAMMA_MAX_SIZE = 22000
-# the most bits of x's denominator, whose powers the exact Bernoulli terms
-# take, more the higher the precision: cold at 1,000 digits, 1/(2^1000 - 1)
-# took 1.1-1.5 s at n = 1 and 1.5-2.0 s at n = 20, the top order that
-# POLYGAMMA_MAX_SIZE admits there (10^-400, 1,329 bits: 1.8-2.2 s at n = 1)
-POLYGAMMA_MAX_DEN_BITS = 1000
 
 _bernoulli_pairs = [(1, 1)]  # B_2k as (numerator, denominator), reduced
 
@@ -111,6 +85,17 @@ def _exp_mantissas(num: int, den: int, k: int, p: int) -> tuple[int, int]:
     return lo, hi
 
 
+def exp_work(x: Fraction, digits: int) -> int:
+    """Work of `exp_enclosure`: about p/8 terms of 8 products on p bits."""
+    # p is its first precision, and a guard word; past EXP_BITS_CAP it
+    # raises at once, and a small x takes fewer terms
+    a, b = abs(x.numerator), x.denominator
+    over = a.bit_length() - b.bit_length()
+    p = (digits + 2) * 10 // 3 + 3 * a // (2 * b) + max(over, 0) + 66
+    return 0 if p > EXP_BITS_CAP + 64 else work(
+        8 * p // (8 + max(-over, 0)), p, p)
+
+
 def exp_enclosure(x, digits: int) -> Enclosure:
     """Enclosure of e**x for rational x, of width <= 10**-digits.
 
@@ -138,12 +123,24 @@ def exp_enclosure(x, digits: int) -> Enclosure:
     while True:
         p = base + guard
         if p > EXP_BITS_CAP:
-            raise ArithmeticError(f"e**x at |x| = {x} needs {p} bits, over "
-                                  f"the limit of {EXP_BITS_CAP}")
+            raise ArithmeticError(f"e**x at |x| = {x!s:.40}"
+                                  f"{'...' * (len(str(x)) > 40)} needs {p} "
+                                  f"bits, over the limit of {EXP_BITS_CAP}")
         lo, hi = _exp_mantissas(num, den, k, p)
         if (hi - lo) * scale <= 1 << p:
             return divide_round_out((lo, hi, 1 << p), (1, 1, 1), digits + 1)
         guard *= 2
+
+
+def bessel_work(k: int, u: Fraction, digits: int) -> int:
+    """Work of `bessel_ratio`: k!, then n terms of `size`-bit sums."""
+    # at most 3 isqrt(u) + digits + 3 terms, each multiplying the sums by
+    # u's numerator or denominator times n (n + k), of `step` bits
+    n = 3 * math.isqrt(u.numerator // u.denominator) + digits + 3
+    f, step = k * k.bit_length(), bits(u) + 2 * (n + k).bit_length()
+    size = f + n * step + 4 * digits
+    return work(10 * n, size, step) + work(2, size, 4 * (digits + n)) \
+        + work(1, f, f)
 
 
 def bessel_ratio(k: int, u, digits: int) -> Enclosure:
@@ -156,12 +153,11 @@ def bessel_ratio(k: int, u, digits: int) -> Enclosure:
     the sum stops when that is below 10**-(digits+1), decided by
     cross-multiplication, and only the rounded endpoints become Fractions.
     """
-    check_range("order --k", k, 0, BESSEL_MAX_ORDER)
+    check_range("order --k", k, 0)
     u = to_fraction(u)
-    check_range("argument --u/--grid", u, 0, BESSEL_MAX_U)
+    check_range("argument --u/--grid", u, 0)
+    check_work("--k/--u/--grid", bessel_work(k, u, digits))
     a, b = u.numerator, u.denominator
-    check_range("size --u/--grid", (a.bit_length() + b.bit_length())
-                * (math.isqrt(a // b) + 1), 0, BESSEL_MAX_SIZE)
     if u == 0:
         return Enclosure.point(Fraction(1, math.factorial(k)))
     scale = 10 ** (digits + 1)
@@ -281,9 +277,23 @@ def _polygamma_mantissas(n0: int, N: int, a: int, b: int, m: int,
     return out
 
 
+def polygamma_work(n0: int, N: int, num: int, den: int, digits: int) -> int:
+    """Work of `polygamma_jet` at num/den: M lifts and terms per order."""
+    # on W words, and M exact terms on powers of num and den; it runs some
+    # 100 times per cm-check, so it stays short, with 12 bits for those of
+    # M, which only an estimate far past the budget exceeds
+    a, b = num.bit_length(), den.bit_length()
+    M = max(20, digits, N)
+    if a - b > 12:  # fewer lifts and terms at a large x
+        M = max(4, M // (a - b - 11))
+    W = (4 * digits + 80 + (N + 1) * (max(a - b, 0) + 12)) // 64 + 1
+    return M * (3 * (N - n0 + 4) * (32 + W * W) + 32
+                + W * ((N + 2 * M) * (a + b + 12) // 64 + 1))
+
+
 def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
     """psi^(n)(x) for n = n0..N as integer pairs (lo, hi) bracketing
-    psi^(n)(x) * 10**(digits+1); n0 >= 1, x > 0, both within the caps above.
+    psi^(n)(x) * 10**(digits+1); n0 >= 1 and x > 0, within the budget.
 
     The argument is lifted by the exact recurrence and each order summed on
     fixed-point brackets, returned at its own scale p
@@ -294,13 +304,9 @@ def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
     x = to_fraction(x)
     if x <= 0:
         raise ValueError("argument must be > 0")
-    for n in (n0, N):
-        check_range("order --n", n, 1, POLYGAMMA_MAX_ORDER)
-    bits_a, bits_b = x.numerator.bit_length(), x.denominator.bit_length()
-    check_range("denominator bits --x/--t/--grid", bits_b, 1,
-                POLYGAMMA_MAX_DEN_BITS)
-    check_range("size --n/--x", (N + 1) * (bits_a + bits_b), 0,
-                POLYGAMMA_MAX_SIZE)
+    check_range("order --n", n0, 1)
+    num, den = x.numerator, x.denominator
+    check_work("--n/--x/--t/--grid", polygamma_work(n0, N, num, den, digits))
     tol_den = 10 ** (digits + 1)
     target = max(20, digits)
     out = [None] * (N - n0 + 1)
@@ -310,8 +316,7 @@ def polygamma_jet(n0: int, N: int, x, digits: int) -> list:
         first = n0 + out.index(None)
         last = N - out[::-1].index(None)
         m = max(0, math.ceil(target - x))
-        bodies = _polygamma_mantissas(first, last, x.numerator,
-                                      x.denominator, m, tol_den)
+        bodies = _polygamma_mantissas(first, last, num, den, m, tol_den)
         for n, body in enumerate(bodies, first):
             if body is not None and out[n - n0] is None:
                 p, lo, hi = body if n % 2 else (body[0], -body[2], -body[1])
@@ -336,10 +341,12 @@ def k_tail(ell: int, a, digits: int) -> Enclosure:
     (e**u - 1)**(ell+1) at u = a, with the Eulerian numbers A(n, i) =
     i A(n-1, i) + (n-i+1) A(n-1, i-1) (Graham, Knuth and Patashnik 6.2).
     """
-    check_range("order --ell", ell, 0, K_TAIL_MAX_ORDER)
+    check_range("order --ell", ell, 0)
     a = to_fraction(a)
     if a <= 0:
         raise ValueError("a must be > 0")
+    check_work("--ell/--a", expring.eval_work(ell + 1, a, digits)
+               + work(4 * ell * ell, ell * ell.bit_length()))
     value = expring.eval_enclosure(expring.reciprocal_derivative(ell), a,
                                    digits)
     return Enclosure(-value.hi, -value.lo) if ell % 2 else value

@@ -590,24 +590,22 @@ def test_installed_entry_point_matches_module_run():
     ["ktail", "--ell", "1", "--a", str(10 ** 71)],
     ["p-limit", "--t", "1/100000"],
     ["ktail", "--ell", "1", "--a", "100000"],
-    # orders past the ranges of conjecture_scan and k_tail, refused before
-    # any work
+    # orders, counts and sizes past the work budget, refused before any
+    # work
     ["conjecture-scan", "--k", "1200"],
-    ["ktail", "--ell", "101", "--a", "1"],
-    ["ladder", "--k-max", str(seriesratio.LADDER_MAX_K + 1)],
-    ["ratio-mono", "--which", "c", "--beta", "1",
-     "--count", str(seriesratio.RATIO_MAX_COUNT + 1)],
+    ["ktail", "--ell", "100000", "--a", "1"],
+    ["ladder", "--k-max", "200000"],
+    ["ratio-mono", "--which", "c", "--beta", "1", "--count", "200000"],
     # a grid is refused before any point is built
-    ["--grid", f"geometric:1/100,1000,{cmdegree.GRID_MAX_COUNT + 1}",
+    ["--grid", f"geometric:1/100,1000,{10 ** 9}",
      "cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
-    ["verify-identity", "--k", str(cmdegree.IDENTITY_MAX + 1)],
-    ["verify-identity", "--terms", str(cmdegree.IDENTITY_MAX + 1)],
-    ["shift-chain", "--file", "{poly}",
-     "--shifts", str(cli.SHIFT_CHAIN_MAX + 1)],
+    ["verify-identity", "--k", str(10 ** 6)],
+    ["verify-identity", "--terms", str(10 ** 6)],
+    ["shift-chain", "--file", "{poly}", "--shifts", str(10 ** 8)],
     ["certify-poly", "--file", "{poly}", "--interval", "0,1",
-     "--step", f"1/{poly.CERTIFY_MAX_PIECES + 1}"],
-    ["lemma1-bounds", "--m", str(poly.LEMMA1_MAX + 1)],
-    ["lemma1-bounds", "--n", str(poly.LEMMA1_MAX + 1)],
+     "--step", f"1/{10 ** 8}"],
+    ["lemma1-bounds", "--m", "200000"],
+    ["lemma1-bounds", "--n", "200000"],
     ["shift-chain", "--file", "{long}"],
     # rationals whose digits Fraction would expand before any check, and
     # the arguments whose cost grows without a ceiling
@@ -651,28 +649,93 @@ def test_out_of_range_argument_is_usage_error(tmp_path, args):
     assert stderr.startswith("error: ")
     assert sum(line.startswith("error: ") for line in stderr.splitlines()) == 1
     if args[-1] in EXP_OUT_OF_REACH:
-        # the message names the exp argument and the precision limit
+        # the message names the exp argument, its first 40 characters, and
+        # the precision limit
         assert stderr.startswith(
             f"error: e**x at |x| = {EXP_OUT_OF_REACH[args[-1]]} needs ")
         assert stderr.endswith(
             f" bits, over the limit of {specfun.EXP_BITS_CAP}\n")
 
 
+# Every budgeted entry point: a call, and the first work after its budget
+# check, which an over-budget call must not reach.
+H11 = cmdegree.h_expression(1, 1)
+BUDGETED = {
+    "bessel_ratio": (lambda path: specfun.bessel_ratio(3, Fraction(7, 2), 20),
+                     math, "factorial"),
+    "polygamma_jet": (lambda path: specfun.polygamma_jet(1, 3, 3, 20),
+                      specfun, "_polygamma_mantissas"),
+    "k_tail": (lambda path: specfun.k_tail(3, 1, 20),
+               expring, "reciprocal_derivative"),
+    "geometric_grid": (lambda path: cmdegree.geometric_grid(1, 9, 5),
+                       Fraction, "limit_denominator"),
+    "linear_grid": (lambda path: cmdegree.linear_grid(1, 9, 5),
+                    Fraction, "__sub__"),
+    "cm_check": (lambda path: cmdegree.cm_check(H11, 4, 3, [1, 2], 15),
+                 cmdegree, "_derivative_rows"),
+    "kernel_certificate": (lambda path: cmdegree.kernel_certificate(
+        2, [1, 2], 15), cmdegree, "kernel_margin"),
+    "conjecture_scan": (lambda path: cmdegree.conjecture_scan(3, [1, 2], 15),
+                        cmdegree, "kernel_margin"),
+    "verify_identity": (lambda path: cmdegree.verify_identity(3, 20),
+                        cmdegree, "_transform_weight"),
+    "certify_positive_on_interval": (
+        lambda path: poly.certify_positive_on_interval(
+            Polynomial.of([1, 0, 1]), 0, 2, 1), poly, "compose_affine"),
+    "lemma1_exp_bounds": (lambda path: poly.lemma1_exp_bounds(2, 3),
+                          poly, "exp_bound_polynomial"),
+    "c_ratio_sequence": (lambda path: seriesratio.c_ratio_sequence(1, 20),
+                         seriesratio, "_ratio_terms"),
+    "C_ratio_sequence": (lambda path: seriesratio.C_ratio_sequence(
+        Fraction(1, 2), 20), seriesratio, "_ratio_terms"),
+    "ladder_check": (lambda path: seriesratio.ladder_check(20),
+                     seriesratio, "U_value"),
+    "shift_chain": (lambda path: cli.shift_chain(
+        cli.RunConfig(60, "", "text"), path, 3), poly, "taylor_shift"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGETED))
+def test_each_budgeted_call_runs_at_the_budget_and_stops_past_it(
+        tmp_path, monkeypatch, work_estimate, name):
+    # with WORK_MAX at the call's own estimate, small so that the test
+    # stays fast, it runs; one unit below, it raises ValueError before its
+    # first work
+    call, owner, inner = BUDGETED[name]
+    path = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
+    units = work_estimate(lambda: call(path))
+    reached, work = [], getattr(owner, inner)
+    with monkeypatch.context() as mp:
+        mp.setattr(cmcert.enclosure, "WORK_MAX", units - 1)
+        mp.setattr(owner, inner, lambda *a, **k: reached.append(a))
+        with pytest.raises(ValueError, match=rf"^work --[-a-z/]+ {units} "
+                           rf"is outside the supported range 0\.\.{units - 1}$"):
+            call(path)
+    assert reached == []
+    monkeypatch.setattr(cmcert.enclosure, "WORK_MAX", units)
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            call(path)
+        except SystemExit as exc:  # shift_chain prints and exits
+            assert exc.code == 0
+    assert getattr(owner, inner) is work
+
+
 # the exp argument behind each out-of-reach --t or --a value above
-EXP_OUT_OF_REACH = {f"1/{10 ** 64}": 10 ** 64, str(10 ** 71): 10 ** 71,
+EXP_OUT_OF_REACH = {f"1/{10 ** 64}": "1" + "0" * 39 + "...",
+                    str(10 ** 71): "1" + "0" * 39 + "...",
                     "1/100000": 10 ** 5, "100000": 10 ** 5}
 
 
 @pytest.mark.parametrize("args, code", [
-    (["ladder", "--k-max", str(seriesratio.LADDER_MAX_K)], 0),
-    (["ratio-mono", "--which", "c", "--beta", "1",
-      "--count", str(seriesratio.RATIO_MAX_COUNT)], 1),
-    (["ratio-mono", "--which", "C", "--beta", "1/2",
-      "--count", str(seriesratio.RATIO_MAX_COUNT)], 0),
+    (["ladder", "--k-max", "800"], 0),
+    (["ratio-mono", "--which", "c", "--beta", "1", "--count", "1500"], 1),
+    (["ratio-mono", "--which", "C", "--beta", "1/2", "--count", "1500"], 0),
 ])
 def test_ladder_and_sequence_caps(args, code):
-    # the cap runs in about a second cold; one past it is refused at once
-    # (test_out_of_range_argument_is_usage_error; without a cap, ladder
+    # the tops of the ranges the work budget replaced run in about a second
+    # cold; far past them is refused at once
+    # (test_out_of_range_argument_is_usage_error; without a bound, ladder
     # --k-max 10**8 ran past a 20 s timeout)
     top = run_child(MODULE_CMD + ["--format", "csv"] + args, "1", timeout=10)
     assert top.returncode == code, stderr_report(top)
@@ -769,11 +832,10 @@ def test_exact_output_over_the_int_string_limit():
 
 # -- golden bytes ------------------------------------------------------------
 # Every command in text, JSON and CSV, the formats a command has no form for
-# (it prints text), and the exit-64 paths of --interval, --bracket, --k,
-# --ell, --orders, --k-max, --count, --terms, --shifts, --step, --m, --n,
-# --u, the numerator and denominator of --r, the --grid count, the digits of
-# an option value, the coefficient count and digits of --file, and the
-# sizes of the polygamma and Bessel arguments.
+# (it prints text), and the exit-64 paths of --interval, --bracket, the
+# lower ends of --k, --ell, --orders and --count, the digits of an option
+# value, the coefficient count and digits of --file, an exp argument out of
+# reach, and the work budget at each budgeted command and option.
 # Grids are linear except in GOLDEN_SINGLE: geometric grid points are built
 # with float powers, and golden bytes should not depend on libm.
 # tests/golden_cli.json holds the stdout, stderr and exit code of each case.
@@ -785,7 +847,8 @@ GOLDEN_POLYS = {"good": ["101", "-20", "1"],   # (x - 10)^2 + 1 > 0
                 # a million digits in nine characters, and two coefficients
                 # over coprime 60-digit denominators
                 "huge": ["1", "1e1000000"],
-                "wide": [f"1/{10 ** 59 + 1}", f"1/{10 ** 59 + 2}"]}
+                "wide": [f"1/{10 ** 59 + 1}", f"1/{10 ** 59 + 2}"],
+                "f4": [str(c) for c in expring.F4_REFERENCE_COEFFS]}
 GOLDEN_FORMATS = {"text": [], "json": ["--format", "json"],
                   "csv": ["--format", "csv"]}
 GOLDEN_COMMANDS = {
@@ -842,6 +905,9 @@ GOLDEN_SINGLE = {
     "p-limit-wide/json": ["--format", "json", "p-limit",
                           "--t", "1/100,1/10,3,100000"],
 }
+# Cases named after a per-option cap that the work budget replaced keep
+# their names and now ask for a value far past the budget; the budget-*
+# cases are requests that ran for 5 to over 100 s before it.
 GOLDEN_USAGE_ERRORS = {
     "certify-poly-interval-03": ["certify-poly", "--file", "{good}",
                                  "--interval", "03"],
@@ -850,42 +916,49 @@ GOLDEN_USAGE_ERRORS = {
     "conjecture-scan-k-0": ["conjecture-scan", "--k", "0"],
     "conjecture-scan-k-1200": ["conjecture-scan", "--k", "1200"],
     "ktail-ell-negative": ["ktail", "--ell", "-1", "--a", "1"],
-    "ktail-ell-101": ["ktail", "--ell", "101", "--a", "1"],
+    "ktail-ell-101": ["ktail", "--ell", "100000", "--a", "1"],
     "cm-check-orders-0": ["cm-check", "--alpha", "1", "--beta", "1",
                           "--r", "4", "--orders", "0"],
     "cm-check-orders-91": ["cm-check", "--alpha", "1", "--beta", "1",
                            "--r", "4", "--orders", "91"],
-    "ladder-k-max-801": ["ladder", "--k-max", "801"],
+    "ladder-k-max-801": ["ladder", "--k-max", "100000"],
     "ratio-mono-count-1501": ["ratio-mono", "--which", "c", "--beta", "1",
-                              "--count", "1501"],
+                              "--count", "100000"],
     "ratio-mono-C-count-3": ["ratio-mono", "--which", "C", "--beta", "1",
                              "--count", "3"],
     "cm-check-grid-count-1001": ["--grid", "linear:1,2,1001", "cm-check",
                                  "--alpha", "1", "--beta", "1", "--r", "4"],
-    "verify-identity-k-1601": ["verify-identity", "--k", "1601"],
-    "verify-identity-terms-1601": ["verify-identity", "--terms", "1601"],
+    "verify-identity-k-1601": ["verify-identity", "--k", "1000000"],
+    "verify-identity-terms-1601": ["verify-identity", "--terms", "1000000"],
     "shift-chain-shifts-5001": ["shift-chain", "--file", "{good}",
-                                "--shifts", "5001"],
+                                "--shifts", "100000000"],
     "certify-poly-pieces-2001": ["certify-poly", "--file", "{good}",
-                                 "--interval", "0,1", "--step", "1/2001"],
-    "lemma1-bounds-m-301": ["lemma1-bounds", "--m", "301"],
-    "lemma1-bounds-n-301": ["lemma1-bounds", "--n", "301"],
+                                 "--interval", "0,1", "--step", "1/100000000"],
+    "lemma1-bounds-m-301": ["lemma1-bounds", "--m", "100000"],
+    "lemma1-bounds-n-301": ["lemma1-bounds", "--n", "100000"],
     "shift-chain-coefficients-41": ["shift-chain", "--file", "{long}"],
     "shift-chain-coefficient-digits": ["shift-chain", "--file", "{huge}"],
     "shift-chain-common-denominator": ["shift-chain", "--file", "{wide}"],
     "p-limit-t-digits": ["p-limit", "--t", "1e100000000"],
-    "bessel-u-10000001": ["bessel", "--k", "0", "--u", "10000001"],
+    "bessel-u-10000001": ["bessel", "--k", "0", "--u", "1000000000"],
     "cm-check-r-numerator-101": ["cm-check", "--alpha", "1", "--beta", "1",
-                                 "--r", "101"],
+                                 "--r", "100000"],
     "cm-check-r-denominator-11": ["cm-check", "--alpha", "1", "--beta", "1",
-                                  "--r", "1/11"],
+                                  "--r", "1/1000"],
     "kernel-ineq-k-7": ["kernel-ineq", "--k", "7"],
-    "polygamma-n-1001": ["polygamma", "--n", "1001", "--x", "1"],
-    "polygamma-size": ["polygamma", "--n", "1000", "--x", "1/10000000000"],
-    "polygamma-denominator-bits": ["polygamma", "--n", "1",
-                                   "--x", f"1/{2 ** 1000}"],
-    "bessel-k-100001": ["bessel", "--k", "100001", "--u", "1"],
+    "polygamma-n-1001": ["polygamma", "--n", "100000", "--x", "1"],
+    "polygamma-size": ["polygamma", "--n", "1000", "--x", f"1/{10 ** 100}"],
+    "polygamma-denominator-bits": ["--precision", "1000", "polygamma",
+                                   "--n", "1", "--x", f"1/{2 ** 1000}"],
+    "bessel-k-100001": ["bessel", "--k", "1000000", "--u", "1"],
     "bessel-size": ["bessel", "--k", "0", "--u", "9999999." + "9" * 16],
+    "ktail-exp-out-of-reach": ["ktail", "--ell", "100", "--a", "1e-3000"],
+    "budget-ratio-mono": ["ratio-mono", "--which", "C", "--count", "1500",
+                          "--beta", f"{10 ** 100 - 1}/{10 ** 100 + 1}"],
+    "budget-certify-poly": ["certify-poly", "--file", "{f4}",
+                            "--interval", "0,1e3000", "--step", "1e2997"],
+    "budget-cm-check": ["cm-check", "--alpha", "1", "--beta", "1",
+                        "--r", "-100", "--orders", "90"],
 }
 # Option values that start with "-", and the parse order: a config error
 # (exit 65) is reported before an error in the command's own options.

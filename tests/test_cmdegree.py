@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cmcert import cli, cmdegree, specfun
+from cmcert import cli, cmdegree, enclosure, specfun
 from cmcert.cmdegree import CMExpression
 from cmcert.enclosure import Enclosure
 from cmcert.expring import eval_enclosure, kernel_derivative
@@ -395,36 +395,51 @@ def test_report_json_of_a_scan_is_the_indented_json_dump():
     assert report.to_json() == _report_json(report)
 
 
-@pytest.mark.parametrize("N", [0, -1, cmdegree.CM_CHECK_MAX_ORDER + 1])
+GRID25 = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
+
+
+@pytest.mark.parametrize("N", [0, -1, 91])
 def test_cm_check_refuses_orders_out_of_range(N):
-    # refused before any work: the empty grid is not reached
-    with pytest.raises(ValueError, match=rf"--orders {N} .* range 1\.\.90$"):
-        cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, N, [], 15)
+    # refused before any work: an order below 1 by its range, and 91
+    # orders on the default grid by the work budget
+    match = (rf"^order --orders {N} .* range 1\.\.$" if N < 1 else
+             r"^work --orders/--r/--grid \d+ .* range 0\.\.\d+$")
+    with pytest.raises(ValueError, match=match):
+        cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, N, GRID25, 15)
 
 
 @pytest.mark.parametrize("r, part", [
-    (cmdegree.CM_CHECK_MAX_R_NUM + 1, r"\|numerator\|"),
-    (-cmdegree.CM_CHECK_MAX_R_NUM - 1, r"\|numerator\|"),
+    (101, r"\|numerator\|"),
+    (-101, r"\|numerator\|"),
     (10 ** 5, r"\|numerator\|"),
-    (Fraction(1, cmdegree.CM_CHECK_MAX_R_DEN + 1), "denominator"),
+    (Fraction(1, 11), "denominator"),
     (Fraction(-7, 1000), "denominator")])
-def test_cm_check_refuses_a_degree_out_of_range(r, part):
-    # refused before any work: the empty grid is not reached
-    with pytest.raises(ValueError, match=rf"^{part} --r .* supported range"):
-        cmdegree.cm_check(cmdegree.h_expression(1, 1), r, 2, [], 15)
+def test_cm_check_refuses_a_degree_out_of_range(monkeypatch, work_estimate,
+                                                r, part):
+    # a degree's |numerator| lengthens every power t^p and its denominator
+    # takes roots (part names which grows): with the work budget at what
+    # r = 4 needs on the default grid, each degree is refused before the
+    # tower is built
+    h = cmdegree.h_expression(1, 1)
+    monkeypatch.setattr(enclosure, "WORK_MAX", work_estimate(
+        lambda: cmdegree.cm_check(h, 4, 8, GRID25, 15)))
+    monkeypatch.setattr(cmdegree, "_derivative_rows",
+                        lambda *args: pytest.fail("the tower was built"))
+    with pytest.raises(ValueError, match=r"^work --orders/--r/--grid "):
+        cmdegree.cm_check(h, r, 8, GRID25, 15)
 
 
 def test_cm_check_runs_at_the_ends_of_its_degree_range():
-    top = Fraction(-cmdegree.CM_CHECK_MAX_R_NUM, cmdegree.CM_CHECK_MAX_R_DEN)
-    for r in (top, -top, cmdegree.CM_CHECK_MAX_R_NUM):
+    # the ends of the --r range before the work budget replaced it
+    for r in (Fraction(-10), Fraction(10), 100):
         report = cmdegree.cm_check(cmdegree.h_expression(1, 1), r, 1, [2], 10)
         assert len(report.cells) == 2, r
 
 
 def test_cm_check_runs_at_its_highest_order():
-    report = cmdegree.cm_check(cmdegree.h_expression(1, 1), 4,
-                               cmdegree.CM_CHECK_MAX_ORDER, [2], 10)
-    assert len(report.cells) == cmdegree.CM_CHECK_MAX_ORDER + 1
+    # the top of the --orders range before the work budget replaced it
+    report = cmdegree.cm_check(cmdegree.h_expression(1, 1), 4, 90, [2], 10)
+    assert len(report.cells) == 91
     assert report.summary == "pass"
 
 
@@ -628,16 +643,26 @@ def test_kernel_certificate_refuses_orders_out_of_range(k):
         cmdegree.kernel_certificate(k, [], digits=15)
 
 
-@pytest.mark.parametrize("k", [0, -1, cmdegree.CONJECTURE_MAX_ORDER + 1,
-                               1200])
-def test_conjecture_scan_refuses_orders_out_of_range(k):
-    # refused before any work: the empty grid is not reached
-    with pytest.raises(ValueError, match=rf"--k {k} .* range 1\.\.50$"):
-        cmdegree.conjecture_scan(k, [], digits=15)
+@pytest.mark.parametrize("k", [0, -1, 51, 1200])
+def test_conjecture_scan_refuses_orders_out_of_range(monkeypatch, work_estimate,
+                                                     k):
+    # refused before any work: an order below 1 by its range, and with the
+    # work budget at what order 50 needs on the default grid, a higher one
+    if k < 1:
+        with pytest.raises(ValueError, match=rf"--k {k} .* range 1\.\.$"):
+            cmdegree.conjecture_scan(k, [], digits=15)
+        return
+    monkeypatch.setattr(enclosure, "WORK_MAX", work_estimate(
+        lambda: cmdegree.conjecture_scan(50, GRID25, 15)))
+    monkeypatch.setattr(cmdegree, "kernel_margin",
+                        lambda *args: pytest.fail("a margin was computed"))
+    with pytest.raises(ValueError, match=rf"^work --k/--grid \d+ .* range "):
+        cmdegree.conjecture_scan(k, GRID25, digits=15)
 
 
 def test_conjecture_scan_runs_at_its_highest_order():
-    scan = cmdegree.conjecture_scan(cmdegree.CONJECTURE_MAX_ORDER, [1], 10)
+    # the top of the --k range before the work budget replaced it
+    scan = cmdegree.conjecture_scan(50, [1], 10)
     assert scan["counterexample"]["margin"].hi < 0
 
 

@@ -71,11 +71,11 @@ def _numerator_at_e_equal_one(form) -> Polynomial:
     return sum((p for _, p in form.numerator.terms), Polynomial.zero())
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, specfun.K_TAIL_MAX_ORDER])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 100])
 def test_tower_numerators_are_reduced(n):
     # at E = 1 the numerators are (-1)^n n! and (-1)^n n! u, not 0, so no
     # factor (e^u - 1) is left to cancel against the pole n + 1; the Eulerian
-    # row is iterative, so the order of the --ell cap builds without recursion
+    # row is iterative, so a high order builds without recursion
     value = (-1) ** n * math.factorial(n)
     reciprocal = expring.reciprocal_derivative(n)
     kernel = expring.kernel_derivative(n)

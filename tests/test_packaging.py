@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,40 @@ def test_every_public_function_is_reached():
     unreached = [where for where, name in defined
                  if not name.startswith("_") and name not in reached]
     assert unreached == []
+
+
+# the module-level limits that are not costs, each kept for a stated
+# reason; every cost is an estimate checked against the one WORK_MAX
+LIMITS_KEPT = {
+    "WORK_MAX": "the one work budget, in word products",
+    "DIGIT_CAP": "the most digits refine doubles a precision to",
+    "TERM_CAP": "a Bessel series that has not converged by then raises",
+    "EXP_BITS_CAP": "the most bits of an exp enclosure, past which e**x "
+                    "raises at once",
+    "MAX_PRECISION": "the most --precision digits",
+    "RATIONAL_MAX_DIGITS": "the most digits of an option value, checked "
+                           "before Fraction builds it",
+    "POLY_MAX_COEFFS": "the most coefficients of a --file",
+    "POLY_MAX_DIGITS": "the most digits of a --file coefficient",
+    "MAX_DEPTH": "the most bisections of a failing piece",
+}
+
+
+def test_every_module_level_limit_is_kept_for_a_reason():
+    # a cost cap sized alone has no ceiling on its products with the
+    # others, so no module-level *_MAX* or *_CAP* name may appear beyond
+    # the limits above
+    limit = re.compile(r"(^|_)(MAX|CAP)(_|$)")
+    names = set()
+    for path in sorted((ROOT / "src" / "cmcert").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            names |= {name.id for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and limit.search(name.id)}
+    assert names == set(LIMITS_KEPT)
 
 
 def test_cli_import_loads_every_module_and_no_dataclasses():

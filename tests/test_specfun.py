@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmcert import specfun
+from cmcert import enclosure, specfun
 from cmcert.enclosure import Enclosure
 from cmcert.cmdegree import geometric_grid
 
@@ -196,45 +196,55 @@ def test_bessel_ratio_equals_the_fraction_loop(k, u, digits):
 
 
 def test_bessel_ratio_refuses_an_argument_past_its_cap():
-    # about e sqrt(u) terms of growing integers: refused before any work
-    top = specfun.BESSEL_MAX_U
-    assert specfun.bessel_ratio(0, Fraction(top - 1, 10 ** 6), 10).lo > 0
-    for u in (top + 1, Fraction(10 * top + 1, 10), 10 ** 9):
-        with pytest.raises(ValueError, match=r"--u/--grid .* range 0\.\."):
+    # about 3 sqrt(u) terms of growing integers: past the work budget, an
+    # argument is refused before any work
+    assert specfun.bessel_ratio(0, Fraction(10 ** 7 - 1, 10 ** 6), 10).lo > 0
+    for u in (10 ** 8, Fraction(10 ** 9 + 1, 10), 10 ** 9):
+        with pytest.raises(ValueError, match=r"^work --k/--u/--grid .* 0\.\."):
             specfun.bessel_ratio(1, u, 10)
 
 
 def test_bessel_ratio_refuses_an_order_or_a_size_past_its_cap():
     # the order's factorial, and terms that grow by the bits of u's
-    # numerator and denominator, about isqrt(u) of them: refused at once
-    assert specfun.bessel_ratio(specfun.BESSEL_MAX_ORDER, 1, 10).hi > 0
-    assert specfun.bessel_ratio(0, specfun.BESSEL_MAX_U, 10).lo > 0
-    with pytest.raises(ValueError, match=r"^order --k 100001 .* 0\.\.100000$"):
-        specfun.bessel_ratio(specfun.BESSEL_MAX_ORDER + 1, 1, 10)
+    # numerator and denominator, about 3 isqrt(u) of them: the work budget
+    # admits the old ends of the order and argument ranges, and refuses a
+    # larger order or argument at once
+    assert specfun.bessel_ratio(10 ** 5, 1, 10).hi > 0
+    assert specfun.bessel_ratio(0, 10 ** 7, 10).lo > 0
+    with pytest.raises(ValueError, match=r"^work --k/--u/--grid \d+ .* "
+                       rf"0\.\.{enclosure.WORK_MAX}$"):
+        specfun.bessel_ratio(10 ** 6, 1, 10)
     with pytest.raises(ValueError, match=r"^order --k -1 "):
         specfun.bessel_ratio(-1, 1, 10)
     for u in (Fraction(10 ** 23 - 1, 10 ** 16), 1 + Fraction(1, 10 ** 31000)):
-        with pytest.raises(ValueError, match=r"^size --u/--grid .* 0\.\."):
+        with pytest.raises(ValueError, match=r"^work --k/--u/--grid .* 0\.\."):
             specfun.bessel_ratio(0, u, 10)
 
 
 def test_polygamma_refuses_an_order_or_a_size_past_its_cap():
-    top = specfun.POLYGAMMA_MAX_ORDER
+    # the work budget admits the old top order at x = 10^-6 and a
+    # 1,000-bit denominator at 10 digits, and refuses at once a higher
+    # order, larger powers of x and, at 1,000 digits, long exact
+    # Bernoulli terms on a denominator's powers
+    top = 1000
     assert specfun.polygamma(top, Fraction(1, 10 ** 6), 10).hi < 0
     assert specfun.polygamma(1, Fraction(1, 2 ** 1000 - 1), 10).lo > 0
-    for n in (0, top + 1):
-        with pytest.raises(ValueError, match=rf"^order --n {n} .*\.\.{top}$"):
+    with pytest.raises(ValueError, match=r"^order --n 0 .*\.\.$"):
+        specfun.polygamma(0, 1, 10)
+    over = r"^work --n/--x/--t/--grid .* 0\.\."
+    for n in (10 ** 5, 20 * top):
+        with pytest.raises(ValueError, match=over):
             specfun.polygamma(n, 1, 10)
-    with pytest.raises(ValueError, match=r"^order --n 1001 "):
-        specfun.polygamma_jet(1, top + 1, 1, 10)
+    with pytest.raises(ValueError, match=over):
+        specfun.polygamma_jet(1, 10 ** 5, 1, 10)
     # psi^(n)(x) ~ n!/x^(n+1) at small x, and long fixed points at large x
-    for n, x in ((top, Fraction(1, 10 ** 10)), (top, 10 ** 9000)):
-        with pytest.raises(ValueError, match=r"^size --n/--x .* 0\.\."):
-            specfun.polygamma(n, x, 10)
+    for n, x in ((top, Fraction(1, 10 ** 100)), (top, 10 ** 9000)):
+        with pytest.raises(ValueError, match=over):
+            specfun.polygamma(n, x, 60)
     # exact Bernoulli terms take powers of the denominator
     for x in (Fraction(1, 2 ** 1000), 1 + Fraction(1, 2 ** 1000)):
-        with pytest.raises(ValueError, match=r"^denominator bits .*\.\.1000$"):
-            specfun.polygamma(1, x, 10)
+        with pytest.raises(ValueError, match=over):
+            specfun.polygamma(1, x, 1000)
 
 
 def test_bessel_ratio_raises_at_term_cap(monkeypatch):
