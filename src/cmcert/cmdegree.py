@@ -209,9 +209,10 @@ def _grid_ends(lo, hi, count: int) -> tuple[Fraction, Fraction]:
     lo, hi = to_fraction(lo), to_fraction(hi)
     check_range("count --grid", count, 1)
     # a float power and limit_denominator, or a product and a sum, a point:
-    # charged 1,024 operations, some 4 times their cost, so that every grid
-    # the budget admits is built in under a second
-    check_work("--grid", work(1024 * count, bits(lo) + bits(hi)))
+    # charged 4,096 operations, some 16 times their cost, as no command
+    # scans more than about 1,500 points within the budget, so a grid none
+    # could scan is mostly refused before it is built
+    check_work("--grid", work(4096 * count, bits(lo) + bits(hi)))
     return lo, hi
 
 
