@@ -413,8 +413,9 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
                             help="comma-separated rational evaluation points"))
 def p_limit(cfg, t):
     """Enclosures of the first-derivative degree bound p(t)."""
-    pts = [_rat(s) for s in t.split(",")]
-    encs = [cmdegree.p_value(t, min(cfg.precision, 30)) for t in pts]
+    pts, digits = [_rat(s) for s in t.split(",")], min(cfg.precision, 30)
+    check_work("--t", sum(cmdegree.p_work(t, digits) for t in pts))
+    encs = [cmdegree.p_value(t, digits) for t in pts]
     header = ("t", "lo", "hi")
     rows = [(str(t), *_ends(e)) for t, e in zip(pts, encs)]
     _emit(cfg, lambda: json.dumps([dict(zip(header, row)) for row in rows]),

@@ -361,6 +361,14 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
 # -- the p(t) asymptotic ----------------------------------------------------
 
 
+def p_work(t: Fraction, digits: int) -> int:
+    """Work of `p_value` at t: its psi jet and the rows of its two cells,
+    at the most digits it refines to."""
+    d = DIGIT_CAP + digits
+    return specfun.polygamma_work(1, 2, t.numerator, t.denominator, d) \
+        + work(8, 4 * d + 8 * bits(t), 4 * d)
+
+
 def p_value(t, digits: int = 15) -> Enclosure:
     """Enclosure of p(t) = -t h'(t) / h(t), h = `h_expression()`.
 

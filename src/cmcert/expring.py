@@ -1,22 +1,28 @@
-"""Exponential-polynomial quotient ring sum_i p_i(u) e^(iu) / (e^u - 1)^m.
+"""Exponential polynomials sum c u^d e^(fu) as one coefficient table.
 
-The smallest differentiation-closed ring containing u/(1 - e^-u): elements
-are finite maps frequency -> polynomial numerator over a pole power of
-(e^u - 1).  Supplies the derivative towers of 1/(e^u - 1) and of the
-Laplace kernel, and the exact algebra behind the degree-28 positivity
-reduction.  Both towers are closed forms in the Eulerian numbers A(n, i)
-(Graham, Knuth and Patashnik, Concrete Mathematics, section 6.2):
+An exp-polynomial is a dict {(f, d): c}: the frequency f >= 0 of e^(fu),
+the power d >= 0 of u and an exact nonzero rational c.  A quotient
+N / (e^u - 1)^m, the smallest differentiation-closed home of
+u/(1 - e^-u), is `ExpPolyQuotient(N, m)`.  The derivative towers of
+1/(e^u - 1) and of the Laplace kernel write their closed forms in the
+Eulerian numbers A(n, i) straight into the table (Graham, Knuth and
+Patashnik, Concrete Mathematics, section 6.2):
 D^n [1/(e^u - 1)] = (-1)^n sum_i A(n, i) e^(iu) / (e^u - 1)^(n+1), with
-A(0, 0) = 1 and A(n, i) = i A(n-1, i) + (n-i+1) A(n-1, i-1).
+A(0, 0) = 1 and A(n, i) = i A(n-1, i) + (n-i+1) A(n-1, i-1).  A table
+product and derivative carry the exact algebra behind the degree-28
+positivity reduction.
 
-`eval_enclosure` runs one path for every u > 0 on binary fixed-point
-brackets (Brent and Zimmermann, Modern Computer Arithmetic, sections 3-4):
-an interval Horner pass over the exp enclosure, the pole power by
-square-and-multiply, every product floored at the low end and ceiled at
-the high end, and one outward rounding of the quotient, so every bracket
-holds the exact interval value and no error estimate is needed.  The
-guard digits start from the pole's growth near 0 and then follow the
-measured width.
+`eval_enclosure` runs one path for every u > 0 in q = e^-u, on binary
+fixed-point brackets (Brent and Zimmermann, Modern Computer Arithmetic,
+sections 3-4).  With F the top frequency and s = max(F, m),
+N(u) / (e^u - 1)^m = e^((s-m)u) sum_f p_f(u) q^(s-f) / (1 - q)^m: an
+interval Horner pass in q, the pole power of 1 - q by square-and-multiply,
+every product floored at the low end and ceiled at the high end, and one
+outward rounding of the quotient, so every bracket holds the exact
+interval value and no error estimate is needed.  q <= 1, so the brackets
+keep the bits of the digits asked for at any u; only a quotient with
+F > m takes e^((F-m)u), and no tower has one.  The guard digits start
+from the pole's growth near 0 and then follow the measured width.
 """
 
 from __future__ import annotations
@@ -27,86 +33,58 @@ from functools import lru_cache
 
 from .enclosure import (Enclosure, Record, divide_round_out, to_fraction,
                         work)
-from .poly import Polynomial, certify_positive_on_interval, lemma1_exp_bounds
-from . import specfun
+from . import poly, specfun
 
 
-class ExpPoly(Record):
-    """Finite sum of p_i(u) * e^(i u) with exact polynomial coefficients."""
-
-    __slots__ = _fields = ("terms",)  # ((i, p_i), ...) sorted by frequency
-
-    @staticmethod
-    def of(mapping: dict[int, Polynomial]) -> "ExpPoly":
-        items = []
-        for freq in sorted(mapping):
-            p = mapping[freq]
-            if freq < 0:
-                raise ValueError("negative frequencies are not in the ring")
-            if not p.is_zero():
-                items.append((freq, p))
-        return ExpPoly(tuple(items))
-
-    def as_dict(self) -> dict[int, Polynomial]:
-        return dict(self.terms)
-
-    def max_freq(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        d = self.as_dict()
-        for f, p in other.terms:
-            d[f] = d.get(f, Polynomial.zero()) + p
-        return ExpPoly.of(d)
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        d: dict[int, Polynomial] = {}
-        for f1, p1 in self.terms:
-            for f2, p2 in other.terms:
-                f = f1 + f2
-                d[f] = d.get(f, Polynomial.zero()) + p1 * p2
-        return ExpPoly.of(d)
-
-    def scale(self, c) -> "ExpPoly":
-        return ExpPoly.of({f: p.scale(c) for f, p in self.terms})
-
-    def mul_poly(self, q: Polynomial) -> "ExpPoly":
-        return ExpPoly.of({f: p * q for f, p in self.terms})
-
-    def derivative(self) -> "ExpPoly":
-        return ExpPoly.of({f: p.derivative() + p.scale(f) for f, p in self.terms})
-
-    def value_at_origin(self) -> Fraction:
-        """Exact value at u = 0 (each e^(iu) factor equals 1)."""
-        return sum((p(0) for _, p in self.terms), Fraction(0))
+def _table(terms) -> dict:
+    """{key: c} summed from (key, c) pairs, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
 
 
-def _taylor_table(num: ExpPoly, order: int) -> tuple[int, tuple[int, ...]]:
+def _product(a: dict, b: dict) -> dict:
+    return _table(((f + g, d + e), c * k) for (f, d), c in a.items()
+                  for (g, e), k in b.items())
+
+
+def _derivative(a: dict) -> dict:
+    """D [c u^d e^(fu)] = c d u^(d-1) e^(fu) + c f u^d e^(fu)."""
+    return _table(term for (f, d), c in a.items()
+                  for term in (((f, d - 1), c * d), ((f, d), c * f)))
+
+
+def _at_zero(a: dict) -> Fraction:
+    """Exact value at u = 0 (each e^(fu) factor equals 1)."""
+    return sum((c for (_, d), c in a.items() if not d), Fraction(0))
+
+
+def _exp_minus_one_power(m: int) -> dict:
+    """(e^u - 1)^m = sum_i C(m, i) (-1)^(m-i) e^(iu)."""
+    return {(i, 0): math.comb(m, i) * (-1) ** (m - i) for i in range(m + 1)}
+
+
+def _taylor_table(num: dict, order: int) -> tuple[int, tuple[int, ...]]:
     """(D, K) with K[j] / (D j!) the j-th Taylor coefficient of num at 0.
 
-    p(u) e^(fu) contributes sum_d p[d] f^(j-d)/(j-d)! to the j-th coefficient;
-    with D the common denominator of all p[d], each contribution is the
-    integer (D p[d]) f^(j-d) j!/(j-d)! over D j!.  `series_at_zero` reads
-    its numerator's table and the pole power's from here.
+    c u^d e^(fu) contributes c f^(j-d)/(j-d)! to the j-th coefficient; with
+    D the common denominator of all c, each contribution is the integer
+    (D c) f^(j-d) j!/(j-d)! over D j!.  `series_at_zero` reads its
+    numerator's table and the pole power's from here.
     """
-    den = math.lcm(*(c.denominator for _, p in num.terms for c in p.coeffs))
+    den = math.lcm(*(c.denominator for c in num.values()))
     parts = [(f, d, c.numerator * (den // c.denominator))
-             for f, p in num.terms for d, c in enumerate(p.coeffs) if c]
+             for (f, d), c in num.items()]
     table = tuple(sum(k * f ** (j - d) * math.perm(j, d)
                       for f, d, k in parts if d <= j)
                   for j in range(order + 1))
     return den, table
 
 
-EXP_U = ExpPoly.of({1: Polynomial.constant(1)})
-EXP_U_MINUS_ONE = EXP_U - ExpPoly.of({0: Polynomial.constant(1)})
-
-
 class ExpPolyQuotient(Record):
-    """numerator / (e^u - 1)^pole; the towers below build it fully reduced."""
+    """numerator / (e^u - 1)^pole, the numerator a table {(f, d): c}; the
+    towers below build it fully reduced."""
 
     __slots__ = _fields = ("numerator", "pole")
 
@@ -123,8 +101,8 @@ def reciprocal_derivative(n: int) -> ExpPolyQuotient:
     for m in range(1, n + 1):
         row = [i * a + (m - i + 1) * b
                for i, (a, b) in enumerate(zip(row + [0], [0] + row))]
-    return ExpPolyQuotient(ExpPoly.of({i: Polynomial.constant((-1) ** n * a)
-                                       for i, a in enumerate(row)}), n + 1)
+    return ExpPolyQuotient({(i, 0): (-1) ** n * a
+                            for i, a in enumerate(row) if a}, n + 1)
 
 
 @lru_cache(maxsize=None)
@@ -139,56 +117,68 @@ def kernel_derivative(k: int) -> ExpPolyQuotient:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    u = Polynomial.x()
     if k == 0:
-        return ExpPolyQuotient(ExpPoly.of({1: u}), 1)
-    num = (reciprocal_derivative(k).numerator.mul_poly(u) + (EXP_U_MINUS_ONE
-           * reciprocal_derivative(k - 1).numerator).scale(k))
+        return ExpPolyQuotient({(1, 1): 1}, 1)
+    terms = [((i, 1), a)
+             for (i, _), a in reciprocal_derivative(k).numerator.items()]
+    for (i, _), a in reciprocal_derivative(k - 1).numerator.items():
+        terms += [((i + 1, 0), k * a), ((i, 0), -k * a)]
     if k == 1:
-        num = num + EXP_U_MINUS_ONE * EXP_U_MINUS_ONE
-    return ExpPolyQuotient(num, k + 1)
+        terms += _exp_minus_one_power(2).items()
+    return ExpPolyQuotient(_table(terms), k + 1)
 
 
 # -- evaluation -------------------------------------------------------------
 
 
-def _fixed_parts(num: ExpPoly, u: Fraction, digits: int) -> tuple:
-    """Brackets (lo, hi) of num(u) 2**w and of (e^u - 1) 2**w, and w, the
-    bits of 10**-(digits+1).  The exp enclosure and each p_f(u) are floored
-    at lo and ceiled at hi; Horner runs A <- A X + p_f(u) from the top
-    frequency down, X the low or high end of e^u by the sign of A (Moore's
-    rule), each product floored (lo) or ceiled (hi), so each bracket holds
-    the exact interval Horner value over the same exp enclosure."""
+def _fixed(e: Enclosure, w: int) -> tuple[int, int]:
+    """e's ends times 2**w, floored (lo) and ceiled (hi)."""
+    lo, hi, den = e.ratio()
+    return (lo << w) // den, -((-hi << w) // den)
+
+
+def _fixed_parts(f: ExpPolyQuotient, u: Fraction, digits: int) -> tuple:
+    """Brackets (lo, hi) of the numerator sum 2**w e^((s-m)u) sum_f
+    p_f(u) q^(s-f) and of (1 - q) 2**w, and w, the bits of
+    10**-(digits+1).  The q enclosure and each p_f(u) are floored at lo and
+    ceiled at hi; Horner runs A <- A q + p_f(u) from frequency 0 up, with
+    the low or high end of q >= 0 by the sign of A (Moore's rule), each
+    product floored (lo) or ceiled (hi), so each bracket holds the exact
+    interval Horner value over the same enclosures."""
     w = (digits + 1) * 10 // 3
-    lo_e, hi_e, s = specfun.exp_enclosure(u, digits).ratio()
-    lo_e, hi_e = (lo_e << w) // s, -((-hi_e << w) // s)
-    coeffs = {f: p(u) for f, p in num.terms}
+    q = _fixed(specfun.exp_enclosure(-u, digits), w)
+    coeffs = _table((g, c * u ** d) for (g, d), c in f.numerator.items())
+    top = max([f.pole, *coeffs])
+    steps = [(q, coeffs.get(g, 0)) for g in range(top + 1)]
+    if top > f.pole:
+        steps.append((_fixed(specfun.exp_enclosure((top - f.pole) * u,
+                                                   digits), w), 0))
     lo = hi = 0
-    for f in range(num.max_freq(), -1, -1):
-        c = coeffs.get(f, 0)
+    for (x_lo, x_hi), c in steps:
+        lo = lo * (x_lo if lo >= 0 else x_hi) >> w
+        hi = -(-hi * (x_hi if hi >= 0 else x_lo) >> w)
         n, d = c.numerator << w, c.denominator
-        lo = (lo * (lo_e if lo >= 0 else hi_e) >> w) + n // d
-        hi = -(-hi * (hi_e if hi >= 0 else lo_e) >> w) - (-n // d)
-    return (lo, hi), (lo_e - (1 << w), hi_e - (1 << w)), w
+        lo, hi = lo + n // d, hi - (-n // d)
+    return (lo, hi), ((1 << w) - q[1], (1 << w) - q[0]), w
 
 
 def eval_work(pole: int, u: Fraction, digits: int) -> int:
-    """Work of `eval_enclosure`: exp, Horner and the pole power."""
-    # at the first guard's digits d and twice them: Horner and the pole
-    # power on both ends and two rounds, on brackets of x bits, up to pole
-    # times e**u's e bits before the point; none once an exp raises
+    """Work of `eval_enclosure`: e**-u, Horner and the pole power."""
+    # at the first guard's digits d and twice them: e**-u, then Horner and
+    # the pole power on both ends and two rounds, on brackets of x bits,
+    # which q <= 1 keeps at the digits' size; the numerator is up to pole
+    # times 9 bits, and u's, larger
     a, b = u.numerator, u.denominator
     d = digits + pole * max(0, b.bit_length() - a.bit_length()) * 3 // 10
-    e = min(3 * (a // b) // 2, specfun.EXP_BITS_CAP)
-    x, exp = 8 * d + 80 + e, specfun.exp_work(u, d)
-    return exp and exp + specfun.exp_work(u, 2 * d) + work(
-        4 * pole, x + pole * (e + 9), x)
+    x = 8 * d + 80
+    return specfun.exp_work(-u, d) + specfun.exp_work(-u, 2 * d) + work(
+        4 * pole, x + pole * 9 + a.bit_length(), x)
 
 
 def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
     """Enclosure of f(u) for rational u > 0, of width <= 10**-digits.
 
-    On the brackets of `_fixed_parts`, e^u - 1 is raised to the pole by
+    On the brackets of `_fixed_parts`, 1 - q is raised to the pole by
     square-and-multiply, each product floored (lo) or ceiled (hi), only
     while its low end is positive, and the quotient is rounded out once at
     10**-(digits+1), so soundness rests on directed rounding alone.  The
@@ -204,7 +194,7 @@ def eval_enclosure(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
     guard = 8 + f.pole * max(0, b.bit_length() - a.bit_length()) * 3 // 10
     cap, last = 6, "no enclosure"
     for _ in range(cap):
-        (lo, hi), (x_lo, x_hi), w = _fixed_parts(f.numerator, u, digits + guard)
+        (lo, hi), (x_lo, x_hi), w = _fixed_parts(f, u, digits + guard)
         p_lo = p_hi = one = 1 << w
         n = f.pole
         while n and x_lo > 0:  # a bracket through 0 is never raised
@@ -241,8 +231,7 @@ def series_at_zero(f: ExpPolyQuotient, n_terms: int) -> list[Fraction]:
         if a[j] != 0:
             raise ValueError(f"genuine pole of order {m - j} at u = 0")
     # (e^u - 1)^m = u^m * (1 + d_1 u + d_2 u^2 + ...), d_i at index m + i
-    _, powers = _taylor_table(math.prod([EXP_U_MINUS_ONE] * (m - 1),
-                                        start=EXP_U_MINUS_ONE), order)
+    _, powers = _taylor_table(_exp_minus_one_power(m), order)
     d = [Fraction(k, math.factorial(j)) for j, k in enumerate(powers)]
     out = []
     for j in range(n_terms):
@@ -254,30 +243,19 @@ def series_at_zero(f: ExpPolyQuotient, n_terms: int) -> list[Fraction]:
 # -- the derivative chain behind the degree-28 reduction --------------------
 
 
-def _poly(c0=0, c1=0) -> Polynomial:
-    return Polynomial.of([c0, c1])
-
-
-def build_f1() -> ExpPoly:
+def build_f1() -> dict:
     """(u+6)(e^u-1)^5 - 720 e^u [(u-4)e^{3u} + (11u-12)e^{2u} + (11u+12)e^u + u+4]."""
-    emo = EXP_U_MINUS_ONE
-    first = (emo * emo * emo * emo * emo).mul_poly(_poly(6, 1))
-    bracket = ExpPoly.of({
-        3: _poly(-4, 1),
-        2: _poly(-12, 11),
-        1: _poly(12, 11),
-        0: _poly(4, 1),
-    })
-    second = (EXP_U * bracket).scale(720)
-    return first - second
+    first = _product(_exp_minus_one_power(5), {(0, 0): 6, (0, 1): 1})
+    bracket = {(4, 1): 1, (4, 0): -4, (3, 1): 11, (3, 0): -12,
+               (2, 1): 11, (2, 0): 12, (1, 1): 1, (1, 0): 4}
+    return _table([*first.items(),
+                   *(((f, d), -720 * c) for (f, d), c in bracket.items())])
 
 
-def _extract_exp_factor(g: ExpPoly, scalar: int) -> tuple[ExpPoly, bool]:
-    """(g without its e^0 term) / (scalar e^u), and whether that term is 0."""
-    d = g.as_dict()
-    divisible = d.pop(0, None) is None
-    return ExpPoly.of({f - 1: p.scale(Fraction(1, scalar))
-                       for f, p in d.items()}), divisible
+def _extract_exp_factor(g: dict, scalar: int) -> tuple[dict, bool]:
+    """(g without its e^0 terms) / (scalar e^u), and whether they are 0."""
+    return ({(f - 1, d): Fraction(c, scalar) for (f, d), c in g.items() if f},
+            all(f for f, _ in g))
 
 
 def build_F_chain():
@@ -288,20 +266,20 @@ def build_F_chain():
     divide exactly by e^u and all seven values vanish.
     """
     f1 = build_f1()
-    f1d = f1.derivative()
-    f1dd = f1d.derivative()
+    f1d = _derivative(f1)
+    f1dd = _derivative(f1d)
     f2, divisible2 = _extract_exp_factor(f1dd, 5)
-    f2d = f2.derivative()
-    f2dd = f2d.derivative()
+    f2d = _derivative(f2)
+    f2dd = _derivative(f2d)
     f3, divisible3 = _extract_exp_factor(f2dd, 8)
     zeros = {
-        "F3(0)": f3.value_at_origin(),
-        "F2''(0)": f2dd.value_at_origin(),
-        "F2'(0)": f2d.value_at_origin(),
-        "F2(0)": f2.value_at_origin(),
-        "F1''(0)": f1dd.value_at_origin(),
-        "F1'(0)": f1d.value_at_origin(),
-        "F1(0)": f1.value_at_origin(),
+        "F3(0)": _at_zero(f3),
+        "F2''(0)": _at_zero(f2dd),
+        "F2'(0)": _at_zero(f2d),
+        "F2(0)": _at_zero(f2),
+        "F1''(0)": _at_zero(f1dd),
+        "F1'(0)": _at_zero(f1d),
+        "F1(0)": _at_zero(f1),
     }
     report = {"zeros": {k: str(v) for k, v in zeros.items()},
               "verified": divisible2 and divisible3
@@ -354,19 +332,20 @@ def build_f4_via_pade():
     factor cubed, is positive on (0, 6) when the sextic and the negated
     quintic factor are both certified positive there.
     """
-    (lnum, lden), (unum, uden), _ = lemma1_exp_bounds(2, 3)
+    (lnum, lden), (unum, uden), _ = poly.lemma1_exp_bounds(2, 3)
     u2, d3 = uden * uden, lden * lden * lden
     l2u2, d3u = lnum * lnum * u2, d3 * unum
-    numerator = (l2u2 * lnum * _poly(69, 10) + (l2u2 * lden).scale(7215)
-                 - d3u * uden * _poly(4035, 7119) - d3 * u2 * _poly(3249, 793)
-                 - d3u * unum * _poly(0, 2610))
-    f4 = Polynomial.of([c / 6 for c in numerator.coeffs[1:]])
+    line = poly.Polynomial.of
+    numerator = (l2u2 * lnum * line([69, 10]) + (l2u2 * lden).scale(7215)
+                 - d3u * uden * line([4035, 7119])
+                 - d3 * u2 * line([3249, 793]) - d3u * unum * line([0, 2610]))
+    f4 = line([c / 6 for c in numerator.coeffs[1:]])
     report = {
         "matches_reference": (numerator[0] == 0
                               and f4.coeffs == F4_REFERENCE_COEFFS),
         "sextic_factor_positive_on_0_6":
-            certify_positive_on_interval(lden, 0, 6, 1).verdict,
+            poly.certify_positive_on_interval(lden, 0, 6, 1).verdict,
         "negated_quintic_positive_on_0_6":
-            certify_positive_on_interval(uden, 0, 6, 1).verdict,
+            poly.certify_positive_on_interval(uden, 0, 6, 1).verdict,
     }
     return f4, report

@@ -60,16 +60,17 @@ def bernoulli(n: int) -> Fraction:
 def _exp_mantissas(num: int, den: int, k: int, p: int) -> tuple[int, int]:
     """Integers lo, hi with lo * 2**-p <= e**(num/den) <= hi * 2**-p.
 
-    Requires num/den > 0 and y = num/(den 2**k) <= 1/2.  The Taylor series
-    of e**y is summed twice on mantissas M standing for M * 2**-p: a lower
-    sum from floor(y 2**p) with floor division and an upper sum from
-    ceil(y 2**p) with ceil division.  From n >= 1 on every term ratio
-    y/(n+1) is <= 1/4, so once the upper term is <= 1 ulp the rest of the
-    series is at most that term, which the upper sum adds once more.  The
-    k squarings round down for lo and up for hi.
+    Requires y = |num|/(den 2**k) <= 1/2.  The Taylor series of e**y is
+    summed twice on mantissas M standing for M * 2**-p: a lower sum from
+    floor(y 2**p) with floor division and an upper sum from ceil(y 2**p)
+    with ceil division.  From n >= 1 on every term ratio y/(n+1) is <= 1/4,
+    so once the upper term is <= 1 ulp the rest of the series is at most
+    that term, which the upper sum adds once more.  For num < 0 the bracket
+    is inverted, lo floored from hi and hi ceiled from lo.  The k squarings
+    round down for lo and up for hi.
     """
-    lo_y = (num << (p - k)) // den
-    hi_y = -(-(num << (p - k)) // den)
+    lo_y = (abs(num) << (p - k)) // den
+    hi_y = -(-(abs(num) << (p - k)) // den)
     lo = lo_term = hi = hi_term = 1 << p
     n = 0
     while hi_term > 1:
@@ -79,6 +80,8 @@ def _exp_mantissas(num: int, den: int, k: int, p: int) -> tuple[int, int]:
         lo += lo_term
         hi += hi_term
     hi += hi_term
+    if num < 0:
+        lo, hi = (1 << 2 * p) // hi, -(-(1 << 2 * p) // lo)
     for _ in range(k):
         lo = lo * lo >> p
         hi = -(-hi * hi >> p)
@@ -87,12 +90,13 @@ def _exp_mantissas(num: int, den: int, k: int, p: int) -> tuple[int, int]:
 
 def exp_work(x: Fraction, digits: int) -> int:
     """Work of `exp_enclosure`: about p/8 terms of 8 products on p bits."""
-    # p is its first precision, and a guard word; past EXP_BITS_CAP it
-    # raises at once, and a small x takes fewer terms
+    # p is its first precision, and a guard word; past EXP_BITS_CAP an
+    # x > 0 raises at once, and a small x takes fewer terms
     a, b = abs(x.numerator), x.denominator
     over = a.bit_length() - b.bit_length()
-    p = (digits + 2) * 10 // 3 + 3 * a // (2 * b) + max(over, 0) + 66
-    return 0 if p > EXP_BITS_CAP + 64 else work(
+    p = (digits + 2) * 10 // 3 + max(3 * x.numerator // (2 * b), 0) \
+        + max(over, 0) + 66
+    return 0 if p > EXP_BITS_CAP + 64 and x > 0 else work(
         8 * p // (8 + max(-over, 0)), p, p)
 
 
@@ -101,28 +105,27 @@ def exp_enclosure(x, digits: int) -> Enclosure:
 
     Argument reduction on fixed-point integers (Brent & Zimmermann, Modern
     Computer Arithmetic, 4.3-4.4): e**x = (e**(x/2**k))**(2**k) with the
-    smallest k that brings x/2**k to <= 1/2; see `_exp_mantissas`.  The
+    smallest k that brings |x|/2**k to <= 1/2; see `_exp_mantissas`.  The
     working precision p is estimated in integer arithmetic from digits, x
-    and k.  A result wider than 10**-(digits+2) is recomputed with twice
-    the guard bits, so neither soundness nor the width rests on the
-    estimate.  An x that needs more than EXP_BITS_CAP bits raises.
+    and k: for x < 0 the squarings of e**(x/2**k) <= 1 keep the absolute
+    error within 2**k units, so p needs no bits for the size of e**|x|.  A
+    result wider than 10**-(digits+2) is recomputed with twice the guard
+    bits, so neither soundness nor the width rests on the estimate.  An
+    x > 0 that needs more than EXP_BITS_CAP bits raises.
     """
     x = to_fraction(x)
-    if x < 0:
-        e = exp_enclosure(-x, digits + 2)
-        return divide_round_out((1, 1, 1), e.ratio(), digits + 1)
     num, den = x.numerator, x.denominator
     k = 0
-    while 2 * num > den << k:
+    while 2 * abs(num) > den << k:
         k += 1
     # bits for 10**-(digits+2), for the size of e**x (log2 e < 3/2) and for
-    # the 2**k growth of the relative error over k squarings
-    base = (digits + 2) * 10 // 3 + 3 * num // (2 * den) + k + 2
+    # the 2**k growth of the error over k squarings
+    base = (digits + 2) * 10 // 3 + max(3 * num // (2 * den), 0) + k + 2
     guard = base.bit_length() + 4
     scale = 10 ** (digits + 2)
     while True:
         p = base + guard
-        if p > EXP_BITS_CAP:
+        if p > EXP_BITS_CAP and x > 0:
             raise ArithmeticError(f"e**x at |x| = {x!s:.40}"
                                   f"{'...' * (len(str(x)) > 40)} needs {p} "
                                   f"bits, over the limit of {EXP_BITS_CAP}")

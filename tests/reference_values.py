@@ -4,17 +4,17 @@ Exact rationals transcribed from the published tables, plus derived oracle
 values frozen after independent computation, one independent low-precision
 route to polygamma, and the plain loops that the optimised routines must
 reproduce exactly: the Fraction loops behind the integer series sums, the
-exact Enclosure composition that `eval_enclosure`'s fixed-point brackets
-must contain, the schoolbook polynomial product, polynomial shifts and
+exact Enclosure composition in e^-u that `eval_enclosure`'s fixed-point
+brackets must contain, the schoolbook polynomial product, polynomial shifts and
 sandwich sums and the ladder's cross-multiplied comparisons, the
 closed-form denominator coefficients p_k and lambda_k of the two ratio
 quotients, the per-order polygamma that the polygamma jet replaced, the
 jet on exact rationals that its fixed-point mantissas replaced, the
 Bernoulli recurrence that the tangent numbers replaced, the Newton loop
 that `math.isqrt` replaced, the rational power enclosures that the
-`cmdegree.PointTable` integer roots replaced, the repeated
-differentiation with trial division that the Eulerian derivative towers
-replaced, the Fraction loop of the transform identities that
+`cmdegree.PointTable` integer roots replaced, the exp-polynomial ring and
+its repeated differentiation with trial division that the coefficient
+table and the Eulerian derivative towers replaced, the Fraction loop of the transform identities that
 `cmdegree.verify_identity`'s integer comparisons replaced, and the
 recursive piece search that the positivity certificate's work-list
 replaced.
@@ -24,8 +24,8 @@ import math
 from fractions import Fraction
 
 from cmcert import poly, seriesratio, specfun
-from cmcert.enclosure import Enclosure, integer_nth_root, worst
-from cmcert.expring import EXP_U, EXP_U_MINUS_ONE, ExpPoly, ExpPolyQuotient
+from cmcert.enclosure import Enclosure, Record, integer_nth_root, worst
+from cmcert.expring import ExpPolyQuotient
 from cmcert.poly import Polynomial
 
 # min/max sandwich coefficients of the degree-28 certificate polynomial on
@@ -92,18 +92,24 @@ def polygamma_hurwitz(n: int, x: Fraction, terms: int) -> Enclosure:
 
 
 def eval_enclosure_fraction(f: ExpPolyQuotient, u, digits: int) -> Enclosure:
-    """f(u) as the exact Enclosure composition over exp_enclosure(u, digits):
-    the interval Horner of the numerator, divided by (e - 1)**pole, with no
-    rounding between steps.  `expring.eval_enclosure` must contain it when
-    its last round asked the exp enclosure for the same digits."""
+    """f(u) as the exact Enclosure composition over q = exp_enclosure(-u,
+    digits): with s the larger of the top frequency and the pole m, the
+    interval Horner in q of sum_f p_f(u) q^(s-f), divided by (1 - q)**m and,
+    for s > m, times exp_enclosure((s - m) u, digits), with no rounding
+    between steps.  `expring.eval_enclosure` must contain it when its last
+    round asked the exp enclosures for the same digits."""
     u = Fraction(u)
     if u <= 0:
         raise ValueError("evaluation requires u > 0")
-    e = specfun.exp_enclosure(u, digits)
-    coeffs = [Fraction(0)] * (f.numerator.max_freq() + 1)
-    for freq, p in f.numerator.terms:
-        coeffs[freq] = p(u)
-    return Polynomial.of(coeffs).eval_interval(e) / (e - 1) ** f.pole
+    q = specfun.exp_enclosure(-u, digits)
+    top = max([f.pole] + [freq for freq, _ in f.numerator])
+    coeffs = [Fraction(0)] * (top + 1)
+    for (freq, d), c in f.numerator.items():
+        coeffs[top - freq] += c * u ** d
+    value = Polynomial.of(coeffs).eval_interval(q) / (1 - q) ** f.pole
+    if top > f.pole:
+        value = value * specfun.exp_enclosure((top - f.pole) * u, digits)
+    return value
 
 
 def bessel_ratio_fraction(k: int, u: Fraction, digits: int,
@@ -558,9 +564,65 @@ def polygamma_per_order(n: int, x: Fraction, digits: int) -> Enclosure:
 
 
 # -- the derivative towers by repeated differentiation ----------------------
-# Each level differentiates the previous form in the ring and then divides
-# out (e^u - 1) while the division is exact; `expring.reciprocal_derivative`
-# and `expring.kernel_derivative` must return the identical reduced forms.
+# The ring of finite sums p_i(u) e^(iu) with polynomial coefficients, which
+# the coefficient table of `expring` replaced.  Each level of a tower
+# differentiates the previous form in the ring and then divides out
+# (e^u - 1) while the division is exact; `expring.reciprocal_derivative` and
+# `expring.kernel_derivative` must return the identical reduced forms, read
+# as tables by `as_table`.
+
+
+class ExpPoly(Record):
+    """Finite sum of p_i(u) * e^(i u) with exact polynomial coefficients."""
+
+    __slots__ = _fields = ("terms",)  # ((i, p_i), ...) sorted by frequency
+
+    @staticmethod
+    def of(mapping: dict) -> "ExpPoly":
+        return ExpPoly(tuple((freq, mapping[freq]) for freq in sorted(mapping)
+                             if not mapping[freq].is_zero()))
+
+    def as_dict(self) -> dict:
+        return dict(self.terms)
+
+    def max_freq(self) -> int:
+        return self.terms[-1][0] if self.terms else 0
+
+    def __add__(self, other: "ExpPoly") -> "ExpPoly":
+        d = self.as_dict()
+        for f, p in other.terms:
+            d[f] = d.get(f, Polynomial.zero()) + p
+        return ExpPoly.of(d)
+
+    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
+        return self + other.scale(-1)
+
+    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
+        d = {}
+        for f1, p1 in self.terms:
+            for f2, p2 in other.terms:
+                d[f1 + f2] = d.get(f1 + f2, Polynomial.zero()) + p1 * p2
+        return ExpPoly.of(d)
+
+    def scale(self, c) -> "ExpPoly":
+        return ExpPoly.of({f: p.scale(c) for f, p in self.terms})
+
+    def mul_poly(self, q: Polynomial) -> "ExpPoly":
+        return ExpPoly.of({f: p * q for f, p in self.terms})
+
+    def derivative(self) -> "ExpPoly":
+        return ExpPoly.of({f: p.derivative() + p.scale(f)
+                           for f, p in self.terms})
+
+
+def as_table(num: ExpPoly) -> dict:
+    """The ring element as `expring`'s table {(f, d): c}."""
+    return {(f, d): c for f, p in num.terms for d, c in enumerate(p.coeffs)
+            if c}
+
+
+EXP_U = ExpPoly.of({1: Polynomial.constant(1)})
+EXP_U_MINUS_ONE = EXP_U - ExpPoly.of({0: Polynomial.constant(1)})
 
 
 def divide_by_exp_minus_one(num: ExpPoly):
@@ -595,11 +657,12 @@ def differentiate(f: ExpPolyQuotient) -> ExpPolyQuotient:
 
 
 def derivative_tower(f: ExpPolyQuotient, n_max: int) -> list:
-    """[f, f', ..., f^(n_max)], each one derivative of the one before."""
+    """[f, f', ..., f^(n_max)], each one derivative of the one before, each
+    numerator read as a table."""
     tower = [f]
     for _ in range(n_max):
         tower.append(differentiate(tower[-1]))
-    return tower
+    return [ExpPolyQuotient(as_table(g.numerator), g.pole) for g in tower]
 
 
 # 1/(e^u - 1) and u e^u/(e^u - 1), the bases of the two towers

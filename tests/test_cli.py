@@ -19,7 +19,6 @@ import cmcert
 from cmcert import cli, cmdegree, expring, poly, seriesratio, specfun
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
-from cmcert.expring import ExpPoly
 from cmcert.poly import Polynomial
 
 
@@ -404,15 +403,15 @@ def test_limit_battery_reads_endpoints_not_midpoints(monkeypatch):
 def test_failed_algebra_checks_are_reported(monkeypatch):
     # F1(0) = 1 leaves F1'' and the rest of the chain as they are; a doubled
     # lower sandwich numerator moves the reduction off the reference
-    build_f1, bounds = expring.build_f1, expring.lemma1_exp_bounds
+    build_f1, bounds = expring.build_f1, poly.lemma1_exp_bounds
 
     def planted_bounds(m, n):
         (lnum, lden), upper, limit = bounds(m, n)
         return (lnum.scale(2), lden), upper, limit
 
-    monkeypatch.setattr(expring, "build_f1", lambda: build_f1()
-                        + ExpPoly.of({0: Polynomial.constant(1)}))
-    monkeypatch.setattr(expring, "lemma1_exp_bounds", planted_bounds)
+    monkeypatch.setattr(expring, "build_f1", lambda: expring._table(
+        [*build_f1().items(), ((0, 0), 1)]))
+    monkeypatch.setattr(poly, "lemma1_exp_bounds", planted_bounds)
     result = invoke("reproduce-paper")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
@@ -445,8 +444,8 @@ def test_flat_ratio_step_fails_the_battery(monkeypatch):
 def test_indivisible_derivative_chain_fails_the_battery(monkeypatch):
     # + u^2 gives F1'' an e^0 term, so F1'' is not divisible by e^u
     build_f1 = expring.build_f1
-    monkeypatch.setattr(expring, "build_f1", lambda: build_f1()
-                        + ExpPoly.of({0: Polynomial.of([0, 0, 1])}))
+    monkeypatch.setattr(expring, "build_f1", lambda: expring._table(
+        [*build_f1().items(), ((0, 2), 1)]))
     result = invoke("reproduce-paper")
     assert result.exit_code == 1
     lines = result.stdout.splitlines()
@@ -574,6 +573,10 @@ def test_installed_entry_point_matches_module_run():
     assert script.stdout == module.stdout, stderr_report(script, module)
 
 
+# 20,000 p(t) points: within the budget each, past it together
+P_LIMIT_POINTS = ",".join(map(str, range(1, 20001)))
+
+
 @pytest.mark.parametrize("args", [
     ["ratio-mono", "--which", "c", "--beta", "1", "--count", "1"],
     ["ratio-mono", "--which", "C", "--beta", "1", "--count", "3"],
@@ -585,11 +588,13 @@ def test_installed_entry_point_matches_module_run():
     ["unimodal-max", "--function", "F", "--beta", "1", "--tol", "0"],
     ["bessel", "--k", "1", "--u", "-1"],
     ["p-limit", "--t", "0"],
-    # arguments the exponential enclosures cannot reach
+    # arguments the exponential enclosures cannot reach, and K_100 so near
+    # its pole that the digits of e**-a pass the work budget
     ["p-limit", "--t", f"1/{10 ** 64}"],
-    ["ktail", "--ell", "1", "--a", str(10 ** 71)],
+    ["ktail", "--ell", "100", "--a", "1e-3000"],
     ["p-limit", "--t", "1/100000"],
-    ["ktail", "--ell", "1", "--a", "100000"],
+    # points past the work budget, refused before the first is evaluated
+    ["p-limit", "--t", P_LIMIT_POINTS],
     # orders, counts and sizes past the work budget, refused before any
     # work
     ["conjecture-scan", "--k", "1200"],
@@ -721,10 +726,9 @@ def test_each_budgeted_call_runs_at_the_budget_and_stops_past_it(
     assert getattr(owner, inner) is work
 
 
-# the exp argument behind each out-of-reach --t or --a value above
+# the exp argument behind each out-of-reach --t value above
 EXP_OUT_OF_REACH = {f"1/{10 ** 64}": "1" + "0" * 39 + "...",
-                    str(10 ** 71): "1" + "0" * 39 + "...",
-                    "1/100000": 10 ** 5, "100000": 10 ** 5}
+                    "1/100000": 10 ** 5}
 
 
 @pytest.mark.parametrize("args, code", [
@@ -902,6 +906,11 @@ GOLDEN_SINGLE = {
     "ktail-series/text": ["ktail", "--ell", "2", "--a", "1/10"],
     "ktail-pole/text": ["--precision", "12", "ktail", "--ell", "6",
                         "--a", "1/1000"],
+    # e**-a far below the grid, where e**a is past EXP_BITS_CAP
+    "ktail-far/json": ["--format", "json", "ktail", "--ell", "1",
+                       "--a", "100000"],
+    "ktail-farther/json": ["--format", "json", "ktail", "--ell", "1",
+                           "--a", str(10 ** 71)],
     "p-limit-wide/json": ["--format", "json", "p-limit",
                           "--t", "1/100,1/10,3,100000"],
 }
@@ -953,6 +962,7 @@ GOLDEN_USAGE_ERRORS = {
     "bessel-k-100001": ["bessel", "--k", "1000000", "--u", "1"],
     "bessel-size": ["bessel", "--k", "0", "--u", "9999999." + "9" * 16],
     "ktail-exp-out-of-reach": ["ktail", "--ell", "100", "--a", "1e-3000"],
+    "p-limit-t-count": ["p-limit", "--t", P_LIMIT_POINTS],
     "budget-ratio-mono": ["ratio-mono", "--which", "C", "--count", "1500",
                           "--beta", f"{10 ** 100 - 1}/{10 ** 100 + 1}"],
     "budget-certify-poly": ["certify-poly", "--file", "{f4}",

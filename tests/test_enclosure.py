@@ -8,13 +8,13 @@ from cmcert.cli import RunConfig, _rat
 from cmcert.cmdegree import CMExpression, DegreeCell
 from cmcert.enclosure import (Enclosure, divide_round_out, integer_nth_root,
                               to_fraction)
-from cmcert.expring import ExpPoly, _taylor_table
+from cmcert.expring import _taylor_table
 from cmcert.poly import PieceReport, Polynomial, PositivityCertificate
 from cmcert.seriesratio import MaxResult
 
-from reference_values import (integer_nth_root_newton, mul_four_products,
-                              nth_root_enclosure, rational_power_enclosure,
-                              round_out_fraction)
+from reference_values import (ExpPoly, as_table, integer_nth_root_newton,
+                              mul_four_products, nth_root_enclosure,
+                              rational_power_enclosure, round_out_fraction)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
@@ -207,7 +207,7 @@ def test_equal_values_hash_equal_and_share_cache_entries():
     assert Polynomial.of([1, 2]) == Polynomial.of([Fraction(1), 2, 0])
     assert hash(Polynomial.of([1, 2])) == \
         hash(Polynomial.of([Fraction(1), Fraction(2)]))
-    table = lru_cache(_taylor_table)
+    table = lru_cache(lambda p, order: _taylor_table(as_table(p), order))
     first = table(a, 7)
     hits = table.cache_info().hits
     assert table(b, 7) is first

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -7,35 +8,54 @@ from hypothesis import example, given, settings, strategies as st
 
 from cmcert import expring, specfun
 from cmcert.enclosure import Enclosure
-from cmcert.expring import ExpPoly, ExpPolyQuotient
+from cmcert.expring import ExpPolyQuotient
 from cmcert.poly import Polynomial
 
-from reference_values import (KERNEL_BASE, RECIPROCAL_BASE, derivative_tower,
-                              eval_enclosure_fraction)
+from reference_values import (KERNEL_BASE, RECIPROCAL_BASE, ExpPoly, as_table,
+                              derivative_tower, eval_enclosure_fraction)
+
+
+def _random_exppolys(count: int):
+    """Pairs of small ring elements, frequencies 0..3 and degrees 0..2."""
+    rng = random.Random(0)
+    for _ in range(count):
+        yield [ExpPoly.of({f: Polynomial.of([Fraction(rng.randint(-9, 9),
+                                                      rng.randint(1, 4))
+                                             for _ in range(3)])
+                           for f in rng.sample(range(4), rng.randint(0, 3))})
+               for _ in range(2)]
 
 
 def test_exppoly_ring_operations():
-    a = ExpPoly.of({1: Polynomial.of([0, 1])})          # u e^u
-    b = ExpPoly.of({0: Polynomial.constant(1)})          # 1
-    s = a + b
-    assert s.as_dict() == {0: Polynomial.constant(1), 1: Polynomial.x()}
-    prod = a * a                                          # u^2 e^{2u}
-    assert prod.terms == ((2, Polynomial.of([0, 0, 1])),)
-    assert prod.max_freq() == 2
-    assert (s - s).terms == ()
+    # the table's sum, zeros dropped, and product, against the ring they
+    # replaced
+    a = {(1, 1): 1}                                       # u e^u
+    b = {(0, 0): 1}                                       # 1
+    s = expring._table([*a.items(), *b.items()])
+    assert s == {(0, 0): 1, (1, 1): 1}
+    assert expring._product(a, a) == {(2, 2): 1}          # u^2 e^{2u}
+    assert expring._table([*s.items(), *((k, -c) for k, c in s.items())]) \
+        == {}
+    assert expring._product(expring._exp_minus_one_power(2),
+                            expring._exp_minus_one_power(3)) \
+        == expring._exp_minus_one_power(5)
+    for x, y in _random_exppolys(200):
+        assert expring._product(as_table(x), as_table(y)) == as_table(x * y)
+        assert expring._table([*as_table(x).items(), *as_table(y).items()]) \
+            == as_table(x + y)
 
 
 def test_exppoly_derivative_product_rule():
     # d/du (u e^{2u}) = (1 + 2u) e^{2u}
-    f = ExpPoly.of({2: Polynomial.of([0, 1])})
-    d = f.derivative()
-    assert d.terms == ((2, Polynomial.of([1, 2])),)
+    assert expring._derivative({(2, 1): 1}) == {(2, 0): 1, (2, 1): 2}
+    assert expring._derivative({(0, 0): 5}) == {}
+    for x, _ in _random_exppolys(200):
+        assert expring._derivative(as_table(x)) == as_table(x.derivative())
 
 
 def test_exppoly_taylor_coefficient():
     # u e^{2u} = sum 2^j u^{j+1} / j!
-    f = ExpPoly.of({2: Polynomial.of([0, 1])})
-    coeffs = expring.series_at_zero(ExpPolyQuotient(f, 0), 8)
+    coeffs = expring.series_at_zero(ExpPolyQuotient({(2, 1): 1}, 0), 8)
     for j in range(1, 8):
         assert coeffs[j] == Fraction(2 ** (j - 1), math.factorial(j - 1))
     assert coeffs[0] == 0
@@ -59,7 +79,8 @@ def test_derivative_commutes_with_series():
 
 
 def test_towers_equal_repeated_differentiation():
-    # orders 0-40 of both towers, against differentiation with trial division
+    # orders 0-40 of both towers' tables, against differentiation with
+    # trial division in the ring they replaced
     tables = ((expring.reciprocal_derivative, RECIPROCAL_BASE),
               (expring.kernel_derivative, KERNEL_BASE))
     for tower, base in tables:
@@ -68,7 +89,10 @@ def test_towers_equal_repeated_differentiation():
 
 
 def _numerator_at_e_equal_one(form) -> Polynomial:
-    return sum((p for _, p in form.numerator.terms), Polynomial.zero())
+    coeffs = [0] * (1 + max(d for _, d in form.numerator))
+    for (_, d), c in form.numerator.items():
+        coeffs[d] += c
+    return Polynomial.of(coeffs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 100])
@@ -224,6 +248,48 @@ def test_eval_enclosure_differential_against_mpmath(k, u, digits):
         assert _mpf(e.lo) <= value <= _mpf(e.hi), (k, u, digits, e)
 
 
+@pytest.mark.parametrize("u", [Fraction(1, 10 ** 6), Fraction(1, 4),
+                               Fraction(1), Fraction(56), Fraction(1000),
+                               Fraction(10 ** 5)], ids=str)
+def test_tower_enclosures_contain_the_mpmath_values(u):
+    # D^n [1/(e^u - 1)] = (-1)^n K_n(u) and kernel^(n)(u) = (-1)^n u K_n(u)
+    # + n (-1)^(n-1) K_(n-1)(u), plus u at n = 0 and 1 at n = 1, with
+    # K_n(u) = Li_{-n}(e^-u) summed by mpmath on its own, 100 digits past
+    # the size of K_(n+1)(u); e^u at u = 10^5 has 43,430 digits, so no
+    # evaluator that expands it reaches the last point
+    mpmath = pytest.importorskip("mpmath")
+    for n in range(21):
+        size = (math.lgamma(n + 2) - (n + 2) * math.log(u)) / math.log(10)
+        with mpmath.workdps(100 + max(0, int(size))):
+            x = _mpf(u)
+            K = [mpmath.polylog(-j, mpmath.exp(-x)) for j in range(n + 1)]
+            kernel = (-1) ** n * x * K[n] + (x if n == 0 else n == 1)
+            if n:
+                kernel += n * (-1) ** (n - 1) * K[n - 1]
+            for digits in (20, 60):
+                for tower, value in ((expring.reciprocal_derivative,
+                                      (-1) ** n * K[n]),
+                                     (expring.kernel_derivative, kernel)):
+                    e = expring.eval_enclosure(tower(n), u, digits)
+                    assert e.width <= Fraction(1, 10 ** digits)
+                    assert _mpf(e.lo) <= value <= _mpf(e.hi), \
+                        (tower.__name__, n, digits)
+
+
+def test_eval_enclosure_mantissas_do_not_grow_with_u(monkeypatch):
+    # the one path runs in e^-u <= 1, so the exp mantissas at u = 1000 and
+    # 10^5 have the bits of u = 5 plus one per extra squaring, where e^u
+    # itself would take some 1,450 and 144,000 more
+    bits = {}
+    kernel = specfun._exp_mantissas
+    for u in (5, 1000, 10 ** 5):
+        precisions = bits[u] = []
+        monkeypatch.setattr(specfun, "_exp_mantissas", lambda n, d, k, p: (
+            precisions.append(p - k), kernel(n, d, k, p))[1])
+        expring.eval_enclosure(expring.kernel_derivative(4), u, 44)
+    assert bits[5] == bits[1000] == bits[10 ** 5]
+
+
 # order 100 at a = 10^-6 only at 60 digits: mpmath's polylog takes over a
 # second there at either precision
 K_TAIL_CASES = [(ell, a, d) for ell in (0, 6, 50, 100)
@@ -251,9 +317,10 @@ def test_k_tail_contains_mpmath_polylog(ell, a, digits):
 
 @pytest.mark.parametrize("u", [Fraction(1, 10), Fraction(3)])
 def test_eval_enclosure_raises_on_width_miss(monkeypatch, u):
-    # e^u in [u + 1, u + 2] whatever the precision: every round misses
+    # e^-u in [1/(u + 2), 1/(u + 1)] whatever the precision: every round
+    # misses
     monkeypatch.setattr(specfun, "exp_enclosure",
-                        lambda x, digits: Enclosure(x + 1, x + 2))
+                        lambda x, digits: Enclosure(1 / (2 - x), 1 / (1 - x)))
     with pytest.raises(ArithmeticError, match="width 10\\^-12"):
         expring.eval_enclosure(expring.kernel_derivative(2), u, 12)
 
@@ -264,7 +331,7 @@ def test_eval_enclosure_rejects_nonpositive_argument():
 
 
 def test_series_at_zero_detects_genuine_pole():
-    f = ExpPolyQuotient(ExpPoly.of({0: Polynomial.constant(1)}), 1)
+    f = ExpPolyQuotient({(0, 0): 1}, 1)
     with pytest.raises(ValueError, match="pole"):
         expring.series_at_zero(f, 5)
 
@@ -275,8 +342,8 @@ def test_chain_origin_zeros():
     assert set(report["zeros"]) == {"F3(0)", "F2''(0)", "F2'(0)", "F2(0)",
                                     "F1''(0)", "F1'(0)", "F1(0)"}
     assert all(v == "0" for v in report["zeros"].values())
-    assert f1.value_at_origin() == 0
-    assert f3.value_at_origin() == 0
+    assert expring._at_zero(f1) == 0
+    assert expring._at_zero(f3) == 0
 
 
 def test_pade_reconstruction_matches_reference():
@@ -296,16 +363,15 @@ def test_remark_decomposition():
     #   f2 = (69 e^{2u} - 7119u - 4035) e^u  (increasing on [3, inf))
     #   f3 = 3249 e^{2u} - 793u - 3249       (increasing on [0, inf))
     _, _, f3_chain, _ = expring.build_F_chain()
-    part1 = ExpPoly.of({3: Polynomial.of([0, 10]),
-                        2: Polynomial.of([3966, -2610])})
-    part2 = ExpPoly.of({3: Polynomial.constant(69),
-                        1: Polynomial.of([-4035, -7119])})
-    part3 = ExpPoly.of({2: Polynomial.constant(3249),
-                        0: Polynomial.of([-3249, -793])})
-    assert ((part1 + part2 + part3) - f3_chain).terms == ()
-    assert part3.value_at_origin() == 0
+    part1 = {(3, 1): 10, (2, 0): 3966, (2, 1): -2610}
+    part2 = {(3, 0): 69, (1, 0): -4035, (1, 1): -7119}
+    part3 = {(2, 0): 3249, (0, 0): -3249, (0, 1): -793}
+    assert expring._table([*part1.items(), *part2.items(),
+                           *part3.items()]) == f3_chain
+    assert expring._at_zero(part3) == 0
     for piece, start in ((part1, 5), (part2, 3), (part3, 0)):
-        slope = ExpPolyQuotient(piece.derivative(), 0)
+        # pole 0 under frequency 3: the one path's e^(3u) factor
+        slope = ExpPolyQuotient(expring._derivative(piece), 0)
         for u in (Fraction(1, 2), 1, 3, 5, 10):
             if u >= start:
                 assert expring.eval_enclosure(slope, u, 20).lo >= 0, (start, u)

@@ -112,8 +112,8 @@ LIMITS_KEPT = {
     "WORK_MAX": "the one work budget, in word products",
     "DIGIT_CAP": "the most digits refine doubles a precision to",
     "TERM_CAP": "a Bessel series that has not converged by then raises",
-    "EXP_BITS_CAP": "the most bits of an exp enclosure, past which e**x "
-                    "raises at once",
+    "EXP_BITS_CAP": "the most bits of an exp enclosure of x > 0, past "
+                    "which e**x raises at once",
     "MAX_PRECISION": "the most --precision digits",
     "RATIONAL_MAX_DIGITS": "the most digits of an option value, checked "
                            "before Fraction builds it",
@@ -198,6 +198,8 @@ def test_benchmark_tracer_finds_every_target():
 
 ALL_MODULES = {"cli", "enclosure", "poly", "specfun", "expring", "seriesratio",
                "cmdegree"}
+# the kernel margins' evaluator reads its coefficient table, not `poly`
+KERNEL_MODULES = {"cli", "enclosure", "cmdegree", "specfun", "expring"}
 GRID = ["--grid", "linear:1,2,2"]
 
 
@@ -211,10 +213,12 @@ GRID = ["--grid", "linear:1,2,2"]
     (["verify-identity"], {"cli", "enclosure", "cmdegree"}),
     (GRID + ["cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
      {"cli", "enclosure", "specfun", "cmdegree"}),
-    (GRID + ["kernel-ineq", "--k", "2"], ALL_MODULES - {"seriesratio"}),
-    (GRID + ["conjecture-scan", "--k", "2"], ALL_MODULES - {"seriesratio"}),
+    (GRID + ["kernel-ineq", "--k", "2"], KERNEL_MODULES),
+    (GRID + ["conjecture-scan", "--k", "2"], KERNEL_MODULES),
     (["reproduce-paper"], ALL_MODULES),
     (["--help"], {"cli", "enclosure"}),
+    (["ktail", "--ell", "1", "--a", "1"],
+     {"cli", "enclosure", "specfun", "expring"}),
 ])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, args, ran):
     # every submodule is registered at import; only those a command touches

@@ -105,6 +105,28 @@ def test_exp_mantissas_bracket_at_their_own_resolution(x, extra_k, bits):
         assert lo <= scaled <= hi, (x, k, p, lo, hi)
 
 
+# both signs, and for each every k from 0 to 11 that brings |x|/2**k to
+# <= 1/2: the upper squarings and the inverted bracket of x < 0 each have
+# their own floor or ceiling to get wrong
+OWN_RESOLUTION_X = [Fraction(sign * n, d) for sign in (1, -1)
+                    for n, d in ((1, 3), (1, 2), (7, 5), (37, 7), (1000, 3))]
+
+
+@pytest.mark.parametrize("x", OWN_RESOLUTION_X, ids=str)
+def test_exp_mantissas_bracket_both_signs_at_their_own_resolution(x):
+    # at 1 to 40 bits past the k squarings every rounding step is visible;
+    # mpmath resolves e**x 2**p at 4p bits, plus the bits of e**x for x > 0
+    mpmath = pytest.importorskip("mpmath")
+    for k in range(12):
+        if 2 * abs(x) > 2 ** k:
+            continue
+        for p in range(k + 1, k + 41):
+            lo, hi = specfun._exp_mantissas(x.numerator, x.denominator, k, p)
+            with mpmath.workprec(4 * p + 2 * max(0, math.ceil(x))):
+                scaled = mpmath.exp(_mpf(x)) * 2 ** p
+                assert lo <= scaled <= hi, (x, k, p, lo, hi)
+
+
 def test_exp_enclosure_retries_a_too_wide_bracket(monkeypatch):
     calls = []
     kernel = specfun._exp_mantissas
@@ -121,14 +143,28 @@ def test_exp_enclosure_retries_a_too_wide_bracket(monkeypatch):
     assert close(e, Fraction("10.3122585013257650270155721085"))  # e**(7/3)
 
 
-@pytest.mark.parametrize("x", [10 ** 12, -10 ** 12])
+@pytest.mark.parametrize("x", [10 ** 12])
 def test_exp_enclosure_out_of_reach_raises_before_any_sum(monkeypatch, x):
-    # about 1.5 |x| bits, a mantissa of some 190 GB
+    # about 1.5 x bits, a mantissa of some 190 GB
     monkeypatch.setattr(specfun, "_exp_mantissas",
                         lambda *args: pytest.fail("summed"))
     with pytest.raises(ArithmeticError, match=f"at [|]x[|] = {abs(x)} needs "
                        f".* bits, over the limit of {specfun.EXP_BITS_CAP}"):
         specfun.exp_enclosure(x, 10)
+
+
+def test_exp_enclosure_of_a_far_negative_argument_is_computed(monkeypatch):
+    # e**-x is e**(-x/2**k) squared k times at the absolute precision asked
+    # for, so its mantissas keep the bits of the digits, plus k, whatever x
+    precisions = []
+    kernel = specfun._exp_mantissas
+    monkeypatch.setattr(specfun, "_exp_mantissas", lambda num, den, k, p: (
+        precisions.append(p), kernel(num, den, k, p))[1])
+    assert specfun.exp_enclosure(-10 ** 12, 10) == \
+        Enclosure(0, Fraction(1, 10 ** 11))
+    assert len(precisions) == 1 and precisions[0] < 128
+    # with no cap to raise at, its work at 10^4 digits is charged in full
+    assert specfun.exp_work(Fraction(-1), 10 ** 4) > enclosure.WORK_MAX
 
 
 def test_exp_enclosure_stops_adding_guard_bits_at_the_cap(monkeypatch):
