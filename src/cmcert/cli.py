@@ -46,7 +46,8 @@ def _build_config(config_path, flags: dict) -> RunConfig:
                         raise ValueError(f"line {lineno}: expected key=value")
                     key, _, val = map(str.strip, line.partition("="))
                     if key in values:
-                        values[key] = int(val) if key == "precision" else val
+                        values[key] = (_int(val, "precision")
+                                       if key == "precision" else val)
         values.update((k, v) for k, v in flags.items() if v is not None)
         if values["precision"] < 10:
             raise ValueError("precision must be >= 10")
@@ -58,6 +59,17 @@ def _build_config(config_path, flags: dict) -> RunConfig:
         print(f"config error: {exc}", file=sys.stderr)
         sys.exit(EX_CONFIG)
     return RunConfig(values["precision"], values["grid"], values["format"])
+
+
+def _int(value: str, what: str) -> int:
+    """int(value), once its digits are within RATIONAL_MAX_DIGITS: int()
+    reads every one of them before any range check."""
+    check_range(f"digits {what}", sum(map(str.isdigit, value)), 0,
+                RATIONAL_MAX_DIGITS)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{what} {value!r:.40} is not an integer")
 
 
 def _rat(value: str, what="rational", cap=RATIONAL_MAX_DIGITS) -> Fraction:
@@ -77,9 +89,10 @@ def _parse_grid(spec: str):
     try:
         scale, _, rest = spec.partition(":")
         lo_s, hi_s, count_s = rest.split(",")
-        lo, hi, count = _rat(lo_s), _rat(hi_s), int(count_s)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad grid spec {spec!r}; expected scale:lo,hi,count")
+        lo, hi, count = _rat(lo_s), _rat(hi_s), _int(count_s, "count")
+    except ValueError:
+        raise ValueError(f"bad grid spec {spec!r:.40}; "
+                         "expected scale:lo,hi,count")
     builders = {"geometric": cmdegree.geometric_grid,
                 "linear": cmdegree.linear_grid}
     if scale not in builders:
@@ -149,10 +162,7 @@ def _read_options(spec: dict, words: list, prog: str, doc: str) -> dict:
         if not eq and not words:
             raise ValueError(f"{flag} expects one value")
         keys, value = spec[flags[flag]], value if eq else words.pop(0)
-        try:
-            values[flags[flag]] = keys.get("type", str)(value)
-        except ValueError:
-            raise ValueError(f"{flag} {value!r} is not an integer")
+        values[flags[flag]] = _int(value, flag) if keys.get("type") else value
         if value not in keys.get("choices", [value]):
             raise ValueError(f"{flag} {value!r} is not in {keys['choices']}")
     for flag, dest in flags.items():
@@ -315,8 +325,8 @@ def ktail(cfg, ell, a):
 @_command("kernel-ineq", k=dict(required=True, type=int))
 def kernel_ineq(cfg, k):
     """Grid certificate of the order-k Bessel/kernel inequality."""
-    grid = _parse_grid(cfg.grid)
-    rep = cmdegree.kernel_certificate(k, grid, digits=min(cfg.precision, 40))
+    rep = cmdegree.kernel_certificate(k, _parse_grid(cfg.grid),
+                                      digits=min(cfg.precision, 40))
     header = ("u", "lo", "hi", "verdict")
     rows = [(str(c["u"]), *_ends(c["margin"]), c["verdict"])
             for c in rep["cells"]]
@@ -396,10 +406,9 @@ def unimodal_max_cmd(cfg, function, beta, bracket, tol):
           r=dict(required=True), orders=dict(default=8, type=int))
 def cm_check_cmd(cfg, alpha, beta, r, orders):
     """Sign-enclosure degree evidence for the exponential/trigamma gap."""
-    grid = _parse_grid(cfg.grid)
     rep = cmdegree.cm_check(
         cmdegree.h_expression(_rat(alpha), _rat(beta)), _rat(r), orders,
-        grid, digits=min(cfg.precision, 40),
+        _parse_grid(cfg.grid), digits=min(cfg.precision, 40),
         name=f"gap(alpha={alpha},beta={beta})")
     _emit(cfg, rep.to_json,
           [f"{rep.function} at degree {rep.r}, "
@@ -413,8 +422,9 @@ def cm_check_cmd(cfg, alpha, beta, r, orders):
                             help="comma-separated rational evaluation points"))
 def p_limit(cfg, t):
     """Enclosures of the first-derivative degree bound p(t)."""
-    pts, digits = [_rat(s) for s in t.split(",")], min(cfg.precision, 30)
-    check_work("--t", sum(cmdegree.p_work(t, digits) for t in pts))
+    digits, h = min(cfg.precision, 30), cmdegree.h_expression()
+    pts = cmdegree.scan_points([_rat(s) for s in t.split(",")], lambda x:
+                               cmdegree.column_work(h, 0, 1, x, digits), "--t")
     encs = [cmdegree.p_value(t, digits) for t in pts]
     header = ("t", "lo", "hi")
     rows = [(str(t), *_ends(e)) for t, e in zip(pts, encs)]
@@ -441,11 +451,11 @@ def verify_identity_cmd(cfg, k, terms):
 @_command("conjecture-scan", k=dict(required=True, type=int))
 def conjecture_scan_cmd(cfg, k):
     """Search for sign-definite counterexamples to the order-k inequality."""
-    grid = _parse_grid(cfg.grid)
-    rep = cmdegree.conjecture_scan(k, grid, digits=min(cfg.precision, 40))
+    rep = cmdegree.conjecture_scan(k, _parse_grid(cfg.grid),
+                                   digits=min(cfg.precision, 40))
     payload = {
         "claim": f"i_{k}(u) >= kernel^({k - 1})(u) on the grid",
-        "grid": [str(u) for u in grid],
+        "grid": [str(u) for u in rep["grid"]],
         "precision": min(cfg.precision, 40),
     }
     ce = rep["counterexample"]

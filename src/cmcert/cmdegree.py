@@ -204,49 +204,41 @@ def _sign_definite(evaluate, digits: int):
                  "fail" if val.hi < 0 else "indeterminate")
 
 
-def _grid_ends(lo, hi, count: int) -> tuple[Fraction, Fraction]:
-    """lo and hi as Fractions, once the budget admits count points."""
+def geometric_grid(lo, hi, count: int):
+    """Deterministic rational grid, approximately geometric, made lazily."""
     lo, hi = to_fraction(lo), to_fraction(hi)
     check_range("count --grid", count, 1)
-    # a float power and limit_denominator, or a product and a sum, a point:
-    # charged 4,096 operations, some 16 times their cost, as no command
-    # scans more than about 1,500 points within the budget, so a grid none
-    # could scan is mostly refused before it is built
-    check_work("--grid", work(4096 * count, bits(lo) + bits(hi)))
-    return lo, hi
-
-
-def geometric_grid(lo, hi, count: int) -> list[Fraction]:
-    """Deterministic rational grid, approximately geometric."""
-    lo, hi = _grid_ends(lo, hi, count)
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
     if count == 1:
-        return [lo]
+        return iter([lo])
     ratio = float(hi / lo) ** (1.0 / (count - 1))
-    pts = [lo]
-    for i in range(1, count - 1):
-        # nearby clean rational; exactness of the probe point is all we need
-        pts.append(Fraction(float(lo) * ratio ** i).limit_denominator(10 ** 6))
-    pts.append(hi)
-    return pts
+    # nearby clean rationals; exactness of the probe point is all we need
+    return (lo if i == 0 else hi if i == count - 1 else
+            Fraction(float(lo) * ratio ** i).limit_denominator(10 ** 6)
+            for i in range(count))
 
 
-def linear_grid(lo, hi, count: int) -> list[Fraction]:
-    lo, hi = _grid_ends(lo, hi, count)
-    if count == 1:
-        return [lo]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def linear_grid(lo, hi, count: int):
+    lo, hi = to_fraction(lo), to_fraction(hi)
+    check_range("count --grid", count, 1)
+    step = (hi - lo) / max(count - 1, 1)
+    return (lo + i * step for i in range(count))
 
 
-def _grid_points(grid) -> list[Fraction]:
-    """The grid as Fractions; an empty grid would pass vacuously."""
-    pts = [to_fraction(t) for t in grid]
+def scan_points(points, price, flags: str, total: int = 0) -> list:
+    """The points as positive Fractions, each one's price(t) added to a
+    running total from `total` as it is taken: a point that takes the total
+    past the budget is refused before it is evaluated or another is made."""
+    pts = []
+    for t in map(to_fraction, points):
+        if t <= 0:
+            raise ValueError(f"point {t} is not positive")
+        total += price(t)
+        check_work(flags, total)
+        pts.append(t)
     if not pts:
         raise ValueError("the grid has no points")
-    if any(t <= 0 for t in pts):
-        raise ValueError("grid points must be positive")
     return pts
 
 
@@ -296,6 +288,24 @@ def _derivative_rows(f: CMExpression, r: Fraction, N: int) -> list:
     return tower
 
 
+def column_work(f: CMExpression, r, N: int, t: Fraction, digits=0) -> int:
+    """Work of the orders 0..N of (t^r f)^(n) at t, to DIGIT_CAP + digits."""
+    # at 8 digits more: the exp atoms, a psi jet, twice N + 2 orders of up
+    # to N + 2 rows, each a product of t^p of P bits by an atom and a
+    # coefficient of A bits, 4 (N + 2) powers t^u, and for v > 1 their v-th
+    # roots, of about v Newton steps on v P bits
+    v, d, m = r.denominator, DIGIT_CAP + digits + 8, N + 2
+    R = N + 2 + abs(r.numerator) // v
+    P = R * bits(t) + 4 * d
+    A = 4 * d + m * (bits(t) + bits(r) + R.bit_length() + sum(
+        bits(c) + bits(p) + sum(map(bits, a[1:])) for c, p, a in f.terms))
+    return sum(specfun.exp_work(a[1] / t, d) if a[0] == "exp" else
+               specfun.polygamma_work(a[1], N + a[1], t.numerator,
+                                      t.denominator, d) if a[0] == "psi"
+               else 0 for *_, a in f.terms) + work(2 * m * m, P, A) \
+        + work(4 * m, P, P) + work(4 * m * (v > 1) * v, v * P, P)
+
+
 def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
              name: str = "f") -> DegreeReport:
     """Sign enclosures of (-1)^n (t^r f)^(n) on a grid for n = 0..N.
@@ -308,22 +318,8 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
     """
     check_range("order --orders", N, 1)
     r = to_fraction(r)
-    pts = _grid_points(grid)
-    # per point, refined up to DIGIT_CAP digits: the exp atoms, a psi jet,
-    # twice N + 2 orders of up to N + 2 rows, each a product of t^p of P
-    # bits by an atom and a coefficient of A bits, 4 (N + 2) powers t^u,
-    # and for v > 1 their v-th roots, of about v Newton steps on v P bits
-    v, d, m = r.denominator, DIGIT_CAP + 8, len(pts) * (N + 2)
-    T, R = max(map(bits, pts)), N + 2 + abs(r.numerator) // v
-    P = R * T + 4 * d
-    A = 4 * d + (N + 2) * (T + bits(r) + R.bit_length() + sum(
-        bits(c) + bits(p) + sum(map(bits, a[1:])) for c, p, a in f.terms))
-    check_work("--orders/--r/--grid", sum(
-        specfun.exp_work(a[1] / t, d) if a[0] == "exp" else
-        specfun.polygamma_work(a[1], N + a[1], t.numerator, t.denominator,
-                               d) if a[0] == "psi" else 0
-        for t in pts for *_, a in f.terms) + work(2 * m * (N + 2), P, A)
-        + work(4 * m, P, P) + work(4 * m * (v > 1) * v, v * P, P))
+    pts = scan_points(grid, lambda t: column_work(f, r, N, t),
+                      "--orders/--r/--grid")
     tower = [rows if n % 2 == 0 else tuple((-c, *rest) for c, *rest in rows)
              for n, rows in enumerate(_derivative_rows(f, r, N))]
     columns = []
@@ -359,14 +355,6 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
 
 
 # -- the p(t) asymptotic ----------------------------------------------------
-
-
-def p_work(t: Fraction, digits: int) -> int:
-    """Work of `p_value` at t: its psi jet and the rows of its two cells,
-    at the most digits it refines to."""
-    d = DIGIT_CAP + digits
-    return specfun.polygamma_work(1, 2, t.numerator, t.denominator, d) \
-        + work(8, 4 * d + 8 * bits(t), 4 * d)
 
 
 def p_value(t, digits: int = 15) -> Enclosure:
@@ -420,14 +408,14 @@ def kernel_margin(k: int, u, digits: int) -> Enclosure:
 
 
 def _margin_cells(k: int, grid, digits: int):
-    """(u, margin, verdict) at each grid point in turn, each margin refined
-    by `_sign_definite` from digits, once the budget admits them all."""
-    pts, top = _grid_points(grid), max(digits, DIGIT_CAP) + 4
-    check_work("--k/--grid", work(k * k, k * k.bit_length()) + sum(
-        specfun.bessel_work(k, u, top) + expring.eval_work(k, u, top)
-        for u in pts))
-    for u in pts:
-        yield (u, *_sign_definite(lambda d: kernel_margin(k, u, d), digits))
+    """The grid's points, once the budget admits a margin at each, and
+    (u, margin, verdict) at each in turn, refined by `_sign_definite`."""
+    top = max(digits, DIGIT_CAP) + 4
+    pts = scan_points(grid, lambda u: specfun.bessel_work(k, u, top)
+                      + expring.eval_work(k, u, top), "--k/--grid",
+                      work(k * k, k * k.bit_length()))
+    return pts, ((u, *_sign_definite(lambda d: kernel_margin(k, u, d),
+                                     digits)) for u in pts)
 
 
 def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
@@ -442,7 +430,7 @@ def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
     """
     check_range("order --k", k, 1, 6)
     cells = [{"u": u, "margin": margin, "verdict": verdict}
-             for u, margin, verdict in _margin_cells(k, grid, digits)]
+             for u, margin, verdict in _margin_cells(k, grid, digits)[1]]
     report = {"k": k, "cells": cells}
     verdicts = [c["verdict"] for c in cells]
     if k == 5:
@@ -459,16 +447,18 @@ def kernel_certificate(k: int, grid, digits: int = 20) -> dict:
 
 def conjecture_scan(k: int, grid, digits: int = 20) -> dict:
     """The first grid point where the order-k inequality certifiably fails,
-    each margin refined as `kernel_certificate` refines it."""
+    each margin refined as `kernel_certificate` refines it; and the grid."""
     check_range("order --k", k, 1)
     counterexample = None
     margins = []
-    for u, margin, verdict in _margin_cells(k, grid, digits):
+    pts, cells = _margin_cells(k, grid, digits)
+    for u, margin, verdict in cells:
         margins.append((u, margin))
         if verdict == "fail":
             counterexample = {"u": u, "margin": margin}
             break
-    return {"k": k, "counterexample": counterexample, "margins": margins}
+    return {"k": k, "counterexample": counterexample, "margins": margins,
+            "grid": pts}
 
 
 # -- exact transform identities --------------------------------------------

@@ -45,14 +45,6 @@ class Polynomial(Record):
     def zero() -> "Polynomial":
         return Polynomial(())
 
-    @staticmethod
-    def constant(c) -> "Polynomial":
-        return Polynomial.of([c])
-
-    @staticmethod
-    def x() -> "Polynomial":
-        return Polynomial.of([0, 1])
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -85,9 +77,6 @@ class Polynomial(Record):
         if c == 0:
             return Polynomial.zero()
         return Polynomial(tuple(a * c for a in self.coeffs))
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial.of([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x) -> Fraction:
         """Exact value at x by Horner's rule."""

@@ -611,8 +611,9 @@ class ExpPoly(Record):
         return ExpPoly.of({f: p * q for f, p in self.terms})
 
     def derivative(self) -> "ExpPoly":
-        return ExpPoly.of({f: p.derivative() + p.scale(f)
-                           for f, p in self.terms})
+        return ExpPoly.of({f: Polynomial.of(
+            [i * c for i, c in enumerate(p.coeffs)][1:]) + p.scale(f)
+            for f, p in self.terms})
 
 
 def as_table(num: ExpPoly) -> dict:
@@ -621,8 +622,8 @@ def as_table(num: ExpPoly) -> dict:
             if c}
 
 
-EXP_U = ExpPoly.of({1: Polynomial.constant(1)})
-EXP_U_MINUS_ONE = EXP_U - ExpPoly.of({0: Polynomial.constant(1)})
+EXP_U = ExpPoly.of({1: Polynomial.of([1])})
+EXP_U_MINUS_ONE = EXP_U - ExpPoly.of({0: Polynomial.of([1])})
 
 
 def divide_by_exp_minus_one(num: ExpPoly):
@@ -667,7 +668,7 @@ def derivative_tower(f: ExpPolyQuotient, n_max: int) -> list:
 
 # 1/(e^u - 1) and u e^u/(e^u - 1), the bases of the two towers
 RECIPROCAL_BASE = reduced_quotient(EXP_U_MINUS_ONE, 2)
-KERNEL_BASE = reduced_quotient(ExpPoly.of({1: Polynomial.x()}), 1)
+KERNEL_BASE = reduced_quotient(ExpPoly.of({1: Polynomial.of([0, 1])}), 1)
 
 
 def verify_identity_fraction(k: int, N: int, weight=math.factorial) -> dict:

@@ -70,7 +70,8 @@ def test_degree28_positivity_chain():
 
 def test_kernel_inequality_orders_1_to_5():
     start = time.monotonic()
-    grid = cmdegree.geometric_grid(Fraction(1, 100), Fraction(699, 100), 40)
+    grid = list(cmdegree.geometric_grid(Fraction(1, 100), Fraction(699, 100),
+                                        40))
     for k in range(1, 6):
         report = cmdegree.kernel_certificate(k, grid, digits=20)
         assert report["passed"], f"order {k} failed"
@@ -111,7 +112,7 @@ def test_integer_ladder():
 
 def test_degree_evidence_pairs():
     start = time.monotonic()
-    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = list(cmdegree.geometric_grid(Fraction(1, 100), 1000, 25))
     cases = [
         ((Fraction(1, 2), Fraction(2)), Fraction(2)),
         ((Fraction(2), Fraction(1)), Fraction(1)),

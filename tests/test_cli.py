@@ -601,7 +601,8 @@ P_LIMIT_POINTS = ",".join(map(str, range(1, 20001)))
     ["ktail", "--ell", "100000", "--a", "1"],
     ["ladder", "--k-max", "200000"],
     ["ratio-mono", "--which", "c", "--beta", "1", "--count", "200000"],
-    # a grid is refused before any point is built
+    # a grid is refused as the scan prices its points, before any is
+    # evaluated (test_a_billion_point_grid_is_refused_after_few_points)
     ["--grid", f"geometric:1/100,1000,{10 ** 9}",
      "cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
     ["verify-identity", "--k", str(10 ** 6)],
@@ -672,10 +673,6 @@ BUDGETED = {
                       specfun, "_polygamma_mantissas"),
     "k_tail": (lambda path: specfun.k_tail(3, 1, 20),
                expring, "reciprocal_derivative"),
-    "geometric_grid": (lambda path: cmdegree.geometric_grid(1, 9, 5),
-                       Fraction, "limit_denominator"),
-    "linear_grid": (lambda path: cmdegree.linear_grid(1, 9, 5),
-                    Fraction, "__sub__"),
     "cm_check": (lambda path: cmdegree.cm_check(H11, 4, 3, [1, 2], 15),
                  cmdegree, "_derivative_rows"),
     "kernel_certificate": (lambda path: cmdegree.kernel_certificate(
@@ -724,6 +721,68 @@ def test_each_budgeted_call_runs_at_the_budget_and_stops_past_it(
         except SystemExit as exc:  # shift_chain prints and exits
             assert exc.code == 0
     assert getattr(owner, inner) is work
+
+
+# the slowest admitted grid requests of the README's table, at the 40
+# digits the CLI computes them at
+ADMITTED_GRID_REQUESTS = {
+    "cm-check --r 1196 --orders 8": lambda: cmdegree.cm_check(
+        H11, 1196, 8, cli._parse_grid("geometric:0.01,1000,25"), 40),
+    "kernel-ineq --k 5": lambda: cmdegree.kernel_certificate(
+        5, cli._parse_grid("linear:0.01,1000,1003"), 40),
+    "conjecture-scan --k 100": lambda: cmdegree.conjecture_scan(
+        100, cli._parse_grid("linear:1/1000000000,1,494"), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADMITTED_GRID_REQUESTS))
+def test_the_slowest_admitted_grid_requests_stay_admitted(work_estimate,
+                                                          name):
+    # each point is priced at its own bits, never above its share of the
+    # whole grid's estimate at the largest bits
+    units = work_estimate(ADMITTED_GRID_REQUESTS[name])
+    assert units <= cmcert.enclosure.WORK_MAX
+
+
+def test_p_limit_prices_the_exp_atom_of_each_point(monkeypatch):
+    # e^(1/t) at t = 1/21000 is past the budget alone (it ran 6.4 s cold
+    # when the estimate left it out), so it is refused before any p(t) is
+    # evaluated; at t = 1/10000 it is within the budget and runs
+    with monkeypatch.context() as mp:
+        mp.setattr(cmdegree, "p_value",
+                   lambda *args: pytest.fail("a point was evaluated"))
+        refused = invoke("p-limit", "--t", "1/21000")
+    assert refused.exit_code == 64
+    assert refused.stderr.startswith("error: work --t ")
+    admitted = invoke("p-limit", "--t", "1/10000")
+    assert (admitted.exit_code, admitted.stderr) == (0, "")
+    assert admitted.stdout.startswith("p(1/10000) = [10000.0000")
+
+
+@pytest.mark.parametrize("key, code", [("precision", 65), ("grid", 64)])
+def test_config_integers_are_refused_by_their_digits(tmp_path, key, code):
+    # int() would read all of a million digits before any range check (8 s
+    # for the precision, 25 s for the grid count): each is refused at once,
+    # and the message shows the value's first 40 characters only
+    digits = "1" * 10 ** 6
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(f"{key} = " + (digits if key == "precision"
+                                       else f"linear:1,2,{digits}") + "\n")
+    run = run_child(MODULE_CMD + ["--config", str(cfgfile), "cm-check",
+                                  "--alpha", "1", "--beta", "1", "--r", "4"],
+                    "1", timeout=5)
+    assert run.returncode == code, stderr_report(run)
+    assert run.stdout == b""
+    assert len(run.stderr) < 200, stderr_report(run)
+
+
+def test_integer_flags_are_refused_by_their_digits():
+    top = cli.RATIONAL_MAX_DIGITS
+    result = invoke("ladder", "--k-max", "1" * (top + 1))
+    assert (result.exit_code, result.stdout) == (64, "")
+    assert result.stderr == (f"error: digits --k-max {top + 1} is outside "
+                             f"the supported range 0..{top}\n")
+    assert invoke("ladder", "--k-max", "0" * (top - 1) + "6").exit_code == 0
 
 
 # the exp argument behind each out-of-reach --t value above

@@ -75,7 +75,7 @@ def _fraction_evaluate(expr: CMExpression, t: Fraction, digits: int):
 @pytest.mark.parametrize("alpha,beta,r", [
     (1, 1, 4), (Fraction(1, 2), 2, 2), (2, 1, 1), (1, 1, Fraction(9, 2))])
 def test_evaluate_matches_fraction_summation(alpha, beta, r):
-    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = list(cmdegree.geometric_grid(Fraction(1, 100), 1000, 25))
     expr = cmdegree.h_expression(alpha, beta).mul_power(r)
     for n in range(17):
         if n:
@@ -395,7 +395,7 @@ def test_report_json_of_a_scan_is_the_indented_json_dump():
     assert report.to_json() == _report_json(report)
 
 
-GRID25 = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
+GRID25 = list(cmdegree.geometric_grid(Fraction(1, 100), 1000, 25))
 
 
 @pytest.mark.parametrize("N", [0, -1, 91])
@@ -620,7 +620,7 @@ def test_conjecture_scan_refines_a_straddling_margin(monkeypatch):
 
 def test_conjecture_scan_stops_at_its_counterexample(monkeypatch):
     # no margin is computed past the first certified counterexample
-    grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
+    grid = list(cmdegree.geometric_grid(Fraction(1, 100), 1000, 25))
     seen = []
     kernel_margin = cmdegree.kernel_margin
 
@@ -664,6 +664,50 @@ def test_conjecture_scan_runs_at_its_highest_order():
     # the top of the --k range before the work budget replaced it
     scan = cmdegree.conjecture_scan(50, [1], 10)
     assert scan["counterexample"]["margin"].hi < 0
+
+
+# a scan of each grid command, with the first work past its budget check
+# stubbed out: no point of a refused scan is evaluated
+GRID_SCANS = {
+    "cm_check": (lambda grid: cmdegree.cm_check(
+        cmdegree.h_expression(1, 1), 4, 8, grid, 15), "_derivative_rows"),
+    "kernel_certificate": (lambda grid: cmdegree.kernel_certificate(
+        5, grid, 15), "kernel_margin"),
+    "conjecture_scan": (lambda grid: cmdegree.conjecture_scan(6, grid, 15),
+                        "kernel_margin"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_SCANS))
+@pytest.mark.parametrize("scale", ["geometric", "linear"])
+def test_a_billion_point_grid_is_refused_after_few_points(monkeypatch, name,
+                                                          scale):
+    # the builders make points lazily, and a scan prices them as it takes
+    # them, so a refusal stops the grid: a geometric point is counted by
+    # its limit_denominator call, a linear one as the scan takes it
+    scan, inner = GRID_SCANS[name]
+    made = []
+    limit_denominator = Fraction.limit_denominator
+
+    def spy(x, *args):
+        made.append(x)
+        return limit_denominator(x, *args)
+
+    def taken(points):
+        for t in points:
+            made.append(t)
+            yield t
+
+    monkeypatch.setattr(cmdegree, inner,
+                        lambda *args: pytest.fail("a point was evaluated"))
+    if scale == "geometric":
+        monkeypatch.setattr(Fraction, "limit_denominator", spy)
+        grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 10 ** 9)
+    else:
+        grid = taken(cmdegree.linear_grid(Fraction(1, 100), 1000, 10 ** 9))
+    with pytest.raises(ValueError, match=r"^work --[-a-z/]+ \d+ .* range "):
+        scan(grid)
+    assert 0 < len(made) <= 2000
 
 
 @pytest.mark.parametrize("scan", [
@@ -814,7 +858,7 @@ def test_remark_vn_degree_check():
     # degree-0 evidence, orders 0..6, for x^2[e^(1/x) - 1 - psi'(x)] and the
     # shifted x^4 variant
     g2, g4, _ = _remark_functions()
-    grid = cmdegree.geometric_grid(Fraction(1, 2), 20, 7)
+    grid = list(cmdegree.geometric_grid(Fraction(1, 2), 20, 7))
     assert cmdegree.cm_check(g2, 0, 6, grid, digits=15).summary == "pass"
     assert cmdegree.cm_check(g4, 0, 6, grid, digits=15).summary == "pass"
 

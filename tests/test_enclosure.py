@@ -189,7 +189,8 @@ def test_mul_all_nine_sign_cases_with_zero_endpoints():
 
 def test_value_fields_cannot_be_assigned():
     cell = DegreeCell(0, Fraction(1), interval(0, 1), "pass")
-    for value, name in [(interval(0, 1), "lo"), (Polynomial.x(), "coeffs"),
+    for value, name in [(interval(0, 1), "lo"),
+                        (Polynomial.of([0, 1]), "coeffs"),
                         (cell, "verdict"), (CMExpression.of([]), "terms"),
                         (RunConfig(60, "linear:1,2,3", "text"), "fmt")]:
         with pytest.raises(AttributeError):

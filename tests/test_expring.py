@@ -104,7 +104,7 @@ def test_tower_numerators_are_reduced(n):
     reciprocal = expring.reciprocal_derivative(n)
     kernel = expring.kernel_derivative(n)
     assert reciprocal.pole == kernel.pole == n + 1
-    assert _numerator_at_e_equal_one(reciprocal) == Polynomial.constant(value)
+    assert _numerator_at_e_equal_one(reciprocal) == Polynomial.of([value])
     assert _numerator_at_e_equal_one(kernel) == Polynomial.of([0, value])
 
 

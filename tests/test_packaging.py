@@ -77,32 +77,37 @@ UNNAMED_BUT_KEPT = {
 
 
 def test_every_public_function_is_reached():
-    # by name: each public module-level function or method of src/cmcert is
-    # named somewhere in src/cmcert, is a command or main, is a traced
-    # benchmark target, or is kept above with its reason
+    # by name: each public module-level function of src/cmcert is named
+    # somewhere in src/cmcert, and each public method is the attribute of
+    # some access there (a local of the same name does not reach it); or it
+    # is a command or main, a traced benchmark target (a method one whose
+    # row names its class), or is kept above with its reason
     from cmcert import cli
     spec = importlib.util.spec_from_file_location(
         "tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    reached = {attr for _, _, attr, *_ in tracer.TARGETS}
-    reached |= {fn.__name__ for fn, _ in cli._COMMANDS.values()}
-    reached |= {"main", *UNNAMED_BUT_KEPT}
-    defined = []
+    traced = {(cls, attr) for _, cls, attr, *_ in tracer.TARGETS}
+    functions = {attr for cls, attr in traced if cls is None}
+    functions |= {fn.__name__ for fn, _ in cli._COMMANDS.values()}
+    functions |= {"main", *UNNAMED_BUT_KEPT}
+    attributes, defined = set(), []
     for path in sorted((ROOT / "src" / "cmcert").glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
-            owner, body = ((f"{path.stem}.{node.name}", node.body)
-                           if isinstance(node, ast.ClassDef)
-                           else (path.stem, [node]))
-            defined += [(f"{owner}.{fn.name}", fn.name) for fn in body
+            cls, body = ((node.name, node.body)
+                         if isinstance(node, ast.ClassDef) else (None, [node]))
+            defined += [(path.stem, cls, fn.name) for fn in body
                         if isinstance(fn, ast.FunctionDef)]
-        reached |= {node.id for node in ast.walk(tree)
-                    if isinstance(node, ast.Name)}
-        reached |= {node.attr for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute)}
-    unreached = [where for where, name in defined
-                 if not name.startswith("_") and name not in reached]
+        functions |= {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)}
+        attributes |= {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)}
+    unreached = [".".join(filter(None, where)) for where in defined
+                 if not where[2].startswith("_")
+                 and where[2] not in attributes
+                 and (where[2] not in functions if where[1] is None
+                      else where[1:] not in traced)]
     assert unreached == []
 
 

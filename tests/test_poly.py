@@ -34,8 +34,7 @@ def test_polynomial_basics():
     p = Polynomial.of([1, 2, 3])
     assert len(p.coeffs) - 1 == 2
     assert p(2) == 17
-    assert p.derivative().coeffs == (2, 6)
-    assert (p * Polynomial.x()).coeffs == (0, 1, 2, 3)
+    assert (p * Polynomial.of([0, 1])).coeffs == (0, 1, 2, 3)
     assert p[5] == 0
 
 
@@ -167,7 +166,7 @@ certify_factors = st.sampled_from([
 
 @st.composite
 def certify_inputs(draw):
-    p = Polynomial.constant(draw(st.sampled_from([1, 2, -1])))
+    p = Polynomial.of([draw(st.sampled_from([1, 2, -1]))])
     for factor in draw(st.lists(certify_factors, min_size=1, max_size=3)):
         if len(p.coeffs) + len(factor) - 2 <= 6:
             p = p * Polynomial.of(factor)

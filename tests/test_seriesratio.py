@@ -121,8 +121,8 @@ def test_xi_matches_independent_convolution(beta, k):
     # xi_k is the u^(k+4) Taylor coefficient of
     #   (E-1)^2 (E-1-u) * beta*i3(beta u) - [(u-2)E + u + 2](E-1) * i2(beta u)
     # with E = e^u; assembled here from first principles
-    E = ExpPoly.of({1: Polynomial.constant(1)})
-    one = ExpPoly.of({0: Polynomial.constant(1)})
+    E = ExpPoly.of({1: Polynomial.of([1])})
+    one = ExpPoly.of({0: Polynomial.of([1])})
     u = ExpPoly.of({0: Polynomial.of([0, 1])})
     A = (E - one) * (E - one) * (E - one - u)
     B = (E.mul_poly(Polynomial.of([-2, 1]))
@@ -189,8 +189,8 @@ def _taylor(expr: ExpPoly, n: int) -> list:
 def test_ratio_sequences_match_independent_convolutions(beta, K):
     # c_k = q_k/p_k at u^(k+2) and C_k = xi_k/lambda_k at u^(k+4), every
     # series from its defining e-polynomial and the Bessel series i_2, i_3
-    E = ExpPoly.of({1: Polynomial.constant(1)})
-    one = ExpPoly.of({0: Polynomial.constant(1)})
+    E = ExpPoly.of({1: Polynomial.of([1])})
+    one = ExpPoly.of({0: Polynomial.of([1])})
     u = ExpPoly.of({0: Polynomial.of([0, 1])})
     n = K + 4
     q = _taylor((E - one) * (E - one), n)
@@ -219,8 +219,8 @@ def test_ratio_sequences_match_independent_convolutions(beta, K):
 def test_q_matches_independent_convolution(beta, k):
     # q_k is the u^(k+2) Taylor coefficient of
     #   (e^u - 1)^2 * sum_l beta^l u^l / (l! (l+2)!)
-    E = ExpPoly.of({1: Polynomial.constant(1)})
-    one = ExpPoly.of({0: Polynomial.constant(1)})
+    E = ExpPoly.of({1: Polynomial.of([1])})
+    one = ExpPoly.of({0: Polynomial.of([1])})
     A = (E - one) * (E - one)
     n = k + 2
     a = series_at_zero(ExpPolyQuotient(as_table(A), 0), n + 1)
@@ -425,13 +425,13 @@ def test_undecided_comparisons_stop_at_the_one_cap():
 
 
 def test_grid_builders():
-    g = geometric_grid(Fraction(1, 100), 1000, 25)
+    g = list(geometric_grid(Fraction(1, 100), 1000, 25))
     assert len(g) == 25
     assert g[0] == Fraction(1, 100)
     assert all(b > a for a, b in zip(g, g[1:]))
     assert all(x.denominator <= 10 ** 6 for x in g)
 
-    lin = linear_grid(0, 1, 5)
+    lin = list(linear_grid(0, 1, 5))
     assert lin == [Fraction(0), Fraction(1, 4), Fraction(1, 2),
                    Fraction(3, 4), Fraction(1)]
     with pytest.raises(ValueError):

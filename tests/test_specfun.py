@@ -82,7 +82,8 @@ def _assert_exp_matches_mpmath(x: Fraction, digits: int):
 @given(st.one_of(
            st.fractions(min_value=-1000, max_value=1000,
                         max_denominator=10 ** 6),
-           st.sampled_from(geometric_grid(Fraction(1, 100), 1000, 25))),
+           st.sampled_from(
+               list(geometric_grid(Fraction(1, 100), 1000, 25)))),
        st.integers(min_value=10, max_value=60))
 def test_exp_enclosure_differential_against_mpmath(x, digits):
     _assert_exp_matches_mpmath(x, digits)
@@ -224,7 +225,8 @@ def test_bessel_ratio_differential_against_mpmath(k, u, digits):
        st.one_of(
            st.just(Fraction(0)),
            st.fractions(min_value=0, max_value=1000, max_denominator=10 ** 6),
-           st.sampled_from(geometric_grid(Fraction(1, 100), 1000, 25))),
+           st.sampled_from(
+               list(geometric_grid(Fraction(1, 100), 1000, 25)))),
        st.integers(min_value=5, max_value=60))
 def test_bessel_ratio_equals_the_fraction_loop(k, u, digits):
     assert specfun.bessel_ratio(k, u, digits) == \
@@ -302,7 +304,8 @@ def test_polygamma_matches_oracles():
        st.one_of(
            st.fractions(min_value=Fraction(1, 100), max_value=1000,
                         max_denominator=10 ** 6),
-           st.sampled_from(geometric_grid(Fraction(1, 100), 1000, 25))),
+           st.sampled_from(
+               list(geometric_grid(Fraction(1, 100), 1000, 25)))),
        st.integers(min_value=5, max_value=60))
 def test_polygamma_differential_against_mpmath(n, x, digits):
     mpmath = pytest.importorskip("mpmath")
