@@ -207,16 +207,28 @@ def _sign_definite(evaluate, digits: int):
 def geometric_grid(lo, hi, count: int):
     """Deterministic rational grid, approximately geometric, made lazily."""
     lo, hi = to_fraction(lo), to_fraction(hi)
-    check_range("count --grid", count, 1)
+    # the points are float powers of hi/lo: count - 1 must be an exact
+    # float, and lo, hi and hi/lo normal ones
+    check_range("count --grid", count, 1, 2 ** 53)
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
+    if not (Fraction(1, 2 ** 1022) <= lo and hi <= 2 ** 1023 * min(lo, 1)):
+        raise ValueError("--grid geometric needs lo >= 2**-1022, "
+                         "hi <= 2**1023 and hi/lo <= 2**1023")
     if count == 1:
         return iter([lo])
     ratio = float(hi / lo) ** (1.0 / (count - 1))
-    # nearby clean rationals; exactness of the probe point is all we need
     return (lo if i == 0 else hi if i == count - 1 else
-            Fraction(float(lo) * ratio ** i).limit_denominator(10 ** 6)
+            _grid_point(float(lo) * ratio ** i, lo, hi)
             for i in range(count))
+
+
+def _grid_point(x: float, lo: Fraction, hi: Fraction) -> Fraction:
+    """A clean rational near x in [lo, hi]; exactness of the probe point is
+    all we need.  Its denominator is at most 10**6, or for x below 2**-20
+    at most 10**6 2**k with x 2**k about 2**-20, so that it stays positive."""
+    cap = 10 ** 6 << max(0, -19 - math.frexp(x)[1])
+    return min(max(Fraction(x).limit_denominator(cap), lo), hi)
 
 
 def linear_grid(lo, hi, count: int):

@@ -86,40 +86,42 @@ def xi_coeff(k: int, beta) -> Fraction:
 
 
 def U_value(k: int) -> int:
-    return 3 ** (k + 4) - (k + 6) * 2 ** (k + 4) + k * k + 9 * k + 21
+    return 3 ** (k + 4) - ((k + 6) << (k + 4)) + k * k + 9 * k + 21
 
 
 def V_value(k: int, l: int) -> int:
     return (3 ** (k - l + 5) * l
-            + 2 ** (k - l + 3) * (l * l - 17 * l - 5 * k - k * k)
+            + ((l * l - 17 * l - 5 * k - k * k) << (k - l + 3))
             - 2 * l * l + 2 * k * l + 17 * l - 4 * k - 20)
 
 
 def script_A(m: int) -> int:
-    return ((4 * m ** 3 + 86 * m ** 2 + 442 * m + 276) * 2 ** (m + 3)
-            + (m * m + 25 * m + 150) * 4 ** (m + 5)
+    return (((4 * m ** 3 + 86 * m ** 2 + 442 * m + 276) << (m + 3))
+            + ((m * m + 25 * m + 150) << (2 * m + 10))
             - 2 * (4 * m * m + 40 * m + 87) * 3 ** (m + 5)
             + 9 ** (m + 6)
-            + (m * m + m - 102) * 2 ** (m + 4) * 3 ** (m + 5)
+            + ((m * m + m - 102) * 3 ** (m + 5) << (m + 4))
             + 4 * m * m + 64 * m + 249)
 
 
 def script_B(m: int) -> int:
     return (2 * (8 * m ** 3 + 92 * m ** 2 + 282 * m + 207) * 3 ** (m + 5)
             - (2 * m + 1) * 9 ** (m + 6)
-            - (6 * m ** 4 + 145 * m ** 3 + 839 * m ** 2 + 592 * m - 1524) * 2 ** (m + 3)
-            - (m ** 3 + 31 * m ** 2 + 234 * m + 108) * 4 ** (m + 5)
-            - (m ** 3 + 5 * m ** 2 - 96 * m - 12) * 2 ** (m + 3) * 3 ** (m + 6)
+            - ((6 * m ** 4 + 145 * m ** 3 + 839 * m ** 2 + 592 * m - 1524)
+               << (m + 3))
+            - ((m ** 3 + 31 * m ** 2 + 234 * m + 108) << (2 * m + 10))
+            - ((m ** 3 + 5 * m ** 2 - 96 * m - 12) * 3 ** (m + 6) << (m + 3))
             - (8 * m ** 3 + 148 * m ** 2 + 794 * m + 1065))
 
 
 def script_C(m: int) -> int:
-    return ((2 * m ** 5 + 57 * m ** 4 + 388 * m ** 3 + 585 * m ** 2 + 480 * m + 2988)
-            * 2 ** (m + 3)
-            + (m ** 4 + 36 * m ** 3 + 323 * m ** 2 + 12 * m - 756) * 4 ** (m + 4)
+    return (((2 * m ** 5 + 57 * m ** 4 + 388 * m ** 3 + 585 * m ** 2 + 480 * m
+              + 2988) << (m + 3))
+            + ((m ** 4 + 36 * m ** 3 + 323 * m ** 2 + 12 * m - 756)
+               << (2 * m + 8))
             + 4 * m ** 4 + 84 * m ** 3 + 569 * m ** 2 + 1401 * m + 1152
-            + (m ** 4 + 10 * m ** 3 - 99 * m ** 2 + 24 * m + 252)
-            * 2 ** (m + 3) * 3 ** (m + 5)
+            + ((m ** 4 + 10 * m ** 3 - 99 * m ** 2 + 24 * m + 252)
+               * 3 ** (m + 5) << (m + 3))
             + m * (m + 1) * 9 ** (m + 6)
             - 2 * (4 * m ** 4 + 52 * m ** 3 + 207 * m ** 2 + 327 * m + 288)
             * 3 ** (m + 5))
@@ -176,7 +178,10 @@ def ladder_check(k_max: int) -> dict:
     V_k(1) (U_{k+1} V_k(1) - V_{k+1}(1) U_k) > 0.  U_k up to k_max+1 and
     the triples (A, B, C)(m) up to k_max are tabulated once, so M_m(k) is a
     quadratic in k from the table, and each V_k(l) is computed once and
-    carried to the next k.  Every comparison is exact.
+    carried to the next k.  A row m whose least M_m(k) over
+    max(4, m+2) <= k <= k_max is not negative (`_row_may_fail`) cannot
+    fail, so only the other rows and the three seed rows are evaluated at
+    each k.  Every comparison is exact.
     """
     check_range("order --k-max", k_max, 6)
     # k_max**2 comparisons of products of U and V, of up to 1.6 k_max bits
@@ -184,6 +189,8 @@ def ladder_check(k_max: int) -> dict:
     check_work("--k-max", work(k_max * k_max, 3 * k_max, 2 * k_max))
     U = [U_value(k) for k in range(k_max + 2)]
     abc = [(script_A(m), script_B(m), script_C(m)) for m in range(k_max + 1)]
+    rows = [0, 1, 2] + [m for m in range(3, k_max - 1)
+                        if _row_may_fail(*abc[m], m + 2, k_max)]
 
     failures = []
     V = [None] + [V_value(4, l) for l in range(1, 5)]
@@ -194,17 +201,16 @@ def ladder_check(k_max: int) -> dict:
         if not positive:
             failures.append(("U", k, None))
         else:
-            if (2 ** (k + 2) * (k + 1) + 1) * u > (2 ** (k + 1) * k + 1) * u_next:
+            if (((k + 1) << (k + 2)) + 1) * u > ((k << (k + 1)) + 1) * u_next:
                 failures.append(("theta", k, 0))
             lhs = (k + 5) * u
             for l in range(1, k + 1):
                 if lhs * V_next[l] < (k + 6 - l) * u_next * V[l]:
                     failures.append(("theta", k, l))
-        # M_m(k) = A(m) k^2 + B(m) k + C(m)
-        M = [(a * k + b) * k + c for a, b, c in abc[:k - 1]]
-        for m in range(0, k - 1):
-            if M[m] < 0:
-                failures.append(("M", m, k))
+        # M_m(k) = A(m) k^2 + B(m) k + C(m), in increasing m
+        M = {m: (abc[m][0] * k + abc[m][1]) * k + abc[m][2]
+             for m in rows if m < k - 1}
+        failures += [("M", m, k) for m, value in M.items() if value < 0]
         if positive and (V[1] == 0
                          or V[1] * (u_next * V[1] - V_next[1] * u) > 0):
             failures.append(("UV", k, None))
@@ -230,6 +236,20 @@ def ladder_check(k_max: int) -> dict:
         "C_values": {m: abc[m][2] for m in range(6)},
         "U4": U[4],
     }
+
+
+def _row_may_fail(a: int, b: int, c: int, lo: int, hi: int) -> bool:
+    """Whether a k^2 + b k + c < 0 at some integer lo <= k <= hi.
+
+    A convex row (a > 0) is least over the integers at the floor of the
+    vertex -b/(2a) or at its successor, each clamped to lo..hi; any other
+    row may be negative anywhere.
+    """
+    if a <= 0:
+        return True
+    floor = -b // (2 * a)
+    return any((a * k + b) * k + c < 0
+               for k in {min(max(j, lo), hi) for j in (floor, floor + 1)})
 
 
 # -- enclosure-valued ratio functions --------------------------------------

@@ -16,7 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 import cmcert
-from cmcert import cli, cmdegree, expring, poly, seriesratio, specfun
+from cmcert import (cli, cli_poly, cmdegree, expring, poly, seriesratio,
+                    specfun)
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
 from cmcert.poly import Polynomial
@@ -204,7 +205,7 @@ def test_command_help_lists_every_option(name):
     assert (result.exit_code, result.stderr) == (0, "")
     flags = [line.split()[0] for line in result.stdout.splitlines()
              if line.startswith("  --")]
-    spec = cli._COMMANDS[name][1]
+    spec = cli._COMMANDS[name].options
     assert flags == ["--help"] + ["--" + dest.replace("_", "-")
                                   for dest in spec]
     assert result.stdout.startswith(f"usage: cmcert {name} ")
@@ -526,6 +527,32 @@ def test_empty_grid_is_usage_error(command):
     assert "count" in result.stderr
 
 
+@pytest.mark.parametrize("grid", ["geometric:1e-300,1e300,3",
+                                  f"geometric:1,2,{10 ** 399}"])
+def test_geometric_grid_past_the_float_range_is_usage_error(grid):
+    # the points are float powers of hi/lo; these failed in the float
+    # arithmetic with a message that named no option
+    result = invoke("--grid", grid, "cm-check", "--alpha", "1",
+                    "--beta", "1", "--r", "4")
+    assert result.exit_code == 64
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "--grid" in result.stderr
+    assert "float" not in result.stderr
+
+
+def test_geometric_grid_points_below_a_millionth_stay_positive():
+    # limit_denominator(10**6) made the second point 0, and the scan
+    # refused it as not positive
+    result = invoke("--grid", "geometric:1/1000000000,1,5",
+                    "--format", "csv", "kernel-ineq", "--k", "2")
+    assert (result.exit_code, result.stderr) == (0, "")
+    points = [Fraction(row.split(",")[0])
+              for row in result.stdout.splitlines()[1:]]
+    assert len(points) == 5 and points[0] == Fraction(1, 10 ** 9)
+    assert all(0 < a < b for a, b in zip(points, points[1:]))
+
+
 BESSEL_JSON_ARGS = ["--format", "json", "--precision", "20", "bessel",
                     "--k", "3", "--u", "7/2"]
 MODULE_CMD = [sys.executable, "-m", "cmcert.cli"]
@@ -642,7 +669,7 @@ P_LIMIT_POINTS = ",".join(map(str, range(1, 20001)))
 def test_out_of_range_argument_is_usage_error(tmp_path, args):
     poly_file = write_poly(tmp_path, "p.poly", ["1", "0", "1"])
     long_file = write_poly(tmp_path, "long.poly",
-                           ["1"] * (cli.POLY_MAX_COEFFS + 1))
+                           ["1"] * (cli_poly.POLY_MAX_COEFFS + 1))
     huge_file = write_poly(tmp_path, "huge.poly", ["1e1000000"])
     args = [a.replace("{poly}", poly_file).replace("{long}", long_file)
             .replace("{huge}", huge_file) for a in args]
@@ -692,7 +719,7 @@ BUDGETED = {
         Fraction(1, 2), 20), seriesratio, "_ratio_terms"),
     "ladder_check": (lambda path: seriesratio.ladder_check(20),
                      seriesratio, "U_value"),
-    "shift_chain": (lambda path: cli.shift_chain(
+    "shift_chain": (lambda path: cli_poly.shift_chain(
         cli.RunConfig(60, "", "text"), path, 3), poly, "taylor_shift"),
 }
 
@@ -842,20 +869,21 @@ def test_rationals_are_refused_by_their_digits_before_they_are_built(
 def test_polynomial_file_coefficients_are_refused_by_their_digits(tmp_path):
     # each line before Fraction builds it, then all of them over their
     # common denominator, which is what the algebra runs on
-    top = cli.POLY_MAX_DIGITS
+    top = cli_poly.POLY_MAX_DIGITS
     at_cap = write_poly(tmp_path, "top.poly",
-                        ["9" * top] * cli.POLY_MAX_COEFFS)
-    assert len(cli._read_poly_file(at_cap).coeffs) == cli.POLY_MAX_COEFFS
+                        ["9" * top] * cli_poly.POLY_MAX_COEFFS)
+    assert (len(cli_poly._read_poly_file(at_cap).coeffs)
+            == cli_poly.POLY_MAX_COEFFS)
     line = write_poly(tmp_path, "line.poly", ["1", "# a comment", f"1e{top}"])
     with pytest.raises(ValueError, match=f"^{re.escape(line)}:3: coefficient "
                        f"'1e{top}' needs more than {top} digits$"):
-        cli._read_poly_file(line)
+        cli_poly._read_poly_file(line)
     # two coprime denominators of half the cap and one more digit
     half = 10 ** (top // 2)
     wide = write_poly(tmp_path, "wide.poly", [f"1/{half + 1}", f"1/{half}"])
     with pytest.raises(ValueError, match=rf"^digits --file {top + 1} .* "
                        rf"range 0\.\.{top}$"):
-        cli._read_poly_file(wide)
+        cli_poly._read_poly_file(wide)
 
 
 def test_p_limit_reads_a_large_exponent():

@@ -721,6 +721,43 @@ def test_empty_grid_is_rejected(scan):
         scan()
 
 
+# n/d 10^e with e across the float range and past it
+grid_ends = st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
+                      st.integers(1, 10 ** 12), st.integers(1, 10 ** 12),
+                      st.integers(-320, 320))
+
+
+@given(grid_ends, grid_ends, st.integers(1, 40))
+@example(Fraction(1, 10 ** 9), Fraction(1), 5)
+@example(Fraction(1000001, 3000000), Fraction(1000001, 3000000)
+         + Fraction(1, 10 ** 15), 3)
+def test_geometric_grid_points_are_positive_and_within_the_ends(lo, hi,
+                                                                 count):
+    # a point below 5e-7 was rounded to 0 at denominator 10**6, and one
+    # near an end with a large denominator could round past it; ends whose
+    # float powers overflow or underflow are refused, naming --grid
+    assume(lo < hi)
+    try:
+        grid = list(cmdegree.geometric_grid(lo, hi, count))
+    except ValueError as exc:
+        assert str(exc).startswith("--grid geometric needs ")
+        assert not (2 ** -1022 <= lo and hi <= 2 ** 1023
+                    and hi / lo <= 2 ** 1023)
+        return
+    assert len(grid) == count and grid[0] == lo
+    assert all(lo <= t <= hi for t in grid)
+
+
+def test_geometric_grid_keeps_the_points_of_grids_at_or_above_a_millionth():
+    # the denominator grows only below 2**-20, so the default grid keeps
+    # the points of the float powers rounded at denominator 10**6
+    lo, hi = Fraction(1, 100), 1000
+    ratio = float(hi / lo) ** (1 / 24)
+    assert list(cmdegree.geometric_grid(lo, hi, 25)) == [lo] + [
+        Fraction(float(lo) * ratio ** i).limit_denominator(10 ** 6)
+        for i in range(1, 24)] + [hi]
+
+
 def test_verify_identity_small_orders():
     for k in range(4):
         rep = cmdegree.verify_identity(k, 25)

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import cmcert
+from cmcert import cli
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -82,14 +85,13 @@ def test_every_public_function_is_reached():
     # some access there (a local of the same name does not reach it); or it
     # is a command or main, a traced benchmark target (a method one whose
     # row names its class), or is kept above with its reason
-    from cmcert import cli
     spec = importlib.util.spec_from_file_location(
         "tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     traced = {(cls, attr) for _, cls, attr, *_ in tracer.TARGETS}
     functions = {attr for cls, attr in traced if cls is None}
-    functions |= {fn.__name__ for fn, _ in cli._COMMANDS.values()}
+    functions |= {cmd.function for cmd in cli._COMMANDS.values()}
     functions |= {"main", *UNNAMED_BUT_KEPT}
     attributes, defined = set(), []
     for path in sorted((ROOT / "src" / "cmcert").glob("*.py")):
@@ -210,24 +212,29 @@ GRID = ["--grid", "linear:1,2,2"]
 
 @pytest.mark.parametrize("args, ran", [
     (["certify-poly", "--file", "{poly}", "--interval", "0,1"],
-     {"cli", "enclosure", "poly"}),
-    (["shift-chain", "--file", "{poly}"], {"cli", "enclosure", "poly"}),
+     {"cli", "enclosure", "poly", "cli_poly"}),
+    (["shift-chain", "--file", "{poly}"],
+     {"cli", "enclosure", "poly", "cli_poly"}),
     (["ratio-mono", "--which", "c", "--beta", "1"],
-     {"cli", "enclosure", "seriesratio"}),
-    (["ladder"], {"cli", "enclosure", "seriesratio"}),
-    (["verify-identity"], {"cli", "enclosure", "cmdegree"}),
+     {"cli", "enclosure", "seriesratio", "cli_seriesratio"}),
+    (["ladder"], {"cli", "enclosure", "seriesratio", "cli_seriesratio"}),
+    (["verify-identity"], {"cli", "enclosure", "cmdegree", "cli_cmdegree"}),
     (GRID + ["cm-check", "--alpha", "1", "--beta", "1", "--r", "4"],
-     {"cli", "enclosure", "specfun", "cmdegree"}),
-    (GRID + ["kernel-ineq", "--k", "2"], KERNEL_MODULES),
-    (GRID + ["conjecture-scan", "--k", "2"], KERNEL_MODULES),
-    (["reproduce-paper"], ALL_MODULES),
+     {"cli", "enclosure", "specfun", "cmdegree", "cli_cmdegree"}),
+    (GRID + ["kernel-ineq", "--k", "2"], KERNEL_MODULES | {"cli_cmdegree"}),
+    (GRID + ["conjecture-scan", "--k", "2"],
+     KERNEL_MODULES | {"cli_cmdegree"}),
+    (["reproduce-paper"], ALL_MODULES | {"cli_paper"}),
     (["--help"], {"cli", "enclosure"}),
+    (["ladder", "--help"], {"cli", "enclosure"}),
+    (["cm-check", "--help"], {"cli", "enclosure"}),
     (["ktail", "--ell", "1", "--a", "1"],
-     {"cli", "enclosure", "specfun", "expring"}),
+     {"cli", "enclosure", "specfun", "expring", "cli_specfun"}),
 ])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, args, ran):
     # every submodule is registered at import; only those a command touches
-    # run, so a cold process compiles no other module
+    # run, so a cold process compiles no other module, and of the handler
+    # modules only the running command's own is imported
     poly_file = tmp_path / "p.poly"
     poly_file.write_text("1\n0\n1\n")
     code = ("import contextlib, io, json, sys, types; from cmcert import cli\n"
@@ -270,3 +277,14 @@ print(plain, t.calls["seriesratio.ladder"])
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[] 1\n"
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_each_command_options_are_its_handler_keywords(name):
+    # main passes a command's options to its handler by keyword, so the
+    # registry and the handler name the same ones, in the same order
+    cmd = cli._COMMANDS[name]
+    handler = getattr(importlib.import_module(f"cmcert.{cmd.module}"),
+                      cmd.function)
+    params = list(inspect.signature(handler).parameters)
+    assert params == ["cfg", *cmd.options]

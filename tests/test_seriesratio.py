@@ -299,6 +299,19 @@ def test_ladder_check_equals_the_theta_rows_under_planted_faults(
     assert sr.ladder_check(120) == ladder_check_theta_rows(120)
 
 
+def test_ladder_check_finds_a_row_negative_only_inside_its_range(
+        monkeypatch):
+    # M_10(k) = A(10) (k - 60)^2 - 1 is negative at k = 60 alone, so a
+    # screen that read row 10 only at the ends of 12 <= k <= 120 would
+    # miss it
+    a = sr.script_A(10)
+    _plant(monkeypatch, "script_B", {(10,): lambda v: -120 * a})
+    _plant(monkeypatch, "script_C", {(10,): lambda v: 3600 * a - 1})
+    report = sr.ladder_check(120)
+    assert [f for f in report["failures"] if f[0] == "M"] == [("M", 10, 60)]
+    assert report == ladder_check_theta_rows(120)
+
+
 @pytest.mark.parametrize("planted", [lambda v: -v, lambda v: 0])
 def test_ladder_check_reports_a_nonpositive_U(monkeypatch, planted):
     # the cross-multiplied theta and U ratio tests rely on U_k > 0, so a U_k
