@@ -11,6 +11,7 @@ only the module of the command that runs is imported.
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 from fractions import Fraction
 
@@ -274,7 +275,10 @@ def _emit(cfg: RunConfig, doc, text, rows=None, verdict: str = "pass"):
         lines = [",".join(row) for row in rows]
     else:
         lines = text
-    print(*lines, sep="\n")
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:  # the reader left: the signal docs' SIGPIPE note
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(EXIT_CODES[verdict])
 
 
@@ -283,4 +287,5 @@ def _ends(enc: Enclosure) -> list:
 
 
 if __name__ == "__main__":
+    sys.modules["cmcert.cli"] = sys.modules[__name__]  # one copy for handlers
     main()

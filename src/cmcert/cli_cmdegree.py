@@ -7,6 +7,7 @@ only to run one of them.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .cli import _emit, _ends, _parse_grid, _rat
 from . import cmdegree
@@ -35,14 +36,35 @@ def kernel_ineq(cfg, k):
           rep["verdict"])
 
 
+def _degree_json(rep, name: str) -> str:
+    """json.dumps(..., indent=2) of the report, written directly: with
+    an indent, json.dumps always runs the pure-Python encoder."""
+    grid = [f'"{t}"' for t in rep.grid]
+    cells = [f'{{\n      "n": {c.n},\n      "t": "{c.t}",\n'
+             f'      "lo": "{c.value.lo}",\n      "hi": "{c.value.hi}",\n'
+             f'      "verdict": {_json_str(c.verdict)}\n    }}'
+             for c in rep.cells]
+    return (f'{{\n  "function": {_json_str(name)},\n'
+            f'  "r": "{rep.r}",\n  "N": {rep.N},\n'
+            f'  "grid": {_json_list(grid)},\n'
+            f'  "cells": {_json_list(cells)},\n'
+            f'  "summary": {_json_str(rep.summary)},\n'
+            f'  "note": "finite-order evidence only, not a proof of '
+            f'complete monotonicity"\n}}')
+
+
+def _json_list(items: list) -> str:
+    """A JSON list of encoded items at the second level of indent=2."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def cm_check_cmd(cfg, alpha, beta, r, orders):
     rep = cmdegree.cm_check(
         cmdegree.h_expression(_rat(alpha), _rat(beta)), _rat(r), orders,
-        _parse_grid(cfg.grid), digits=min(cfg.precision, 40),
-        name=f"gap(alpha={alpha},beta={beta})")
-    _emit(cfg, rep.to_json,
-          [f"{rep.function} at degree {rep.r}, "
-           f"orders 0..{rep.N}: {rep.summary}"]
+        _parse_grid(cfg.grid), digits=min(cfg.precision, 40))
+    name = f"gap(alpha={alpha},beta={beta})"
+    _emit(cfg, lambda: _degree_json(rep, name),
+          [f"{name} at degree {rep.r}, orders 0..{rep.N}: {rep.summary}"]
           + [f"  n={c.n} t={c.t}: {c.verdict} {c.value.decimal_str(10)}"
              for c in rep.cells if c.verdict != "pass"],
           verdict=rep.summary)

@@ -12,9 +12,9 @@ counterexample scan; and exact termwise transform identities.
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii as _json_str
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate, groupby
 
 from .enclosure import (DIGIT_CAP, Enclosure, Record, bits, check_range,
                         check_work, divide_round_out, integer_nth_root,
@@ -169,28 +169,7 @@ class DegreeCell(Record):
 
 class DegreeReport(Record):
     # summary: pass | fail | indeterminate
-    __slots__ = _fields = ("function", "r", "N", "grid", "cells", "summary")
-
-    def to_json(self) -> str:
-        """json.dumps(..., indent=2) of the report, written directly: with
-        an indent, json.dumps always runs the pure-Python encoder."""
-        grid = [f'"{t}"' for t in self.grid]
-        cells = [f'{{\n      "n": {c.n},\n      "t": "{c.t}",\n'
-                 f'      "lo": "{c.value.lo}",\n      "hi": "{c.value.hi}",\n'
-                 f'      "verdict": {_json_str(c.verdict)}\n    }}'
-                 for c in self.cells]
-        return (f'{{\n  "function": {_json_str(self.function)},\n'
-                f'  "r": "{self.r}",\n  "N": {self.N},\n'
-                f'  "grid": {_json_list(grid)},\n'
-                f'  "cells": {_json_list(cells)},\n'
-                f'  "summary": {_json_str(self.summary)},\n'
-                f'  "note": "finite-order evidence only, not a proof of '
-                f'complete monotonicity"\n}}')
-
-
-def _json_list(items: list) -> str:
-    """A JSON list of encoded items at the second level of indent=2."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+    __slots__ = _fields = ("r", "N", "grid", "cells", "summary")
 
 
 def _sign_definite(evaluate, digits: int):
@@ -215,12 +194,12 @@ def geometric_grid(lo, hi, count: int):
     if not (Fraction(1, 2 ** 1022) <= lo and hi <= 2 ** 1023 * min(lo, 1)):
         raise ValueError("--grid geometric needs lo >= 2**-1022, "
                          "hi <= 2**1023 and hi/lo <= 2**1023")
-    if count == 1:
-        return iter([lo])
-    ratio = float(hi / lo) ** (1.0 / (count - 1))
-    return (lo if i == 0 else hi if i == count - 1 else
-            _grid_point(float(lo) * ratio ** i, lo, hi)
-            for i in range(count))
+    ratio = float(hi / lo) ** (1.0 / max(count - 1, 1))
+    points = (lo if i == 0 else hi if i == count - 1 else
+              _grid_point(float(lo) * ratio ** i, lo, hi)
+              for i in range(count))
+    # each new running maximum once: a rounded repeat is not scanned again
+    return (t for t, _ in groupby(accumulate(points, max)))
 
 
 def _grid_point(x: float, lo: Fraction, hi: Fraction) -> Fraction:
@@ -318,8 +297,8 @@ def column_work(f: CMExpression, r, N: int, t: Fraction, digits=0) -> int:
         + work(4 * m, P, P) + work(4 * m * (v > 1) * v, v * P, P)
 
 
-def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
-             name: str = "f") -> DegreeReport:
+def cm_check(f: CMExpression, r, N: int, grid,
+             digits: int = 30) -> DegreeReport:
     """Sign enclosures of (-1)^n (t^r f)^(n) on a grid for n = 0..N.
 
     The rows of each odd order are negated once, so every cell sums its
@@ -340,8 +319,7 @@ def cm_check(f: CMExpression, r, N: int, grid, digits: int = 30,
         columns.append([_signed_cell(rows, n, t, digits, table)
                         for n, rows in enumerate(tower)])
     cells = [column[n] for n in range(N + 1) for column in columns]
-    return DegreeReport(function=name, r=r, N=N, grid=pts, cells=cells,
-                        summary=worst(c.verdict for c in cells))
+    return DegreeReport(r, N, pts, cells, worst(c.verdict for c in cells))
 
 
 def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
@@ -349,19 +327,17 @@ def find_degree_violation(f: CMExpression, r, t_lo, t_hi, digits: int = 30):
 
     Complete monotonicity of t^r f needs (t^r f)' <= 0 everywhere; returns
     (t, enclosure) at the first point where the derivative is certifiably
-    positive, or None when the scan finds nothing.
+    positive, a fail of `cm_check`'s order-1 cell, or None if none is found.
     """
     t = to_fraction(t_lo)
     if t <= 0:
         raise ValueError("expressions are evaluated on t > 0 only")
     t_hi = to_fraction(t_hi)
-    d1 = _derivative_rows(f, r, 1)[1]
+    rows = tuple((-c, *rest) for c, *rest in _derivative_rows(f, r, 1)[1])
     while t <= t_hi:
-        table = PointTable(t, _psi_top(d1))
-        value, _ = refine(lambda d: _cell(d1, d, table), digits,
-                          lambda v: v.lo > 0 or v.hi <= 0)
-        if value.lo > 0:
-            return t, value
+        cell = _signed_cell(rows, 1, t, digits, PointTable(t, _psi_top(rows)))
+        if cell.verdict == "fail":
+            return t, Enclosure(-cell.value.hi, -cell.value.lo)
         t *= 2
     return None
 

@@ -16,7 +16,6 @@ Fraction.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -178,23 +177,6 @@ class PositivityCertificate(Record):
     # verdict: "certified" | "falsified" | "inconclusive"
     __slots__ = _fields = ("verdict", "interval", "pieces", "witness",
                            "witness_value")
-
-    def to_json(self) -> str:
-        doc = {
-            "verdict": self.verdict,
-            "interval": [str(self.interval[0]), str(self.interval[1])],
-            "pieces": [
-                {
-                    "shift": str(pc.shift),
-                    "min_bk": str(pc.min_bk),
-                    "argmin": pc.argmin,
-                    "max_bk": str(pc.max_bk),
-                }
-                for pc in self.pieces
-            ],
-            "witness": None if self.witness is None else str(self.witness),
-        }
-        return json.dumps(doc, indent=2)
 
 
 # a failing piece is searched for a witness on WITNESS_LEVELS dyadic levels,

@@ -311,7 +311,6 @@ def ladder_check_theta_rows(k_max: int) -> dict:
         "passed": not failures,
         "failures": failures,
         "C_values": {m: abc[m][2] for m in range(6)},
-        "U4": U[4],
     }
 
 

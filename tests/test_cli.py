@@ -16,8 +16,8 @@ from types import SimpleNamespace
 import pytest
 
 import cmcert
-from cmcert import (cli, cli_poly, cmdegree, expring, poly, seriesratio,
-                    specfun)
+from cmcert import (cli, cli_cmdegree, cli_poly, cmdegree, expring, poly,
+                    seriesratio, specfun)
 from cmcert.cli import main
 from cmcert.enclosure import Enclosure
 from cmcert.poly import Polynomial
@@ -558,8 +558,8 @@ BESSEL_JSON_ARGS = ["--format", "json", "--precision", "20", "bessel",
 MODULE_CMD = [sys.executable, "-m", "cmcert.cli"]
 
 
-def run_child(cmd, hash_seed, timeout=None):
-    """Run cmd in a fresh process that imports the cmcert under test.
+def child_env(hash_seed):
+    """The environment of a fresh process that imports the cmcert under test.
 
     The directory holding the imported package goes first on PYTHONPATH, so
     the child needs no install and works from any working directory; a
@@ -572,7 +572,13 @@ def run_child(cmd, hash_seed, timeout=None):
     env["PYTHONPATH"] = (package_root if not inherited
                          else package_root + os.pathsep + inherited)
     env["PYTHONHASHSEED"] = hash_seed
-    return subprocess.run(cmd, capture_output=True, env=env, timeout=timeout)
+    return env
+
+
+def run_child(cmd, hash_seed, timeout=None):
+    """Run cmd in a fresh process (see `child_env`)."""
+    return subprocess.run(cmd, capture_output=True, env=child_env(hash_seed),
+                          timeout=timeout)
 
 
 def stderr_report(*runs):
@@ -598,6 +604,27 @@ def test_installed_entry_point_matches_module_run():
     assert script.returncode == module.returncode == 0, \
         stderr_report(script, module)
     assert script.stdout == module.stdout, stderr_report(script, module)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["shift-chain", "--file", "{poly}", "--shifts", "5000"], 0),
+    (["ratio-mono", "--which", "c", "--beta", "1", "--count", "300"], 1),
+])
+def test_a_reader_that_closes_the_pipe_gets_the_verdicts_exit_code(
+        tmp_path, args, code):
+    # each output, 134 KB and 196 KB, passes a 64 KiB pipe buffer, so the
+    # write meets the closed pipe; that printed a BrokenPipeError traceback
+    # and exited 1, which reads as fail, whatever the verdict
+    args = [a.replace("{poly}", write_poly(tmp_path, "p.poly",
+                                           ["1", "0", "1"])) for a in args]
+    proc = subprocess.Popen(MODULE_CMD + args, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=child_env("1"))
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (code, b"")
+    assert len(head) == 10
 
 
 # 20,000 p(t) points: within the budget each, past it together
@@ -1291,10 +1318,10 @@ def test_no_command_runs_an_enclosure_operator(monkeypatch, tmp_path):
 
 
 def test_text_and_csv_do_not_build_the_json_document(monkeypatch):
-    def unused(self):
+    def unused(report, name):
         raise AssertionError("the JSON document was built")
 
-    monkeypatch.setattr(cmdegree.DegreeReport, "to_json", unused)
+    monkeypatch.setattr(cli_cmdegree, "_degree_json", unused)
     for fmt in ("text", "csv"):
         result = invoke("--format", fmt, *GOLDEN_COMMANDS["cm-check"])
         assert (result.exit_code, result.stderr) == (0, ""), fmt

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from cmcert import cli, cmdegree, enclosure, specfun
+from cmcert import cli, cli_cmdegree, cmdegree, enclosure, specfun
 from cmcert.cmdegree import CMExpression
 from cmcert.enclosure import Enclosure
 from cmcert.expring import eval_enclosure, kernel_derivative
@@ -85,10 +85,10 @@ def test_evaluate_matches_fraction_summation(alpha, beta, r):
                 (n, t)
 
 
-# sha256 of to_json() of the cm-scan benchmark's four cm_check calls on the
-# default grid at 40 digits, recorded before the columns were summed on
-# pre-scaled atoms from the integer derivative tower: a faster column must
-# not move a byte
+# sha256 of the cm-check JSON of the cm-scan benchmark's four cm_check calls
+# on the default grid at 40 digits, labelled "f", recorded before the columns
+# were summed on pre-scaled atoms from the integer derivative tower: a faster
+# column must not move a byte
 CM_SCAN_JSON = {
     (1, 1, 4, 16):
         "ad6a9d1af289e78db10cd44b2171c6b7b2c0220ef5e1e806c897527b50acbc19",
@@ -107,7 +107,8 @@ def test_cm_scan_reports_keep_their_bytes(alpha, beta, r, orders):
     grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     report = cmdegree.cm_check(cmdegree.h_expression(alpha, beta), r,
                                orders, grid, digits=40)
-    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    digest = hashlib.sha256(
+        cli_cmdegree._degree_json(report, "f").encode()).hexdigest()
     assert digest == CM_SCAN_JSON[alpha, beta, r, orders]
 
 
@@ -351,11 +352,11 @@ def test_point_table_roots_are_the_rational_power_enclosures(t, u, v, digits):
     assert (Fraction(lo, den), Fraction(hi, den)) == (e.lo, e.hi)
 
 
-def _report_json(report) -> str:
+def _report_json(report, name) -> str:
     """The report's document as json.dumps(..., indent=2) writes it."""
     fmt = str
     return json.dumps({
-        "function": report.function, "r": fmt(report.r), "N": report.N,
+        "function": name, "r": fmt(report.r), "N": report.N,
         "grid": [fmt(t) for t in report.grid],
         "cells": [{"n": c.n, "t": fmt(c.t), "lo": fmt(c.value.lo),
                    "hi": fmt(c.value.hi), "verdict": c.verdict}
@@ -381,18 +382,20 @@ def test_report_json_is_the_indented_json_dump(name, r, N, grid, cells,
     # quotes, backslashes, control characters and non-ASCII names must be
     # escaped as json.dumps escapes them; empty lists print as []
     report = cmdegree.DegreeReport(
-        name, r, N, grid, [cmdegree.DegreeCell(n, t, Enclosure(*sorted(e)),
-                                               verdict)
-                           for n, t, *e, verdict in cells], summary)
-    assert report.to_json() == _report_json(report)
+        r, N, grid, [cmdegree.DegreeCell(n, t, Enclosure(*sorted(e)), verdict)
+                     for n, t, *e, verdict in cells], summary)
+    assert cli_cmdegree._degree_json(report, name) == \
+        _report_json(report, name)
 
 
 def test_report_json_of_a_scan_is_the_indented_json_dump():
     grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 25)
     report = cmdegree.cm_check(cmdegree.h_expression(1, 1), Fraction(9, 2),
-                               3, grid, digits=20, name='gap "1/1"\\')
+                               3, grid, digits=20)
     assert report.summary == "fail"
-    assert report.to_json() == _report_json(report)
+    name = 'gap "1/1"\\'
+    assert cli_cmdegree._degree_json(report, name) == \
+        _report_json(report, name)
 
 
 GRID25 = list(cmdegree.geometric_grid(Fraction(1, 100), 1000, 25))
@@ -496,8 +499,8 @@ def test_cm_check_monotone_in_degree():
 
 def test_degree_report_json_schema():
     gap = cmdegree.h_expression(1, 1)
-    report = cmdegree.cm_check(gap, 4, 2, [1, 2], digits=15, name="gap")
-    data = json.loads(report.to_json())
+    report = cmdegree.cm_check(gap, 4, 2, [1, 2], digits=15)
+    data = json.loads(cli_cmdegree._degree_json(report, "gap"))
     assert data["function"] == "gap"
     assert data["summary"] == "pass"
     assert data["N"] == 2
@@ -731,11 +734,14 @@ grid_ends = st.builds(lambda n, d, e: Fraction(n, d) * Fraction(10) ** e,
 @example(Fraction(1, 10 ** 9), Fraction(1), 5)
 @example(Fraction(1000001, 3000000), Fraction(1000001, 3000000)
          + Fraction(1, 10 ** 15), 3)
+@example(Fraction(1), Fraction(1000001, 1000000), 6)
 def test_geometric_grid_points_are_positive_and_within_the_ends(lo, hi,
                                                                  count):
     # a point below 5e-7 was rounded to 0 at denominator 10**6, and one
     # near an end with a large denominator could round past it; ends whose
-    # float powers overflow or underflow are refused, naming --grid
+    # float powers overflow or underflow are refused, naming --grid; a
+    # point rounded onto an earlier one is dropped, so the grid rises
+    # strictly from lo to hi
     assume(lo < hi)
     try:
         grid = list(cmdegree.geometric_grid(lo, hi, count))
@@ -744,8 +750,21 @@ def test_geometric_grid_points_are_positive_and_within_the_ends(lo, hi,
         assert not (2 ** -1022 <= lo and hi <= 2 ** 1023
                     and hi / lo <= 2 ** 1023)
         return
-    assert len(grid) == count and grid[0] == lo
+    assert len(grid) <= count and grid[0] == lo
+    assert grid[-1] == (hi if count > 1 else lo)
     assert all(lo <= t <= hi for t in grid)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+
+
+def test_geometric_grid_drops_repeated_points_and_keeps_distinct_ones():
+    # the interior points of a narrow grid rounded onto its ends, and each
+    # repeat was priced and evaluated again; below 2**-20 the denominator
+    # grows with the point, so no point of a grid from 10**-9 rounds to 0
+    # and onto lo
+    narrow = cmdegree.geometric_grid(1, Fraction(1000001, 1000000), 6)
+    assert list(narrow) == [1, Fraction(1000001, 1000000)]
+    tiny = list(cmdegree.geometric_grid(Fraction(1, 10 ** 9), 1, 5))
+    assert len(tiny) == 5 and tiny[0] == Fraction(1, 10 ** 9)
 
 
 def test_geometric_grid_keeps_the_points_of_grids_at_or_above_a_millionth():

@@ -251,6 +251,36 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path, args, ran):
     assert json.loads(run.stdout) == sorted(f"cmcert.{m}" for m in ran)
 
 
+def test_cold_reproduce_paper_loads_no_json():
+    # each command's JSON is written by its handler module, and
+    # reproduce-paper prints text only, so no domain module loads json
+    code = ("import contextlib, io, sys; from cmcert import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n        cli.main(['reproduce-paper'])\n"
+            "    except SystemExit as exc:\n        code = exc.code\n"
+            "print(code, sorted(name for name in sys.modules\n"
+            "                   if name.split('.')[0] == 'json'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "0 []\n"
+
+
+def test_module_run_loads_the_front_end_once():
+    # under `python -m cmcert.cli` the running module is __main__; the
+    # handlers' `from .cli import ...` ran cli.py again as cmcert.cli
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                          "cmcert.cli", "ladder", "--k-max", "6"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    imported = [line.split("|")[-1].strip()
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "cmcert" in imported and "cmcert.cli" not in imported
+
+
 def test_benchmark_tracer_wraps_the_lazily_registered_modules():
     # the tracer finds each module in sys.modules before it has run; every
     # module-level target must still read as its wrapper, and a command's

@@ -91,7 +91,6 @@ def ladder_check_reference(k_max):
         "passed": not failures,
         "failures": failures,
         "C_values": {m: sr.script_C(m) for m in range(6)},
-        "U4": sr.U_value(4),
     }
 
 
@@ -258,7 +257,7 @@ def test_ladder_check_passes_and_reports():
     report = sr.ladder_check(12)
     assert report["passed"]
     assert report["failures"] == []
-    assert report["U4"] == 4074
+    assert sr.U_value(4) == 4074
     assert report["C_values"][0] == 181440
     with pytest.raises(ValueError):
         sr.ladder_check(3)
