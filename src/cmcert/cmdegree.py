@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby
 
 from .enclosure import (DIGIT_CAP, Enclosure, Record, bits, check_range,
                         check_work, divide_round_out, integer_nth_root,
@@ -195,11 +195,9 @@ def geometric_grid(lo, hi, count: int):
         raise ValueError("--grid geometric needs lo >= 2**-1022, "
                          "hi <= 2**1023 and hi/lo <= 2**1023")
     ratio = float(hi / lo) ** (1.0 / max(count - 1, 1))
-    points = (lo if i == 0 else hi if i == count - 1 else
-              _grid_point(float(lo) * ratio ** i, lo, hi)
-              for i in range(count))
-    # each new running maximum once: a rounded repeat is not scanned again
-    return (t for t, _ in groupby(accumulate(points, max)))
+    return (lo if i == 0 else hi if i == count - 1 else
+            _grid_point(float(lo) * ratio ** i, lo, hi)
+            for i in range(count))
 
 
 def _grid_point(x: float, lo: Fraction, hi: Fraction) -> Fraction:
@@ -218,9 +216,9 @@ def linear_grid(lo, hi, count: int):
 
 
 def scan_points(points, price, flags: str, total: int = 0) -> list:
-    """The points as positive Fractions, each one's price(t) added to a
-    running total from `total` as it is taken: a point that takes the total
-    past the budget is refused before it is evaluated or another is made."""
+    """The points as positive Fractions, a run of equal ones kept once, each
+    one's price(t) added to a running total from `total` as it is taken: a
+    point past the budget is refused before it is evaluated or another made."""
     pts = []
     for t in map(to_fraction, points):
         if t <= 0:
@@ -230,7 +228,7 @@ def scan_points(points, price, flags: str, total: int = 0) -> list:
         pts.append(t)
     if not pts:
         raise ValueError("the grid has no points")
-    return pts
+    return [t for t, _ in groupby(pts)]
 
 
 def _signed_cell(rows, n: int, t: Fraction, digits: int,

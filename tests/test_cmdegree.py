@@ -681,8 +681,13 @@ GRID_SCANS = {
 }
 
 
+# a narrow grid's interior points all round onto its ends
+GEOMETRIC_ENDS = {"geometric": (Fraction(1, 100), 1000),
+                  "narrow": (1, Fraction(1000001, 1000000))}
+
+
 @pytest.mark.parametrize("name", sorted(GRID_SCANS))
-@pytest.mark.parametrize("scale", ["geometric", "linear"])
+@pytest.mark.parametrize("scale", ["geometric", "narrow", "linear"])
 def test_a_billion_point_grid_is_refused_after_few_points(monkeypatch, name,
                                                           scale):
     # the builders make points lazily, and a scan prices them as it takes
@@ -703,9 +708,9 @@ def test_a_billion_point_grid_is_refused_after_few_points(monkeypatch, name,
 
     monkeypatch.setattr(cmdegree, inner,
                         lambda *args: pytest.fail("a point was evaluated"))
-    if scale == "geometric":
+    if scale in GEOMETRIC_ENDS:
         monkeypatch.setattr(Fraction, "limit_denominator", spy)
-        grid = cmdegree.geometric_grid(Fraction(1, 100), 1000, 10 ** 9)
+        grid = cmdegree.geometric_grid(*GEOMETRIC_ENDS[scale], 10 ** 9)
     else:
         grid = taken(cmdegree.linear_grid(Fraction(1, 100), 1000, 10 ** 9))
     with pytest.raises(ValueError, match=r"^work --[-a-z/]+ \d+ .* range "):
@@ -739,9 +744,7 @@ def test_geometric_grid_points_are_positive_and_within_the_ends(lo, hi,
                                                                  count):
     # a point below 5e-7 was rounded to 0 at denominator 10**6, and one
     # near an end with a large denominator could round past it; ends whose
-    # float powers overflow or underflow are refused, naming --grid; a
-    # point rounded onto an earlier one is dropped, so the grid rises
-    # strictly from lo to hi
+    # float powers overflow or underflow are refused, naming --grid
     assume(lo < hi)
     try:
         grid = list(cmdegree.geometric_grid(lo, hi, count))
@@ -750,21 +753,34 @@ def test_geometric_grid_points_are_positive_and_within_the_ends(lo, hi,
         assert not (2 ** -1022 <= lo and hi <= 2 ** 1023
                     and hi / lo <= 2 ** 1023)
         return
-    assert len(grid) <= count and grid[0] == lo
-    assert grid[-1] == (hi if count > 1 else lo)
+    assert len(grid) == count and grid[0] == lo
     assert all(lo <= t <= hi for t in grid)
-    assert all(a < b for a, b in zip(grid, grid[1:]))
+    # a scan takes a point rounded onto the one before it once, so the
+    # grid it scans rises strictly from lo to hi; at hi/lo >= 10 the points
+    # are at least 6 % apart and none is lost, also below 2**-20, where the
+    # denominator grows so that no point rounds to 0 and onto lo
+    scanned = cmdegree.scan_points(grid, lambda t: 0, "--grid")
+    assert scanned[0] == lo and scanned[-1] == (hi if count > 1 else lo)
+    assert all(a < b for a, b in zip(scanned, scanned[1:]))
+    if hi >= 10 * lo:
+        assert scanned == grid
 
 
-def test_geometric_grid_drops_repeated_points_and_keeps_distinct_ones():
-    # the interior points of a narrow grid rounded onto its ends, and each
-    # repeat was priced and evaluated again; below 2**-20 the denominator
-    # grows with the point, so no point of a grid from 10**-9 rounds to 0
-    # and onto lo
-    narrow = cmdegree.geometric_grid(1, Fraction(1000001, 1000000), 6)
-    assert list(narrow) == [1, Fraction(1000001, 1000000)]
-    tiny = list(cmdegree.geometric_grid(Fraction(1, 10 ** 9), 1, 5))
-    assert len(tiny) == 5 and tiny[0] == Fraction(1, 10 ** 9)
+def test_a_scan_prices_every_point_and_takes_a_run_of_equal_ones_once():
+    # each repeat was evaluated again; dropping one before it was priced
+    # let a grid of 10**9 repeats pass the work budget unpriced
+    priced = []
+
+    def price(t):
+        priced.append(t)
+        return 1
+
+    assert cmdegree.scan_points(cmdegree.linear_grid(1, 1, 3), price,
+                                "--grid") == [1]
+    assert priced == [1, 1, 1]
+    # only a run is taken once: a point met again later is scanned again
+    assert cmdegree.scan_points([2, 2, 3, 2], price, "--t") == [2, 3, 2]
+    assert len(priced) == 7
 
 
 def test_geometric_grid_keeps_the_points_of_grids_at_or_above_a_millionth():
